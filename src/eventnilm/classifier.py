@@ -12,6 +12,11 @@ narrowing stages:
    repair step that nudges choices onto a feasible walk so every refined
    cycle still closes at all-OFF.
 
+Both walk searches (stage 2 and the closure repair) run on one layered
+engine, ``_walk``. Its budget counts forward (mode vector, candidate)
+expansions, per search and per cycle; the backward pass of stage 2 only
+revisits edges the forward pass already expanded, so it is not counted.
+
 A stage never strips a column's last remaining candidate, so a label always
 comes out even for events the model explains poorly; such columns are listed
 in the diagnostics.
@@ -24,17 +29,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import RunConfig
 from .errors import ModelCoverageError
-from .features import ApplianceModel, Transition, day_of
+from .features import ApplianceModel, Transition, day_columns, overshoot_height
 from .filtering import filter_and_detect
 from .modes import OFF_MODE
 from .signals import EventRecord, PowerSignal
 
 log = logging.getLogger(__name__)
-
-OVERSHOOT_WINDOW = 10
-ALL_OFF_MARGIN_W = 10.0
-SEARCH_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -121,16 +123,6 @@ class Diagnostics:
     never_all_off: bool = False
     unrepaired_cycles: list[int] = field(default_factory=list)
 
-    def as_dict(self) -> dict:
-        return {
-            "unmatched_columns": list(self.unmatched_columns),
-            "unrefined_cycles": [
-                {"cycle": i, "reason": r} for i, r in self.unrefined_cycles
-            ],
-            "never_all_off": self.never_all_off,
-            "unrepaired_cycles": list(self.unrepaired_cycles),
-        }
-
 
 def build_rows(models: list[ApplianceModel]) -> list[LabelRow]:
     """Global label space: every observed transition of every appliance."""
@@ -200,7 +192,9 @@ def _abs_distance(tr: Transition, abs_magnitude: float) -> float:
 # stage 2: cycles and walk compatibility
 
 
-def all_off_threshold(models: list[ApplianceModel], margin: float = ALL_OFF_MARGIN_W) -> float:
+def all_off_threshold(
+    models: list[ApplianceModel], margin: float = RunConfig.all_off_margin
+) -> float:
     """Aggregate level under which every appliance can be assumed OFF."""
     return sum(m.states.off_state.high for m in models) + margin
 
@@ -262,38 +256,40 @@ class _WalkSpace:
         return theta[:i] + (row.transition.to_mode,) + theta[i + 1 :]
 
 
-class _BudgetExceeded(Exception):
-    pass
+def _walk(space, rows, options, budget, chosen=None):
+    """Forward layers of the walks from all-OFF through one cycle's columns.
 
-
-def _walk_layers(space, matrix, cols, budget):
-    """Forward-reachable mode-vector sets F(i) for one cycle's columns.
-
-    F(i) holds the vectors reachable from all-OFF after events 0..i-1;
-    every (theta, row) expansion costs one unit of budget.
+    ``options[i]`` lists the row indices column i may take. Layer i maps each
+    mode vector reachable after i events to (cost, parent vector, row): cost
+    counts the steps that disagree with ``chosen`` (0 without it), and ties
+    keep the smaller row. Every (vector, row) expansion spends one unit of
+    ``budget``; the result is None once it runs out.
     """
-    spent = 0
-    layers = [{space.all_off}]
-    for col in cols:
-        rows = matrix.candidates(col)
-        nxt = set()
-        for theta in layers[-1]:
-            for r in rows:
-                spent += 1
-                if spent > budget:
-                    raise _BudgetExceeded
-                row = matrix.rows[r]
-                if space.applicable(theta, row):
-                    nxt.add(space.apply(theta, row))
+    layers = [{space.all_off: (0, None, None)}]
+    for i, candidates in enumerate(options):
+        nxt: dict = {}
+        for theta, (cost, _, _) in layers[-1].items():
+            for r in candidates:
+                budget -= 1
+                if budget < 0:
+                    return None
+                row = rows[r]
+                if not space.applicable(theta, row):
+                    continue
+                th2 = space.apply(theta, row)
+                c2 = cost + (chosen is not None and r != chosen[i])
+                prev = nxt.get(th2)
+                if prev is None or (c2, r) < (prev[0], prev[2]):
+                    nxt[th2] = (c2, theta, r)
         layers.append(nxt)
-    return layers, spent
+    return layers
 
 
 def refine_by_compatibility(
     matrix: CandidateLabelMatrix,
     cycles: list[Cycle],
     models: list[ApplianceModel],
-    budget: int = SEARCH_BUDGET,
+    budget: int = RunConfig.search_budget,
     diagnostics: Diagnostics | None = None,
 ) -> CandidateLabelMatrix:
     """Keep a candidate iff some full assignment of its cycle uses it.
@@ -301,56 +297,35 @@ def refine_by_compatibility(
     A full assignment picks one candidate per event such that the transition
     sequence is a walk from the all-OFF mode vector back to all-OFF, each
     step applicable in its predecessor state. Kept sets are computed exactly
-    with forward and backward reachability layers; a cycle whose search
-    exceeds the node budget, or that admits no walk at all, is left as-is and
-    reported in the diagnostics.
+    from the forward layers and one backward pass over them; a cycle whose
+    forward search exceeds the budget, or that admits no walk at all, is
+    left as-is and reported in the diagnostics.
     """
     space = _WalkSpace(models)
     for ci, cycle in enumerate(cycles):
         cols = list(cycle.columns)
-        try:
-            forward, spent = _walk_layers(space, matrix, cols, budget)
-        except _BudgetExceeded:
+        options = [matrix.candidates(c) for c in cols]
+        forward = _walk(space, matrix.rows, options, budget)
+        if forward is None:
             _flag(diagnostics, ci, "search budget exhausted")
             continue
         if space.all_off not in forward[-1]:
             _flag(diagnostics, ci, "no compatible assignment")
             continue
-
-        # backward sets B(i): vectors from which events i.. can finish at all-OFF
-        back = [set() for _ in range(len(cols) + 1)]
-        back[-1] = {space.all_off}
-        exceeded = False
+        # backward from all-OFF: ``alive`` holds the vectors of layer i + 1
+        # that can still finish the cycle; a row is kept iff it steps from a
+        # reachable vector into one of them
+        alive = {space.all_off}
         for i in range(len(cols) - 1, -1, -1):
-            rows = matrix.candidates(cols[i])
-            # candidate predecessors are exactly the forward-reachable vectors
+            keep, back = set(), set()
             for theta in forward[i]:
-                for r in rows:
-                    spent += 1
-                    if spent > budget:
-                        exceeded = True
-                        break
+                for r in options[i]:
                     row = matrix.rows[r]
-                    if space.applicable(theta, row) and space.apply(theta, row) in back[i + 1]:
-                        back[i].add(theta)
-                        break
-                if exceeded:
-                    break
-            if exceeded:
-                break
-        if exceeded:
-            _flag(diagnostics, ci, "search budget exhausted")
-            continue
-
-        for i, col in enumerate(cols):
-            keep = set()
-            for r in matrix.candidates(col):
-                row = matrix.rows[r]
-                for theta in forward[i]:
-                    if space.applicable(theta, row) and space.apply(theta, row) in back[i + 1]:
+                    if space.applicable(theta, row) and space.apply(theta, row) in alive:
                         keep.add(r)
-                        break
-            matrix.keep_only(col, keep)
+                        back.add(theta)
+            matrix.keep_only(cols[i], keep)
+            alive = back
     return matrix
 
 
@@ -362,18 +337,6 @@ def _flag(diagnostics, cycle_index, reason):
 
 # ---------------------------------------------------------------------------
 # stage 3: behavior vetoes
-
-
-def _event_day(ev, signal, base):
-    return day_of(signal.time_at(ev.index), base)
-
-
-def _overshoot_height(raw: PowerSignal, ev: EventRecord, window: int = OVERSHOOT_WINDOW) -> float:
-    a = ev.post_index
-    b = min(len(raw), a + window)
-    if a >= b:
-        return 0.0
-    return float(np.max(raw.values[a:b])) - ev.post_level
 
 
 def refine_by_behaviors(
@@ -395,14 +358,8 @@ def refine_by_behaviors(
         appliance's last single-labeled OFF is dropped.
     No rule removes a column's last candidate.
     """
-    if day_base is None:
-        day_base = filtered.start_time
     by_app = {m.appliance_id: m for m in models}
-    days = sorted({_event_day(ev, filtered, day_base) for ev in matrix.events})
-    cols_by_day = {
-        d: [c for c, ev in enumerate(matrix.events) if _event_day(ev, filtered, day_base) == d]
-        for d in days
-    }
+    cols_by_day = day_columns(matrix.events, filtered, day_base)
 
     # (a) all-or-none daily marker
     for model in sorted(models, key=lambda m: m.appliance_id):
@@ -413,8 +370,7 @@ def refine_by_behaviors(
         app_rows = [
             r for r, row in enumerate(matrix.rows) if row.appliance == model.appliance_id
         ]
-        for d in days:
-            cols = cols_by_day[d]
+        for cols in cols_by_day.values():
             if any(sig.contains(matrix.events[c].magnitude) for c in cols):
                 continue
             for c in cols:
@@ -436,7 +392,9 @@ def refine_by_behaviors(
     for c, ev in enumerate(matrix.events):
         if not ev.rising or matrix.column_count(c) < 2:
             continue
-        height = _overshoot_height(raw, ev)
+        height = overshoot_height(raw, ev)
+        if height is None:  # no raw samples after the event
+            height = 0.0
         cand = matrix.candidates(c)
         for r in cand:
             need = overshoot_of[matrix.rows[r].appliance]
@@ -521,19 +479,12 @@ def resolve_by_participation(
     keeps the candidate minimizing |observed - trained|. Ties prefer the
     larger trained index, then the lexicographically smaller appliance id.
     """
-    if day_base is None:
-        day_base = filtered.start_time
     trained = {
         (m.appliance_id, key): p
         for m in models
         for key, p in m.participation.items()
     }
-    days: dict[int, list[int]] = {}
-    for c, ev in enumerate(matrix.events):
-        days.setdefault(_event_day(ev, filtered, day_base), []).append(c)
-
-    for d in sorted(days):
-        cols = days[d]
+    for cols in day_columns(matrix.events, filtered, day_base).values():
         total = len(cols)
         singles: dict[int, int] = {}
         for c in cols:
@@ -586,7 +537,7 @@ def enforce_cycle_closure(
     models: list[ApplianceModel],
     pre_step4: list[list[int]],
     refined: set[int],
-    budget: int = SEARCH_BUDGET,
+    budget: int = RunConfig.search_budget,
     diagnostics: Diagnostics | None = None,
 ) -> CandidateLabelMatrix:
     """Nudge resolved labels onto a feasible walk, changing as few as possible.
@@ -595,7 +546,9 @@ def enforce_cycle_closure(
     property stage 2 guaranteed was attainable. For every cycle stage 2
     refined, if the chosen labels do not replay from all-OFF to all-OFF, the
     valid assignment disagreeing with the fewest choices replaces them
-    (candidates drawn from the pre-resolution label sets).
+    (candidates drawn from the pre-resolution label sets). A cycle with no
+    valid assignment, or whose repair search exceeds the budget, stays as
+    chosen and is listed in ``diagnostics.unrepaired_cycles``.
     """
     space = _WalkSpace(models)
     for ci, cycle in enumerate(cycles):
@@ -603,58 +556,20 @@ def enforce_cycle_closure(
             continue
         cols = list(cycle.columns)
         chosen = [matrix.candidates(c)[0] for c in cols]
-        theta = space.all_off
-        ok = True
-        for i, c in enumerate(cols):
-            row = matrix.rows[chosen[i]]
-            if not space.applicable(theta, row):
-                ok = False
-                break
-            theta = space.apply(theta, row)
-        if ok and theta == space.all_off:
+        # one (vector, row) expansion per column at most: never over budget
+        replay = _walk(space, matrix.rows, [[r] for r in chosen], len(cols))
+        if space.all_off in replay[-1]:
             continue
-
-        # min-disagreement walk over the pre-resolution candidate sets
-        spent = 0
-        frontier = {space.all_off: (0, None, None)}  # theta -> (cost, parent theta, row)
-        layers = [frontier]
-        feasible = True
-        for i, c in enumerate(cols):
-            nxt: dict = {}
-            for th, (cost, _, _) in layers[-1].items():
-                for r in pre_step4[c]:
-                    spent += 1
-                    if spent > budget:
-                        feasible = False
-                        break
-                    row = matrix.rows[r]
-                    if not space.applicable(th, row):
-                        continue
-                    th2 = space.apply(th, row)
-                    c2 = cost + (0 if r == chosen[i] else 1)
-                    prev = nxt.get(th2)
-                    if prev is None or (c2, r) < (prev[0], prev[2]):
-                        nxt[th2] = (c2, th, r)
-                if not feasible:
-                    break
-            if not feasible or not nxt:
-                feasible = False
-                break
-            layers.append(nxt)
-        if not feasible or space.all_off not in layers[-1]:
+        layers = _walk(space, matrix.rows, [pre_step4[c] for c in cols], budget, chosen)
+        if layers is None or space.all_off not in layers[-1]:
             if diagnostics is not None:
                 diagnostics.unrepaired_cycles.append(ci)
             log.warning("cycle %d: resolved labels do not close; left as chosen", ci)
             continue
-        path = []
-        th = space.all_off
+        theta = space.all_off
         for i in range(len(cols), 0, -1):
-            _, parent, r = layers[i][th]
-            path.append(r)
-            th = parent
-        path.reverse()
-        for c, r in zip(cols, path):
-            matrix.assign(c, r)
+            _, theta, r = layers[i][theta]
+            matrix.assign(cols[i - 1], r)
     return matrix
 
 
@@ -676,8 +591,8 @@ class LabeledEvent:
 def classify(
     aggregate: PowerSignal,
     models: list[ApplianceModel],
-    all_off_margin: float = ALL_OFF_MARGIN_W,
-    budget: int = SEARCH_BUDGET,
+    all_off_margin: float = RunConfig.all_off_margin,
+    budget: int = RunConfig.search_budget,
     day_base: float | None = None,
 ) -> tuple[list[LabeledEvent], Diagnostics]:
     """Label every event of the aggregate signal with one mode transition."""

@@ -85,22 +85,6 @@ def _read_signal(path: str, period: float | None):
     return signal, gaps
 
 
-def _split_bundle(bundle):
-    m = bundle.manifest
-    base = bundle.aggregate.start_time
-    train_apps = {
-        name: ds.slice_days(sig, m.train_days, base)
-        for name, sig in bundle.appliances.items()
-    }
-    test_apps = {
-        name: ds.slice_days(sig, m.test_days, base)
-        for name, sig in bundle.appliances.items()
-    }
-    train_agg = ds.slice_days(bundle.aggregate, m.train_days, base)
-    test_agg = ds.slice_days(bundle.aggregate, m.test_days, base)
-    return train_apps, train_agg, test_apps, test_agg
-
-
 def cmd_filter(args) -> int:
     signal, _ = _read_signal(args.input, args.period)
     filtered, _ = filter_and_detect(signal)
@@ -152,7 +136,7 @@ def cmd_extract_modes(args) -> int:
 def cmd_train(args) -> int:
     config = _config_from(args)
     bundle = ds.load_dataset(ds.read_manifest(args.manifest))
-    train_apps, train_agg, _, _ = _split_bundle(bundle)
+    train_apps, train_agg, _, _ = ds.split_bundle(bundle)
     result = pipeline.train_models(train_apps, train_agg, config)
     save_models(args.output, result.models)
     for note in result.notes:
@@ -164,7 +148,7 @@ def cmd_train(args) -> int:
 def cmd_disaggregate(args) -> int:
     config = _config_from(args)
     bundle = ds.load_dataset(ds.read_manifest(args.manifest))
-    _, _, _, test_agg = _split_bundle(bundle)
+    _, _, _, test_agg = ds.split_bundle(bundle)
     models = load_models(args.model)
     labeled, diagnostics = pipeline.disaggregate(test_agg, models, config)
     atomic_write_text(args.output, pipeline.format_event_report(labeled, test_agg))
@@ -180,7 +164,7 @@ def cmd_disaggregate(args) -> int:
 def cmd_evaluate(args) -> int:
     config = _config_from(args)
     bundle = ds.load_dataset(ds.read_manifest(args.manifest))
-    _, _, test_apps, _ = _split_bundle(bundle)
+    _, _, test_apps, _ = ds.split_bundle(bundle)
     models = load_models(args.model)
     predicted = pipeline.parse_event_report(args.report)
     truth = pipeline.build_ground_truth(test_apps, models)

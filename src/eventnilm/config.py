@@ -20,7 +20,8 @@ class RunConfig:
     all_off_margin: watts added to the summed OFF maxima when deciding that
       the aggregate signal is all-OFF.
     overshoot_floor: smallest overshoot height that counts as a habit.
-    search_budget: node budget per cycle for the compatibility search.
+    search_budget: forward (mode vector, candidate) expansions allowed in
+      each walk search of a cycle, compatibility or closure repair.
     match_tolerance: +/- samples allowed when matching events in evaluation.
     n_days_variant: average participation shares over all active days
       instead of only the days the transition occurred in.

@@ -10,16 +10,16 @@ writes the same layout, so generated data is a drop-in dataset.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 from pathlib import Path
 
 import numpy as np
 
 from .errors import AlignmentError, ManifestError, ParseError
+from .features import DAY_SECONDS
 from .model_io import format_number
 from .signals import GapRecord, PowerSignal, aggregate, resample_step_hold
 from .synth import SynthResult
-
-DAY_SECONDS = 86400.0
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,11 @@ def parse_labels(path: str | Path) -> dict[int, str]:
 
 
 def read_channel(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    """Channel file: "unix_timestamp watts" per line, whitespace-separated."""
+    """Channel file: "unix_timestamp watts" per line, whitespace-separated.
+
+    A non-finite timestamp or reading is a parse error; negative readings
+    (meter offset) are clipped to zero.
+    """
     path = Path(path)
     if not path.is_file():
         raise ManifestError(f"channel file not found: {path}")
@@ -133,13 +137,16 @@ def read_channel(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
             if len(parts) != 2:
                 raise ParseError(f"{path}:{lineno}: expected 'timestamp watts'")
             try:
-                times.append(float(parts[0]))
-                watts.append(float(parts[1]))
+                t, w = float(parts[0]), float(parts[1])
             except ValueError:
                 raise ParseError(f"{path}:{lineno}: non-numeric field")
+            if not (isfinite(t) and isfinite(w)):
+                raise ParseError(f"{path}:{lineno}: non-finite value")
+            times.append(t)
+            watts.append(w)
     if not times:
         raise ParseError(f"{path}: no samples")
-    return np.asarray(times), np.asarray(watts)
+    return np.asarray(times), np.maximum(np.asarray(watts), 0.0)
 
 
 @dataclass(frozen=True)
@@ -164,7 +171,7 @@ def load_dataset(manifest: DatasetManifest) -> DatasetBundle:
     raw = []
     for name in names:
         times, watts = read_channel(manifest.root / f"channel_{by_name[name]}.dat")
-        raw.append((name, times, np.maximum(watts, 0.0)))
+        raw.append((name, times, watts))
     lo = max(float(np.min(t)) for _, t, _ in raw)
     hi = min(float(np.max(t)) for _, t, _ in raw)
     if hi < lo:
@@ -207,6 +214,21 @@ def slice_days(signal: PowerSignal, day_range: tuple[int, int], base: float) -> 
         sample_period=signal.sample_period,
         source_id=signal.source_id,
     )
+
+
+def split_bundle(bundle: DatasetBundle):
+    """Cut a bundle at its manifest's day ranges.
+
+    Returns (train appliances, train aggregate, test appliances, test
+    aggregate), with day 0 at the aggregate's first sample.
+    """
+    base = bundle.aggregate.start_time
+
+    def cut(days):
+        apps = {n: slice_days(s, days, base) for n, s in bundle.appliances.items()}
+        return apps, slice_days(bundle.aggregate, days, base)
+
+    return (*cut(bundle.manifest.train_days), *cut(bundle.manifest.test_days))
 
 
 # ---------------------------------------------------------------------------

@@ -105,19 +105,6 @@ def precision_recall(counts: ConfusionCounts) -> tuple[float, float]:
     return p, r
 
 
-def legacy_rates(counts: ConfusionCounts) -> tuple[float, float]:
-    """Alternative rate pair kept for comparison with older write-ups.
-
-    Returns (tp/(tp+fn), fp/(fp+tn)): a hit rate and a false-positive rate.
-    Combining these with a harmonic mean degenerates (the second number
-    rewards false positives), so they are reported for inspection only and
-    never used for scoring.
-    """
-    hit = counts.tp / (counts.tp + counts.fn) if counts.tp + counts.fn else 0.0
-    fpr = counts.fp / (counts.fp + counts.tn) if counts.fp + counts.tn else 0.0
-    return hit, fpr
-
-
 def macro_average_f(per_appliance: dict[str, ConfusionCounts]) -> float:
     if not per_appliance:
         return 0.0

@@ -117,6 +117,25 @@ def day_of(time: float, base: float, day_seconds: float = DAY_SECONDS) -> int:
     return int((time - base) // day_seconds)
 
 
+def day_columns(
+    events: list[EventRecord],
+    signal: PowerSignal,
+    base: float | None = None,
+    day_seconds: float = DAY_SECONDS,
+) -> dict[int, list[int]]:
+    """Positions in ``events`` grouped by the day of their sample, days ascending.
+
+    ``base`` anchors day 0; it defaults to the signal's own start but must be
+    shared when aligning day indices across several signals.
+    """
+    if base is None:
+        base = signal.start_time
+    by_day: dict[int, list[int]] = defaultdict(list)
+    for pos, ev in enumerate(events):
+        by_day[day_of(signal.time_at(ev.index), base, day_seconds)].append(pos)
+    return dict(sorted(by_day.items()))
+
+
 def split_days(
     events: list[EventRecord],
     signal: PowerSignal,
@@ -125,15 +144,13 @@ def split_days(
 ):
     """Group events by the day of their sample timestamp, in time order.
 
-    ``base`` anchors day 0; it defaults to the signal's own start but must be
-    shared when aligning day indices across several signals.
+    ``base`` anchors day 0 as in :func:`day_columns`.
     """
-    if base is None:
-        base = signal.start_time
-    by_day: dict[int, list] = defaultdict(list)
-    for ev in sorted(events, key=lambda e: e.index):
-        by_day[day_of(signal.time_at(ev.index), base, day_seconds)].append(ev)
-    return dict(sorted(by_day.items()))
+    ordered = sorted(events, key=lambda e: e.index)
+    return {
+        day: [ordered[pos] for pos in positions]
+        for day, positions in day_columns(ordered, signal, base, day_seconds).items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -207,10 +224,6 @@ class BehaviorSet:
     min_off_gap_s: float
 
 
-def observed_transition_keys(labeled: list[Transition]) -> set[tuple[str, str]]:
-    return {t.key for t in labeled}
-
-
 def find_signature(
     daily_transitions: list[list[Transition]],
     states: StateSet,
@@ -242,12 +255,26 @@ def find_signature(
     return candidates[-1]
 
 
+OVERSHOOT_WINDOW = 10  # samples after an event searched for its raw peak
+
+
+def overshoot_height(raw: PowerSignal, ev: EventRecord) -> float | None:
+    """Raw peak in the window from ``ev.post_index`` on, minus the settled level.
+
+    None when the event settles at the signal's end, leaving no samples.
+    """
+    a = ev.post_index
+    b = min(len(raw), a + OVERSHOOT_WINDOW)
+    if a >= b:
+        return None
+    return float(np.max(raw.values[a:b])) - ev.post_level
+
+
 def overshoot_floor(
     raw: PowerSignal,
     filtered: PowerSignal,
     labeled: list[tuple[EventRecord, Transition]],
     floor: float = 50.0,
-    window: int = 10,
 ) -> float:
     """Smallest consistent rise overshoot, or 0 when rises do not overshoot.
 
@@ -256,17 +283,8 @@ def overshoot_floor(
     appliance exhibits the habit only if every rise overshoots by at least
     ``floor`` watts.
     """
-    gaps = []
-    n = len(raw)
-    for ev, _tr in labeled:
-        if not ev.rising:
-            continue
-        a = ev.post_index
-        b = min(n, a + window)
-        if a >= b:
-            continue
-        peak = float(np.max(raw.values[a:b]))
-        gaps.append(peak - ev.post_level)
+    heights = [overshoot_height(raw, ev) for ev, _tr in labeled if ev.rising]
+    gaps = [h for h in heights if h is not None]
     if not gaps:
         return 0.0
     lowest = min(gaps)

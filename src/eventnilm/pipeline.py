@@ -21,7 +21,7 @@ from .evaluation import (
     match_events,
     precision_recall,
 )
-from .features import ApplianceModel, label_training_events, day_of, train_appliance
+from .features import ApplianceModel, day_columns, label_training_events, train_appliance
 from .filtering import filter_and_detect
 from .model_io import atomic_write_text, format_number
 from .modes import OFF_MODE, State, StateSet, extract_states
@@ -60,10 +60,7 @@ def train_models(
     """Learn one model per appliance from its submetered training signal."""
     day_base = aggregate.start_time
     _, agg_events = filter_and_detect(aggregate)
-    totals: dict[int, int] = {}
-    for ev in agg_events:
-        d = day_of(aggregate.time_at(ev.index), day_base)
-        totals[d] = totals.get(d, 0) + 1
+    totals = {d: len(cols) for d, cols in day_columns(agg_events, aggregate).items()}
 
     result = TrainResult(models=[])
     for name in sorted(appliances):

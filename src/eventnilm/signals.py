@@ -154,33 +154,6 @@ def resample_step_hold(
     return signal, gaps
 
 
-def align(
-    signals: list[PowerSignal], period: float, max_gap: float = 60.0
-) -> list[PowerSignal]:
-    """Resample signals onto one shared grid covering the intersection of spans.
-
-    Interpolation is step-hold (forward fill): appliance power is piecewise
-    constant between mode transitions, so holding the last value is the only
-    resampling that does not invent edges.
-    """
-    if not signals:
-        return []
-    if period <= 0:
-        raise ValueError("period must be positive")
-    lo = max(s.start_time for s in signals)
-    hi = min(s.end_time for s in signals)
-    if hi < lo - _GRID_EPS:
-        raise AlignmentError("signals have no common time span")
-    out = []
-    for s in signals:
-        times = s.start_time + np.arange(len(s)) * s.sample_period
-        resampled, _ = resample_step_hold(
-            times, s.values, period, start=lo, end=hi, max_gap=max_gap, source_id=s.source_id
-        )
-        out.append(resampled)
-    return out
-
-
 def aggregate(signals: list[PowerSignal]) -> PowerSignal:
     """Sample-wise sum of already-aligned signals."""
     if not signals:

@@ -22,9 +22,9 @@ import numpy as np
 
 from .errors import SpecValidationError
 from .evaluation import LabelPoint
+from .features import DAY_SECONDS
 from .signals import PowerSignal
 
-DAY_SECONDS = 86400.0
 MIN_DWELL_SAMPLES = 8  # keeps every settled level long enough to survive filtering
 EVENT_GAP_SAMPLES = 6  # level switches closer than this would merge into one event
 RUN_GAP_SAMPLES = 30

@@ -20,7 +20,7 @@ import pytest
 
 from eventnilm.classifier import Cycle, build_rows, initial_labels, refine_by_compatibility
 from eventnilm.config import RunConfig
-from eventnilm.dataset import load_dataset, read_manifest, slice_days
+from eventnilm.dataset import load_dataset, read_manifest, split_bundle
 from eventnilm.evaluation import (
     LabelPoint,
     f_measure,
@@ -282,19 +282,8 @@ def test_criterion_8_real_household_reproduction():
     if manifest_path.is_dir():
         manifest_path = manifest_path / "manifest.cfg"
     config = RunConfig()
-    manifest = read_manifest(manifest_path)
-    bundle = load_dataset(manifest)
-    base = bundle.aggregate.start_time
-    train_apps = {
-        n: slice_days(s, manifest.train_days, base)
-        for n, s in bundle.appliances.items()
-    }
-    test_apps = {
-        n: slice_days(s, manifest.test_days, base)
-        for n, s in bundle.appliances.items()
-    }
-    train_agg = slice_days(bundle.aggregate, manifest.train_days, base)
-    test_agg = slice_days(bundle.aggregate, manifest.test_days, base)
+    bundle = load_dataset(read_manifest(manifest_path))
+    train_apps, train_agg, test_apps, test_agg = split_bundle(bundle)
     models = train_models(train_apps, train_agg, config).models
     labeled, _ = disaggregate(test_agg, models, config)
     truth = build_ground_truth(test_apps, models)

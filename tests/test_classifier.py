@@ -6,6 +6,8 @@ back to all-OFF, and compares the surviving label sets with the reachable-
 set refinement. Instances stay small enough that enumeration is exact.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -267,9 +269,9 @@ class TestRefineByBehaviors:
         rows = build_rows(models)
         return rows, initial_labels(events, rows)
 
-    def test_signature_absence_clears_appliance_day(self):
+    def _dishwasher(self):
         marker = Transition("on1", "on2", 643.0, 737.0)
-        dw = ApplianceModel(
+        return ApplianceModel(
             appliance_id="dw",
             states=StateSet(
                 states=(
@@ -288,6 +290,9 @@ class TestRefineByBehaviors:
                 signature=marker, forbidden=(), overshoot_min=0.0, min_off_gap_s=0.0
             ),
         )
+
+    def test_signature_absence_clears_appliance_day(self):
+        dw = self._dishwasher()
         ko = two_mode_model("ko", 840, 960)
         rows, matrix = self._matrix([dw, ko], [ev(5, 0, 900)])
         # the day has no event inside [643, 737], so dw cannot be involved
@@ -296,26 +301,7 @@ class TestRefineByBehaviors:
         assert [rows[r].appliance for r in refined.candidates(0)] == ["ko"]
 
     def test_signature_present_keeps_appliance(self):
-        marker = Transition("on1", "on2", 643.0, 737.0)
-        dw = ApplianceModel(
-            appliance_id="dw",
-            states=StateSet(
-                states=(
-                    State(OFF_MODE, 0.0, 0.0, 0.0),
-                    state("on1", 190, 260),
-                    state("on2", 850, 950),
-                )
-            ),
-            transitions=(
-                Transition(OFF_MODE, "on1", 190.0, 260.0),
-                marker,
-                Transition("on2", OFF_MODE, -950.0, -850.0),
-            ),
-            participation={},
-            behaviors=BehaviorSet(
-                signature=marker, forbidden=(), overshoot_min=0.0, min_off_gap_s=0.0
-            ),
-        )
+        dw = self._dishwasher()
         ko = two_mode_model("ko", 840, 960)
         rows, matrix = self._matrix(
             [dw, ko], [ev(5, 220, 900), ev(2, 0, 220, post_index=4)]
@@ -324,6 +310,18 @@ class TestRefineByBehaviors:
         refined = refine_by_behaviors(matrix, [dw, ko], raw, raw)
         apps = {rows[r].appliance for r in refined.candidates(0)}
         assert "dw" in apps
+
+    def test_signature_judged_per_day(self):
+        dw = self._dishwasher()
+        ko = two_mode_model("ko", 840, 960)
+        # hourly samples: a 900 W fall fits both appliances on either day,
+        # but only day 0 holds the marker step
+        events = [ev(5, 0, 220), ev(6, 220, 900), ev(8, 900, 0), ev(30, 900, 0)]
+        rows, matrix = self._matrix([dw, ko], events)
+        raw = sig(np.zeros(48), period=3600.0)
+        refined = refine_by_behaviors(matrix, [dw, ko], raw, raw)
+        assert {rows[r].appliance for r in refined.candidates(2)} == {"dw", "ko"}
+        assert [rows[r].appliance for r in refined.candidates(3)] == ["ko"]
 
     def test_overshoot_mismatch_drops_habit_appliance(self):
         rfg = two_mode_model("rfg", 890, 1000, overshoot_min=500.0)
@@ -527,6 +525,51 @@ class TestEnforceCycleClosure:
             matrix, [Cycle(0, 1)], [a], [list(range(len(rows)))] * 2, set()
         )
         assert (repaired.cells == before).all()
+
+    def test_budget_exhaustion_leaves_cycle_unrepaired(self):
+        models = [two_mode_model("a", 490, 510), two_mode_model("b", 485, 515)]
+        rows = build_rows(models)
+        events = [ev(0, 0, 500), ev(10, 500, 0)]
+        matrix = initial_labels(events, rows)
+        pre = [matrix.candidates(c) for c in range(2)]
+        matrix.assign(0, row_index(rows, "a", (OFF_MODE, "on1")))
+        matrix.assign(1, row_index(rows, "b", ("on1", OFF_MODE)))
+        before = matrix.cells.copy()
+        diag = Diagnostics()
+        repaired = enforce_cycle_closure(
+            matrix, [Cycle(0, 1)], models, pre, {0}, budget=1, diagnostics=diag
+        )
+        assert diag.unrepaired_cycles == [0]
+        assert (repaired.cells == before).all()
+
+    def test_repair_is_minimal_on_random_instances(self):
+        rng = np.random.default_rng(71)
+        for _ in range(200):
+            models, events = random_instance(rng)
+            rows = build_rows(models)
+            matrix = initial_labels(events, rows)
+            pre = [matrix.candidates(c) for c in range(len(events))]
+            chosen = [int(rng.choice(p)) for p in pre]
+            for c, r in enumerate(chosen):
+                matrix.assign(c, r)
+            closing = [
+                walk for walk in itertools.product(*pre)
+                if replay_closes([rows[r] for r in walk], models)
+            ]
+            before = matrix.cells.copy()
+            diag = Diagnostics()
+            repaired = enforce_cycle_closure(
+                matrix, [Cycle(0, len(events) - 1)], models, pre, {0}, diagnostics=diag
+            )
+            picked = [repaired.candidates(c)[0] for c in range(len(events))]
+            if not closing:
+                assert diag.unrepaired_cycles == [0]
+                assert (repaired.cells == before).all()
+                continue
+            assert diag.unrepaired_cycles == []
+            assert replay_closes([rows[r] for r in picked], models)
+            fewest = min(sum(a != b for a, b in zip(w, chosen)) for w in closing)
+            assert sum(a != b for a, b in zip(picked, chosen)) == fewest
 
 
 def replay_closes(labeled, models):

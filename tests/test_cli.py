@@ -146,6 +146,40 @@ def dataset(tmp_path_factory):
     return root
 
 
+class TestMeterFaults:
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_sample_is_data_error(self, tmp_path, capsys, bad):
+        channel = write_channel(tmp_path / "ch.dat", step_values())
+        lines = channel.read_text().splitlines()
+        lines[5] = f"50 {bad}"
+        channel.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "events.tsv"
+        assert main(["detect-events", "--input", str(channel), "--output", str(out)]) == 2
+        assert "ch.dat:6: non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_sample_fails_train(self, dataset, tmp_path, capsys, bad):
+        for f in dataset.iterdir():
+            if f.suffix in (".cfg", ".dat"):
+                (tmp_path / f.name).write_bytes(f.read_bytes())
+        channel = tmp_path / "channel_1.dat"
+        lines = channel.read_text().splitlines()
+        lines[3] = lines[3].split()[0] + " " + bad
+        channel.write_text("\n".join(lines) + "\n")
+        manifest, out = tmp_path / "manifest.cfg", tmp_path / "m.json"
+        code = main(["train", "--manifest", str(manifest), "--output", str(out)])
+        assert code == 2
+        assert "channel_1.dat:4: non-finite" in capsys.readouterr().err
+
+    def test_negative_sample_is_clipped(self, tmp_path, capsys):
+        vals = step_values()
+        vals[5] = -12.0
+        channel = write_channel(tmp_path / "ch.dat", vals)
+        out = tmp_path / "events.tsv"
+        assert main(["detect-events", "--input", str(channel), "--output", str(out)]) == 0
+        assert "wrote 2 events" in capsys.readouterr().out
+
+
 class TestFullFlow:
     def test_train_then_disaggregate_then_evaluate(self, dataset, capsys):
         manifest = dataset / "manifest.cfg"

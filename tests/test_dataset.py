@@ -136,6 +136,16 @@ class TestChannel:
         with pytest.raises(ManifestError, match="not found"):
             read_channel(tmp_path / "c.dat")
 
+    @pytest.mark.parametrize("line", ["120 nan", "120 inf", "120 -inf", "nan 6"])
+    def test_non_finite_names_line(self, tmp_path, line):
+        p = write(tmp_path / "c.dat", f"# t w\n100 5\n{line}\n")
+        with pytest.raises(ParseError, match=r"c\.dat:3: non-finite"):
+            read_channel(p)
+
+    def test_negative_clipped(self, tmp_path):
+        p = write(tmp_path / "c.dat", "100 -3.5\n120 6\n")
+        assert read_channel(p)[1].tolist() == [0.0, 6.0]
+
 
 class TestWriteAndLoad:
     def test_generated_household_round_trips(self, tmp_path):

@@ -12,7 +12,6 @@ from eventnilm.evaluation import (
     ConfusionCounts,
     LabelPoint,
     f_measure,
-    legacy_rates,
     macro_average_f,
     match_events,
     precision_recall,
@@ -135,12 +134,6 @@ class TestScores:
         assert p == pytest.approx(0.75)
         assert r == pytest.approx(6 / 9)
         assert precision_recall(ConfusionCounts()) == (0.0, 0.0)
-
-    def test_legacy_rates(self):
-        hit, fpr = legacy_rates(ConfusionCounts(tp=8, fp=2, fn=2, tn=6))
-        assert hit == pytest.approx(0.8)
-        assert fpr == pytest.approx(0.25)
-        assert legacy_rates(ConfusionCounts()) == (0.0, 0.0)
 
     def test_macro_average(self):
         per = {

@@ -8,7 +8,6 @@ from eventnilm.signals import (
     EventRecord,
     PowerSignal,
     aggregate,
-    align,
     resample_step_hold,
 )
 
@@ -122,24 +121,6 @@ class TestResampleStepHold:
     def test_empty_source_rejected(self):
         with pytest.raises(AlignmentError):
             resample_step_hold(np.array([]), np.array([]), period=1.0)
-
-
-class TestAlign:
-    def test_common_span_intersection(self):
-        a = sig([1, 1, 1, 1], start=0.0, period=10.0)  # span 0..30
-        b = sig([2, 2, 2], start=10.0, period=10.0)  # span 10..30
-        out = align([a, b], period=10.0)
-        assert all(s.start_time == 10.0 for s in out)
-        assert all(len(s) == 3 for s in out)
-
-    def test_no_overlap_rejected(self):
-        a = sig([1, 1], start=0.0, period=1.0)
-        b = sig([2, 2], start=100.0, period=1.0)
-        with pytest.raises(AlignmentError):
-            align([a, b], period=1.0)
-
-    def test_empty_list(self):
-        assert align([], period=1.0) == []
 
 
 class TestAggregate:
