@@ -178,12 +178,15 @@ def cmd_evaluate(args) -> int:
 
 def cmd_synth(args) -> int:
     config = _config_from(args)
+    split = args.train_days
+    if not 1 <= split < args.days:
+        print(
+            "error: train day count must be at least 1 and leave test days",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     household = demo_household() if args.household == "demo" else balanced_household()
     result = generate(household, days=args.days, period=args.period, seed=config.seed)
-    split = args.train_days
-    if split >= args.days:
-        print("error: train day count must leave test days", file=sys.stderr)
-        return EXIT_USAGE
     manifest = ds.write_dataset(
         args.output,
         result,

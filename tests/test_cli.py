@@ -46,11 +46,13 @@ class TestExitCodes:
         assert "error:" in capsys.readouterr().err
 
     def test_synth_needs_test_days(self, tmp_path, capsys):
-        code = main(
-            ["synth", "--output", str(tmp_path), "--days", "3", "--train-days", "3"]
-        )
-        assert code == 1
-        capsys.readouterr()
+        # a zero or negative count must fail before anything is written
+        for train_days in ("3", "0", "-1"):
+            args = ["synth", "--output", str(tmp_path), "--days", "3"]
+            code = main(args + ["--train-days", train_days])
+            assert code == 1
+            assert "train day count" in capsys.readouterr().err
+            assert not any(tmp_path.iterdir())
 
 
 class TestChannelCommands:

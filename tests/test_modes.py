@@ -73,23 +73,40 @@ class TestWardCost:
         assert ward_merge_cost(a, b) == 0.0
 
 
+def summaries(clusters):
+    """(min, max, size) per cluster; on contiguous slices of sorted data
+    these fix the partition."""
+    return [(c.min, c.max, c.size) for c in clusters]
+
+
+def duplicate_heavy(rng, n):
+    """Mostly exact 0 W OFF samples plus a few levels rounded to 0.1 W."""
+    levels = rng.uniform(0, 1500, size=int(rng.integers(1, 6)))
+    on = levels[rng.integers(0, levels.size, size=n)] + rng.normal(0, 2.0, size=n)
+    off = rng.uniform(size=n) < rng.uniform(0.6, 0.7)
+    return np.where(off, 0.0, np.round(np.maximum(on, 0.0), 1))
+
+
 class TestLwCluster:
     def test_matches_quadratic_reference(self):
         rng = np.random.default_rng(17)
-        for trial in range(60):
+        cases = []
+        for _ in range(60):
             n = int(rng.integers(4, 25))
             samples = rng.uniform(0, 1500, size=n)
-            k = int(rng.integers(1, min(6, n) + 1))
+            cases.append((samples, int(rng.integers(1, min(6, n) + 1))))
+        for _ in range(60):
+            samples = duplicate_heavy(rng, int(rng.integers(8, 40)))
+            distinct = np.unique(samples).size
+            cases.append((samples, int(rng.integers(1, min(6, distinct) + 1))))
+        for samples, k in cases:
             fast = lw_cluster(samples, k)
             slow = greedy_reference(samples, k)
-            assert len(fast) == len(slow)
-            for fc, sg in zip(fast, slow):
-                assert sorted(fc.members.tolist()) == pytest.approx(sg)
+            assert summaries(fast) == [(min(g), max(g), len(g)) for g in slow]
 
     def test_tie_break_on_duplicates(self):
         clusters = lw_cluster([0.0, 0.0, 1.0, 1.0], k=3)
-        members = [sorted(c.members.tolist()) for c in clusters]
-        assert members == [[0.0, 0.0], [1.0], [1.0]]
+        assert summaries(clusters) == [(0.0, 0.0, 2), (1.0, 1.0, 1), (1.0, 1.0, 1)]
 
     def test_result_sorted_and_contiguous(self):
         rng = np.random.default_rng(19)
@@ -106,8 +123,9 @@ class TestLwCluster:
         rng = np.random.default_rng(23)
         samples = rng.uniform(0, 500, size=60)
         clusters = lw_cluster(samples, k=4)
-        pooled = sorted(v for c in clusters for v in c.members.tolist())
-        assert pooled == pytest.approx(sorted(samples.tolist()))
+        assert sum(c.size for c in clusters) == samples.size
+        for c in clusters:
+            assert np.count_nonzero((samples >= c.min) & (samples <= c.max)) == c.size
 
     def test_large_input_dedupe_branch(self):
         rng = np.random.default_rng(29)
@@ -118,6 +136,9 @@ class TestLwCluster:
         cents = sorted(c.centroid for c in clusters)
         assert cents == pytest.approx([0.0, 600.0, 1400.0], abs=1.0)
         assert sum(c.size for c in clusters) == n
+        # rounding to 1 W leaves three distinct values
+        with pytest.raises(InsufficientDataError, match="deduplication left 3"):
+            lw_cluster(samples, k=4)
 
     def test_k_validation(self):
         with pytest.raises(ValueError):
