@@ -6,11 +6,14 @@ narrowing stages:
 1. candidate labels by magnitude-interval containment;
 2. cycle segmentation at all-OFF samples, then pruning of candidates that
    cannot take part in any walk from the all-OFF mode vector back to all-OFF;
-3. behavior vetoes (all-or-none daily marker, forbidden pairs, overshoot
-   habit, minimum off gap);
-4. participation-index resolution of whatever ambiguity remains, with a final
-   repair step that nudges choices onto a feasible walk so every refined
-   cycle still closes at all-OFF.
+3. behavior vetoes (all-or-none daily marker, overshoot habit, minimum off
+   gap);
+4. participation-index resolution of whatever ambiguity remains, day by day,
+   with a final repair step that nudges choices onto a feasible walk so every
+   refined cycle still closes at all-OFF.
+
+The label space holds only the transitions observed in training, so a mode
+pair never seen there cannot be chosen and needs no veto of its own.
 
 Both walk searches (stage 2 and the closure repair) run on one layered
 engine, ``_walk``. Its budget counts forward (mode vector, candidate)
@@ -146,8 +149,7 @@ def initial_labels(
 
     Intervals are signed (falling transitions carry negative bands), so
     containment is direction-aware for free. A column matching nothing gets
-    the nearest same-direction band; failing that the nearest band of either
-    direction, compared on absolute magnitude.
+    the nearest band on absolute magnitude, a same-direction band if any.
     """
     if not rows:
         raise ModelCoverageError("no appliance transitions to label against")
@@ -161,19 +163,17 @@ def initial_labels(
                 hit = True
         if hit:
             continue
-        signed = [
-            (row.transition.distance_to(m), row.appliance, row.transition.key, r)
+        nearest = min(
+            (
+                row.transition.rising != (m > 0),
+                _abs_distance(row.transition, abs(m)),
+                row.appliance,
+                row.transition.key,
+                r,
+            )
             for r, row in enumerate(rows)
-            if row.transition.rising == (m > 0)
-        ]
-        if signed:
-            matrix.cells[min(signed)[3], col] = True
-        else:
-            agnostic = [
-                (_abs_distance(row.transition, abs(m)), row.appliance, row.transition.key, r)
-                for r, row in enumerate(rows)
-            ]
-            matrix.cells[min(agnostic)[3], col] = True
+        )
+        matrix.cells[nearest[-1], col] = True
         if diagnostics is not None:
             diagnostics.unmatched_columns.append(col)
     return matrix
@@ -240,15 +240,9 @@ class _WalkSpace:
     def __init__(self, models: list[ApplianceModel]):
         self.apps = sorted(m.appliance_id for m in models)
         self.index = {a: i for i, a in enumerate(self.apps)}
-        self.forbidden = {
-            m.appliance_id: set(m.behaviors.forbidden) if m.behaviors else set()
-            for m in models
-        }
         self.all_off = tuple(OFF_MODE for _ in self.apps)
 
     def applicable(self, theta: tuple, row: LabelRow) -> bool:
-        if row.transition.key in self.forbidden[row.appliance]:
-            return False
         return theta[self.index[row.appliance]] == row.transition.from_mode
 
     def apply(self, theta: tuple, row: LabelRow) -> tuple:
@@ -350,11 +344,10 @@ def refine_by_behaviors(
 
     (a) all-or-none daily marker: a day with no event inside the marker's
         band cannot involve the appliance at all;
-    (b) forbidden pairs (already excluded from the label space; re-checked);
-    (c) overshoot habit, rising events only: too small a raw overshoot rules
+    (b) overshoot habit, rising events only: too small a raw overshoot rules
         out an always-overshooting appliance, and an overshoot matching such
         an appliance rules out habit-free rivals;
-    (d) minimum off gap: an OFF-to-ON candidate too soon after the
+    (c) minimum off gap: an OFF-to-ON candidate too soon after the
         appliance's last single-labeled OFF is dropped.
     No rule removes a column's last candidate.
     """
@@ -377,14 +370,7 @@ def refine_by_behaviors(
                 for r in app_rows:
                     matrix.drop(c, r)
 
-    # (b) forbidden pairs, re-checked against the model
-    for r, row in enumerate(matrix.rows):
-        beh = by_app[row.appliance].behaviors
-        if beh and row.transition.key in beh.forbidden:
-            for c in range(len(matrix.events)):
-                matrix.drop(c, r)
-
-    # (c) overshoot habit on rising multi-labeled events
+    # (b) overshoot habit on rising multi-labeled events
     overshoot_of = {
         m.appliance_id: (m.behaviors.overshoot_min if m.behaviors else 0.0)
         for m in models
@@ -409,7 +395,7 @@ def refine_by_behaviors(
                 if overshoot_of[matrix.rows[r].appliance] == 0.0:
                     matrix.drop(c, r)
 
-    # (d) minimum off gap, inferred from single-labeled events only
+    # (c) minimum off gap, inferred from single-labeled events only
     last_off: dict[str, float] = {}
     for c, ev in enumerate(matrix.events):
         t = filtered.time_at(ev.index)
@@ -435,36 +421,6 @@ def refine_by_behaviors(
 # stage 4: participation resolution
 
 
-def _overlap_groups(matrix: CandidateLabelMatrix, cols: list[int]) -> list[list[int]]:
-    """Connected components of ambiguous columns sharing candidate rows.
-
-    Two ambiguous events compete in the same group when their candidate sets
-    intersect (their magnitude bands overlap); union-find over columns.
-    """
-    ambiguous = [c for c in cols if matrix.column_count(c) > 1]
-    parent = {c: c for c in ambiguous}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    by_row: dict[int, int] = {}
-    for c in ambiguous:
-        for r in matrix.candidates(c):
-            if r in by_row:
-                ra, rb = find(by_row[r]), find(c)
-                if ra != rb:
-                    parent[rb] = ra
-            else:
-                by_row[r] = c
-    groups: dict[int, list[int]] = {}
-    for c in ambiguous:
-        groups.setdefault(find(c), []).append(c)
-    return [sorted(g) for _, g in sorted(groups.items())]
-
-
 def resolve_by_participation(
     matrix: CandidateLabelMatrix,
     models: list[ApplianceModel],
@@ -473,11 +429,13 @@ def resolve_by_participation(
 ) -> CandidateLabelMatrix:
     """Pick the candidate whose trained daily share the day best supports.
 
-    Per day and per overlap group, each candidate transition's observed
-    participation index is computed as if every ambiguous event of the group
-    went to it (plus its already-single-labeled events); each column then
-    keeps the candidate minimizing |observed - trained|. Ties prefer the
-    larger trained index, then the lexicographically smaller appliance id.
+    Per day, each candidate transition's observed participation index is the
+    share of the day's events that may take it, as if every ambiguous event
+    went to it; each ambiguous column then keeps the candidate minimizing
+    |observed - trained|. Ties prefer the larger trained index, then the
+    lexicographically smaller appliance id, transition and row. Events
+    competing for disjoint candidate rows need no grouping: each row's count
+    only ever gathers the events that may take it.
     """
     trained = {
         (m.appliance_id, key): p
@@ -485,45 +443,21 @@ def resolve_by_participation(
         for key, p in m.participation.items()
     }
     for cols in day_columns(matrix.events, filtered, day_base).values():
-        total = len(cols)
-        singles: dict[int, int] = {}
+        count: dict[int, int] = {}
+        for c in cols:
+            for r in matrix.candidates(c):
+                count[r] = count.get(r, 0) + 1
         for c in cols:
             rows = matrix.candidates(c)
             if len(rows) == 1:
-                singles[rows[0]] = singles.get(rows[0], 0) + 1
-        for group in _overlap_groups(matrix, cols):
-            tentative: dict[int, int] = {}
-            for c in group:
-                for r in matrix.candidates(c):
-                    tentative.setdefault(r, 0)
-                    tentative[r] += 1
-            observed = {
-                r: (singles.get(r, 0) + n) / total for r, n in tentative.items()
-            }
-            for c in group:
-                scored = []
-                for r in matrix.candidates(c):
-                    row = matrix.rows[r]
-                    p = trained.get((row.appliance, row.transition.key), 0.0)
-                    scored.append((abs(observed[r] - p), -p, row.appliance, row.transition.key, r))
-                best = min(scored)[4]
-                matrix.keep_only(c, {best})
-
-    # any still-multi column (no participation data at all) resolves by the
-    # same total order on (trained index, appliance, transition)
-    for c in range(len(matrix.events)):
-        rows = matrix.candidates(c)
-        if len(rows) > 1:
-            scored = [
-                (
-                    -trained.get((matrix.rows[r].appliance, matrix.rows[r].transition.key), 0.0),
-                    matrix.rows[r].appliance,
-                    matrix.rows[r].transition.key,
-                    r,
-                )
-                for r in rows
-            ]
-            matrix.keep_only(c, {min(scored)[3]})
+                continue
+            scored = []
+            for r in rows:
+                row = matrix.rows[r]
+                p = trained.get((row.appliance, row.transition.key), 0.0)
+                observed = count[r] / len(cols)
+                scored.append((abs(observed - p), -p, row.appliance, row.transition.key, r))
+            matrix.keep_only(c, {min(scored)[4]})
     return matrix
 
 

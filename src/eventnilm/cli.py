@@ -17,7 +17,9 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import dataset as ds
@@ -41,36 +43,36 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on usage problems; the contract here says 1
     def error(self, message):
         self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 
+def _period(text: str) -> float:
+    """Sample period in seconds: a finite number above zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"period must be a positive number, not {text!r}")
+    return value
+
+
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
+    """One flag per RunConfig field: --k-clusters sets k_clusters, and so on."""
     p.add_argument("--config", help="key = value config file")
-    p.add_argument("--k-clusters", type=int, dest="k_clusters")
-    p.add_argument("--merge-ratio", type=float, dest="merge_ratio")
-    p.add_argument("--off-threshold", type=float, dest="off_threshold")
-    p.add_argument("--all-off-margin", type=float, dest="all_off_margin")
-    p.add_argument("--overshoot-floor", type=float, dest="overshoot_floor")
-    p.add_argument("--search-budget", type=int, dest="search_budget")
-    p.add_argument("--match-tolerance", type=int, dest="match_tolerance")
-    p.add_argument("--n-days-variant", action="store_const", const=True, dest="n_days_variant")
-    p.add_argument("--seed", type=int, dest="seed")
+    for f in fields(RunConfig):
+        flag = "--" + f.name.replace("_", "-")
+        if f.type == "bool":
+            p.add_argument(flag, action="store_const", const=True, dest=f.name)
+        else:
+            p.add_argument(flag, type={"int": int, "float": float}[f.type], dest=f.name)
 
 
 def _config_from(args) -> RunConfig:
     config = read_config(args.config) if args.config else RunConfig()
-    keys = (
-        "k_clusters",
-        "merge_ratio",
-        "off_threshold",
-        "all_off_margin",
-        "overshoot_floor",
-        "search_budget",
-        "match_tolerance",
-        "n_days_variant",
-        "seed",
-    )
-    return apply_overrides(config, {k: getattr(args, k, None) for k in keys})
+    flags = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
+    return apply_overrides(config, flags)
 
 
 def _read_signal(path: str, period: float | None):
@@ -223,19 +225,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("filter", help="replace spikes and overshoots in a channel")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--period", type=float, default=None)
+    p.add_argument("--period", type=_period, default=None)
     p.set_defaults(func=cmd_filter)
 
     p = sub.add_parser("detect-events", help="detect mode-change events in a channel")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--period", type=float, default=None)
+    p.add_argument("--period", type=_period, default=None)
     p.set_defaults(func=cmd_detect_events)
 
     p = sub.add_parser("extract-modes", help="learn operating states from a channel")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--period", type=float, default=None)
+    p.add_argument("--period", type=_period, default=None)
     _add_config_flags(p)
     p.set_defaults(func=cmd_extract_modes)
 
@@ -264,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.add_argument("--days", type=int, default=28)
     p.add_argument("--train-days", type=int, default=21, dest="train_days")
-    p.add_argument("--period", type=float, default=20.0)
+    p.add_argument("--period", type=_period, default=20.0)
     p.add_argument("--household", choices=("demo", "balanced"), default="demo")
     _add_config_flags(p)
     p.set_defaults(func=cmd_synth)
@@ -272,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plot-data", help="emit plot-ready series for a channel")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--period", type=float, default=None)
+    p.add_argument("--period", type=_period, default=None)
     p.add_argument("--model", default=None, help="model file, enables cycle export")
     p.set_defaults(func=cmd_plot_data)
 

@@ -45,13 +45,6 @@ class Transition:
     def contains(self, magnitude: float) -> bool:
         return self.low <= magnitude <= self.high
 
-    def distance_to(self, magnitude: float) -> float:
-        if magnitude < self.low:
-            return self.low - magnitude
-        if magnitude > self.high:
-            return magnitude - self.high
-        return 0.0
-
     def label(self, appliance: str) -> str:
         return f"{appliance}:{self.from_mode}->{self.to_mode}"
 
@@ -210,7 +203,8 @@ class BehaviorSet:
     signature: all-or-none usage marker. Set when every active training day
       exercises every non-OFF mode; holds a transition seen on each such day,
       so its absence from a test day implies the appliance stayed off.
-    forbidden: ordered mode pairs never observed in training.
+    forbidden: ordered mode pairs never observed in training; none of them
+      may also be a transition of the model (checked by ApplianceModel).
     overshoot_min: smallest rise-event overshoot (raw local peak above the
       settled filtered level) seen in training. Recorded only when every
       rising training event overshoots by at least the floor; 0 disables.
@@ -342,7 +336,8 @@ class ApplianceModel:
     """Everything learned about one appliance from its training signal.
 
     ``transitions`` holds only mode changes actually observed in training;
-    the pairs that never occurred live in ``behaviors.forbidden``.
+    the pairs that never occurred live in ``behaviors.forbidden``. A key in
+    both raises ValueError, which model loading reports as a parse error.
     """
 
     appliance_id: str
@@ -350,6 +345,16 @@ class ApplianceModel:
     transitions: tuple[Transition, ...]
     participation: dict[tuple[str, str], float] = field(default_factory=dict)
     behaviors: BehaviorSet | None = None
+
+    def __post_init__(self):
+        if self.behaviors is None:
+            return
+        both = {t.key for t in self.transitions} & set(self.behaviors.forbidden)
+        if both:
+            raise ValueError(
+                f"appliance {self.appliance_id!r}: transitions {sorted(both)} "
+                "are also forbidden"
+            )
 
     def transition_for(self, key: tuple[str, str]) -> Transition:
         for t in self.transitions:
@@ -378,9 +383,7 @@ def train_appliance(
     """
     labeled = label_training_events(events, states)
     if not labeled:
-        raise DataConsistencyError(
-            f"appliance {appliance_id!r}: no usable mode transitions in training data"
-        )
+        raise DataConsistencyError("no usable mode transitions in training data")
     days = split_days([ev for ev, _ in labeled], filtered, base=day_base)
     by_index = {ev.index: tr for ev, tr in labeled}
     labeled_days = {

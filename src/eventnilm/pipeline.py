@@ -88,9 +88,9 @@ def train_models(
                 overshoot_floor_w=config.overshoot_floor,
                 count_all_days=config.n_days_variant,
             )
-        except DataConsistencyError:
+        except DataConsistencyError as exc:
             result.models.append(_off_only_model(name, filtered))
-            result.notes.append(f"{name}: no labelable transitions; OFF-only model")
+            result.notes.append(f"{name}: {exc}; OFF-only model")
             continue
         result.models.append(model)
     return result

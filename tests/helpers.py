@@ -98,6 +98,19 @@ def two_mode_model(
     )
 
 
+def write_self_forbidding_model(path):
+    """A model file whose one appliance also lists its rise as forbidden."""
+    import json
+
+    from eventnilm.model_io import save_models
+
+    save_models(path, [two_mode_model("heater", 790.0, 810.0)])
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["appliances"][0]["behaviors"]["forbidden"] = ["off->on1"]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
 def enumerate_surviving(matrix, cycle, models):
     """Brute force over all full assignments; exact but exponential."""
     import itertools

@@ -239,30 +239,6 @@ class TestRefineByCompatibility:
         assert (refined.cells == before).all()
         assert diag.unrefined_cycles == [(0, "search budget exhausted")]
 
-    def test_forbidden_pairs_block_walks(self):
-        base = two_mode_model("a", 490, 510)
-        rise = base.transition_for((OFF_MODE, "on1"))
-        gated = ApplianceModel(
-            appliance_id="a",
-            states=base.states,
-            transitions=base.transitions,
-            participation={},
-            behaviors=BehaviorSet(
-                signature=None,
-                forbidden=((OFF_MODE, "on1"),),
-                overshoot_min=0.0,
-                min_off_gap_s=0.0,
-            ),
-        )
-        rows = build_rows([gated])
-        events = [ev(0, 0, 500), ev(10, 500, 0)]
-        matrix = initial_labels(events, rows)
-        diag = Diagnostics()
-        refine_by_compatibility(matrix, [Cycle(0, 1)], [gated], diagnostics=diag)
-        # the only rise is forbidden, so no assignment closes
-        assert diag.unrefined_cycles == [(0, "no compatible assignment")]
-        assert rise.key == (OFF_MODE, "on1")
-
 
 class TestRefineByBehaviors:
     def _matrix(self, models, events):
@@ -444,6 +420,29 @@ class TestResolveByParticipation:
         matrix = initial_labels(events, rows)
         resolved = resolve_by_participation(matrix, models, sig(np.zeros(50)))
         assert [rows[r].appliance for r in resolved.candidates(0)] == ["a"]
+
+    def test_two_groups_in_one_day_with_singles(self):
+        a = two_mode_model("a", 890, 1000, participation={(OFF_MODE, "on1"): 0.42})
+        b = two_mode_model("b", 970, 1050, participation={(OFF_MODE, "on1"): 0.25})
+        c = two_mode_model("c", 1990, 2100, participation={(OFF_MODE, "on1"): 0.1})
+        d = two_mode_model("d", 2050, 2200, participation={(OFF_MODE, "on1"): 0.2})
+        z = two_mode_model("z", 4950, 5050)
+        # one day of ten rises: three a-or-b (985 W), one a only (930 W), two
+        # c-or-d (2075 W), one c only (2010 W), three z. The groups {a, b} and
+        # {c, d} share no rows. Each candidate counts every event it may take:
+        #   a 4/10 = 0.4 -> |0.4 - 0.42| = 0.02   b 3/10 = 0.3 -> |0.3 - 0.25| = 0.05
+        #   c 3/10 = 0.3 -> |0.3 - 0.1|  = 0.2    d 2/10 = 0.2 -> |0.2 - 0.2|  = 0
+        # so the 985 W rises go to a (only because a's single counts) and the
+        # 2075 W rises to d.
+        mags = [985, 930, 985, 2075, 5000, 985, 2010, 2075, 5000, 5000]
+        events = [ev(10 * i, 0, m) for i, m in enumerate(mags)]
+        models = [a, b, c, d, z]
+        rows = build_rows(models)
+        matrix = initial_labels(events, rows)
+        assert [matrix.column_count(col) for col in range(10)] == [2, 1, 2, 2, 1, 2, 1, 2, 1, 1]
+        resolved = resolve_by_participation(matrix, models, sig(np.zeros(200)))
+        picks = [rows[resolved.candidates(col)[0]].appliance for col in range(10)]
+        assert picks == ["a", "a", "a", "d", "z", "a", "c", "d", "z", "z"]
 
     def test_every_column_single_after_resolution(self):
         rng = np.random.default_rng(61)

@@ -6,7 +6,7 @@ import pytest
 from eventnilm.cli import main
 from eventnilm.model_io import save_models
 
-from helpers import two_mode_model
+from helpers import two_mode_model, write_self_forbidding_model
 
 
 def write_channel(path, values, period=10.0, start=0.0):
@@ -53,6 +53,36 @@ class TestExitCodes:
             assert code == 1
             assert "train day count" in capsys.readouterr().err
             assert not any(tmp_path.iterdir())
+
+    def test_period_must_be_positive(self, tmp_path, capsys):
+        channel = write_channel(tmp_path / "ch.dat", step_values())
+        out = tmp_path / "out"
+        for command in ("synth", "filter", "detect-events", "extract-modes", "plot-data"):
+            args = [command, "--output", str(out)]
+            if command != "synth":
+                args += ["--input", str(channel)]
+            for period in ("0", "-5"):
+                assert main(args + ["--period", period]) == 1
+                assert "period must be a positive number" in capsys.readouterr().err
+                assert not out.exists()
+
+    def test_model_with_forbidden_transition_is_data_error(self, dataset, tmp_path, capsys):
+        model = write_self_forbidding_model(tmp_path / "m.json")
+        report = tmp_path / "report.tsv"
+        code = main(
+            [
+                "disaggregate",
+                "--manifest",
+                str(dataset / "manifest.cfg"),
+                "--model",
+                str(model),
+                "--output",
+                str(report),
+            ]
+        )
+        assert code == 2
+        assert "also forbidden" in capsys.readouterr().err
+        assert not report.exists()
 
 
 class TestChannelCommands:

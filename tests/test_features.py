@@ -31,7 +31,7 @@ from eventnilm.filtering import detect_events
 from eventnilm.modes import OFF_MODE, State, StateSet
 from eventnilm.signals import EventRecord
 
-from helpers import sig
+from helpers import sig, two_mode_model
 
 
 def state(mode, lo, hi):
@@ -391,6 +391,12 @@ class TestExtractBehaviors:
         ]
         behaviors = extract_behaviors(raw, raw, labeled, states)
         assert behaviors.forbidden == ()
+
+
+class TestApplianceModel:
+    def test_transition_listed_as_forbidden_is_rejected(self):
+        with pytest.raises(ValueError, match="also forbidden"):
+            two_mode_model("a", 490, 510, forbidden=[(OFF_MODE, "on1")])
 
 
 class TestTrainAppliance:

@@ -15,7 +15,7 @@ from eventnilm.model_io import (
 )
 from eventnilm.modes import State, StateSet
 
-from helpers import state, two_mode_model
+from helpers import state, two_mode_model, write_self_forbidding_model
 
 
 def rich_model():
@@ -146,3 +146,8 @@ class TestLoadErrors:
         )
         with pytest.raises(ParseError, match="malformed"):
             load_models(p)
+
+    def test_transition_also_forbidden(self, tmp_path):
+        path = write_self_forbidding_model(tmp_path / "m.json")
+        with pytest.raises(ParseError, match="also forbidden"):
+            load_models(path)

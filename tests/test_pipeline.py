@@ -59,6 +59,17 @@ class TestTrainModels:
         assert by_id["idle"].behaviors is None
         assert out.notes == ["idle: no training events; OFF-only model"]
 
+    def test_off_only_note_gives_the_reason(self):
+        # the appliance runs on both days, but the aggregate it is trained
+        # against is flat, so its days hold transitions and zero total events
+        s = day_signal([(6, 12), (30, 36)], 800.0, spd=24)
+        flat = sig(np.zeros(len(s)), period=s.sample_period)
+        out = train_models({"heater": s}, flat, RunConfig())
+        assert out.models[0].transitions == ()
+        assert out.notes == [
+            "heater: day has appliance transitions but zero total events; OFF-only model"
+        ]
+
     def test_participation_uses_aggregate_day_totals(self):
         # One appliance, two days, one cycle per day. The aggregate equals
         # the channel, so each day has 2 events and each key share is 1/2.
