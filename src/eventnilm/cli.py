@@ -30,7 +30,7 @@ from .errors import NilmError
 from .filtering import filter_and_detect
 from .model_io import atomic_write_text, format_number, load_models, save_models
 from .modes import MIN_CLUSTERS, extract_states
-from .signals import resample_step_hold
+from .signals import MAX_GAP_S, resample_step_hold
 from .synth import balanced_household, demo_household, generate
 
 EXIT_OK = 0
@@ -75,8 +75,18 @@ def _config_from(args) -> RunConfig:
     return apply_overrides(config, flags)
 
 
+def _note_faults(channel: str, clipped: int, gaps: list, max_gap: float) -> None:
+    """One stderr note for a channel whose meter faults the ingest repaired."""
+    if clipped or gaps:
+        print(
+            f"note: {channel}: {clipped} negative readings clipped to 0 W,"
+            f" {len(gaps)} gaps longer than {format_number(max_gap)} s",
+            file=sys.stderr,
+        )
+
+
 def _read_signal(path: str, period: float | None):
-    times, watts = ds.read_channel(path)
+    times, watts, clipped = ds.read_channel(path)
     if period is None:
         import numpy as np
 
@@ -84,11 +94,19 @@ def _read_signal(path: str, period: float | None):
         diffs = diffs[diffs > 0]
         period = float(np.median(diffs)) if diffs.size else 1.0
     signal, gaps = resample_step_hold(times, watts, period, source_id=Path(path).stem)
-    return signal, gaps
+    _note_faults(signal.source_id, clipped, gaps, MAX_GAP_S)
+    return signal
+
+
+def _load_dataset(manifest: str) -> ds.DatasetBundle:
+    bundle = ds.load_dataset(ds.read_manifest(manifest))
+    for name in bundle.appliances:
+        _note_faults(name, bundle.clipped[name], bundle.gaps[name], bundle.manifest.max_gap_s)
+    return bundle
 
 
 def cmd_filter(args) -> int:
-    signal, _ = _read_signal(args.input, args.period)
+    signal = _read_signal(args.input, args.period)
     filtered, _ = filter_and_detect(signal)
     lines = [
         f"{format_number(filtered.time_at(i))}\t{format_number(filtered.values[i])}"
@@ -100,7 +118,7 @@ def cmd_filter(args) -> int:
 
 
 def cmd_detect_events(args) -> int:
-    signal, _ = _read_signal(args.input, args.period)
+    signal = _read_signal(args.input, args.period)
     _, events = filter_and_detect(signal)
     lines = ["index\ttime\tmagnitude\tpre_level\tpost_level"]
     for ev in events:
@@ -116,7 +134,7 @@ def cmd_detect_events(args) -> int:
 
 def cmd_extract_modes(args) -> int:
     config = _config_from(args)
-    signal, _ = _read_signal(args.input, args.period)
+    signal = _read_signal(args.input, args.period)
     filtered, _ = filter_and_detect(signal)
     states = extract_states(
         filtered,
@@ -137,7 +155,7 @@ def cmd_extract_modes(args) -> int:
 
 def cmd_train(args) -> int:
     config = _config_from(args)
-    bundle = ds.load_dataset(ds.read_manifest(args.manifest))
+    bundle = _load_dataset(args.manifest)
     train_apps, train_agg, _, _ = ds.split_bundle(bundle)
     result = pipeline.train_models(train_apps, train_agg, config)
     save_models(args.output, result.models)
@@ -149,7 +167,7 @@ def cmd_train(args) -> int:
 
 def cmd_disaggregate(args) -> int:
     config = _config_from(args)
-    bundle = ds.load_dataset(ds.read_manifest(args.manifest))
+    bundle = _load_dataset(args.manifest)
     _, _, _, test_agg = ds.split_bundle(bundle)
     models = load_models(args.model)
     labeled, diagnostics = pipeline.disaggregate(test_agg, models, config)
@@ -165,7 +183,7 @@ def cmd_disaggregate(args) -> int:
 
 def cmd_evaluate(args) -> int:
     config = _config_from(args)
-    bundle = ds.load_dataset(ds.read_manifest(args.manifest))
+    bundle = _load_dataset(args.manifest)
     _, _, test_apps, _ = ds.split_bundle(bundle)
     models = load_models(args.model)
     predicted = pipeline.parse_event_report(args.report)
@@ -203,7 +221,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_plot_data(args) -> int:
-    signal, _ = _read_signal(args.input, args.period)
+    signal = _read_signal(args.input, args.period)
     filtered, events = filter_and_detect(signal)
     cycles = None
     if args.model:

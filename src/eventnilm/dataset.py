@@ -9,16 +9,19 @@ writes the same layout, so generated data is a drop-in dataset.
 
 from __future__ import annotations
 
+import re
+import warnings
 from dataclasses import dataclass
 from math import isfinite
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
 from .errors import AlignmentError, ManifestError, ParseError
 from .features import DAY_SECONDS
-from .model_io import format_number
-from .signals import GapRecord, PowerSignal, aggregate, resample_step_hold
+from .model_io import format_number, read_text
+from .signals import MAX_GAP_S, GapRecord, PowerSignal, aggregate, resample_step_hold
 from .synth import SynthResult
 
 
@@ -30,32 +33,26 @@ class DatasetManifest:
     train_days: tuple[int, int]  # inclusive day range
     test_days: tuple[int, int]
     appliances: tuple[str, ...]  # empty = every labeled channel
-    max_gap_s: float = 60.0
+    max_gap_s: float = MAX_GAP_S
 
     def __post_init__(self):
-        if self.period <= 0:
-            raise ManifestError("period must be positive")
+        if not (isfinite(self.period) and self.period > 0):
+            raise ManifestError("period must be a finite positive number")
+        if not (isfinite(self.max_gap_s) and self.max_gap_s >= 0):
+            raise ManifestError("max_gap must be a finite number of seconds, 0 or more")
         for name, rng in (("train_days", self.train_days), ("test_days", self.test_days)):
             if rng[0] < 0 or rng[1] < rng[0]:
                 raise ManifestError(f"{name} must be a non-empty ascending day range")
-        tr, te = set(range(self.train_days[0], self.train_days[1] + 1)), set(
-            range(self.test_days[0], self.test_days[1] + 1)
-        )
-        if tr & te:
+        if self.train_days[0] <= self.test_days[1] and self.test_days[0] <= self.train_days[1]:
             raise ManifestError("train and test day ranges overlap")
 
 
 def _parse_day_range(text: str, key: str) -> tuple[int, int]:
-    parts = text.split("-")
+    first, sep, last = text.partition("-")
     try:
-        if len(parts) == 1:
-            d = int(parts[0])
-            return (d, d)
-        if len(parts) == 2:
-            return (int(parts[0]), int(parts[1]))
+        return (int(first), int(last if sep else first))
     except ValueError:
-        pass
-    raise ManifestError(f"{key}: expected DAY or FIRST-LAST, got {text!r}")
+        raise ManifestError(f"{key}: expected DAY or FIRST-LAST, got {text!r}") from None
 
 
 def read_manifest(path: str | Path) -> DatasetManifest:
@@ -64,7 +61,7 @@ def read_manifest(path: str | Path) -> DatasetManifest:
     if not path.is_file():
         raise ManifestError(f"manifest not found: {path}")
     values: dict[str, str] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -76,21 +73,24 @@ def read_manifest(path: str | Path) -> DatasetManifest:
     missing = [k for k in required if k not in values]
     if missing:
         raise ManifestError(f"{path}: missing keys: {', '.join(missing)}")
-    try:
-        period = float(values["period"])
-    except ValueError:
-        raise ManifestError(f"{path}: period must be a number")
+
+    def number(key: str, default: float | None = None) -> float:
+        try:
+            return float(values.get(key, default))
+        except ValueError:
+            raise ManifestError(f"{path}: {key} must be a number") from None
+
     appliances = tuple(
         a.strip() for a in values.get("appliances", "").split(",") if a.strip()
     )
     return DatasetManifest(
         root=path.parent,
         labels_file=values["labels"],
-        period=period,
+        period=number("period"),
         train_days=_parse_day_range(values["train_days"], "train_days"),
         test_days=_parse_day_range(values["test_days"], "test_days"),
         appliances=appliances,
-        max_gap_s=float(values.get("max_gap", "60")),
+        max_gap_s=number("max_gap", MAX_GAP_S),
     )
 
 
@@ -100,13 +100,12 @@ def parse_labels(path: str | Path) -> dict[int, str]:
     if not path.is_file():
         raise ManifestError(f"labels file not found: {path}")
     out: dict[int, str] = {}
-    lines = path.read_text(encoding="utf-8").splitlines()
-    for lineno, line in enumerate(lines, 1):
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split(None, 1)
-        if len(parts) != 2 or not parts[0].isdigit():
+        if len(parts) != 2 or not parts[0].isdecimal():
             raise ParseError(f"{path}:{lineno}: expected 'channel_number name'")
         channel = int(parts[0])
         if channel in out:
@@ -117,36 +116,52 @@ def parse_labels(path: str | Path) -> dict[int, str]:
     return out
 
 
-def read_channel(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    """Channel file: "unix_timestamp watts" per line, whitespace-separated.
+def read_channel(path: str | Path) -> tuple[np.ndarray, np.ndarray, int]:
+    """Channel file, UTF-8: "unix_timestamp watts" per line, whitespace-separated.
 
-    A non-finite timestamp or reading is a parse error; negative readings
-    (meter offset) are clipped to zero.
+    Blank and ``#`` lines are skipped; any other line must hold two finite
+    numbers. One ``np.loadtxt`` call parses the file. Returns views of its two
+    columns and the count of negative readings (meter offset) clipped to zero.
     """
     path = Path(path)
     if not path.is_file():
         raise ManifestError(f"channel file not found: {path}")
-    times: list[float] = []
-    watts: list[float] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError(f"{path}:{lineno}: expected 'timestamp watts'")
-            try:
-                t, w = float(parts[0]), float(parts[1])
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-numeric field")
-            if not (isfinite(t) and isfinite(w)):
-                raise ParseError(f"{path}:{lineno}: non-finite value")
-            times.append(t)
-            watts.append(w)
-    if not times:
-        raise ParseError(f"{path}: no samples")
-    return np.asarray(times), np.maximum(np.asarray(watts), 0.0)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an empty file is reported below
+            table = np.loadtxt(path, comments="#", ndmin=2, encoding="utf-8")
+    except ValueError:  # UnicodeDecodeError included
+        _raise_first_bad_line(path)
+    if (
+        table.shape[1] != 2
+        or not np.isfinite(table).all()
+        # np.loadtxt drops a '#' after data on a line as a comment; the format does not
+        or b"#" in path.read_bytes() and re.search(r"^[^\S\n]*[^#\s].*#", read_text(path), re.M)
+    ):
+        _raise_first_bad_line(path)
+    times, watts = table[:, 0], table[:, 1]
+    clipped = int(np.count_nonzero(watts < 0))
+    np.maximum(watts, 0.0, out=watts)
+    return times, watts, clipped
+
+
+def _raise_first_bad_line(path: Path) -> NoReturn:
+    """The ParseError for the first line of a file ``read_channel`` rejected."""
+    seen = False
+    for lineno, line in enumerate(read_text(path).split("\n"), 1):
+        fields = line.split()
+        if not fields or fields[0].startswith("#"):
+            continue
+        if len(fields) != 2:
+            raise ParseError(f"{path}:{lineno}: expected 'timestamp watts'")
+        try:  # np.loadtxt reads no digit underscores and no non-ASCII digits
+            values = [float(f if f.isascii() and "_" not in f else "?") for f in fields]
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: non-numeric field") from None
+        if not all(map(isfinite, values)):
+            raise ParseError(f"{path}:{lineno}: non-finite value")
+        seen = True
+    raise ParseError(f"{path}: unreadable channel file" if seen else f"{path}: no samples")
 
 
 @dataclass(frozen=True)
@@ -156,6 +171,7 @@ class DatasetBundle:
     appliances: dict[str, PowerSignal]
     aggregate: PowerSignal
     gaps: dict[str, list[GapRecord]]
+    clipped: dict[str, int]  # negative readings set to 0 W, per appliance
     manifest: DatasetManifest
 
 
@@ -168,46 +184,34 @@ def load_dataset(manifest: DatasetManifest) -> DatasetBundle:
         if name not in by_name:
             raise ManifestError(f"appliance {name!r} not in labels file")
 
-    raw = []
-    for name in names:
-        times, watts = read_channel(manifest.root / f"channel_{by_name[name]}.dat")
-        raw.append((name, times, watts))
-    lo = max(float(np.min(t)) for _, t, _ in raw)
-    hi = min(float(np.max(t)) for _, t, _ in raw)
+    raw = [(name, *read_channel(manifest.root / f"channel_{by_name[name]}.dat")) for name in names]
+    lo = max(float(np.min(t)) for _, t, _, _ in raw)
+    hi = min(float(np.max(t)) for _, t, _, _ in raw)
     if hi < lo:
         raise AlignmentError("channels share no common time span")
     appliances: dict[str, PowerSignal] = {}
     gaps: dict[str, list[GapRecord]] = {}
-    for name, times, watts in raw:
-        sig, g = resample_step_hold(
-            times,
-            watts,
-            manifest.period,
-            start=lo,
-            end=hi,
-            max_gap=manifest.max_gap_s,
-            source_id=name,
+    for name, times, watts, _ in raw:
+        appliances[name], gaps[name] = resample_step_hold(
+            times, watts, manifest.period, start=lo, end=hi,
+            max_gap=manifest.max_gap_s, source_id=name,
         )
-        appliances[name] = sig
-        gaps[name] = g
     return DatasetBundle(
         appliances=appliances,
         aggregate=aggregate([appliances[name] for name in names]),
         gaps=gaps,
+        clipped={name: clipped for name, _, _, clipped in raw},
         manifest=manifest,
     )
 
 
 def slice_days(signal: PowerSignal, day_range: tuple[int, int], base: float) -> PowerSignal:
     """Restrict a signal to an inclusive day range relative to ``base``."""
-    first = int(round((base + day_range[0] * DAY_SECONDS - signal.start_time) / signal.sample_period))
-    last = int(round((base + (day_range[1] + 1) * DAY_SECONDS - signal.start_time) / signal.sample_period))
-    first = max(first, 0)
-    last = min(last, len(signal))
+    def index(day: int) -> int:
+        return int(round((base + day * DAY_SECONDS - signal.start_time) / signal.sample_period))
+    first, last = max(index(day_range[0]), 0), min(index(day_range[1] + 1), len(signal))
     if first >= last:
-        raise ManifestError(
-            f"day range {day_range[0]}-{day_range[1]} lies outside the signal"
-        )
+        raise ManifestError(f"day range {day_range[0]}-{day_range[1]} lies outside the signal")
     return PowerSignal(
         values=signal.values[first:last].copy(),
         start_time=signal.time_at(first),
@@ -235,10 +239,6 @@ def split_bundle(bundle: DatasetBundle):
 # writing datasets (used by the generator command)
 
 
-def _fmt(x: float) -> str:
-    return format_number(x)
-
-
 def write_dataset(
     root: str | Path,
     result: SynthResult,
@@ -256,17 +256,17 @@ def write_dataset(
         sig = result.appliances[name]
         with open(root / f"channel_{i + 1}.dat", "w", encoding="utf-8") as fh:
             for j, v in enumerate(sig.values):
-                fh.write(f"{_fmt(start_timestamp + j * sig.sample_period)} {_fmt(v)}\n")
+                t = start_timestamp + j * sig.sample_period
+                fh.write(f"{format_number(t)} {format_number(v)}\n")
     with open(root / "ground_truth.tsv", "w", encoding="utf-8") as fh:
         fh.write("index\tappliance\tfrom_mode\tto_mode\tmagnitude\n")
         for t in result.truth:
-            fh.write(
-                f"{t.index}\t{t.appliance}\t{t.from_mode}\t{t.to_mode}\t{_fmt(t.magnitude)}\n"
-            )
+            fh.write(f"{t.index}\t{t.appliance}\t{t.from_mode}\t{t.to_mode}")
+            fh.write(f"\t{format_number(t.magnitude)}\n")
     manifest = root / "manifest.cfg"
     manifest.write_text(
         "labels = labels.dat\n"
-        f"period = {_fmt(result.period)}\n"
+        f"period = {format_number(result.period)}\n"
         f"train_days = {train_days[0]}-{train_days[1]}\n"
         f"test_days = {test_days[0]}-{test_days[1]}\n"
         f"appliances = {','.join(names)}\n",

@@ -38,6 +38,16 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         raise
 
 
+def read_text(path: Path) -> str:
+    """A UTF-8 text file with universal newlines; other bytes are a ParseError."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        head = exc.object[: exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise ParseError(f"{path}:{line}: not UTF-8 text") from None
+
+
 def _key_str(key: tuple[str, str]) -> str:
     return f"{key[0]}->{key[1]}"
 
@@ -147,7 +157,7 @@ def load_models(path: str | Path) -> list[ApplianceModel]:
     if not path.is_file():
         raise ParseError(f"model file not found: {path}")
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "schema_version" not in doc:

@@ -23,7 +23,7 @@ from .evaluation import (
 )
 from .features import ApplianceModel, day_columns, label_training_events, train_appliance
 from .filtering import filter_and_detect
-from .model_io import atomic_write_text, format_number
+from .model_io import atomic_write_text, format_number, read_text
 from .modes import OFF_MODE, State, StateSet, extract_states
 from .signals import EventRecord, PowerSignal
 
@@ -141,14 +141,17 @@ def parse_event_report(path: str | Path) -> list[LabelPoint]:
     if not path.is_file():
         raise ParseError(f"report not found: {path}")
     out = []
-    lines = path.read_text(encoding="utf-8").splitlines()
-    for lineno, line in enumerate(lines, 1):
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         if not line.strip() or line.startswith("#") or line.startswith("timestamp"):
             continue
         parts = line.split("\t")
         if len(parts) != 7:
             raise ParseError(f"{path}:{lineno}: expected 7 tab-separated fields")
-        out.append(LabelPoint(int(parts[1]), parts[3], parts[4], parts[5]))
+        try:
+            index = int(parts[1])
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: index must be an integer") from None
+        out.append(LabelPoint(index, parts[3], parts[4], parts[5]))
     return out
 
 

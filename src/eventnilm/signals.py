@@ -14,6 +14,7 @@ import numpy as np
 from .errors import AlignmentError
 
 _GRID_EPS = 1e-9
+MAX_GAP_S = 60.0  # default hole length, in seconds, that step-hold filling reports
 
 
 @dataclass(frozen=True)
@@ -118,7 +119,7 @@ def resample_step_hold(
     period: float,
     start: float | None = None,
     end: float | None = None,
-    max_gap: float = 60.0,
+    max_gap: float = MAX_GAP_S,
     source_id: str = "",
 ) -> tuple[PowerSignal, list[GapRecord]]:
     """Put an irregular (time, value) series onto a uniform grid.
@@ -132,8 +133,9 @@ def resample_step_hold(
     values = np.asarray(values, dtype=np.float64)
     if times.size == 0:
         raise AlignmentError(f"source {source_id!r} has no samples")
-    order = np.argsort(times, kind="stable")
-    times, values = times[order], values[order]
+    if not np.all(times[1:] >= times[:-1]):  # meters mostly log in order
+        order = np.argsort(times, kind="stable")
+        times, values = times[order], values[order]
     lo = times[0] if start is None else start
     hi = times[-1] if end is None else end
     if lo < times[0] - _GRID_EPS:

@@ -46,6 +46,38 @@ def split_train_test(result, train_days):
     )
 
 
+def reference_read_channel(path):
+    """Line-by-line channel parser with the format's rules, for parity tests.
+
+    Python's ``float`` reads each field, so it also takes digit underscores
+    and non-ASCII digits, which ``read_channel`` rejects on purpose.
+    """
+    from math import isfinite
+
+    from eventnilm.errors import ParseError
+
+    times, watts = [], []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise ParseError(f"{path}:{lineno}: expected 'timestamp watts'")
+            try:
+                t, w = float(parts[0]), float(parts[1])
+            except ValueError:
+                raise ParseError(f"{path}:{lineno}: non-numeric field")
+            if not (isfinite(t) and isfinite(w)):
+                raise ParseError(f"{path}:{lineno}: non-finite value")
+            times.append(t)
+            watts.append(w)
+    if not times:
+        raise ParseError(f"{path}: no samples")
+    return np.asarray(times), np.maximum(np.asarray(watts), 0.0)
+
+
 def state(mode, lo, hi):
     from eventnilm.modes import State
 

@@ -9,6 +9,13 @@ from eventnilm.model_io import save_models
 from helpers import two_mode_model, write_self_forbidding_model
 
 
+def copy_dataset(src, dst):
+    for f in src.iterdir():
+        if f.suffix in (".cfg", ".dat"):
+            (dst / f.name).write_bytes(f.read_bytes())
+    return dst / "manifest.cfg"
+
+
 def write_channel(path, values, period=10.0, start=0.0):
     lines = [f"{start + i * period:g} {v:g}" for i, v in enumerate(values)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -83,6 +90,29 @@ class TestExitCodes:
         assert code == 2
         assert "also forbidden" in capsys.readouterr().err
         assert not report.exists()
+
+
+    def test_bad_manifest_number_is_data_error(self, dataset, tmp_path, capsys):
+        manifest = copy_dataset(dataset, tmp_path)
+        manifest.write_text(manifest.read_text().replace("period = 30", "period = nan"))
+        code = main(["train", "--manifest", str(manifest), "--output", str(tmp_path / "m.json")])
+        assert code == 2
+        assert "period must be a finite positive number" in capsys.readouterr().err
+
+    def test_report_index_not_integer_is_data_error(self, dataset, tmp_path, capsys):
+        model = tmp_path / "m.json"
+        save_models(model, [two_mode_model("heater", 790.0, 810.0)])
+        report = tmp_path / "report.tsv"
+        report.write_text(
+            "# event report 1\n"
+            "timestamp\tindex\tmagnitude\tappliance\tfrom_mode\tto_mode\tstage\n"
+            "1600000000\t12\t800\theater\toff\ton1\tcontainment\n"
+            "1600000300\t2x\t-800\theater\ton1\toff\tcontainment\n",
+            encoding="utf-8",
+        )
+        args = ["--manifest", str(dataset / "manifest.cfg"), "--model", str(model)]
+        assert main(["evaluate", *args, "--report", str(report)]) == 2
+        assert "report.tsv:4: index must be an integer" in capsys.readouterr().err
 
 
 class TestChannelCommands:
@@ -203,6 +233,21 @@ class TestMeterFaults:
         assert code == 2
         assert "channel_1.dat:4: non-finite" in capsys.readouterr().err
 
+    def test_not_utf8_channel_is_data_error(self, tmp_path, capsys):
+        channel = write_channel(tmp_path / "ch.dat", step_values())
+        channel.write_bytes(channel.read_bytes().replace(b"\n50 ", b"\n50 \xff", 1))
+        out = tmp_path / "events.tsv"
+        assert main(["detect-events", "--input", str(channel), "--output", str(out)]) == 2
+        assert "ch.dat:6: not UTF-8 text" in capsys.readouterr().err
+
+    def test_not_utf8_channel_fails_train(self, dataset, tmp_path, capsys):
+        manifest = copy_dataset(dataset, tmp_path)
+        channel = tmp_path / "channel_2.dat"
+        channel.write_bytes(channel.read_bytes() + b"\xff\xfe\n")
+        code = main(["train", "--manifest", str(manifest), "--output", str(tmp_path / "m.json")])
+        assert code == 2
+        assert "channel_2.dat" in capsys.readouterr().err
+
     def test_negative_sample_is_clipped(self, tmp_path, capsys):
         vals = step_values()
         vals[5] = -12.0
@@ -210,6 +255,48 @@ class TestMeterFaults:
         out = tmp_path / "events.tsv"
         assert main(["detect-events", "--input", str(channel), "--output", str(out)]) == 0
         assert "wrote 2 events" in capsys.readouterr().out
+
+
+    def test_negative_readings_noted(self, tmp_path, capsys):
+        vals = step_values()
+        vals[[5, 7]] = -12.0
+        channel = write_channel(tmp_path / "ch.dat", vals)
+        out = tmp_path / "events.tsv"
+        assert main(["detect-events", "--input", str(channel), "--output", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert err == "note: ch: 2 negative readings clipped to 0 W, 0 gaps longer than 60 s\n"
+
+    def test_gap_noted(self, tmp_path, capsys):
+        channel = write_channel(tmp_path / "ch.dat", step_values())
+        lines = channel.read_text().splitlines()
+        channel.write_text("\n".join(lines[:10] + lines[18:]) + "\n")  # a 90 s hole
+        out = tmp_path / "filtered.tsv"
+        assert main(["filter", "--input", str(channel), "--output", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert err == "note: ch: 0 negative readings clipped to 0 W, 1 gaps longer than 60 s\n"
+
+    def test_dataset_faults_noted_per_appliance(self, dataset, tmp_path, capsys):
+        manifest = copy_dataset(dataset, tmp_path)
+        names = dict(line.split() for line in (tmp_path / "labels.dat").read_text().splitlines())
+        first = tmp_path / "channel_1.dat"
+        lines = first.read_text().splitlines()
+        first.write_text("\n".join(lines[:100] + lines[110:]) + "\n")  # a 330 s hole
+        second = tmp_path / "channel_2.dat"
+        lines = second.read_text().splitlines()
+        lines[3] = lines[3].split()[0] + " -7"
+        second.write_text("\n".join(lines) + "\n")
+        code = main(["train", "--manifest", str(manifest), "--output", str(tmp_path / "m.json")])
+        assert code == 0
+        notes = [n for n in capsys.readouterr().err.splitlines() if "negative readings" in n]
+        assert notes == [
+            f"note: {names['1']}: 0 negative readings clipped to 0 W, 1 gaps longer than 60 s",
+            f"note: {names['2']}: 1 negative readings clipped to 0 W, 0 gaps longer than 60 s",
+        ]
+
+    def test_clean_dataset_prints_no_fault_note(self, dataset, tmp_path, capsys):
+        manifest, out = dataset / "manifest.cfg", tmp_path / "m.json"
+        assert main(["train", "--manifest", str(manifest), "--output", str(out)]) == 0
+        assert "negative readings" not in capsys.readouterr().err
 
 
 class TestFullFlow:

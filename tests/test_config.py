@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from eventnilm.config import RunConfig, apply_overrides, read_config
-from eventnilm.errors import ConfigError
+from eventnilm.errors import ConfigError, ParseError
 
 
 class TestDefaults:
@@ -79,6 +79,12 @@ class TestReadConfig:
             p = tmp_path / "run.cfg"
             p.write_text(f"n_days_variant = {text}\n", encoding="utf-8")
             assert read_config(p).n_days_variant is expect
+
+    def test_not_utf8(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_bytes(b"seed = 1\r\nk_clusters = \xa0\r\n")
+        with pytest.raises(ParseError, match=r"run\.cfg:2: not UTF-8 text"):
+            read_config(p)
 
     def test_unknown_key(self, tmp_path):
         p = tmp_path / "run.cfg"

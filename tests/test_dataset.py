@@ -16,7 +16,7 @@ from eventnilm.dataset import (
 from eventnilm.errors import AlignmentError, ManifestError, ParseError
 from eventnilm.synth import balanced_household, generate
 
-from helpers import sig
+from helpers import reference_read_channel, sig
 
 
 def write(path, text):
@@ -80,6 +80,38 @@ class TestManifest:
         with pytest.raises(ManifestError, match="overlap"):
             DatasetManifest(tmp_path, "l", 1.0, (0, 5), (5, 8), ())
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("max_gap = abc", "max_gap must be a number"),
+            ("max_gap = -5", "max_gap must be a finite number"),
+            ("max_gap = inf", "max_gap must be a finite number"),
+            ("period = nan", "period must be a finite positive number"),
+            ("period = inf", "period must be a finite positive number"),
+            ("period = -1", "period must be a finite positive number"),
+        ],
+    )
+    def test_bad_numbers(self, tmp_path, line, message):
+        values = {"labels": "l.dat", "period": "20", "train_days": "0", "test_days": "1"}
+        key, _, value = line.partition(" = ")
+        values[key] = value
+        p = write(tmp_path / "m.cfg", "".join(f"{k} = {v}\n" for k, v in values.items()))
+        with pytest.raises(ManifestError, match=message):
+            read_manifest(p)
+
+    def test_max_gap_zero_allowed(self, tmp_path):
+        p = write(
+            tmp_path / "m.cfg",
+            "labels = l.dat\nperiod = 1\ntrain_days = 0\ntest_days = 1\nmax_gap = 0\n",
+        )
+        assert read_manifest(p).max_gap_s == 0.0
+
+    def test_not_utf8(self, tmp_path):
+        p = tmp_path / "m.cfg"
+        p.write_bytes(b"labels = l.dat\nperiod = 1\xff\n")
+        with pytest.raises(ParseError, match=r"m\.cfg:2: not UTF-8"):
+            read_manifest(p)
+
     def test_bad_day_range_text(self, tmp_path):
         p = write(
             tmp_path / "m.cfg",
@@ -104,6 +136,17 @@ class TestLabels:
         with pytest.raises(ParseError):
             parse_labels(p)
 
+    def test_superscript_digit_is_not_a_channel_number(self, tmp_path):
+        p = write(tmp_path / "l.dat", "1 fridge\n\u00b2 oven\n")
+        with pytest.raises(ParseError, match=r"l\.dat:2: expected 'channel_number name'"):
+            parse_labels(p)
+
+    def test_not_utf8(self, tmp_path):
+        p = tmp_path / "l.dat"
+        p.write_bytes(b"1 fridge\n2 \xe9tuve\n")
+        with pytest.raises(ParseError, match=r"l\.dat:2: not UTF-8"):
+            parse_labels(p)
+
     def test_empty(self, tmp_path):
         p = write(tmp_path / "l.dat", "# nothing\n")
         with pytest.raises(ParseError, match="no channel labels"):
@@ -113,9 +156,10 @@ class TestLabels:
 class TestChannel:
     def test_parse_with_comments(self, tmp_path):
         p = write(tmp_path / "c.dat", "# t w\n100 5.5\n120 6\n")
-        times, watts = read_channel(p)
+        times, watts, clipped = read_channel(p)
         assert times.tolist() == [100.0, 120.0]
         assert watts.tolist() == [5.5, 6.0]
+        assert clipped == 0
 
     def test_field_count(self, tmp_path):
         p = write(tmp_path / "c.dat", "100 5 7\n")
@@ -145,6 +189,120 @@ class TestChannel:
     def test_negative_clipped(self, tmp_path):
         p = write(tmp_path / "c.dat", "100 -3.5\n120 6\n")
         assert read_channel(p)[1].tolist() == [0.0, 6.0]
+
+
+def _number(rng, x):
+    """``x`` in one of the spellings a channel file may use."""
+    style = int(rng.integers(0, 5))
+    if style == 0:
+        return repr(float(x))
+    if style == 1:
+        return f"{x:.6e}"
+    if style == 2:
+        return f"{x:.3E}"
+    if style == 3 and x >= 0:
+        return f"+{x:g}"
+    return f"{x:g}"
+
+
+def _channel_text(rng, data_lines):
+    """Join data lines with random blank and comment lines, separators and line ends."""
+    out = []
+    for line in data_lines:
+        while rng.uniform() < 0.1:
+            out.append(["", "   ", "\t", "# note", "  # t w", "#"][int(rng.integers(0, 6))])
+        if rng.uniform() < 0.3 and len(line.split()) == 2:
+            t, w = line.split()
+            sep = ["\t", "  ", " \t "][int(rng.integers(0, 3))]
+            line = f"{' ' * int(rng.integers(0, 3))}{t}{sep}{w}{' ' * int(rng.integers(0, 2))}"
+        out.append(line)
+    ends = [["\n", "\r\n", "\r"][int(rng.integers(0, 3))] for _ in out]
+    text = "".join(line + end for line, end in zip(out, ends))
+    return text if rng.uniform() < 0.8 else text.rstrip("\r\n")
+
+
+def _random_data_lines(rng):
+    n = int(rng.integers(1, 200))
+    times = 1.6e9 + np.cumsum(rng.uniform(0.5, 30.0, n))
+    watts = rng.normal(200.0, 400.0, n)
+    watts[rng.uniform(size=n) < 0.2] = 0.0
+    return [f"{_number(rng, t)} {_number(rng, w)}" for t, w in zip(times, watts)]
+
+
+def _synth_data_lines(tmp_path, seed):
+    write_dataset(tmp_path / "synth", generate(balanced_household(), days=1, seed=seed), (0, 0), (0, 0))
+    return (tmp_path / "synth" / "channel_1.dat").read_text(encoding="utf-8").splitlines()[:2000]
+
+
+_BAD_LINES = (
+    "{t} {w} 7",  # three fields
+    "{t}",  # one field
+    "{t} {w} # inline comment",
+    "{t} {w}#3",
+    "{t} five",
+    "{t} 5x",
+    "{t} nan",
+    "inf {w}",
+    "{t} -Infinity",
+    "{t} 1e400",
+)
+
+
+class TestChannelParity:
+    """read_channel against the line-by-line reference parser."""
+
+    def cases(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        lines = _synth_data_lines(tmp_path, seed) if seed % 4 == 0 else _random_data_lines(rng)
+        return rng, lines
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_valid_files_are_bit_identical(self, tmp_path, seed):
+        rng, lines = self.cases(tmp_path, seed)
+        p = tmp_path / "c.dat"
+        p.write_bytes(_channel_text(rng, lines).encode("utf-8"))
+        times, watts, clipped = read_channel(p)
+        ref_times, ref_watts = reference_read_channel(p)
+        assert times.dtype == watts.dtype == np.float64
+        assert times.tobytes() == ref_times.tobytes()
+        assert watts.tobytes() == ref_watts.tobytes()
+        raw = [float(line.split()[1]) for line in lines]
+        assert clipped == sum(w < 0 for w in raw)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_first_bad_line_named_alike(self, tmp_path, seed):
+        rng, lines = self.cases(tmp_path, seed)
+        at = int(rng.integers(0, len(lines)))
+        t, w = lines[at].split()
+        lines[at] = _BAD_LINES[seed % len(_BAD_LINES)].format(t=t, w=w)
+        p = tmp_path / "c.dat"
+        p.write_bytes(_channel_text(rng, lines).encode("utf-8"))
+        with pytest.raises(ParseError) as expected:
+            reference_read_channel(p)
+        with pytest.raises(ParseError) as got:
+            read_channel(p)
+        assert str(got.value) == str(expected.value)
+        assert f"{p}:" in str(got.value)
+
+    @pytest.mark.parametrize("field", ["1_00", "\u0661\u0662"])
+    def test_underscores_and_non_ascii_digits_rejected(self, tmp_path, field):
+        # float() reads these, np.loadtxt does not: the one deliberate difference
+        p = write(tmp_path / "c.dat", f"100 5\n120 {field}\n")
+        assert reference_read_channel(p)[1].tolist() == [5.0, float(field)]
+        with pytest.raises(ParseError, match=r"c\.dat:2: non-numeric field"):
+            read_channel(p)
+
+    def test_not_utf8_names_line(self, tmp_path):
+        p = tmp_path / "c.dat"
+        p.write_bytes(b"100 5\r\n120 6\r\n140 \xff\r\n")
+        with pytest.raises(ParseError, match=r"c\.dat:3: not UTF-8 text"):
+            read_channel(p)
+
+    def test_columns_are_views_of_one_table(self, tmp_path):
+        p = write(tmp_path / "c.dat", "100 -5\n120 6\n")
+        times, watts, clipped = read_channel(p)
+        assert times.base is not None and times.base is watts.base
+        assert watts.tolist() == [0.0, 6.0] and clipped == 1
 
 
 class TestWriteAndLoad:

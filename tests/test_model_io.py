@@ -124,6 +124,12 @@ class TestLoadErrors:
         with pytest.raises(ParseError, match="not valid JSON"):
             load_models(p)
 
+    def test_not_utf8(self, tmp_path):
+        p = tmp_path / "m.json"
+        p.write_bytes(b'{\n"schema_version": 1,\n"id": "\xff"}')
+        with pytest.raises(ParseError, match=r"m\.json:3: not UTF-8 text"):
+            load_models(p)
+
     def test_missing_schema_version(self, tmp_path):
         p = tmp_path / "m.json"
         p.write_text(json.dumps({"appliances": []}), encoding="utf-8")

@@ -112,6 +112,17 @@ class TestResampleStepHold:
         out, _ = resample_step_hold(times, values, period=10.0)
         assert list(out.values) == [1.0, 2.0]
 
+    def test_duplicate_times_keep_the_last_reading(self):
+        # in order or not, the stable order of equal timestamps decides
+        for times, values in (([0.0, 10.0, 10.0], [1.0, 2.0, 3.0]), ([10.0, 0.0, 10.0], [2.0, 1.0, 3.0])):
+            out, _ = resample_step_hold(np.array(times), np.array(values), period=5.0)
+            assert list(out.values) == [1.0, 1.0, 3.0]
+
+    def test_column_views_accepted(self):
+        table = np.array([[0.0, 1.0], [10.0, 2.0], [25.0, 3.0]])
+        out, _ = resample_step_hold(table[:, 0], table[:, 1], period=5.0)
+        assert list(out.values) == [1.0, 1.0, 2.0, 2.0, 2.0, 3.0]
+
     def test_start_before_first_sample_rejected(self):
         with pytest.raises(AlignmentError):
             resample_step_hold(
