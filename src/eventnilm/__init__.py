@@ -5,6 +5,8 @@ signals, then labels every mode-change event found on the aggregated signal
 with the appliance and transition that caused it.
 """
 
+import logging
+
 from .classifier import LabeledEvent, classify
 from .config import RunConfig
 from .errors import (
@@ -26,6 +28,9 @@ from .signals import EventRecord, GapRecord, PowerSignal, aggregate, resample_st
 from .synth import ApplianceSpec, GroundTruthEvent, SynthResult, generate
 
 __version__ = "0.1.0"
+
+# per-cycle warnings reach stderr only if the caller configures logging
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
     "AlignmentError",

@@ -20,9 +20,11 @@ engine, ``_walk``. Its budget counts forward (mode vector, candidate)
 expansions, per search and per cycle; the backward pass of stage 2 only
 revisits edges the forward pass already expanded, so it is not counted.
 
-A stage never strips a column's last remaining candidate, so a label always
-comes out even for events the model explains poorly; such columns are listed
-in the diagnostics.
+Candidates are kept as one sorted tuple of row indices per event column
+(``CandidateLabelMatrix.columns``); its rows-by-events bool ``cells`` is a
+derived view. A stage never strips a column's last remaining candidate, so a
+label always comes out even for events the model explains poorly; such
+columns are listed in the diagnostics.
 """
 
 from __future__ import annotations
@@ -58,47 +60,56 @@ class LabelRow:
 
 
 class CandidateLabelMatrix:
-    """Binary rows-by-events candidate matrix with stage bookkeeping."""
+    """Candidate labels per event column, with stage bookkeeping.
 
-    def __init__(self, rows: list[LabelRow], events: list[EventRecord]):
+    ``columns[c]`` is the sorted tuple of row indices event c may still take;
+    every operation is a plain tuple operation. ``cells`` is a derived
+    rows-by-events bool view, built afresh on each read.
+    """
+
+    def __init__(self, rows: list[LabelRow], events: list[EventRecord], columns: list[tuple]):
         self.rows = rows
         self.events = events
-        self.cells = np.zeros((len(rows), len(events)), dtype=bool)
+        self.columns = columns
 
-    def candidates(self, col: int) -> list[int]:
-        return list(np.nonzero(self.cells[:, col])[0])
+    @property
+    def cells(self) -> np.ndarray:
+        cells = np.zeros((len(self.rows), len(self.events)), dtype=bool)
+        sizes = [len(col) for col in self.columns]
+        flat = [r for col in self.columns for r in col]
+        cells[flat, np.repeat(np.arange(len(sizes)), sizes)] = True
+        return cells
+
+    def candidates(self, col: int) -> tuple[int, ...]:
+        return self.columns[col]
 
     def column_count(self, col: int) -> int:
-        return int(self.cells[:, col].sum())
+        return len(self.columns[col])
 
     def keep_only(self, col: int, keep: set[int]) -> None:
-        current = self.candidates(col)
-        kept = [r for r in current if r in keep]
-        if not kept:
-            return  # never empty a column
-        self.cells[:, col] = False
-        self.cells[kept, col] = True
+        kept = tuple(r for r in self.columns[col] if r in keep)
+        if kept:  # never empty a column
+            self.columns[col] = kept
 
     def assign(self, col: int, row: int) -> None:
         """Set a column to one row outright, even one not currently set.
 
         Closure repair picks from the pre-resolution candidate sets, which
-        the resolution pass may already have cleared from the cells.
+        the resolution pass may already have cleared from the column.
         """
-        self.cells[:, col] = False
-        self.cells[row, col] = True
+        self.columns[col] = (row,)
 
     def drop(self, col: int, row: int) -> bool:
-        """Zero one cell unless it is the column's last. True if dropped."""
-        if self.cells[row, col] and self.column_count(col) > 1:
-            self.cells[row, col] = False
+        """Remove one candidate unless it is the column's last. True if dropped."""
+        current = self.columns[col]
+        if len(current) > 1 and row in current:
+            self.columns[col] = tuple(r for r in current if r != row)
             return True
         return False
 
     def resolved(self) -> list[tuple[EventRecord, LabelRow]]:
         out = []
-        for col, ev in enumerate(self.events):
-            rows = self.candidates(col)
+        for col, (ev, rows) in enumerate(zip(self.events, self.columns)):
             if len(rows) != 1:
                 raise ValueError(f"column {col} holds {len(rows)} labels, wanted 1")
             out.append((ev, self.rows[rows[0]]))
@@ -153,16 +164,18 @@ def initial_labels(
     """
     if not rows:
         raise ModelCoverageError("no appliance transitions to label against")
-    matrix = CandidateLabelMatrix(rows, events)
+    low = np.array([row.transition.low for row in rows], dtype=np.float64)
+    high = np.array([row.transition.high for row in rows], dtype=np.float64)
+    mags = np.array([ev.magnitude for ev in events], dtype=np.float64)[:, None]
+    # events x rows, the same float64 comparison as Transition.contains
+    hit_events, hit_rows = np.nonzero((low <= mags) & (mags <= high))
+    bounds = np.searchsorted(hit_events, np.arange(len(events) + 1)).tolist()
+    hit_rows = hit_rows.tolist()
+    columns = [tuple(hit_rows[a:b]) for a, b in zip(bounds, bounds[1:])]
     for col, ev in enumerate(events):
-        m = ev.magnitude
-        hit = False
-        for r, row in enumerate(rows):
-            if row.transition.contains(m):
-                matrix.cells[r, col] = True
-                hit = True
-        if hit:
+        if columns[col]:
             continue
+        m = ev.magnitude
         nearest = min(
             (
                 row.transition.rising != (m > 0),
@@ -173,10 +186,10 @@ def initial_labels(
             )
             for r, row in enumerate(rows)
         )
-        matrix.cells[nearest[-1], col] = True
+        columns[col] = (nearest[-1],)
         if diagnostics is not None:
             diagnostics.unmatched_columns.append(col)
-    return matrix
+    return CandidateLabelMatrix(rows, events, columns)
 
 
 def _abs_distance(tr: Transition, abs_magnitude: float) -> float:
@@ -381,16 +394,12 @@ def refine_by_behaviors(
         height = overshoot_height(raw, ev)
         if height is None:  # no raw samples after the event
             height = 0.0
-        cand = matrix.candidates(c)
-        for r in cand:
+        for r in matrix.candidates(c):  # a tuple: drop() cannot disturb the loop
             need = overshoot_of[matrix.rows[r].appliance]
             if need > 0.0 and height < need:
                 matrix.drop(c, r)
         cand = matrix.candidates(c)
-        habit_matched = any(
-            0.0 < overshoot_of[matrix.rows[r].appliance] <= height for r in cand
-        )
-        if habit_matched:
+        if any(0.0 < overshoot_of[matrix.rows[r].appliance] <= height for r in cand):
             for r in cand:
                 if overshoot_of[matrix.rows[r].appliance] == 0.0:
                     matrix.drop(c, r)
@@ -469,7 +478,7 @@ def enforce_cycle_closure(
     matrix: CandidateLabelMatrix,
     cycles: list[Cycle],
     models: list[ApplianceModel],
-    pre_step4: list[list[int]],
+    pre_step4: list[tuple[int, ...]],
     refined: set[int],
     budget: int = RunConfig.search_budget,
     diagnostics: Diagnostics | None = None,
@@ -539,30 +548,28 @@ def classify(
     threshold = all_off_threshold(models, all_off_margin)
     cycles = segment_cycles(filtered, events, threshold, diagnostics)
 
-    n = len(events)
-    after_containment = [matrix.column_count(c) for c in range(n)]
+    # columns are immutable tuples, so a shallow list copy is a snapshot
+    after_containment = list(matrix.columns)
     matrix = refine_by_compatibility(matrix, cycles, models, budget, diagnostics)
-    after_compat = [matrix.column_count(c) for c in range(n)]
-    unrefined = {i for i, _ in diagnostics.unrefined_cycles}
-    refined = {i for i in range(len(cycles)) if i not in unrefined}
+    after_compat = list(matrix.columns)
+    refined = set(range(len(cycles))) - {i for i, _ in diagnostics.unrefined_cycles}
     matrix = refine_by_behaviors(matrix, models, aggregate, filtered, day_base)
-    after_behavior = [matrix.column_count(c) for c in range(n)]
-    pre_step4 = [matrix.candidates(c) for c in range(n)]
+    pre_step4 = list(matrix.columns)
     matrix = resolve_by_participation(matrix, models, filtered, day_base)
-    after_resolve = [matrix.candidates(c)[0] for c in range(n)]
+    after_resolve = list(matrix.columns)
     matrix = enforce_cycle_closure(
         matrix, cycles, models, pre_step4, refined, budget, diagnostics
     )
 
     out = []
     for col, (ev, row) in enumerate(matrix.resolved()):
-        if after_containment[col] == 1:
+        if len(after_containment[col]) == 1:
             stage = "containment"
-        elif after_compat[col] == 1:
+        elif len(after_compat[col]) == 1:
             stage = "compatibility"
-        elif after_behavior[col] == 1:
+        elif len(pre_step4[col]) == 1:
             stage = "behavior"
-        elif after_resolve[col] == matrix.candidates(col)[0]:
+        elif after_resolve[col] == matrix.columns[col]:
             stage = "participation"
         else:
             stage = "closure"

@@ -93,8 +93,10 @@ def _read_signal(path: str, period: float | None):
         diffs = np.diff(np.sort(times))
         diffs = diffs[diffs > 0]
         period = float(np.median(diffs)) if diffs.size else 1.0
-    signal, gaps = resample_step_hold(times, watts, period, source_id=Path(path).stem)
-    _note_faults(signal.source_id, clipped, gaps, MAX_GAP_S)
+    max_gap = max(MAX_GAP_S, 1.5 * period)  # a slow meter's regular spacing is no gap
+    source = Path(path).stem
+    signal, gaps = resample_step_hold(times, watts, period, max_gap=max_gap, source_id=source)
+    _note_faults(signal.source_id, clipped, gaps, max_gap)
     return signal
 
 

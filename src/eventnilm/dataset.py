@@ -274,20 +274,3 @@ def write_dataset(
     )
     return manifest
 
-
-def read_ground_truth(path: str | Path) -> list[tuple[int, str, str, str]]:
-    """Read a ground-truth file back to (index, appliance, from, to) rows."""
-    path = Path(path)
-    if not path.is_file():
-        raise ManifestError(f"ground truth not found: {path}")
-    out = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        if lineno == 1 and line.startswith("index"):
-            continue
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 5:
-            raise ParseError(f"{path}:{lineno}: expected 5 tab-separated fields")
-        out.append((int(parts[0]), parts[1], parts[2], parts[3]))
-    return out

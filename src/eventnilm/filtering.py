@@ -78,14 +78,12 @@ def detect_outliers(signal: PowerSignal) -> OutlierReport:
     )
 
 
-def _runs(indices: np.ndarray) -> list[tuple[int, int]]:
-    """Maximal runs of consecutive integers as inclusive (first, last) pairs."""
+def _runs(indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Maximal runs of consecutive sorted integers: (first, last) arrays, inclusive."""
     if indices.size == 0:
-        return []
-    breaks = np.nonzero(np.diff(indices) > 1)[0]
-    starts = np.concatenate(([0], breaks + 1))
-    stops = np.concatenate((breaks, [indices.size - 1]))
-    return [(int(indices[a]), int(indices[b])) for a, b in zip(starts, stops)]
+        return indices, indices
+    breaks = np.flatnonzero(np.diff(indices) > 1)
+    return indices[np.r_[0, breaks + 1]], indices[np.r_[breaks, indices.size - 1]]
 
 
 def build_filtered_signal(signal: PowerSignal, report: OutlierReport) -> PowerSignal:
@@ -95,24 +93,28 @@ def build_filtered_signal(signal: PowerSignal, report: OutlierReport) -> PowerSi
     run that follows it (capped at ``REPLACEMENT_RUN_CAP`` samples). A marked
     run ending the signal falls back to the preceding inlier run. Steps
     survive because the following inliers already sit at the new level.
+    Runs are averaged in one (runs, L) block per inlier-run length L, whose
+    ``mean(axis=1)`` keeps ``np.mean``'s order of summation over each run.
     """
     values = signal.values.copy()
-    n = values.size
-    marked = np.zeros(n, dtype=bool)
-    marked[report.sample_marks] = True
-    for first, last in _runs(report.sample_marks):
-        if last + 1 < n:
-            stop = last + 1
-            while stop < n and not marked[stop] and stop - (last + 1) < REPLACEMENT_RUN_CAP:
-                stop += 1
-            replacement = values[last + 1 : stop].mean()
-        else:
+    marks = report.sample_marks
+    if marks.size:
+        firsts, lasts = _runs(marks)
+        # a run's inliers start right after it and stop at the next run, the
+        # cap or the end of the signal; only a run ending the signal has none
+        after = lasts + 1
+        length = np.minimum(np.r_[firsts[1:], values.size], after + REPLACEMENT_RUN_CAP) - after
+        means = np.empty(firsts.size)
+        for size in set(length.tolist()) - {0}:
+            pick = length == size
+            windows = np.lib.stride_tricks.sliding_window_view(signal.values, size)
+            means[pick] = windows[after[pick]].mean(axis=1)
+        if length[-1] == 0:
             # run ends the signal: average the inliers just before it
-            start = first - 1
-            while start > 0 and not marked[start - 1] and first - start < REPLACEMENT_RUN_CAP:
-                start -= 1
-            replacement = signal.values[start:first].mean()
-        values[first : last + 1] = replacement
+            first = int(firsts[-1])
+            start = max(first - REPLACEMENT_RUN_CAP, int(lasts[-2]) + 1 if lasts.size > 1 else 0)
+            means[-1] = signal.values[start:first].mean()
+        values[marks] = np.repeat(means, lasts - firsts + 1)
     return PowerSignal(
         np.maximum(values, 0.0),
         start_time=signal.start_time,
@@ -133,7 +135,7 @@ def detect_events(filtered: PowerSignal) -> list[EventRecord]:
     values = filtered.values
     n = values.size
     events = []
-    for first, last in _runs(report.instances):
+    for first, last in zip(*(a.tolist() for a in _runs(report.instances))):
         pre_idx = first  # instance t flags pair (t, t+1): sample t is pre-event
         post_idx = min(last + 2, n - 1)
         pre = float(values[pre_idx])

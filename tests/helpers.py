@@ -78,6 +78,58 @@ def reference_read_channel(path):
     return np.asarray(times), np.maximum(np.asarray(watts), 0.0)
 
 
+def reference_build_filtered_signal(signal, report):
+    """Run-by-run spike flattening, one ``np.mean`` per run, for parity tests.
+
+    Walks each maximal run of marked samples in order and averages the
+    inliers after it (or, for a run ending the signal, before it) with a
+    scalar scan, as ``build_filtered_signal`` is specified to.
+    """
+    from eventnilm.filtering import REPLACEMENT_RUN_CAP
+
+    values = signal.values.copy()
+    n = values.size
+    marks = report.sample_marks
+    marked = np.zeros(n, dtype=bool)
+    marked[marks] = True
+    runs = []
+    for i in marks.tolist():
+        if runs and runs[-1][1] == i - 1:
+            runs[-1][1] = i
+        else:
+            runs.append([i, i])
+    for first, last in runs:
+        if last + 1 < n:
+            stop = last + 1
+            while stop < n and not marked[stop] and stop - (last + 1) < REPLACEMENT_RUN_CAP:
+                stop += 1
+            replacement = values[last + 1 : stop].mean()
+        else:
+            start = first - 1
+            while start > 0 and not marked[start - 1] and first - start < REPLACEMENT_RUN_CAP:
+                start -= 1
+            replacement = signal.values[start:first].mean()
+        values[first : last + 1] = replacement
+    return PowerSignal(
+        np.maximum(values, 0.0),
+        start_time=signal.start_time,
+        sample_period=signal.sample_period,
+        source_id=signal.source_id,
+    )
+
+
+def reference_initial_columns(events, rows):
+    """Per-event candidate rows by ``Transition.contains``, one row at a time.
+
+    A column no band contains comes back empty; the nearest-band fallback is
+    checked separately.
+    """
+    return [
+        tuple(r for r, row in enumerate(rows) if row.transition.contains(e.magnitude))
+        for e in events
+    ]
+
+
 def state(mode, lo, hi):
     from eventnilm.modes import State
 

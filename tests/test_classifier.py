@@ -11,6 +11,7 @@ import itertools
 import numpy as np
 import pytest
 
+from eventnilm import classifier
 from eventnilm.classifier import (
     CandidateLabelMatrix,
     Cycle,
@@ -26,12 +27,24 @@ from eventnilm.classifier import (
     resolve_by_participation,
     segment_cycles,
 )
+from eventnilm.config import RunConfig
+from eventnilm.dataset import slice_days
 from eventnilm.errors import ModelCoverageError
 from eventnilm.features import ApplianceModel, BehaviorSet, Transition
-from eventnilm.filtering import detect_events
+from eventnilm.filtering import detect_events, filter_and_detect
 from eventnilm.modes import OFF_MODE, State, StateSet
+from eventnilm.pipeline import train_models
+from eventnilm.synth import balanced_household, demo_household, generate
 
-from helpers import enumerate_surviving, ev, random_instance, sig, state, two_mode_model
+from helpers import (
+    enumerate_surviving,
+    ev,
+    random_instance,
+    reference_initial_columns,
+    sig,
+    state,
+    two_mode_model,
+)
 
 
 def row_index(rows, appliance, key):
@@ -642,3 +655,132 @@ class TestClassify:
             ("solo", ("on1", OFF_MODE)),
         ] * 3
         assert all(l.stage == "containment" for l in labeled)
+
+
+class TestCandidateLabelMatrix:
+    def _matrix(self):
+        rows = build_rows([two_mode_model("a", 100, 200), two_mode_model("b", 150, 250)])
+        return CandidateLabelMatrix(rows, [ev(0, 0, 160), ev(5, 160, 0)], [(0, 2), (1,)])
+
+    def test_cells_is_a_derived_view(self):
+        matrix = self._matrix()
+        want = np.zeros((4, 2), dtype=bool)
+        want[[0, 2], 0] = want[1, 1] = True
+        assert (matrix.cells == want).all()
+        matrix.cells[:] = False  # a fresh array each read: writing to it changes nothing
+        assert matrix.columns == [(0, 2), (1,)]
+
+    def test_never_empties_a_column(self):
+        matrix = self._matrix()
+        matrix.keep_only(0, {1, 3})
+        assert matrix.drop(1, 1) is False
+        assert matrix.columns == [(0, 2), (1,)]
+        assert matrix.drop(0, 2) is True
+        assert matrix.drop(0, 0) is False
+        assert matrix.columns == [(0,), (1,)]
+
+    def test_assign_and_keep_only(self):
+        matrix = self._matrix()
+        matrix.keep_only(0, {2, 3})
+        matrix.assign(1, 3)
+        assert [matrix.candidates(c) for c in range(2)] == [(2,), (3,)]
+        assert [row.label() for _, row in matrix.resolved()] == ["b:off->on1", "b:on1->off"]
+
+
+class TestInitialLabelsParity:
+    """One broadcast comparison against ``Transition.contains`` row by row."""
+
+    def test_random_instances(self):
+        rng = np.random.default_rng(91)
+        unmatched_seen = edges_seen = 0
+        for _ in range(60):
+            models = []
+            for i in range(int(rng.integers(1, 6))):
+                lo = float(rng.uniform(10, 2500))
+                models.append(two_mode_model(f"app{i}", lo, lo + float(rng.uniform(0, 300))))
+            rows = build_rows(models)
+            mags = []
+            for _ in range(int(rng.integers(1, 40))):
+                tr = rows[int(rng.integers(len(rows)))].transition
+                kind = int(rng.integers(5))
+                if kind == 0:
+                    mags.append(tr.low)
+                elif kind == 1:
+                    mags.append(tr.high)
+                elif kind == 2:  # just outside the band
+                    mags.append(float(np.nextafter(tr.high, np.inf)))
+                else:
+                    mags.append(float(rng.uniform(-3000, 3000)))
+            events = [ev(10 * i, max(0.0, -m), max(0.0, m)) for i, m in enumerate(mags)]
+            diag = Diagnostics()
+            matrix = initial_labels(events, rows, diag)
+            want = reference_initial_columns(events, rows)
+            unmatched = [c for c, col in enumerate(want) if not col]
+            assert diag.unmatched_columns == unmatched
+            for c, col in enumerate(want):
+                if col:
+                    assert matrix.columns[c] == col
+                else:
+                    assert len(matrix.columns[c]) == 1
+            unmatched_seen += len(unmatched)
+            edges_seen += sum(
+                any(e.magnitude in (r.transition.low, r.transition.high) for r in rows)
+                for e in events
+            )
+        assert unmatched_seen > 0 and edges_seen > 0
+
+
+STAGES = (
+    "initial_labels",
+    "refine_by_compatibility",
+    "refine_by_behaviors",
+    "resolve_by_participation",
+    "enforce_cycle_closure",
+)
+
+
+class TestClassifyInvariants:
+    """Seeded sweep over whole households: what every run must hold."""
+
+    # demo: overlapping bands, labels from every stage up to participation;
+    # balanced: disjoint bands, cycles left unrefined by stage 2
+    @pytest.mark.parametrize("household, days", [("demo", 6), ("balanced", 5)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sweep(self, monkeypatch, household, days, seed):
+        result = generate(
+            demo_household() if household == "demo" else balanced_household(),
+            days=days,
+            seed=seed,
+        )
+        base = result.aggregate.start_time
+        train = {n: slice_days(s, (0, 2), base) for n, s in result.appliances.items()}
+        models = train_models(train, slice_days(result.aggregate, (0, 2), base), RunConfig()).models
+        test_agg = slice_days(result.aggregate, (3, days - 1), base)
+
+        snapshots = []
+        for name in STAGES:
+            def recorded(*args, _stage=getattr(classifier, name), **kwargs):
+                matrix = _stage(*args, **kwargs)
+                snapshots.append((list(matrix.columns), matrix.cells))
+                return matrix
+
+            monkeypatch.setattr(classifier, name, recorded)
+        labeled, diag = classify(test_agg, models)
+
+        filtered, events = filter_and_detect(test_agg)
+        assert events
+        assert [le.event for le in labeled] == events
+        assert len(snapshots) == len(STAGES)
+        for columns, cells in snapshots:
+            assert len(columns) == len(events)
+            assert all(col and list(col) == sorted(set(col)) for col in columns)
+            assert cells.shape[1] == len(events)
+            assert [tuple(np.flatnonzero(cells[:, c]).tolist()) for c in range(len(events))] == columns
+        assert all(len(col) == 1 for col in snapshots[-1][0])
+
+        cycles = segment_cycles(filtered, events, all_off_threshold(models))
+        skipped = {i for i, _ in diag.unrefined_cycles} | set(diag.unrepaired_cycles)
+        refined = [c for i, c in enumerate(cycles) if i not in skipped]
+        assert refined
+        for cycle in refined:
+            assert replay_closes([labeled[c] for c in cycle.columns], models)

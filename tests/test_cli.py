@@ -1,8 +1,15 @@
 """Command-line interface, driven in process through main()."""
 
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import eventnilm
 from eventnilm.cli import main
 from eventnilm.model_io import save_models
 
@@ -275,6 +282,33 @@ class TestMeterFaults:
         err = capsys.readouterr().err
         assert err == "note: ch: 0 negative readings clipped to 0 W, 1 gaps longer than 60 s\n"
 
+    def test_slow_channel_gaps_judged_by_its_period(self, tmp_path, capsys):
+        channel = write_channel(tmp_path / "slow.dat", step_values(200, on=(50, 120)), 120.0)
+        out = tmp_path / "events.tsv"
+        args = ["detect-events", "--input", str(channel), "--output", str(out)]
+        assert main(args) == 0
+        assert capsys.readouterr().err == ""  # regular 120 s spacing is no gap
+        lines = channel.read_text().splitlines()
+        channel.write_text("\n".join(lines[:80] + lines[81:]) + "\n")  # one 240 s hole
+        assert main(args) == 0
+        err = capsys.readouterr().err
+        assert err == "note: slow: 0 negative readings clipped to 0 W, 1 gaps longer than 180 s\n"
+
+    @pytest.mark.parametrize("period", [None, "20"])
+    def test_20s_channel_gaps_judged_as_before(self, tmp_path, capsys, period):
+        channel = write_channel(tmp_path / "ch.dat", step_values(), 20.0)
+        lines = channel.read_text().splitlines()
+        out = tmp_path / "filtered.tsv"
+        args = ["filter", "--input", str(channel), "--output", str(out)]
+        args += ["--period", period] if period else []
+        channel.write_text("\n".join(lines[:10] + lines[11:]) + "\n")  # a 40 s hole
+        assert main(args) == 0
+        assert capsys.readouterr().err == ""
+        channel.write_text("\n".join(lines[:10] + lines[13:]) + "\n")  # an 80 s hole
+        assert main(args) == 0
+        err = capsys.readouterr().err
+        assert err == "note: ch: 0 negative readings clipped to 0 W, 1 gaps longer than 60 s\n"
+
     def test_dataset_faults_noted_per_appliance(self, dataset, tmp_path, capsys):
         manifest = copy_dataset(dataset, tmp_path)
         names = dict(line.split() for line in (tmp_path / "labels.dat").read_text().splitlines())
@@ -367,6 +401,24 @@ class TestFullFlow:
             assert code == 0
         assert r1.read_bytes() == r2.read_bytes()
         capsys.readouterr()
+
+
+    def test_disaggregate_stderr_holds_only_notes(self, dataset, tmp_path, capsys):
+        # a fresh process: logging is unconfigured there, as for users, while
+        # pytest would capture any log record of an in-process call
+        models = tmp_path / "models.json"
+        manifest = dataset / "manifest.cfg"
+        assert main(["train", "--manifest", str(manifest), "--output", str(models)]) == 0
+        capsys.readouterr()
+        src = str(Path(eventnilm.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        argv = [sys.executable, "-m", "eventnilm.cli", "disaggregate", "--manifest", str(manifest)]
+        argv += ["--model", str(models), "--output", str(tmp_path / "report.tsv")]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+        assert proc.returncode == 0
+        notes = proc.stderr.splitlines()
+        assert any(re.fullmatch(r"note: \d+ cycle\(s\) left unrefined", n) for n in notes)
+        assert all(n.startswith("note: ") for n in notes)
 
 
 class TestConfigPrecedence:

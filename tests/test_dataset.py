@@ -8,7 +8,6 @@ from eventnilm.dataset import (
     load_dataset,
     parse_labels,
     read_channel,
-    read_ground_truth,
     read_manifest,
     slice_days,
     write_dataset,
@@ -350,18 +349,14 @@ class TestWriteAndLoad:
         with pytest.raises(AlignmentError):
             load_dataset(manifest)
 
-    def test_ground_truth_round_trip(self, tmp_path):
+    def test_ground_truth_file_rows(self, tmp_path):
         result = generate(balanced_household(), days=1, seed=3)
         write_dataset(tmp_path, result, (0, 0), (0, 0))
-        rows = read_ground_truth(tmp_path / "ground_truth.tsv")
-        assert rows == [
-            (t.index, t.appliance, t.from_mode, t.to_mode) for t in result.truth
+        lines = (tmp_path / "ground_truth.tsv").read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "index\tappliance\tfrom_mode\tto_mode\tmagnitude"
+        assert [tuple(line.split("\t")[:4]) for line in lines[1:]] == [
+            (str(t.index), t.appliance, t.from_mode, t.to_mode) for t in result.truth
         ]
-
-    def test_ground_truth_malformed(self, tmp_path):
-        p = write(tmp_path / "gt.tsv", "index\tappliance\tfrom\tto\tmag\n1\tx\n")
-        with pytest.raises(ParseError, match="5 tab-separated"):
-            read_ground_truth(p)
 
 
 class TestSliceDays:

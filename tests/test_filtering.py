@@ -11,6 +11,8 @@ import pytest
 from eventnilm.errors import InsufficientDataError
 from eventnilm.filtering import (
     REPLACEMENT_RUN_CAP,
+    OutlierReport,
+    RatioSeries,
     build_filtered_signal,
     change_ratios,
     detect_events,
@@ -18,7 +20,7 @@ from eventnilm.filtering import (
     filter_and_detect,
 )
 
-from helpers import sig
+from helpers import reference_build_filtered_signal, sig
 
 
 def ratio_oracle(values):
@@ -122,6 +124,70 @@ class TestBuildFilteredSignal:
         s = sig(vals)
         filtered = build_filtered_signal(s, detect_outliers(s))
         assert np.all(filtered.values >= 0.0)
+
+
+class TestFilteredSignalParity:
+    """The bulk replacement means against the run-by-run reference, bit for bit.
+
+    Values span many orders of magnitude, so a mean summed in any other
+    order than ``np.mean``'s would differ in its last bits.
+    """
+
+    @staticmethod
+    def values(rng, n):
+        vals = rng.lognormal(4.0, 3.0, size=n)
+        vals[rng.uniform(size=n) < 0.05] = 0.0
+        return vals
+
+    @staticmethod
+    def run_kinds(marks, n):
+        """Which cases a mark set exercises: capped, short, at 1, at the end."""
+        kinds = set()
+        inliers = np.diff(np.r_[marks, n]) - 1  # unmarked samples after each mark
+        if (inliers >= REPLACEMENT_RUN_CAP).any():
+            kinds.add("capped")
+        if ((inliers > 0) & (inliers < REPLACEMENT_RUN_CAP)).any():
+            kinds.add("short")
+        if marks.size and marks[0] == 1:
+            kinds.add("at 1")
+        if marks.size and marks[-1] == n - 1:
+            kinds.add("at end")
+        return kinds
+
+    def check(self, signal, report):
+        got = build_filtered_signal(signal, report).values
+        want = reference_build_filtered_signal(signal, report).values
+        assert got.tobytes() == want.tobytes()
+
+    def test_random_mark_sets(self):
+        rng = np.random.default_rng(2024)
+        seen = set()
+        for density in (0.02, 0.1, 0.3, 0.6, 0.9):
+            for _ in range(40):
+                n = int(rng.integers(2, 300))
+                marks = np.flatnonzero(rng.uniform(size=n) < density)
+                marks = marks[marks >= 1]  # sample t + 1 of pair t: never 0
+                if rng.uniform() < 0.3:
+                    marks = np.union1d(marks, [1, n - 1])
+                report = OutlierReport(marks - 1, marks, RatioSeries(np.zeros(0), 0.0))
+                self.check(sig(self.values(rng, n)), report)
+                seen |= self.run_kinds(marks, n)
+        assert seen == {"capped", "short", "at 1", "at end"}
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_detected_spike_dense_signals(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 2000
+        levels = np.repeat(rng.uniform(50, 3000, size=n // 50), 50)
+        spikes = rng.uniform(size=n) < rng.uniform(0.05, 0.4)
+        vals = levels * (1.0 + rng.normal(0, 0.002, size=n))
+        vals[spikes] *= rng.uniform(1.5, 10.0, size=int(spikes.sum()))
+        vals[rng.uniform(size=n) < 0.02] = 0.0
+        vals[-1] = 10.0 * vals[-2] + 1000.0  # a spike that ends the signal
+        s = sig(vals)
+        report = detect_outliers(s)
+        assert report.sample_marks[-1] == n - 1
+        self.check(s, report)
 
 
 class TestDetectEvents:
