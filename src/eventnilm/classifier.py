@@ -15,10 +15,15 @@ narrowing stages:
 The label space holds only the transitions observed in training, so a mode
 pair never seen there cannot be chosen and needs no veto of its own.
 
-Both walk searches (stage 2 and the closure repair) run on one layered
-engine, ``_walk``. Its budget counts forward (mode vector, candidate)
-expansions, per search and per cycle; the backward pass of stage 2 only
-revisits edges the forward pass already expanded, so it is not counted.
+A cycle whose columns hold one candidate each has one walk at most. Stage 2
+settles all such cycles, and the closure check judges the chosen labels of
+every cycle, with one batched numpy replay (``_WalkSpace.replay``). The other
+cycles of stage 2, and the repair of refined cycles that do not close, search
+on one layered engine, ``_walk``. Its budget counts forward (mode vector,
+candidate) expansions, per search and per cycle; the replay returns the count
+``_walk`` would spend, so both paths give the same budget verdicts. The
+backward pass of stage 2 only revisits edges the forward pass already
+expanded, so it is not counted.
 
 Candidates are kept as one sorted tuple of row indices per event column
 (``CandidateLabelMatrix.columns``); its rows-by-events bool ``cells`` is a
@@ -228,18 +233,14 @@ def segment_cycles(
         return []
     off = filtered.values < threshold
     off_prefix = np.concatenate(([0], np.cumsum(off)))
-
-    def any_off(a: int, b: int) -> bool:
-        # inclusive sample range [a, b]
-        return a <= b and off_prefix[b + 1] - off_prefix[a] > 0
-
-    cycles = []
-    start = 0
-    for i in range(len(events) - 1):
-        if any_off(events[i].post_index, events[i + 1].index):
-            cycles.append(Cycle(start, i))
-            start = i + 1
-    cycles.append(Cycle(start, len(events) - 1))
+    # a cycle ends at event i iff [events[i].post_index, events[i + 1].index]
+    # holds an OFF sample; a range whose start passes its end is clipped empty
+    nxt = np.fromiter((ev.index for ev in events[1:]), np.int64, len(events) - 1)
+    post = np.fromiter((ev.post_index for ev in events[:-1]), np.int64, len(events) - 1)
+    post = np.minimum(post, nxt + 1)
+    ends = np.flatnonzero(off_prefix[nxt + 1] > off_prefix[post]).tolist()
+    starts = [0] + [i + 1 for i in ends]
+    cycles = [Cycle(a, b) for a, b in zip(starts, ends + [len(events) - 1])]
     if not off.any():
         log.warning("signal never reaches all-OFF; treating it as one cycle")
         if diagnostics is not None:
@@ -250,10 +251,17 @@ def segment_cycles(
 class _WalkSpace:
     """Mode-vector bookkeeping shared by the walk searches."""
 
-    def __init__(self, models: list[ApplianceModel]):
+    def __init__(self, models: list[ApplianceModel], rows: list[LabelRow]):
         self.apps = sorted(m.appliance_id for m in models)
         self.index = {a: i for i, a in enumerate(self.apps)}
         self.all_off = tuple(OFF_MODE for _ in self.apps)
+        # per row: appliance index, from-mode code, to-mode code; OFF is code 0
+        modes = {OFF_MODE: 0}
+        table = []
+        for row in rows:
+            src, dst = (modes.setdefault(m, len(modes)) for m in row.transition.key)
+            table.append((self.index[row.appliance], src, dst))
+        self.codes = np.array(table, dtype=np.int64).reshape(len(rows), 3)
 
     def applicable(self, theta: tuple, row: LabelRow) -> bool:
         return theta[self.index[row.appliance]] == row.transition.from_mode
@@ -261,6 +269,40 @@ class _WalkSpace:
     def apply(self, theta: tuple, row: LabelRow) -> tuple:
         i = self.index[row.appliance]
         return theta[:i] + (row.transition.to_mode,) + theta[i + 1 :]
+
+    def replay(
+        self, picks: np.ndarray, starts: np.ndarray, stops: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Walk all cycles at once, each column on its one row ``picks[column]``.
+
+        Cycle k spans columns ``starts[k]`` to ``stops[k] - 1``. Per cycle:
+        whether the rows walk from all-OFF back to all-OFF, and the
+        expansions ``_walk`` spends on the same one-row columns, which is
+        every step up to and including the first inapplicable one.
+        """
+        lengths = stops - starts
+        cycle = np.repeat(np.arange(starts.size), lengths)
+        step = np.arange(cycle.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        app, src, dst = self.codes[picks[starts[cycle] + step]].T
+        # a step applies iff it leaves the mode that the previous step of its
+        # appliance in the cycle entered, or OFF for the first such step
+        group = cycle * len(self.apps) + app
+        order = np.argsort(group, kind="stable")
+        group, src, dst = group[order], src[order], dst[order]
+        opens = np.diff(group, prepend=-1) != 0
+        entered = np.where(opens, 0, np.roll(dst, 1))
+        bad = np.zeros(cycle.size, dtype=bool)
+        bad[order] = src != entered
+        left_on = (np.diff(group, append=-1) != 0) & (dst != 0)
+        bad_steps = np.flatnonzero(bad)
+        bad_cycles = cycle[bad_steps]
+        first = np.diff(bad_cycles, prepend=-1) != 0
+        spent = lengths.copy()
+        spent[bad_cycles[first]] = step[bad_steps[first]] + 1
+        closes = np.ones(starts.size, dtype=bool)
+        closes[bad_cycles] = False
+        closes[cycle[order][left_on]] = False
+        return closes, spent
 
 
 def _walk(space, rows, options, budget, chosen=None):
@@ -308,9 +350,19 @@ def refine_by_compatibility(
     forward search exceeds the budget, or that admits no walk at all, is
     left as-is and reported in the diagnostics.
     """
-    space = _WalkSpace(models)
-    for ci, cycle in enumerate(cycles):
-        cols = list(cycle.columns)
+    space = _WalkSpace(models, matrix.rows)
+    starts, stops = _bounds(cycles)
+    closes, spent = space.replay(_first_candidates(matrix), starts, stops)
+    # prefix counts of columns with several candidates; a cycle without any
+    # has one walk at most, which the replay judged
+    multi = np.r_[0, np.cumsum([len(col) > 1 for col in matrix.columns])]
+    settled = multi[stops] == multi[starts]
+    for ci in np.flatnonzero(~settled | ~closes | (spent > budget)).tolist():
+        if settled[ci]:
+            reason = "search budget exhausted" if spent[ci] > budget else "no compatible assignment"
+            _flag(diagnostics, ci, reason)
+            continue
+        cols = list(cycles[ci].columns)
         options = [matrix.candidates(c) for c in cols]
         forward = _walk(space, matrix.rows, options, budget)
         if forward is None:
@@ -334,6 +386,16 @@ def refine_by_compatibility(
             matrix.keep_only(cols[i], keep)
             alive = back
     return matrix
+
+
+def _bounds(cycles: list[Cycle]) -> tuple[np.ndarray, np.ndarray]:
+    """Each cycle's first column and one past its last, as arrays."""
+    starts = np.fromiter((c.start_event for c in cycles), np.int64, len(cycles))
+    return starts, np.fromiter((c.end_event for c in cycles), np.int64, len(cycles)) + 1
+
+
+def _first_candidates(matrix: CandidateLabelMatrix) -> np.ndarray:
+    return np.fromiter((col[0] for col in matrix.columns), np.int64, len(matrix.columns))
 
 
 def _flag(diagnostics, cycle_index, reason):
@@ -364,6 +426,9 @@ def refine_by_behaviors(
         appliance's last single-labeled OFF is dropped.
     No rule removes a column's last candidate.
     """
+    columns = matrix.columns
+    if all(len(col) == 1 for col in columns):
+        return matrix  # every rule only drops, and never a column's last candidate
     by_app = {m.appliance_id: m for m in models}
     cols_by_day = day_columns(matrix.events, filtered, day_base)
 
@@ -380,8 +445,9 @@ def refine_by_behaviors(
             if any(sig.contains(matrix.events[c].magnitude) for c in cols):
                 continue
             for c in cols:
-                for r in app_rows:
-                    matrix.drop(c, r)
+                if len(columns[c]) > 1:
+                    for r in app_rows:
+                        matrix.drop(c, r)
 
     # (b) overshoot habit on rising multi-labeled events
     overshoot_of = {
@@ -407,18 +473,20 @@ def refine_by_behaviors(
     # (c) minimum off gap, inferred from single-labeled events only
     last_off: dict[str, float] = {}
     for c, ev in enumerate(matrix.events):
-        t = filtered.time_at(ev.index)
-        for r in matrix.candidates(c):
-            row = matrix.rows[r]
-            beh = by_app[row.appliance].behaviors
-            if beh is None or beh.min_off_gap_s <= 0.0:
-                continue
-            if row.transition.from_mode != OFF_MODE:
-                continue
-            seen = last_off.get(row.appliance)
-            if seen is not None and t - seen < beh.min_off_gap_s:
-                matrix.drop(c, r)
-        rows = matrix.candidates(c)
+        rows = columns[c]
+        if len(rows) > 1:
+            t = filtered.time_at(ev.index)
+            for r in rows:
+                row = matrix.rows[r]
+                beh = by_app[row.appliance].behaviors
+                if beh is None or beh.min_off_gap_s <= 0.0:
+                    continue
+                if row.transition.from_mode != OFF_MODE:
+                    continue
+                seen = last_off.get(row.appliance)
+                if seen is not None and t - seen < beh.min_off_gap_s:
+                    matrix.drop(c, r)
+            rows = columns[c]
         if len(rows) == 1:
             row = matrix.rows[rows[0]]
             if row.transition.to_mode == OFF_MODE:
@@ -451,7 +519,10 @@ def resolve_by_participation(
         for m in models
         for key, p in m.participation.items()
     }
+    columns = matrix.columns
     for cols in day_columns(matrix.events, filtered, day_base).values():
+        if all(len(columns[c]) == 1 for c in cols):
+            continue  # nothing to resolve on this day
         count: dict[int, int] = {}
         for c in cols:
             for r in matrix.candidates(c):
@@ -493,16 +564,14 @@ def enforce_cycle_closure(
     valid assignment, or whose repair search exceeds the budget, stays as
     chosen and is listed in ``diagnostics.unrepaired_cycles``.
     """
-    space = _WalkSpace(models)
-    for ci, cycle in enumerate(cycles):
+    space = _WalkSpace(models, matrix.rows)
+    picks = _first_candidates(matrix)
+    closes, _ = space.replay(picks, *_bounds(cycles))
+    for ci in np.flatnonzero(~closes).tolist():
         if ci not in refined:
             continue
-        cols = list(cycle.columns)
-        chosen = [matrix.candidates(c)[0] for c in cols]
-        # one (vector, row) expansion per column at most: never over budget
-        replay = _walk(space, matrix.rows, [[r] for r in chosen], len(cols))
-        if space.all_off in replay[-1]:
-            continue
+        cols = list(cycles[ci].columns)
+        chosen = picks[cols].tolist()
         layers = _walk(space, matrix.rows, [pre_step4[c] for c in cols], budget, chosen)
         if layers is None or space.all_off not in layers[-1]:
             if diagnostics is not None:

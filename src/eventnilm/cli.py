@@ -75,18 +75,24 @@ def _config_from(args) -> RunConfig:
     return apply_overrides(config, flags)
 
 
-def _note_faults(channel: str, clipped: int, gaps: list, max_gap: float) -> None:
+def _note_faults(
+    channel: str, clipped: int, gaps: list, max_gap: float, disorder: tuple[int, int]
+) -> None:
     """One stderr note for a channel whose meter faults the ingest repaired."""
-    if clipped or gaps:
-        print(
+    duplicates, unordered = disorder
+    if clipped or gaps or duplicates or unordered:
+        note = (
             f"note: {channel}: {clipped} negative readings clipped to 0 W,"
-            f" {len(gaps)} gaps longer than {format_number(max_gap)} s",
-            file=sys.stderr,
+            f" {len(gaps)} gaps longer than {format_number(max_gap)} s"
         )
+        if duplicates or unordered:
+            note += f", {duplicates} duplicate and {unordered} out-of-order timestamps"
+        print(note, file=sys.stderr)
 
 
 def _read_signal(path: str, period: float | None):
     times, watts, clipped = ds.read_channel(path)
+    disorder = ds.timestamp_faults(times)
     if period is None:
         import numpy as np
 
@@ -96,14 +102,20 @@ def _read_signal(path: str, period: float | None):
     max_gap = max(MAX_GAP_S, 1.5 * period)  # a slow meter's regular spacing is no gap
     source = Path(path).stem
     signal, gaps = resample_step_hold(times, watts, period, max_gap=max_gap, source_id=source)
-    _note_faults(signal.source_id, clipped, gaps, max_gap)
+    _note_faults(signal.source_id, clipped, gaps, max_gap, disorder)
     return signal
 
 
 def _load_dataset(manifest: str) -> ds.DatasetBundle:
     bundle = ds.load_dataset(ds.read_manifest(manifest))
     for name in bundle.appliances:
-        _note_faults(name, bundle.clipped[name], bundle.gaps[name], bundle.manifest.max_gap_s)
+        _note_faults(
+            name,
+            bundle.clipped[name],
+            bundle.gaps[name],
+            bundle.manifest.max_gap_s,
+            bundle.disorder[name],
+        )
     return bundle
 
 

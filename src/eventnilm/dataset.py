@@ -145,6 +145,18 @@ def read_channel(path: str | Path) -> tuple[np.ndarray, np.ndarray, int]:
     return times, watts, clipped
 
 
+def timestamp_faults(times: np.ndarray) -> tuple[int, int]:
+    """Duplicate and out-of-order timestamps of a channel, in file order.
+
+    A duplicate repeats a timestamp read before it; an out-of-order reading
+    has a lower timestamp than the line before it. Resampling sorts the
+    readings stably, so the last of equal timestamps in the file wins.
+    """
+    unordered = int(np.count_nonzero(times[1:] < times[:-1]))
+    ordered = np.sort(times) if unordered else times
+    return int(np.count_nonzero(ordered[1:] == ordered[:-1])), unordered
+
+
 def _raise_first_bad_line(path: Path) -> NoReturn:
     """The ParseError for the first line of a file ``read_channel`` rejected."""
     seen = False
@@ -173,6 +185,8 @@ class DatasetBundle:
     gaps: dict[str, list[GapRecord]]
     clipped: dict[str, int]  # negative readings set to 0 W, per appliance
     manifest: DatasetManifest
+    # (duplicate, out-of-order) timestamp counts per appliance, see timestamp_faults
+    disorder: dict[str, tuple[int, int]]
 
 
 def load_dataset(manifest: DatasetManifest) -> DatasetBundle:
@@ -202,6 +216,7 @@ def load_dataset(manifest: DatasetManifest) -> DatasetBundle:
         gaps=gaps,
         clipped={name: clipped for name, _, _, clipped in raw},
         manifest=manifest,
+        disorder={name: timestamp_faults(times) for name, times, _, _ in raw},
     )
 
 

@@ -92,14 +92,17 @@ def label_training_events(
     (pre and post in the same state, small residual wobble) carry no mode
     change and are dropped.
     """
+    src = states.nearest_indices([ev.pre_level for ev in events]).tolist()
+    dst = states.nearest_indices([ev.post_level for ev in events]).tolist()
+    made: dict[tuple[int, int], Transition] = {}
     pairs = []
-    for ev in events:
-        src = states.nearest(ev.pre_level)
-        dst = states.nearest(ev.post_level)
-        if src.mode == dst.mode:
-            continue
-        lo, hi = transition_interval(src, dst)
-        pairs.append((ev, Transition(src.mode, dst.mode, lo, hi)))
+    for ev, a, b in zip(events, src, dst):
+        tr = made.get((a, b))
+        if tr is None:
+            s, d = states.states[a], states.states[b]
+            tr = made[a, b] = Transition(s.mode, d.mode, *transition_interval(s, d))
+        if tr.from_mode != tr.to_mode:
+            pairs.append((ev, tr))
     return pairs
 
 
@@ -107,7 +110,12 @@ DAY_SECONDS = 86400.0
 
 
 def day_of(time: float, base: float, day_seconds: float = DAY_SECONDS) -> int:
-    return int((time - base) // day_seconds)
+    return int(days_of(np.float64(time), base, day_seconds))
+
+
+def days_of(times: np.ndarray, base: float, day_seconds: float = DAY_SECONDS) -> np.ndarray:
+    """Day index of each time, day 0 starting at ``base``."""
+    return np.floor_divide(times - base, day_seconds).astype(np.int64)
 
 
 def day_columns(
@@ -123,10 +131,15 @@ def day_columns(
     """
     if base is None:
         base = signal.start_time
-    by_day: dict[int, list[int]] = defaultdict(list)
-    for pos, ev in enumerate(events):
-        by_day[day_of(signal.time_at(ev.index), base, day_seconds)].append(pos)
-    return dict(sorted(by_day.items()))
+    index = np.fromiter((ev.index for ev in events), np.int64, len(events))
+    days = days_of(signal.start_time + index * signal.sample_period, base, day_seconds)
+    order = np.argsort(days, kind="stable")
+    cuts = np.flatnonzero(np.diff(days[order])) + 1
+    return {
+        int(days[group[0]]): group.tolist()
+        for group in np.split(order, cuts)
+        if group.size
+    }
 
 
 def split_days(

@@ -133,25 +133,17 @@ def detect_events(filtered: PowerSignal) -> list[EventRecord]:
     """
     report = detect_outliers(filtered)
     values = filtered.values
-    n = values.size
-    events = []
-    for first, last in zip(*(a.tolist() for a in _runs(report.instances))):
-        pre_idx = first  # instance t flags pair (t, t+1): sample t is pre-event
-        post_idx = min(last + 2, n - 1)
-        pre = float(values[pre_idx])
-        post = float(values[post_idx])
-        if post == pre:
-            continue
-        events.append(
-            EventRecord(
-                index=pre_idx,
-                magnitude=post - pre,
-                pre_level=pre,
-                post_level=post,
-                post_index=post_idx,
-            )
+    firsts, lasts = _runs(report.instances)
+    pre_idx = firsts  # instance t flags pair (t, t+1): sample t is pre-event
+    post_idx = np.minimum(lasts + 2, values.size - 1)
+    pre, post = values[pre_idx], values[post_idx]
+    keep = post != pre
+    return [
+        EventRecord(i, b - a, a, b, j)
+        for i, j, a, b in zip(
+            pre_idx[keep].tolist(), post_idx[keep].tolist(), pre[keep].tolist(), post[keep].tolist()
         )
-    return events
+    ]
 
 
 def filter_and_detect(signal: PowerSignal) -> tuple[PowerSignal, list[EventRecord]]:

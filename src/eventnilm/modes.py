@@ -82,14 +82,6 @@ class State:
     def contains(self, watts: float) -> bool:
         return self.low <= watts <= self.high
 
-    def distance_to(self, watts: float) -> float:
-        """Distance from a value to the interval (0 inside)."""
-        if watts < self.low:
-            return self.low - watts
-        if watts > self.high:
-            return watts - self.high
-        return 0.0
-
 
 @dataclass(frozen=True)
 class StateSet:
@@ -125,7 +117,21 @@ class StateSet:
 
     def nearest(self, watts: float) -> State:
         """State containing the value, else the closest interval."""
-        return min(self.states, key=lambda s: (s.distance_to(watts), s.centroid))
+        return self.states[int(self.nearest_indices(np.array([watts]))[0])]
+
+    def nearest_indices(self, watts: np.ndarray) -> np.ndarray:
+        """Index into ``states`` of the nearest state to each value.
+
+        The distance to an interval is 0 inside it. Ties go to the smaller
+        centroid, then to the earlier state: ``argmin`` over the states in
+        stable centroid order keeps the first of equal distances.
+        """
+        order = np.argsort([s.centroid for s in self.states], kind="stable")
+        low = np.array([self.states[i].low for i in order])
+        high = np.array([self.states[i].high for i in order])
+        w = np.asarray(watts, dtype=np.float64)[:, None]
+        distance = np.where(w < low, low - w, np.where(w > high, w - high, 0.0))
+        return order[np.argmin(distance, axis=1)]
 
 
 def ward_merge_cost(a: Cluster, b: Cluster) -> float:

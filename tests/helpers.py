@@ -265,3 +265,224 @@ def random_instance(rng):
         level = max(0.0, level - mag)
         idx += 10
     return models, events
+
+
+def reference_detect_events(filtered):
+    """Run-by-run event construction from numpy scalars, for parity tests."""
+    from eventnilm.filtering import _runs, detect_outliers
+    from eventnilm.signals import EventRecord
+
+    report = detect_outliers(filtered)
+    values = filtered.values
+    n = values.size
+    events = []
+    for first, last in zip(*(a.tolist() for a in _runs(report.instances))):
+        pre_idx = first
+        post_idx = min(last + 2, n - 1)
+        pre = float(values[pre_idx])
+        post = float(values[post_idx])
+        if post == pre:
+            continue
+        events.append(
+            EventRecord(
+                index=pre_idx,
+                magnitude=post - pre,
+                pre_level=pre,
+                post_level=post,
+                post_index=post_idx,
+            )
+        )
+    return events
+
+
+def reference_segment_cycles(filtered, events, threshold):
+    """Pairwise cycle cuts, one prefix-sum lookup per adjacent event pair."""
+    from eventnilm.classifier import Cycle
+
+    if not events:
+        return []
+    off_prefix = np.concatenate(([0], np.cumsum(filtered.values < threshold)))
+
+    def any_off(a, b):
+        return a <= b and off_prefix[b + 1] - off_prefix[a] > 0
+
+    cycles = []
+    start = 0
+    for i in range(len(events) - 1):
+        if any_off(events[i].post_index, events[i + 1].index):
+            cycles.append(Cycle(start, i))
+            start = i + 1
+    cycles.append(Cycle(start, len(events) - 1))
+    return cycles
+
+
+def reference_day_columns(events, signal, base=None, day_seconds=86400.0):
+    """Event positions grouped by ``int((time - base) // day_seconds)``, one at a time."""
+    if base is None:
+        base = signal.start_time
+    by_day = {}
+    for pos, e in enumerate(events):
+        by_day.setdefault(int((signal.time_at(e.index) - base) // day_seconds), []).append(pos)
+    return dict(sorted(by_day.items()))
+
+
+def reference_nearest(states, watts):
+    """Scalar nearest state: distance 0 inside, then the smaller centroid, then order."""
+
+    def distance(s):
+        if watts < s.low:
+            return s.low - watts
+        if watts > s.high:
+            return watts - s.high
+        return 0.0
+
+    return min(states.states, key=lambda s: (distance(s), s.centroid))
+
+
+def reference_label_training_events(events, states):
+    """Two scalar nearest-state lookups per event, one new Transition each."""
+    from eventnilm.features import Transition, transition_interval
+
+    pairs = []
+    for e in events:
+        src = reference_nearest(states, e.pre_level)
+        dst = reference_nearest(states, e.post_level)
+        if src.mode == dst.mode:
+            continue
+        pairs.append((e, Transition(src.mode, dst.mode, *transition_interval(src, dst))))
+    return pairs
+
+
+# Stages 2-4 and the closure repair as per-cycle, per-column loops. Stage 2
+# walks every cycle, single-candidate or not, and the closure check replays
+# every refined cycle through ``_walk``.
+
+
+def reference_refine_by_compatibility(matrix, cycles, models, budget, diagnostics):
+    from eventnilm.classifier import _walk, _WalkSpace
+
+    space = _WalkSpace(models, matrix.rows)
+    for ci, cycle in enumerate(cycles):
+        cols = list(cycle.columns)
+        options = [matrix.candidates(c) for c in cols]
+        forward = _walk(space, matrix.rows, options, budget)
+        if forward is None:
+            diagnostics.unrefined_cycles.append((ci, "search budget exhausted"))
+            continue
+        if space.all_off not in forward[-1]:
+            diagnostics.unrefined_cycles.append((ci, "no compatible assignment"))
+            continue
+        alive = {space.all_off}
+        for i in range(len(cols) - 1, -1, -1):
+            keep, back = set(), set()
+            for theta in forward[i]:
+                for r in options[i]:
+                    row = matrix.rows[r]
+                    if space.applicable(theta, row) and space.apply(theta, row) in alive:
+                        keep.add(r)
+                        back.add(theta)
+            matrix.keep_only(cols[i], keep)
+            alive = back
+    return matrix
+
+
+def reference_refine_by_behaviors(matrix, models, raw, filtered, day_base=None):
+    from eventnilm.features import overshoot_height
+    from eventnilm.modes import OFF_MODE
+
+    by_app = {m.appliance_id: m for m in models}
+    cols_by_day = reference_day_columns(matrix.events, filtered, day_base)
+    for model in sorted(models, key=lambda m: m.appliance_id):
+        beh = model.behaviors
+        if beh is None or beh.signature is None:
+            continue
+        app_rows = [r for r, row in enumerate(matrix.rows) if row.appliance == model.appliance_id]
+        for cols in cols_by_day.values():
+            if any(beh.signature.contains(matrix.events[c].magnitude) for c in cols):
+                continue
+            for c in cols:
+                for r in app_rows:
+                    matrix.drop(c, r)
+    overshoot_of = {
+        m.appliance_id: (m.behaviors.overshoot_min if m.behaviors else 0.0) for m in models
+    }
+    for c, e in enumerate(matrix.events):
+        if not e.rising or matrix.column_count(c) < 2:
+            continue
+        height = overshoot_height(raw, e)
+        if height is None:
+            height = 0.0
+        for r in matrix.candidates(c):
+            need = overshoot_of[matrix.rows[r].appliance]
+            if need > 0.0 and height < need:
+                matrix.drop(c, r)
+        cand = matrix.candidates(c)
+        if any(0.0 < overshoot_of[matrix.rows[r].appliance] <= height for r in cand):
+            for r in cand:
+                if overshoot_of[matrix.rows[r].appliance] == 0.0:
+                    matrix.drop(c, r)
+    last_off = {}
+    for c, e in enumerate(matrix.events):
+        t = filtered.time_at(e.index)
+        for r in matrix.candidates(c):
+            row = matrix.rows[r]
+            beh = by_app[row.appliance].behaviors
+            if beh is None or beh.min_off_gap_s <= 0.0:
+                continue
+            if row.transition.from_mode != OFF_MODE:
+                continue
+            seen = last_off.get(row.appliance)
+            if seen is not None and t - seen < beh.min_off_gap_s:
+                matrix.drop(c, r)
+        rows = matrix.candidates(c)
+        if len(rows) == 1:
+            row = matrix.rows[rows[0]]
+            if row.transition.to_mode == OFF_MODE:
+                last_off[row.appliance] = filtered.time_at(e.post_index)
+    return matrix
+
+
+def reference_resolve_by_participation(matrix, models, filtered, day_base=None):
+    trained = {(m.appliance_id, key): p for m in models for key, p in m.participation.items()}
+    for cols in reference_day_columns(matrix.events, filtered, day_base).values():
+        count = {}
+        for c in cols:
+            for r in matrix.candidates(c):
+                count[r] = count.get(r, 0) + 1
+        for c in cols:
+            rows = matrix.candidates(c)
+            if len(rows) == 1:
+                continue
+            scored = []
+            for r in rows:
+                row = matrix.rows[r]
+                p = trained.get((row.appliance, row.transition.key), 0.0)
+                observed = count[r] / len(cols)
+                scored.append((abs(observed - p), -p, row.appliance, row.transition.key, r))
+            matrix.keep_only(c, {min(scored)[4]})
+    return matrix
+
+
+def reference_enforce_cycle_closure(
+    matrix, cycles, models, pre_step4, refined, budget, diagnostics
+):
+    from eventnilm.classifier import _walk, _WalkSpace
+
+    space = _WalkSpace(models, matrix.rows)
+    for ci, cycle in enumerate(cycles):
+        if ci not in refined:
+            continue
+        cols = list(cycle.columns)
+        chosen = [matrix.candidates(c)[0] for c in cols]
+        replay = _walk(space, matrix.rows, [[r] for r in chosen], len(cols))
+        if space.all_off in replay[-1]:
+            continue
+        layers = _walk(space, matrix.rows, [pre_step4[c] for c in cols], budget, chosen)
+        if layers is None or space.all_off not in layers[-1]:
+            diagnostics.unrepaired_cycles.append(ci)
+            continue
+        theta = space.all_off
+        for i in range(len(cols), 0, -1):
+            _, theta, r = layers[i][theta]
+            matrix.assign(cols[i - 1], r)
+    return matrix

@@ -15,6 +15,8 @@ from eventnilm import classifier
 from eventnilm.classifier import (
     CandidateLabelMatrix,
     Cycle,
+    _walk,
+    _WalkSpace,
     Diagnostics,
     LabelRow,
     all_off_threshold,
@@ -40,7 +42,12 @@ from helpers import (
     enumerate_surviving,
     ev,
     random_instance,
+    reference_enforce_cycle_closure,
     reference_initial_columns,
+    reference_refine_by_behaviors,
+    reference_refine_by_compatibility,
+    reference_resolve_by_participation,
+    reference_segment_cycles,
     sig,
     state,
     two_mode_model,
@@ -784,3 +791,224 @@ class TestClassifyInvariants:
         assert refined
         for cycle in refined:
             assert replay_closes([labeled[c] for c in cycle.columns], models)
+
+
+class TestReplayParity:
+    """The batched replay against ``_walk`` on one-row columns, cycle by cycle."""
+
+    @staticmethod
+    def random_cycle(rng, apps, rows):
+        """Row picks of one cycle: a walk left closed or open, or random rows."""
+        by_key = {(row.appliance, row.transition.key): r for r, row in enumerate(rows)}
+        if rng.uniform() < 0.25:
+            return [int(r) for r in rng.integers(0, len(rows), size=int(rng.integers(1, 8)))]
+        mode = {a: OFF_MODE for a in apps}
+        picks = []
+        for _ in range(int(rng.integers(1, 8))):
+            a = apps[int(rng.integers(len(apps)))]
+            dst = ["on1", "on2", OFF_MODE][int(rng.integers(3))]
+            if dst != mode[a]:
+                picks.append(by_key[a, (mode[a], dst)])
+                mode[a] = dst
+        if rng.uniform() < 0.7:
+            picks += [by_key[a, (m, OFF_MODE)] for a, m in mode.items() if m != OFF_MODE]
+        return picks or [by_key[apps[0], (OFF_MODE, "on1")]]
+
+    def test_random_cycles(self):
+        rng = np.random.default_rng(83)
+        modes = (OFF_MODE, "on1", "on2")
+        seen = set()
+        for _ in range(150):
+            apps = [f"app{i}" for i in range(int(rng.integers(1, 4)))]
+            rows = [
+                LabelRow(a, Transition(x, y, 0.0, 0.0))
+                for a in apps for x in modes for y in modes if x != y
+            ]
+            space = _WalkSpace([two_mode_model(a, 1.0, 2.0) for a in apps], rows)
+            cycles, picks = [], []
+            for _ in range(int(rng.integers(1, 10))):
+                cyc = self.random_cycle(rng, apps, rows)
+                cycles.append(Cycle(len(picks), len(picks) + len(cyc) - 1))
+                picks += cyc
+            closes, spent = space.replay(np.array(picks), *classifier._bounds(cycles))
+            for k, cycle in enumerate(cycles):
+                options = [[picks[c]] for c in cycle.columns]
+                n = len(options)
+                walked = _walk(space, rows, options, n)
+                assert closes[k] == (space.all_off in walked[-1])
+                # the expansions spent: the smallest budget the walk fits in
+                fits = [b for b in range(n + 1) if _walk(space, rows, options, b) is not None]
+                assert spent[k] == fits[0]
+                budget = int(rng.integers(0, n + 1))
+                assert (spent[k] > budget) == (_walk(space, rows, options, budget) is None)
+                steps = [rows[picks[c]] for c in cycle.columns]
+                if steps[0].transition.from_mode != OFF_MODE:
+                    seen.add("inapplicable first step")
+                if spent[k] == n and not closes[k]:
+                    seen.add("all steps apply, appliance left on")
+                if closes[k]:
+                    seen.add("closes")
+                if spent[k] > budget:
+                    seen.add("over budget")
+                owners = [r.appliance for r in steps]
+                runs = [x for i, x in enumerate(owners) if i == 0 or owners[i - 1] != x]
+                if len(runs) > len(set(runs)):  # an appliance steps again after another
+                    seen.add("interleaved appliances")
+        assert seen == {
+            "inapplicable first step",
+            "all steps apply, appliance left on",
+            "closes",
+            "over budget",
+            "interleaved appliances",
+        }
+
+
+class TestSegmentCyclesParity:
+    """Vectorised cut points against the pairwise loop."""
+
+    def test_random_events(self):
+        rng = np.random.default_rng(31)
+        overlapping = never_off = 0
+        for _ in range(300):
+            n = int(rng.integers(3, 200))
+            s = sig(rng.choice([0.0, 5.0, 50.0, 500.0], size=n) + 2.0 * (rng.uniform() < 0.2))
+            k = int(rng.integers(1, min(n - 1, 30) + 1))
+            index = np.sort(rng.choice(n - 1, size=k, replace=False))
+            events = [
+                ev(int(i), 0.0, 1.0, post_index=min(n - 1, int(i) + int(rng.integers(1, 6))))
+                for i in index
+            ]
+            threshold = float(rng.choice([1.0, 10.0, 100.0, 1000.0]))
+            diag = Diagnostics()
+            got = segment_cycles(s, events, threshold, diag)
+            assert got == reference_segment_cycles(s, events, threshold)
+            assert diag.never_all_off == (not (s.values < threshold).any())
+            overlapping += any(a.post_index > b.index for a, b in zip(events, events[1:]))
+            never_off += diag.never_all_off
+        assert overlapping > 0 and never_off > 0
+
+    @pytest.mark.parametrize("household", ["demo", "balanced"])
+    def test_generated_households(self, household):
+        result = generate(
+            demo_household() if household == "demo" else balanced_household(), days=3, seed=4
+        )
+        filtered, events = filter_and_detect(result.aggregate)
+        for threshold in (10.0, 100.0, 1000.0):
+            want = reference_segment_cycles(filtered, events, threshold)
+            assert segment_cycles(filtered, events, threshold) == want
+
+
+class TestStagesParity:
+    """Stages 2-4 and the closure repair against their per-cycle loops.
+
+    Households mix cycles whose columns all hold one candidate (appliance
+    c's band is apart from the others) with cycles of overlapping bands.
+    """
+
+    BASES = {"a": 500.0, "b": 540.0, "c": 1500.0}
+
+    def instance(self, rng):
+        models = []
+        for name, base in self.BASES.items():
+            rise = Transition(OFF_MODE, "on1", base - 60.0, base + 60.0)
+            models.append(
+                two_mode_model(
+                    name,
+                    base - 60.0,
+                    base + 60.0,
+                    participation={
+                        (OFF_MODE, "on1"): float(rng.uniform(0.0, 0.5)),
+                        ("on1", OFF_MODE): float(rng.uniform(0.0, 0.5)),
+                    },
+                    signature=rise if rng.uniform() < 0.3 else None,
+                    overshoot_min=float(rng.choice([0.0, 0.0, 80.0])),
+                    min_off_gap_s=float(rng.choice([0.0, 0.0, 3000.0, 30000.0])),
+                )
+            )
+        events, cycles, idx = [], [], 5
+        for _ in range(int(rng.integers(3, 25))):
+            apps = list(rng.choice(list(self.BASES), size=int(rng.integers(1, 3)), replace=False))
+            steps = [(a, 1.0) for a in apps] + [(a, -1.0) for a in rng.permutation(apps)]
+            if rng.uniform() < 0.15:
+                steps.pop(int(rng.integers(len(steps))))  # a cycle that cannot close
+            first, level = len(events), 0.0
+            for a, sign in steps:
+                mag = sign * float(rng.uniform(self.BASES[a] - 60.0, self.BASES[a] + 60.0))
+                if rng.uniform() < 0.05:
+                    mag = sign * 1000.0  # inside no band
+                if max(0.0, level + mag) == level:
+                    continue  # a fall from 0 W changes nothing
+                events.append(ev(idx, level, max(0.0, level + mag)))
+                level = max(0.0, level + mag)
+                idx += int(rng.integers(1, 120))
+            if len(events) == first:
+                continue
+            cycles.append(Cycle(first, len(events) - 1))
+            idx += int(rng.integers(1, 300))
+        n = idx + 20
+        filtered = sig(np.zeros(n), period=300.0)
+        raw = sig(rng.uniform(0.0, 2000.0, size=n), period=300.0)
+        return models, events, cycles, raw, filtered
+
+    def test_random_households(self):
+        rng = np.random.default_rng(97)
+        seen = set()
+        for _ in range(300):
+            models, events, cycles, raw, filtered = self.instance(rng)
+            rows = build_rows(models)
+            budget = int(rng.choice([1, 2, 4, 8, 1_000_000]))
+            new = initial_labels(events, rows)
+            for c in range(len(events)):
+                if rng.uniform() < 0.1:  # odd candidate sets, as earlier stages never make
+                    pick = rng.choice(len(rows), size=int(rng.integers(1, 4)), replace=False)
+                    new.columns[c] = tuple(sorted(int(r) for r in pick))
+            ref = CandidateLabelMatrix(rows, events, list(new.columns))
+            d_new, d_ref = Diagnostics(), Diagnostics()
+
+            before = list(new.columns)
+            refine_by_compatibility(new, cycles, models, budget, d_new)
+            reference_refine_by_compatibility(ref, cycles, models, budget, d_ref)
+            assert new.columns == ref.columns
+            assert d_new.unrefined_cycles == d_ref.unrefined_cycles
+            unrefined = {i for i, _ in d_new.unrefined_cycles}
+            refined = set(range(len(cycles))) - unrefined
+            for i, cycle in enumerate(cycles):
+                single = all(len(before[c]) == 1 for c in cycle.columns)
+                seen.add(("single" if single else "multi", i in refined))
+            seen |= {reason for _, reason in d_new.unrefined_cycles}
+
+            before = list(new.columns)
+            refine_by_behaviors(new, models, raw, filtered)
+            reference_refine_by_behaviors(ref, models, raw, filtered)
+            assert new.columns == ref.columns
+            if new.columns != before:
+                seen.add("behavior drops")
+
+            pre = list(new.columns)
+            resolve_by_participation(new, models, filtered)
+            reference_resolve_by_participation(ref, models, filtered)
+            assert new.columns == ref.columns
+            if new.columns != pre:
+                seen.add("participation picks")
+
+            before = list(new.columns)
+            enforce_cycle_closure(new, cycles, models, pre, refined, budget, d_new)
+            reference_enforce_cycle_closure(ref, cycles, models, pre, refined, budget, d_ref)
+            assert new.columns == ref.columns
+            assert d_new.unrepaired_cycles == d_ref.unrepaired_cycles
+            if new.columns != before:
+                seen.add("repaired")
+            if d_new.unrepaired_cycles:
+                seen.add("unrepaired")
+        assert seen == {
+            ("single", True),
+            ("single", False),
+            ("multi", True),
+            ("multi", False),
+            "no compatible assignment",
+            "search budget exhausted",
+            "behavior drops",
+            "participation picks",
+            "repaired",
+            "unrepaired",
+        }

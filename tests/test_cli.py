@@ -309,6 +309,38 @@ class TestMeterFaults:
         err = capsys.readouterr().err
         assert err == "note: ch: 0 negative readings clipped to 0 W, 1 gaps longer than 60 s\n"
 
+    def test_duplicate_and_swapped_timestamps_noted(self, tmp_path, capsys):
+        channel = write_channel(tmp_path / "ch.dat", step_values())
+        out = tmp_path / "events.tsv"
+        args = ["detect-events", "--input", str(channel), "--output", str(out)]
+        assert main(args) == 0
+        assert capsys.readouterr().err == ""  # clean data
+        lines = channel.read_text().splitlines()
+        lines.insert(6, lines[5].split()[0] + " 3")  # a second reading at line 6's time
+        lines[30], lines[31] = lines[31], lines[30]
+        channel.write_text("\n".join(lines) + "\n")
+        assert main(args) == 0
+        assert capsys.readouterr().err == (
+            "note: ch: 0 negative readings clipped to 0 W, 0 gaps longer than 60 s,"
+            " 1 duplicate and 1 out-of-order timestamps\n"
+        )
+
+    def test_dataset_disorder_noted_per_appliance(self, dataset, tmp_path, capsys):
+        manifest = copy_dataset(dataset, tmp_path)
+        names = dict(line.split() for line in (tmp_path / "labels.dat").read_text().splitlines())
+        second = tmp_path / "channel_2.dat"
+        lines = second.read_text().splitlines()
+        lines[40], lines[41] = lines[41], lines[40]
+        lines.insert(51, lines[50])  # the same line twice
+        second.write_text("\n".join(lines) + "\n")
+        code = main(["train", "--manifest", str(manifest), "--output", str(tmp_path / "m.json")])
+        assert code == 0
+        notes = [n for n in capsys.readouterr().err.splitlines() if "negative readings" in n]
+        assert notes == [
+            f"note: {names['2']}: 0 negative readings clipped to 0 W, 0 gaps longer than 60 s,"
+            " 1 duplicate and 1 out-of-order timestamps"
+        ]
+
     def test_dataset_faults_noted_per_appliance(self, dataset, tmp_path, capsys):
         manifest = copy_dataset(dataset, tmp_path)
         names = dict(line.split() for line in (tmp_path / "labels.dat").read_text().splitlines())

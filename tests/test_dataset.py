@@ -10,6 +10,7 @@ from eventnilm.dataset import (
     read_channel,
     read_manifest,
     slice_days,
+    timestamp_faults,
     write_dataset,
 )
 from eventnilm.errors import AlignmentError, ManifestError, ParseError
@@ -245,6 +246,23 @@ _BAD_LINES = (
     "{t} -Infinity",
     "{t} 1e400",
 )
+
+
+class TestTimestampFaults:
+    @pytest.mark.parametrize(
+        "times, counts",
+        [
+            ([0, 10, 20, 30], (0, 0)),
+            ([0, 10, 10, 20], (1, 0)),
+            ([0, 10, 10, 10], (2, 0)),
+            ([0, 20, 10, 30], (0, 1)),
+            ([0, 30, 10, 30], (1, 1)),  # equal once sorted, apart in the file
+            ([30, 20, 10, 0], (0, 3)),
+            ([5], (0, 0)),
+        ],
+    )
+    def test_counts(self, times, counts):
+        assert timestamp_faults(np.array(times, dtype=np.float64)) == counts
 
 
 class TestChannelParity:

@@ -16,6 +16,7 @@ from eventnilm.features import (
     Transition,
     all_transitions,
     daily_transition_counts,
+    day_columns,
     day_of,
     extract_behaviors,
     find_signature,
@@ -31,7 +32,13 @@ from eventnilm.filtering import detect_events
 from eventnilm.modes import OFF_MODE, State, StateSet
 from eventnilm.signals import EventRecord
 
-from helpers import sig, two_mode_model
+from helpers import (
+    reference_day_columns,
+    reference_label_training_events,
+    reference_nearest,
+    sig,
+    two_mode_model,
+)
 
 
 def state(mode, lo, hi):
@@ -178,6 +185,86 @@ class TestDaySplitting:
         s = sig(np.ones(10), start=200.0, period=1.0)
         days = split_days([ev(0, 0, 1)], s, base=0.0, day_seconds=100.0)
         assert list(days) == [2]
+
+
+class TestDayColumnsParity:
+    """Days computed as one array against the scalar floor rule, event by event."""
+
+    def test_random_grids(self):
+        rng = np.random.default_rng(55)
+        on_boundary = 0
+        for _ in range(200):
+            start = float(rng.choice([0.0, 1.6e9, rng.uniform(-1e5, 1e5)]))
+            period = float(rng.choice([1.0, 3.0, 60.0, 0.1, 7.3]))
+            day = float(rng.choice([86400.0, 100.0, 25.0, 0.7]))
+            n = int(rng.integers(1, 400))
+            s = sig(np.ones(n), start=start, period=period)
+            index = rng.integers(0, n, size=int(rng.integers(0, 30)))
+            if rng.uniform() < 0.5:
+                index = np.sort(index)
+            events = [ev(int(i), 0.0, 1.0) for i in index]
+            base = [None, start, start - 3 * day, start + 5 * day]
+            if events:
+                t = s.time_at(events[0].index)
+                base += [t, float(np.nextafter(t, np.inf)), float(np.nextafter(t, -np.inf))]
+            for b in base:
+                want = reference_day_columns(events, s, b, day)
+                assert day_columns(events, s, b, day) == want
+                for e in events:
+                    t = s.time_at(e.index)
+                    ref = s.start_time if b is None else b
+                    assert day_of(t, ref, day) == int((t - ref) // day)
+                    on_boundary += (t - ref) % day == 0.0
+        assert on_boundary > 0
+
+
+class TestLabelTrainingEventsParity:
+    """Nearest states as one distance array against the scalar min, event by event."""
+
+    @staticmethod
+    def random_states(rng):
+        count = 2 * int(rng.integers(1, 5))
+        edges = np.sort(rng.choice(np.arange(10, 3000, 10), size=count, replace=False))
+        if count > 2 and rng.uniform() < 0.3:
+            edges[2] = edges[1]  # two states touching at one bound
+        states = [State(OFF_MODE, 0.0, float(rng.choice([0.0, 4.0])), 0.0)]
+        for i, (lo, hi) in enumerate(edges.reshape(-1, 2)):
+            centroid = float(rng.choice([(lo + hi) / 2.0, lo, hi]))
+            states.append(State(f"on{i + 1}", float(lo), float(hi), centroid))
+        if rng.uniform() < 0.3:  # a second state sharing a centroid with the last
+            last = states[-1]
+            states.append(State("on9", last.low, last.high + 10.0, last.centroid))
+        rest = states[1:]
+        rng.shuffle(rest)  # tuple order need not be centroid order
+        return StateSet(states=(states[0], *rest))
+
+    def test_random_state_sets(self):
+        rng = np.random.default_rng(77)
+        on_bound = equidistant = 0
+        for _ in range(300):
+            states = self.random_states(rng)
+            bounds = sorted({v for st in states.states for v in (st.low, st.high)})
+            levels = []
+            for _ in range(int(rng.integers(1, 40))):
+                kind = int(rng.integers(4))
+                if kind == 0:
+                    levels.append(float(rng.choice(bounds)))
+                elif kind == 1 and len(bounds) > 1:  # midway between two bounds
+                    i = int(rng.integers(len(bounds) - 1))
+                    levels.append((bounds[i] + bounds[i + 1]) / 2.0)
+                else:
+                    levels.append(float(rng.uniform(0.0, 3500.0)))
+            for w in levels:
+                assert states.nearest(w) is reference_nearest(states, w)
+                dist = sorted(max(st.low - w, w - st.high, 0.0) for st in states.states)
+                equidistant += len(dist) > 1 and dist[0] == dist[1]
+                on_bound += w in bounds
+            steps = zip(levels, levels[1:])
+            events = [ev(10 * i, a, b) for i, (a, b) in enumerate(steps) if a != b]
+            assert label_training_events(events, states) == reference_label_training_events(
+                events, states
+            )
+        assert on_bound > 0 and equidistant > 0
 
 
 def participation_oracle(daily_counts, daily_totals):

@@ -13,6 +13,7 @@ from eventnilm.filtering import (
     REPLACEMENT_RUN_CAP,
     OutlierReport,
     RatioSeries,
+    _runs,
     build_filtered_signal,
     change_ratios,
     detect_events,
@@ -20,7 +21,9 @@ from eventnilm.filtering import (
     filter_and_detect,
 )
 
-from helpers import reference_build_filtered_signal, sig
+from eventnilm.synth import balanced_household, demo_household, generate
+
+from helpers import reference_build_filtered_signal, reference_detect_events, sig
 
 
 def ratio_oracle(values):
@@ -261,3 +264,56 @@ class TestFilterAndDetect:
         assert mags[1] == pytest.approx(-1200.0, rel=0.03)
         assert mags[2] == pytest.approx(900.0, rel=0.03)
         assert mags[3] == pytest.approx(-900.0, rel=0.03)
+
+
+class TestDetectEventsParity:
+    """Array-built events against the run-by-run reference, field for field."""
+
+    def test_random_signals(self):
+        rng = np.random.default_rng(404)
+        dropped = clamped = 0
+        for _ in range(300):
+            n = int(rng.integers(2, 200))
+            levels = rng.choice([0.0, 40.0, 500.0, 1234.5], size=n // 5 + 1)
+            vals = np.repeat(levels, 5)[:n]
+            if rng.uniform() < 0.5:
+                vals = vals * (1.0 + rng.normal(0, 0.01, size=n))
+            spikes = rng.uniform(size=n) < 0.05
+            vals[spikes] = rng.lognormal(6.0, 2.0, size=int(spikes.sum()))
+            s = sig(vals)
+            want = reference_detect_events(s)
+            assert detect_events(s) == want
+            dropped += len(_runs(detect_outliers(s).instances)[0]) > len(want)
+            clamped += any(e.post_index == n - 1 for e in want)
+        assert dropped > 0 and clamped > 0
+
+    @pytest.mark.parametrize("household", ["demo", "balanced"])
+    def test_generated_channels(self, household):
+        result = generate(
+            demo_household() if household == "demo" else balanced_household(), days=2, seed=3
+        )
+        for s in [result.aggregate, *result.appliances.values()]:
+            filtered, events = filter_and_detect(s)
+            assert events == reference_detect_events(filtered)
+
+
+class TestFilterAndDetectInvariants:
+    """What every filtered signal and event list must hold, on generated households."""
+
+    @pytest.mark.parametrize("household", ["demo", "balanced"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sweep(self, household, seed):
+        result = generate(
+            demo_household() if household == "demo" else balanced_household(), days=3, seed=seed
+        )
+        assert filter_and_detect(result.aggregate)[1]
+        for s in [result.aggregate, *result.appliances.values()]:
+            filtered, events = filter_and_detect(s)
+            assert (filtered.values >= 0).all()
+            index = np.array([e.index for e in events])
+            assert (np.diff(index) > 0).all()
+            for e in events:
+                assert e.index < e.post_index
+                assert e.magnitude == e.post_level - e.pre_level
+                assert e.pre_level == filtered.values[e.index]
+                assert e.post_level == filtered.values[e.post_index]
