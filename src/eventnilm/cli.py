@@ -134,14 +134,7 @@ def cmd_filter(args) -> int:
 def cmd_detect_events(args) -> int:
     signal = _read_signal(args.input, args.period)
     _, events = filter_and_detect(signal)
-    lines = ["index\ttime\tmagnitude\tpre_level\tpost_level"]
-    for ev in events:
-        lines.append(
-            f"{ev.index}\t{format_number(signal.time_at(ev.index))}"
-            f"\t{format_number(ev.magnitude)}"
-            f"\t{format_number(ev.pre_level)}\t{format_number(ev.post_level)}"
-        )
-    atomic_write_text(args.output, "\n".join(lines) + "\n")
+    atomic_write_text(args.output, pipeline.format_events_table(signal, events))
     print(f"wrote {len(events)} events to {args.output}")
     return EXIT_OK
 

@@ -216,8 +216,6 @@ class BehaviorSet:
     signature: all-or-none usage marker. Set when every active training day
       exercises every non-OFF mode; holds a transition seen on each such day,
       so its absence from a test day implies the appliance stayed off.
-    forbidden: ordered mode pairs never observed in training; none of them
-      may also be a transition of the model (checked by ApplianceModel).
     overshoot_min: smallest rise-event overshoot (raw local peak above the
       settled filtered level) seen in training. Recorded only when every
       rising training event overshoots by at least the floor; 0 disables.
@@ -226,7 +224,6 @@ class BehaviorSet:
     """
 
     signature: Transition | None
-    forbidden: tuple[tuple[str, str], ...]
     overshoot_min: float
     min_off_gap_s: float
 
@@ -328,13 +325,8 @@ def extract_behaviors(
     daily_transitions = [
         [by_index[ev.index] for ev in evs] for evs in days.values()
     ]
-    observed = {t.key for day in daily_transitions for t in day}
-    forbidden = tuple(
-        sorted(t.key for t in all_transitions(states) if t.key not in observed)
-    )
     return BehaviorSet(
         signature=find_signature(daily_transitions, states),
-        forbidden=forbidden,
         overshoot_min=overshoot_floor(raw, filtered, labeled, floor=overshoot_floor_w),
         min_off_gap_s=min_off_gap(labeled, filtered),
     )
@@ -348,9 +340,7 @@ def extract_behaviors(
 class ApplianceModel:
     """Everything learned about one appliance from its training signal.
 
-    ``transitions`` holds only mode changes actually observed in training;
-    the pairs that never occurred live in ``behaviors.forbidden``. A key in
-    both raises ValueError, which model loading reports as a parse error.
+    ``transitions`` holds only mode changes actually observed in training.
     """
 
     appliance_id: str
@@ -358,16 +348,6 @@ class ApplianceModel:
     transitions: tuple[Transition, ...]
     participation: dict[tuple[str, str], float] = field(default_factory=dict)
     behaviors: BehaviorSet | None = None
-
-    def __post_init__(self):
-        if self.behaviors is None:
-            return
-        both = {t.key for t in self.transitions} & set(self.behaviors.forbidden)
-        if both:
-            raise ValueError(
-                f"appliance {self.appliance_id!r}: transitions {sorted(both)} "
-                "are also forbidden"
-            )
 
     def transition_for(self, key: tuple[str, str]) -> Transition:
         for t in self.transitions:

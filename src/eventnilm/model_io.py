@@ -16,7 +16,7 @@ from .errors import ParseError
 from .features import ApplianceModel, BehaviorSet, Transition
 from .modes import State, StateSet
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def format_number(x: float) -> str:
@@ -91,7 +91,6 @@ def _model_to_dict(model: ApplianceModel) -> dict:
                 "low": beh.signature.low,
                 "high": beh.signature.high,
             },
-            "forbidden": [_key_str(k) for k in beh.forbidden],
             "overshoot_min": beh.overshoot_min,
             "min_off_gap_s": beh.min_off_gap_s,
         },
@@ -127,7 +126,6 @@ def _model_from_dict(data: dict) -> ApplianceModel:
                 signature=None
                 if sig is None
                 else Transition(sig["from"], sig["to"], float(sig["low"]), float(sig["high"])),
-                forbidden=tuple(_key_tuple(k) for k in beh["forbidden"]),
                 overshoot_min=float(beh["overshoot_min"]),
                 min_off_gap_s=float(beh["min_off_gap_s"]),
             )

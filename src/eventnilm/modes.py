@@ -16,19 +16,23 @@ neighbouring state purely because it holds few samples.
 For 1-D data the globally cheapest Ward merge is always between clusters
 adjacent in centroid order (for sorted centroids ci < cj < ck, assuming both
 adjacent merges cost at least the straddling one leads to 0 >= 2*ni*nk), so
-agglomeration runs on sorted samples with a heap of adjacent-pair costs in
-O(n log n) instead of touching all pairs.
+agglomeration runs on sorted samples and looks only at adjacent-pair costs.
+Ward linkage is also reducible: a merged cluster is never cheaper to join
+than the cheaper of its two parts was. So rounds that merge every
+reciprocal-nearest adjacent pair at once build the same dendrogram as merging
+the cheapest pair one at a time (D. Muellner, "Modern hierarchical,
+agglomerative clustering algorithms", arXiv:1109.2378, 2011). The rounds run
+in numpy down to one cluster, and the dendrogram is then cut at ``k``. The
+path is exact at every input size: no value is rounded.
 
 Exactly equal samples merge first, at zero cost (adjacent slices of sorted
-data share a centroid only if all their values are equal), so the heap starts
-from one cluster per distinct value: a few thousand on a mostly-OFF filtered
-channel instead of ~90k samples. With fewer distinct values than ``k``, it
-falls back to one cluster per sample.
+data share a centroid only if all their values are equal), so the rounds
+start from one cluster per distinct value. With fewer distinct values than
+``k``, they start from one cluster per sample.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,13 +42,9 @@ from .signals import PowerSignal
 
 OFF_MODE = "off"
 
-# extract_states guards: below 10 clusters the linkage phase would already be
-# doing the distance sweep's job. Above the sample limit, values are rounded to
-# the quantum before clustering, the only lossy path: a 1 Hz channel keeps too
-# many distinct values (a synthetic refrigerator: ~55k in 3 days, ~139k in 7).
+# extract_states guard: below 10 clusters the linkage phase would already be
+# doing the distance sweep's job.
 MIN_CLUSTERS = 10
-DEDUPE_SAMPLE_LIMIT = 1_000_000
-DEDUPE_QUANTUM_W = 1.0
 
 
 @dataclass(frozen=True)
@@ -146,9 +146,9 @@ def _cost(na: int, ca: float, nb: int, cb: float) -> float:
 def lw_cluster(samples, k: int) -> list[Cluster]:
     """Agglomerate samples bottom-up until exactly ``k`` clusters remain.
 
-    Every sample starts as its own cluster; at each stage the globally
-    cheapest pair merges. Cost ties break toward the pair with the smaller
-    centroids, which makes the result deterministic.
+    The result is the greedy one: every sample starts as its own cluster and
+    at each stage the globally cheapest pair merges, cost ties breaking
+    toward the pair with the smaller centroids, which makes it deterministic.
     """
     data = np.sort(np.asarray(samples, dtype=np.float64))
     n = data.size
@@ -156,58 +156,51 @@ def lw_cluster(samples, k: int) -> list[Cluster]:
         raise ValueError("k must be at least 1")
     if n < k:
         raise InsufficientDataError(f"cannot form {k} clusters from {n} samples")
+    if not np.isfinite(data).all():
+        raise ValueError("samples must be finite")
 
-    if n > DEDUPE_SAMPLE_LIMIT:
-        data = np.round(data / DEDUPE_QUANTUM_W) * DEDUPE_QUANTUM_W
     values, counts = np.unique(data, return_counts=True)
     if values.size < k:
-        if n > DEDUPE_SAMPLE_LIMIT:
-            raise InsufficientDataError(
-                f"deduplication left {values.size} distinct values, fewer than k={k}"
-            )
         values, counts = data, np.ones(n, dtype=np.int64)
     starts = np.concatenate(([0], np.cumsum(counts)))  # value i -> data slice
 
-    # Cluster i spans values i .. right[i] - 1; only neighbours can merge, so
-    # a lazy-deletion heap over adjacent pairs suffices. A merge bumps both
-    # versions, staling every pending entry of either cluster.
+    # Live clusters in value order: member count, member sum (for exact
+    # weighted centroids) and first value. Each round merges every pair that
+    # is cheaper than its left neighbour pair and no dearer than its right
+    # one; in a run of equal costs that opens below its left neighbour, that
+    # is every other pair from the run's start. Each merge records its cost
+    # and left centroid on the gap between the two clusters' values.
     m = values.size
-    size = counts.astype(np.float64).tolist()
-    total = (values * counts).tolist()  # member sums, for exact weighted centroids
-    left = list(range(-1, m - 1))  # neighbour links; -1 / m = none
-    right = list(range(1, m + 1))
-    version = [0] * m
+    size = counts.astype(np.float64)
+    total = values * counts
+    first = np.arange(m)
+    height, left_centroid = np.empty(m - 1), np.empty(m - 1)
+    while size.size > 1:
+        centroid = total / size
+        cost = _cost(size[:-1], centroid[:-1], size[1:], centroid[1:])
+        pair = np.arange(cost.size)
+        opens = np.concatenate(([True], cost[1:] != cost[:-1]))
+        run_start = np.maximum.accumulate(np.where(opens, pair, 0))
+        below_left = np.concatenate(([True], cost[1:] < cost[:-1]))
+        not_above_right = np.concatenate((cost[:-1] <= cost[1:], [True]))
+        merge = pair[
+            below_left[run_start] & ((pair - run_start) % 2 == 0) & not_above_right
+        ]
+        gap = first[merge + 1] - 1
+        height[gap], left_centroid[gap] = cost[merge], centroid[merge]
+        size[merge] += size[merge + 1]
+        total[merge] += total[merge + 1]
+        keep = np.ones(size.size, dtype=bool)
+        keep[merge + 1] = False
+        size, total, first = size[keep], total[keep], first[keep]
 
-    def pair_entry(i, j):
-        ci, cj = total[i] / size[i], total[j] / size[j]
-        return (_cost(size[i], ci, size[j], cj), ci, cj, i, j, version[i], version[j])
-
-    heap = [pair_entry(i, i + 1) for i in range(m - 1)]
-    heapq.heapify(heap)
-    push, pop = heapq.heappush, heapq.heappop
-    for _ in range(m - k):
-        while True:
-            _, _, _, i, j, vi, vj = pop(heap)
-            if version[i] == vi and version[j] == vj:
-                break
-        # merge j into i (i is the lower neighbour)
-        size[i] += size[j]
-        total[i] += total[j]
-        version[i] += 1
-        version[j] += 1
-        r = right[i] = right[j]
-        if r < m:
-            left[r] = i
-            push(heap, pair_entry(i, r))
-        if left[i] >= 0:
-            push(heap, pair_entry(left[i], i))
-
-    out, i = [], 0
-    while i < m:
-        out.append(Cluster.of(data[starts[i] : starts[right[i]]]))
-        i = right[i]
-    out.sort(key=lambda c: c.centroid)
-    return out
+    # The greedy run stops k - 1 merges short of one cluster: the gaps it
+    # never merges carry the largest (cost, left centroid, gap) keys. The
+    # sort is stable, so equal keys stay in gap order.
+    order = np.lexsort((left_centroid, height))
+    cuts = np.sort(order[m - k :]) + 1
+    bounds = starts[np.concatenate(([0], cuts, [m]))]
+    return [Cluster.of(data[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def _merge_clusters(a: Cluster, b: Cluster) -> Cluster:

@@ -203,6 +203,18 @@ def format_metrics(counts: dict[str, ConfusionCounts]) -> str:
 # plot data
 
 
+def format_events_table(signal: PowerSignal, events: list[EventRecord]) -> str:
+    """One line per detected event: index, time, magnitude, levels."""
+    lines = ["index\ttime\tmagnitude\tpre_level\tpost_level"]
+    for ev in events:
+        lines.append(
+            f"{ev.index}\t{format_number(signal.time_at(ev.index))}"
+            f"\t{format_number(ev.magnitude)}"
+            f"\t{format_number(ev.pre_level)}\t{format_number(ev.post_level)}"
+        )
+    return "\n".join(lines) + "\n"
+
+
 def write_plot_data(
     outdir: str | Path,
     raw: PowerSignal,
@@ -225,15 +237,8 @@ def write_plot_data(
     atomic_write_text(p, "\n".join(lines) + "\n")
     written.append(p)
 
-    lines = ["index\ttime\tmagnitude\tpre_level\tpost_level"]
-    for ev in events:
-        lines.append(
-            f"{ev.index}\t{format_number(raw.time_at(ev.index))}"
-            f"\t{format_number(ev.magnitude)}"
-            f"\t{format_number(ev.pre_level)}\t{format_number(ev.post_level)}"
-        )
     p = outdir / "events.tsv"
-    atomic_write_text(p, "\n".join(lines) + "\n")
+    atomic_write_text(p, format_events_table(raw, events))
     written.append(p)
 
     if cycles is not None:

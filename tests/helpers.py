@@ -153,7 +153,6 @@ def two_mode_model(
     lo,
     hi,
     participation=None,
-    forbidden=(),
     signature=None,
     overshoot_min=0.0,
     min_off_gap_s=0.0,
@@ -169,7 +168,6 @@ def two_mode_model(
     fall = Transition("on1", OFF_MODE, -float(hi), -float(lo))
     behaviors = BehaviorSet(
         signature=signature,
-        forbidden=tuple(forbidden),
         overshoot_min=overshoot_min,
         min_off_gap_s=min_off_gap_s,
     )
@@ -182,19 +180,6 @@ def two_mode_model(
     )
 
 
-def write_self_forbidding_model(path):
-    """A model file whose one appliance also lists its rise as forbidden."""
-    import json
-
-    from eventnilm.model_io import save_models
-
-    save_models(path, [two_mode_model("heater", 790.0, 810.0)])
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    doc["appliances"][0]["behaviors"]["forbidden"] = ["off->on1"]
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    return path
-
-
 def enumerate_surviving(matrix, cycle, models):
     """Brute force over all full assignments; exact but exponential."""
     import itertools
@@ -202,10 +187,6 @@ def enumerate_surviving(matrix, cycle, models):
     from eventnilm.modes import OFF_MODE
 
     apps = sorted(m.appliance_id for m in models)
-    forbidden = {
-        m.appliance_id: set(m.behaviors.forbidden) if m.behaviors else set()
-        for m in models
-    }
     cols = list(cycle.columns)
     kept = [set() for _ in cols]
     for assignment in itertools.product(*(matrix.candidates(c) for c in cols)):
@@ -213,9 +194,6 @@ def enumerate_surviving(matrix, cycle, models):
         ok = True
         for r in assignment:
             row = matrix.rows[r]
-            if row.transition.key in forbidden[row.appliance]:
-                ok = False
-                break
             if modes[row.appliance] != row.transition.from_mode:
                 ok = False
                 break
@@ -486,3 +464,65 @@ def reference_enforce_cycle_closure(
             _, theta, r = layers[i][theta]
             matrix.assign(cols[i - 1], r)
     return matrix
+
+
+def reference_lw_cluster(samples, k):
+    """Greedy Ward agglomeration with a lazy-deletion heap of adjacent-pair
+    costs, one merge at a time, for parity tests of ``lw_cluster``."""
+    import heapq
+
+    from eventnilm.errors import InsufficientDataError
+    from eventnilm.modes import Cluster, _cost
+
+    data = np.sort(np.asarray(samples, dtype=np.float64))
+    n = data.size
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if n < k:
+        raise InsufficientDataError(f"cannot form {k} clusters from {n} samples")
+
+    values, counts = np.unique(data, return_counts=True)
+    if values.size < k:
+        values, counts = data, np.ones(n, dtype=np.int64)
+    starts = np.concatenate(([0], np.cumsum(counts)))  # value i -> data slice
+
+    # Cluster i spans values i .. right[i] - 1; only neighbours can merge, so
+    # a lazy-deletion heap over adjacent pairs suffices. A merge bumps both
+    # versions, staling every pending entry of either cluster.
+    m = values.size
+    size = counts.astype(np.float64).tolist()
+    total = (values * counts).tolist()  # member sums, for exact weighted centroids
+    left = list(range(-1, m - 1))  # neighbour links; -1 / m = none
+    right = list(range(1, m + 1))
+    version = [0] * m
+
+    def pair_entry(i, j):
+        ci, cj = total[i] / size[i], total[j] / size[j]
+        return (_cost(size[i], ci, size[j], cj), ci, cj, i, j, version[i], version[j])
+
+    heap = [pair_entry(i, i + 1) for i in range(m - 1)]
+    heapq.heapify(heap)
+    push, pop = heapq.heappush, heapq.heappop
+    for _ in range(m - k):
+        while True:
+            _, _, _, i, j, vi, vj = pop(heap)
+            if version[i] == vi and version[j] == vj:
+                break
+        # merge j into i (i is the lower neighbour)
+        size[i] += size[j]
+        total[i] += total[j]
+        version[i] += 1
+        version[j] += 1
+        r = right[i] = right[j]
+        if r < m:
+            left[r] = i
+            push(heap, pair_entry(i, r))
+        if left[i] >= 0:
+            push(heap, pair_entry(left[i], i))
+
+    out, i = [], 0
+    while i < m:
+        out.append(Cluster.of(data[starts[i] : starts[right[i]]]))
+        i = right[i]
+    out.sort(key=lambda c: c.centroid)
+    return out

@@ -74,7 +74,7 @@ def three_mode_model(app, band1, band2, participation=None):
     up2 = Transition("on1", "on2", band2[0] - band1[1], band2[1] - band1[0])
     down = Transition("on2", OFF_MODE, -float(band2[1]), -float(band2[0]))
     behaviors = BehaviorSet(
-        signature=None, forbidden=(), overshoot_min=0.0, min_off_gap_s=0.0
+        signature=None, overshoot_min=0.0, min_off_gap_s=0.0
     )
     return ApplianceModel(
         appliance_id=app,
@@ -283,7 +283,7 @@ class TestRefineByBehaviors:
             ),
             participation={},
             behaviors=BehaviorSet(
-                signature=marker, forbidden=(), overshoot_min=0.0, min_off_gap_s=0.0
+                signature=marker, overshoot_min=0.0, min_off_gap_s=0.0
             ),
         )
 

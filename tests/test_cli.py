@@ -13,7 +13,7 @@ import eventnilm
 from eventnilm.cli import main
 from eventnilm.model_io import save_models
 
-from helpers import two_mode_model, write_self_forbidding_model
+from helpers import two_mode_model
 
 
 def copy_dataset(src, dst):
@@ -79,25 +79,6 @@ class TestExitCodes:
                 assert main(args + ["--period", period]) == 1
                 assert "period must be a positive number" in capsys.readouterr().err
                 assert not out.exists()
-
-    def test_model_with_forbidden_transition_is_data_error(self, dataset, tmp_path, capsys):
-        model = write_self_forbidding_model(tmp_path / "m.json")
-        report = tmp_path / "report.tsv"
-        code = main(
-            [
-                "disaggregate",
-                "--manifest",
-                str(dataset / "manifest.cfg"),
-                "--model",
-                str(model),
-                "--output",
-                str(report),
-            ]
-        )
-        assert code == 2
-        assert "also forbidden" in capsys.readouterr().err
-        assert not report.exists()
-
 
     def test_bad_manifest_number_is_data_error(self, dataset, tmp_path, capsys):
         manifest = copy_dataset(dataset, tmp_path)
@@ -166,6 +147,15 @@ class TestChannelCommands:
         assert (outdir / "signal.tsv").is_file()
         assert (outdir / "events.tsv").is_file()
         assert not (outdir / "cycles.tsv").exists()
+        capsys.readouterr()
+
+    def test_plot_events_equal_detect_events(self, tmp_path, capsys):
+        channel = write_channel(tmp_path / "ch.dat", step_values())
+        outdir, events = tmp_path / "plots", tmp_path / "events.tsv"
+        assert main(["plot-data", "--input", str(channel), "--output", str(outdir)]) == 0
+        assert main(["detect-events", "--input", str(channel), "--output", str(events)]) == 0
+        assert (outdir / "events.tsv").read_bytes() == events.read_bytes()
+        assert len(events.read_text().splitlines()) > 1
         capsys.readouterr()
 
     def test_plot_data_with_model_adds_cycles(self, tmp_path, capsys):

@@ -18,7 +18,6 @@ from eventnilm.features import (
     daily_transition_counts,
     day_columns,
     day_of,
-    extract_behaviors,
     find_signature,
     label_training_events,
     min_off_gap,
@@ -37,7 +36,6 @@ from helpers import (
     reference_label_training_events,
     reference_nearest,
     sig,
-    two_mode_model,
 )
 
 
@@ -451,41 +449,6 @@ class TestMinOffGap:
         assert min_off_gap([(ev(5, 0, 500), on)], s) == 0.0
 
 
-class TestExtractBehaviors:
-    def test_partition_of_ordered_pairs(self):
-        states = dw_states()
-        raw = sig(np.zeros(10))
-        trs = {t.key: t for t in all_transitions(states)}
-        labeled = [
-            (ev(1, 0, 230), trs[(OFF_MODE, "on1")]),
-            (ev(4, 230, 0), trs[("on1", OFF_MODE)]),
-        ]
-        behaviors = extract_behaviors(raw, raw, labeled, states)
-        observed = {t.key for _, t in labeled}
-        all_keys = {t.key for t in all_transitions(states)}
-        assert set(behaviors.forbidden) | observed == all_keys
-        assert set(behaviors.forbidden) & observed == set()
-
-    def test_complete_observation_forbids_nothing(self):
-        states = StateSet(
-            states=(State(OFF_MODE, 0.0, 0.0, 0.0), state("on1", 500, 520))
-        )
-        trs = {t.key: t for t in all_transitions(states)}
-        raw = sig(np.zeros(10))
-        labeled = [
-            (ev(1, 0, 510), trs[(OFF_MODE, "on1")]),
-            (ev(4, 510, 0), trs[("on1", OFF_MODE)]),
-        ]
-        behaviors = extract_behaviors(raw, raw, labeled, states)
-        assert behaviors.forbidden == ()
-
-
-class TestApplianceModel:
-    def test_transition_listed_as_forbidden_is_rejected(self):
-        with pytest.raises(ValueError, match="also forbidden"):
-            two_mode_model("a", 490, 510, forbidden=[(OFF_MODE, "on1")])
-
-
 class TestTrainAppliance:
     def _two_day_signal(self):
         # 24 samples per day at a 3600 s period; one 500 W run each day
@@ -510,7 +473,6 @@ class TestTrainAppliance:
         assert model.participation[(OFF_MODE, "on1")] == pytest.approx(0.5)
         assert model.participation[("on1", OFF_MODE)] == pytest.approx(0.5)
         assert model.behaviors is not None
-        assert model.behaviors.forbidden == ()
 
     def test_household_totals_shrink_shares(self):
         s = self._two_day_signal()

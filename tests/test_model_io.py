@@ -8,6 +8,7 @@ import pytest
 from eventnilm.errors import ParseError
 from eventnilm.features import ApplianceModel, BehaviorSet, Transition
 from eventnilm.model_io import (
+    SCHEMA_VERSION,
     atomic_write_text,
     format_number,
     load_models,
@@ -15,7 +16,7 @@ from eventnilm.model_io import (
 )
 from eventnilm.modes import State, StateSet
 
-from helpers import state, two_mode_model, write_self_forbidding_model
+from helpers import state, two_mode_model
 
 
 def rich_model():
@@ -30,7 +31,6 @@ def rich_model():
     )
     behaviors = BehaviorSet(
         signature=Transition("on1", "on2", 280.0, 370.0),
-        forbidden=(("off", "on2"),),
         overshoot_min=75.5,
         min_off_gap_s=120.0,
     )
@@ -147,13 +147,8 @@ class TestLoadErrors:
     def test_truncated_model_entry(self, tmp_path):
         p = tmp_path / "m.json"
         p.write_text(
-            json.dumps({"schema_version": 1, "appliances": [{"id": "x"}]}),
+            json.dumps({"schema_version": SCHEMA_VERSION, "appliances": [{"id": "x"}]}),
             encoding="utf-8",
         )
         with pytest.raises(ParseError, match="malformed"):
             load_models(p)
-
-    def test_transition_also_forbidden(self, tmp_path):
-        path = write_self_forbidding_model(tmp_path / "m.json")
-        with pytest.raises(ParseError, match="also forbidden"):
-            load_models(path)

@@ -1,17 +1,19 @@
 """Clustering and state extraction.
 
-Two independent oracles anchor this module: the merge cost is checked
-against the literal increase in within-cluster sum of squares, and the
-fast adjacency-based agglomeration is checked against a quadratic greedy
-reference that considers every cluster pair at every step.
+Three oracles anchor this module: the merge cost is checked against the
+literal increase in within-cluster sum of squares, the round-based
+agglomeration is checked against a quadratic greedy reference that considers
+every cluster pair at every step, and, on larger inputs, against a heap that
+makes the greedy merges one at a time.
 """
 
 import numpy as np
 import pytest
 
+from eventnilm.dataset import slice_days
 from eventnilm.errors import InsufficientDataError
+from eventnilm.filtering import filter_and_detect
 from eventnilm.modes import (
-    DEDUPE_SAMPLE_LIMIT,
     OFF_MODE,
     Cluster,
     State,
@@ -22,8 +24,9 @@ from eventnilm.modes import (
     states_from_clusters,
     ward_merge_cost,
 )
+from eventnilm.synth import balanced_household, demo_household, generate
 
-from helpers import sig
+from helpers import reference_lw_cluster, sig
 
 
 def sse(members):
@@ -127,24 +130,77 @@ class TestLwCluster:
         for c in clusters:
             assert np.count_nonzero((samples >= c.min) & (samples <= c.max)) == c.size
 
-    def test_large_input_dedupe_branch(self):
+    def test_large_input_is_exact(self):
         rng = np.random.default_rng(29)
-        n = DEDUPE_SAMPLE_LIMIT + 1
+        n = 1_000_001
         levels = np.array([0.0, 600.0, 1400.0])
         samples = levels[rng.integers(0, 3, size=n)] + rng.uniform(-0.3, 0.3, size=n)
         clusters = lw_cluster(samples, k=3)
         cents = sorted(c.centroid for c in clusters)
         assert cents == pytest.approx([0.0, 600.0, 1400.0], abs=1.0)
         assert sum(c.size for c in clusters) == n
-        # rounding to 1 W leaves three distinct values
-        with pytest.raises(InsufficientDataError, match="deduplication left 3"):
-            lw_cluster(samples, k=4)
+        # envelopes come from the samples themselves, not from rounded values
+        distinct = set(samples.tolist())
+        assert all(c.min in distinct and c.max in distinct for c in clusters)
+        assert len(lw_cluster(samples, k=4)) == 4
 
     def test_k_validation(self):
         with pytest.raises(ValueError):
             lw_cluster([1.0, 2.0], k=0)
         with pytest.raises(InsufficientDataError):
             lw_cluster([1.0, 2.0], k=3)
+
+    def test_non_finite_rejected(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                lw_cluster([1.0, bad, 2.0], k=2)
+
+
+def full(clusters):
+    return [(c.min, c.max, c.size, c.centroid) for c in clusters]
+
+
+def evenly_spaced(rng, n):
+    """Equal counts on an even grid: every adjacent merge costs the same."""
+    step = float(rng.choice([0.1, 1.0, 2.5, 7.0]))
+    reps = int(rng.integers(1, 4))
+    return np.repeat(np.arange(max(n // reps, 1)) * step, reps)
+
+
+class TestLwClusterHeapParity:
+    """The merge rounds give the one-merge-at-a-time heap's clusters,
+    centroids included, on every k from 1 to 12."""
+
+    KINDS = {
+        "uniform": lambda rng, n: rng.uniform(0, 1500, size=n),
+        "duplicate_heavy": duplicate_heavy,
+        "integer_grid": lambda rng, n: rng.integers(0, rng.integers(2, 40), size=n) * 1.0,
+        "evenly_spaced": evenly_spaced,
+        # fewer distinct values than most k: one cluster per sample
+        "few_distinct": lambda rng, n: rng.integers(0, 3, size=n) * 50.0,
+    }
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_seeded_inputs(self, kind):
+        rng = np.random.default_rng(sorted(self.KINDS).index(kind))
+        for n in [2, 3, 5, 12, 2000] + [int(v) for v in rng.integers(2, 2001, size=6)]:
+            samples = self.KINDS[kind](rng, n)
+            for k in range(1, min(12, samples.size) + 1):
+                assert full(lw_cluster(samples, k)) == full(
+                    reference_lw_cluster(samples, k)
+                ), (kind, n, k)
+
+    @pytest.mark.parametrize(
+        "household, days, train_days", [(demo_household, 28, 21), (balanced_household, 120, 7)]
+    )
+    def test_training_channels(self, household, days, train_days):
+        result = generate(household(), days=days, seed=0)
+        base = result.aggregate.start_time
+        for signal in result.appliances.values():
+            filtered, _ = filter_and_detect(slice_days(signal, (0, train_days - 1), base))
+            assert full(lw_cluster(filtered.values, 10)) == full(
+                reference_lw_cluster(filtered.values, 10)
+            )
 
 
 class TestDistanceMerge:
