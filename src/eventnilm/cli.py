@@ -28,7 +28,7 @@ from .classifier import all_off_threshold, segment_cycles
 from .config import RunConfig, apply_overrides, read_config
 from .errors import NilmError
 from .filtering import filter_and_detect
-from .model_io import atomic_write_text, format_number, load_models, save_models
+from .model_io import atomic_write, format_number, load_models, save_models
 from .modes import MIN_CLUSTERS, extract_states
 from .signals import MAX_GAP_S, resample_step_hold
 from .synth import balanced_household, demo_household, generate
@@ -126,7 +126,7 @@ def cmd_filter(args) -> int:
         f"{format_number(filtered.time_at(i))}\t{format_number(filtered.values[i])}"
         for i in range(len(filtered))
     ]
-    atomic_write_text(args.output, "time\tfiltered\n" + "\n".join(lines) + "\n")
+    atomic_write(args.output, "time\tfiltered\n" + "\n".join(lines) + "\n")
     print(f"wrote {len(filtered)} filtered samples to {args.output}")
     return EXIT_OK
 
@@ -134,7 +134,7 @@ def cmd_filter(args) -> int:
 def cmd_detect_events(args) -> int:
     signal = _read_signal(args.input, args.period)
     _, events = filter_and_detect(signal)
-    atomic_write_text(args.output, pipeline.format_events_table(signal, events))
+    atomic_write(args.output, pipeline.format_events_table(signal, events))
     print(f"wrote {len(events)} events to {args.output}")
     return EXIT_OK
 
@@ -155,7 +155,7 @@ def cmd_extract_modes(args) -> int:
             f"{s.mode}\t{format_number(s.low)}\t{format_number(s.high)}"
             f"\t{format_number(s.centroid)}\t{s.size}"
         )
-    atomic_write_text(args.output, "\n".join(lines) + "\n")
+    atomic_write(args.output, "\n".join(lines) + "\n")
     print(f"wrote {len(states.states)} states to {args.output}")
     return EXIT_OK
 
@@ -178,7 +178,7 @@ def cmd_disaggregate(args) -> int:
     _, _, _, test_agg = ds.split_bundle(bundle)
     models = load_models(args.model)
     labeled, diagnostics = pipeline.disaggregate(test_agg, models, config)
-    atomic_write_text(args.output, pipeline.format_event_report(labeled, test_agg))
+    atomic_write(args.output, pipeline.format_event_report(labeled, test_agg))
     if diagnostics.unrefined_cycles:
         print(
             f"note: {len(diagnostics.unrefined_cycles)} cycle(s) left unrefined",
@@ -198,7 +198,7 @@ def cmd_evaluate(args) -> int:
     counts, avg = pipeline.evaluate_points(predicted, truth, config.match_tolerance)
     text = pipeline.format_metrics(counts)
     if args.output:
-        atomic_write_text(args.output, text)
+        atomic_write(args.output, text)
     print(text, end="")
     return EXIT_OK
 

@@ -9,8 +9,10 @@ writes the same layout, so generated data is a drop-in dataset.
 
 from __future__ import annotations
 
+import io
 import re
 import warnings
+import zlib
 from dataclasses import dataclass
 from math import isfinite
 from pathlib import Path
@@ -20,7 +22,7 @@ import numpy as np
 
 from .errors import AlignmentError, ManifestError, ParseError
 from .features import DAY_SECONDS
-from .model_io import format_number, read_text
+from .model_io import atomic_write, format_number, format_numbers, read_text
 from .signals import MAX_GAP_S, GapRecord, PowerSignal, aggregate, resample_step_hold
 from .synth import SynthResult
 
@@ -122,10 +124,30 @@ def read_channel(path: str | Path) -> tuple[np.ndarray, np.ndarray, int]:
     Blank and ``#`` lines are skipped; any other line must hold two finite
     numbers. One ``np.loadtxt`` call parses the file. Returns views of its two
     columns and the count of negative readings (meter offset) clipped to zero.
+
+    The table, before clipping, is cached in ``.eventnilm-cache/`` beside the
+    file, keyed by the file's length, CRC-32 and Adler-32, so an unchanged file
+    is parsed once; a directory that cannot hold the cache just means no cache.
     """
     path = Path(path)
     if not path.is_file():
         raise ManifestError(f"channel file not found: {path}")
+    data = path.read_bytes()
+    key = f"{len(data)}-{zlib.crc32(data):08x}{zlib.adler32(data):08x}"
+    entry = path.parent / ".eventnilm-cache" / f"{path.name}.{key}.npy"
+    table = _cached_table(entry)
+    if table is None:
+        table = _parse_channel(path, data)
+        if path.read_bytes() == data:  # not rewritten while it was parsed
+            _store_table(entry, path.name, table)
+    times, watts = table[:, 0], table[:, 1]
+    clipped = int(np.count_nonzero(watts < 0))
+    np.maximum(watts, 0.0, out=watts)
+    return times, watts, clipped
+
+
+def _parse_channel(path: Path, data: bytes) -> np.ndarray:
+    """The (n, 2) float64 table of a channel file whose bytes are ``data``."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # an empty file is reported below
@@ -136,13 +158,36 @@ def read_channel(path: str | Path) -> tuple[np.ndarray, np.ndarray, int]:
         table.shape[1] != 2
         or not np.isfinite(table).all()
         # np.loadtxt drops a '#' after data on a line as a comment; the format does not
-        or b"#" in path.read_bytes() and re.search(r"^[^\S\n]*[^#\s].*#", read_text(path), re.M)
+        or b"#" in data and re.search(r"^[^\S\n]*[^#\s].*#", read_text(path), re.M)
     ):
         _raise_first_bad_line(path)
-    times, watts = table[:, 0], table[:, 1]
-    clipped = int(np.count_nonzero(watts < 0))
-    np.maximum(watts, 0.0, out=watts)
-    return times, watts, clipped
+    return table
+
+
+def _cached_table(entry: Path) -> np.ndarray | None:
+    """The finite (n, 2) float64 table stored at ``entry``, or None."""
+    try:
+        with open(entry, "rb") as fh:
+            table = np.lib.format.read_array(fh, allow_pickle=False)
+    except (OSError, ValueError, EOFError):
+        return None
+    ok = table.dtype == np.float64 and table.ndim == 2 and table.shape[1] == 2 and len(table)
+    return table if ok and np.isfinite(table).all() else None
+
+
+def _store_table(entry: Path, name: str, table: np.ndarray) -> None:
+    """Write ``entry`` and delete the other entries of channel file ``name``."""
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, table, allow_pickle=False)
+    own = re.compile(re.escape(name) + r"\.\d+-[0-9a-f]{16}\.npy")
+    try:
+        entry.parent.mkdir(exist_ok=True)
+        atomic_write(entry, buf.getvalue())
+        for old in entry.parent.iterdir():
+            if own.fullmatch(old.name) and old.name != entry.name:
+                old.unlink()
+    except OSError:
+        pass  # no cache: the next read parses the file again
 
 
 def timestamp_faults(times: np.ndarray) -> tuple[int, int]:
@@ -269,10 +314,9 @@ def write_dataset(
     (root / "labels.dat").write_text("\n".join(lines) + "\n", encoding="utf-8")
     for i, name in enumerate(names):
         sig = result.appliances[name]
-        with open(root / f"channel_{i + 1}.dat", "w", encoding="utf-8") as fh:
-            for j, v in enumerate(sig.values):
-                t = start_timestamp + j * sig.sample_period
-                fh.write(f"{format_number(t)} {format_number(v)}\n")
+        times = format_numbers(start_timestamp + np.arange(len(sig)) * sig.sample_period)
+        lines = map(" ".join, zip(times, format_numbers(sig.values)))
+        (root / f"channel_{i + 1}.dat").write_text("\n".join(lines) + "\n", encoding="utf-8")
     with open(root / "ground_truth.tsv", "w", encoding="utf-8") as fh:
         fh.write("index\tappliance\tfrom_mode\tto_mode\tmagnitude\n")
         for t in result.truth:

@@ -67,18 +67,6 @@ def transition_interval(from_state: State, to_state: State) -> tuple[float, floa
     return (lo, hi)
 
 
-def all_transitions(states: StateSet) -> list[Transition]:
-    """Every ordered pair of distinct modes with its magnitude band."""
-    out = []
-    for a in states.states:
-        for b in states.states:
-            if a.mode == b.mode:
-                continue
-            lo, hi = transition_interval(a, b)
-            out.append(Transition(a.mode, b.mode, lo, hi))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # training-event labeling
 

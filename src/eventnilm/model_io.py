@@ -25,12 +25,18 @@ def format_number(x: float) -> str:
     return str(int(x)) if x.is_integer() else repr(x)
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
+def format_numbers(values) -> list[str]:
+    """``format_number`` of each element of a float64 array, in one pass."""
+    return [str(int(x)) if x.is_integer() else repr(x) for x in values.tolist()]
+
+
+def atomic_write(path: str | Path, data: str | bytes) -> None:
+    """Write bytes, or text as UTF-8, to a temp file that replaces ``path``."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or ".", prefix=f".{path.name}.")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -147,7 +153,7 @@ def save_models(path: str | Path, models: list[ApplianceModel]) -> None:
             _model_to_dict(m) for m in sorted(models, key=lambda m: m.appliance_id)
         ],
     }
-    atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def load_models(path: str | Path) -> list[ApplianceModel]:

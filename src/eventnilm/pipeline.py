@@ -23,7 +23,7 @@ from .evaluation import (
 )
 from .features import ApplianceModel, day_columns, label_training_events, train_appliance
 from .filtering import filter_and_detect
-from .model_io import atomic_write_text, format_number, read_text
+from .model_io import atomic_write, format_number, read_text
 from .modes import OFF_MODE, State, StateSet, extract_states
 from .signals import EventRecord, PowerSignal
 
@@ -234,11 +234,11 @@ def write_plot_data(
             f"\t{format_number(filtered.values[i])}"
         )
     p = outdir / "signal.tsv"
-    atomic_write_text(p, "\n".join(lines) + "\n")
+    atomic_write(p, "\n".join(lines) + "\n")
     written.append(p)
 
     p = outdir / "events.tsv"
-    atomic_write_text(p, format_events_table(raw, events))
+    atomic_write(p, format_events_table(raw, events))
     written.append(p)
 
     if cycles is not None:
@@ -251,6 +251,6 @@ def write_plot_data(
                 f"\t{format_number(t0)}\t{format_number(t1)}"
             )
         p = outdir / "cycles.tsv"
-        atomic_write_text(p, "\n".join(lines) + "\n")
+        atomic_write(p, "\n".join(lines) + "\n")
         written.append(p)
     return written

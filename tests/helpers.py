@@ -526,3 +526,49 @@ def reference_lw_cluster(samples, k):
         i = right[i]
     out.sort(key=lambda c: c.centroid)
     return out
+
+
+def all_transitions(states):
+    """Every ordered pair of distinct modes with its magnitude band."""
+    from eventnilm.features import Transition, transition_interval
+
+    out = []
+    for a in states.states:
+        for b in states.states:
+            if a.mode == b.mode:
+                continue
+            lo, hi = transition_interval(a, b)
+            out.append(Transition(a.mode, b.mode, lo, hi))
+    return out
+
+
+def reference_write_dataset(root, result, train_days, test_days, start_timestamp=1600000000.0):
+    """``write_dataset`` formatting one line at a time, for byte-equality tests."""
+    from pathlib import Path
+
+    from eventnilm.model_io import format_number
+
+    root = Path(root)
+    root.mkdir(parents=True, exist_ok=True)
+    names = sorted(result.appliances)
+    lines = [f"{i + 1} {name}" for i, name in enumerate(names)]
+    (root / "labels.dat").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for i, name in enumerate(names):
+        sig = result.appliances[name]
+        with open(root / f"channel_{i + 1}.dat", "w", encoding="utf-8") as fh:
+            for j, v in enumerate(sig.values):
+                t = start_timestamp + j * sig.sample_period
+                fh.write(f"{format_number(t)} {format_number(v)}\n")
+    with open(root / "ground_truth.tsv", "w", encoding="utf-8") as fh:
+        fh.write("index\tappliance\tfrom_mode\tto_mode\tmagnitude\n")
+        for t in result.truth:
+            fh.write(f"{t.index}\t{t.appliance}\t{t.from_mode}\t{t.to_mode}")
+            fh.write(f"\t{format_number(t.magnitude)}\n")
+    (root / "manifest.cfg").write_text(
+        "labels = labels.dat\n"
+        f"period = {format_number(result.period)}\n"
+        f"train_days = {train_days[0]}-{train_days[1]}\n"
+        f"test_days = {test_days[0]}-{test_days[1]}\n"
+        f"appliances = {','.join(names)}\n",
+        encoding="utf-8",
+    )

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import eventnilm
+from eventnilm import dataset as dataset_module
 from eventnilm.cli import main
 from eventnilm.model_io import save_models
 
@@ -441,6 +442,39 @@ class TestFullFlow:
         notes = proc.stderr.splitlines()
         assert any(re.fullmatch(r"note: \d+ cycle\(s\) left unrefined", n) for n in notes)
         assert all(n.startswith("note: ") for n in notes)
+
+
+class TestChannelCache:
+    def test_warm_run_equals_cold_run(self, dataset, tmp_path, capsys, monkeypatch):
+        manifest = copy_dataset(dataset, tmp_path)
+        first = tmp_path / "channel_1.dat"
+        lines = first.read_text().splitlines()
+        lines[3] = lines[3].split()[0] + " -7"  # a negative reading
+        lines[40], lines[41] = lines[41], lines[40]  # out of order
+        lines.insert(51, lines[50])  # a duplicate
+        first.write_text("\n".join(lines[:100] + lines[110:]) + "\n")  # and a gap
+        models, report, metrics = tmp_path / "m.json", tmp_path / "r.tsv", tmp_path / "e.tsv"
+        steps = [
+            ["train", "--output", str(models)],
+            ["disaggregate", "--model", str(models), "--output", str(report)],
+            ["evaluate", "--model", str(models), "--report", str(report), "--output", str(metrics)],
+        ]
+        runs = []
+        for run in ("cold", "warm"):
+            if run == "warm":  # every channel must come from the cache now
+                monkeypatch.setattr(dataset_module, "_parse_channel", None)
+            outputs = []
+            for step in steps:
+                assert main([step[0], "--manifest", str(manifest), *step[1:]]) == 0
+                outputs.append(capsys.readouterr())
+            runs.append((outputs, [p.read_bytes() for p in (models, report, metrics)]))
+            cache = tmp_path / ".eventnilm-cache"
+            assert len(list(cache.iterdir())) == len(list(tmp_path.glob("channel_*.dat")))
+        assert runs[1] == runs[0]
+        assert (
+            "1 negative readings clipped to 0 W, 1 gaps longer than 60 s,"
+            " 1 duplicate and 1 out-of-order timestamps"
+        ) in runs[0][0][0].err
 
 
 class TestConfigPrecedence:

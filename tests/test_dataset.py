@@ -1,8 +1,15 @@
 """Dataset layout: manifests, label maps, channel files, day slicing."""
 
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from eventnilm import dataset
 from eventnilm.dataset import (
     DatasetManifest,
     load_dataset,
@@ -14,9 +21,9 @@ from eventnilm.dataset import (
     write_dataset,
 )
 from eventnilm.errors import AlignmentError, ManifestError, ParseError
-from eventnilm.synth import balanced_household, generate
+from eventnilm.synth import balanced_household, demo_household, generate
 
-from helpers import reference_read_channel, sig
+from helpers import reference_read_channel, reference_write_dataset, sig
 
 
 def write(path, text):
@@ -322,7 +329,169 @@ class TestChannelParity:
         assert watts.tolist() == [0.0, 6.0] and clipped == 1
 
 
+CACHE_DIR = ".eventnilm-cache"
+
+
+def entries(channel):
+    """Cache entries of one channel file, by name."""
+    cache = channel.parent / CACHE_DIR
+    return sorted(p.name for p in cache.glob(channel.name + ".*.npy")) if cache.is_dir() else []
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """Counts the text parses ``read_channel`` makes."""
+    calls, parse = [], dataset._parse_channel
+
+    def counted(path, data):
+        calls.append(path)
+        return parse(path, data)
+
+    monkeypatch.setattr(dataset, "_parse_channel", counted)
+    return calls
+
+
+def same_reads(a, b):
+    return all(x.tobytes() == y.tobytes() for x, y in zip(a[:2], b[:2])) and a[2] == b[2]
+
+
+# negative, duplicate and out-of-order readings, a comment and a blank line
+FAULTY = "# t w\n100 -3.5\n120 6\n120 7.25\n\n110 1e3\n140 -0.5\n160 8\n"
+
+
+class TestChannelCache:
+    def test_hit_equals_miss(self, tmp_path, parses):
+        p = write(tmp_path / "c.dat", FAULTY)
+        miss = read_channel(p)
+        assert len(entries(p)) == 1 and len(parses) == 1
+        hit = read_channel(p)
+        assert len(parses) == 1  # served from the entry
+        assert same_reads(hit, miss)
+        assert hit[1].tolist() == [0.0, 6.0, 7.25, 1000.0, 0.0, 8.0] and hit[2] == 2
+        assert timestamp_faults(hit[0]) == timestamp_faults(miss[0]) == (1, 1)
+        assert hit[0].base is not None and hit[0].base is hit[1].base
+
+    def test_same_length_edit_is_reparsed(self, tmp_path, parses):
+        p = write(tmp_path / "c.dat", FAULTY)
+        read_channel(p)
+        before = os.stat(p)
+        write(p, FAULTY.replace("160 8", "160 9"))
+        os.utime(p, ns=(before.st_atime_ns, before.st_mtime_ns))
+        assert os.stat(p).st_size == before.st_size
+        assert read_channel(p)[1][-1] == 9.0
+        assert len(parses) == 2
+        assert len(entries(p)) == 1  # the old entry is gone
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda raw: raw[: len(raw) - 8],  # truncated
+            lambda raw: b"not an array\n" * 20,  # garbage
+            lambda raw: b"",
+            lambda raw: raw[:128],  # the header alone
+        ],
+        ids=["truncated", "garbage", "empty", "header-only"],
+    )
+    def test_bad_entry_is_a_miss_and_rewritten(self, tmp_path, parses, damage):
+        p = write(tmp_path / "c.dat", FAULTY)
+        first = read_channel(p)
+        entry = p.parent / CACHE_DIR / entries(p)[0]
+        good = entry.read_bytes()
+        entry.write_bytes(damage(good))
+        assert same_reads(read_channel(p), first)
+        assert len(parses) == 2
+        assert entry.read_bytes() == good
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            np.array([[100.0, 1.0]], dtype=np.float32),
+            np.array([100.0, 1.0]),
+            np.array([[100.0, 1.0, 2.0]]),
+            np.zeros((0, 2)),
+            np.array([[100.0, np.nan]]),
+            np.array([[100.0, np.inf]]),
+        ],
+        ids=["float32", "1-d", "3-columns", "no-rows", "nan", "inf"],
+    )
+    def test_entry_of_another_form_is_a_miss(self, tmp_path, parses, table):
+        p = write(tmp_path / "c.dat", FAULTY)
+        first = read_channel(p)
+        entry = p.parent / CACHE_DIR / entries(p)[0]
+        good = entry.read_bytes()
+        np.save(entry, table)
+        assert same_reads(read_channel(p), first)
+        assert len(parses) == 2
+        assert entry.read_bytes() == good
+
+    def test_unwritable_cache_changes_nothing(self, tmp_path, parses, capsys):
+        (tmp_path / "clean").mkdir()
+        clean = read_channel(write(tmp_path / "clean" / "c.dat", FAULTY))
+        p = write(tmp_path / "c.dat", FAULTY)
+        (tmp_path / CACHE_DIR).write_text("not a directory\n")
+        assert same_reads(read_channel(p), clean)
+        assert same_reads(read_channel(p), clean)
+        assert len(parses) == 3
+        assert (tmp_path / CACHE_DIR).read_text() == "not a directory\n"
+        assert capsys.readouterr() == ("", "")
+
+    def test_concurrent_readers_agree(self, tmp_path):
+        # more processes than cores, all starting on an empty cache
+        p = write(tmp_path / "c.dat", "".join(f"{100 + 10 * i} {i % 7 - 2}\n" for i in range(20000)))
+        times, watts = reference_read_channel(p)
+        clipped = sum(i % 7 < 2 for i in range(20000))
+        expected = f"{hashlib.sha256(times.tobytes() + watts.tobytes()).hexdigest()} {clipped}"
+        code = (
+            "import hashlib, sys\n"
+            "from eventnilm.dataset import read_channel\n"
+            "for _ in range(20):\n"
+            "    t, w, c = read_channel(sys.argv[1])\n"
+            "    print(hashlib.sha256(t.tobytes() + w.tobytes()).hexdigest(), c)\n"
+        )
+        src = str(Path(dataset.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        procs = [
+            subprocess.Popen([sys.executable, "-c", code, str(p)], env=env, stdout=subprocess.PIPE, text=True)
+            for _ in range(4)
+        ]
+        outputs = [proc.communicate(timeout=120)[0].splitlines() for proc in procs]
+        assert [proc.returncode for proc in procs] == [0] * 4
+        assert outputs == [[expected] * 20] * 4
+        assert [q.name for q in (tmp_path / CACHE_DIR).iterdir()] == entries(p)
+        assert len(entries(p)) == 1
+
+    def test_malformed_file_is_never_cached(self, tmp_path):
+        p = write(tmp_path / "c.dat", "100 5\n120 five\n")
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ParseError) as err:
+                read_channel(p)
+            messages.append(str(err.value))
+        assert messages == [f"{p}:2: non-numeric field"] * 2
+        assert entries(p) == []
+
+    def test_one_entry_per_channel_file(self, tmp_path):
+        a, b = write(tmp_path / "a.dat", "100 1\n"), write(tmp_path / "b.dat", "100 2\n")
+        read_channel(a)
+        read_channel(b)
+        write(a, "100 1\n120 3\n")
+        assert read_channel(a)[1].tolist() == [1.0, 3.0]
+        assert len(entries(a)) == 1 and len(entries(b)) == 1
+        assert sorted(p.name for p in (tmp_path / CACHE_DIR).iterdir()) == entries(a) + entries(b)
+
+
 class TestWriteAndLoad:
+    @pytest.mark.parametrize("household", [demo_household, balanced_household])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bytes_equal_line_by_line_writer(self, tmp_path, household, seed):
+        result = generate(household(), days=2, seed=seed)
+        write_dataset(tmp_path / "bulk", result, (0, 0), (1, 1))
+        reference_write_dataset(tmp_path / "lines", result, (0, 0), (1, 1))
+        names = sorted(p.name for p in (tmp_path / "lines").iterdir())
+        assert sorted(p.name for p in (tmp_path / "bulk").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "bulk" / name).read_bytes() == (tmp_path / "lines" / name).read_bytes()
+
     def test_generated_household_round_trips(self, tmp_path):
         result = generate(balanced_household(), days=2, seed=1)
         manifest_path = write_dataset(tmp_path, result, (0, 0), (1, 1))

@@ -14,7 +14,6 @@ from eventnilm.features import (
     ApplianceModel,
     BehaviorSet,
     Transition,
-    all_transitions,
     daily_transition_counts,
     day_columns,
     day_of,
@@ -32,6 +31,7 @@ from eventnilm.modes import OFF_MODE, State, StateSet
 from eventnilm.signals import EventRecord
 
 from helpers import (
+    all_transitions,
     reference_day_columns,
     reference_label_training_events,
     reference_nearest,
@@ -114,28 +114,6 @@ class TestTransitionInterval:
             dst = state("b", bounds[2], bounds[3])
             lo, hi = transition_interval(src, dst)
             assert lo <= hi
-
-
-class TestAllTransitions:
-    def test_every_ordered_pair_once(self):
-        trs = all_transitions(dw_states())
-        keys = {t.key for t in trs}
-        assert len(trs) == 6
-        assert keys == {
-            (OFF_MODE, "on1"),
-            (OFF_MODE, "on2"),
-            ("on1", OFF_MODE),
-            ("on1", "on2"),
-            ("on2", OFF_MODE),
-            ("on2", "on1"),
-        }
-
-    def test_direction_follows_centroid_order(self):
-        for t in all_transitions(dw_states()):
-            if t.key == ("on1", "on2"):
-                assert t.rising and t.low > 0
-            if t.key == ("on2", "on1"):
-                assert not t.rising and t.high < 0
 
 
 class TestLabelTrainingEvents:

@@ -5,16 +5,20 @@ import json
 import numpy as np
 import pytest
 
+from eventnilm.config import RunConfig
 from eventnilm.errors import ParseError
 from eventnilm.features import ApplianceModel, BehaviorSet, Transition
 from eventnilm.model_io import (
     SCHEMA_VERSION,
-    atomic_write_text,
+    atomic_write,
     format_number,
+    format_numbers,
     load_models,
     save_models,
 )
 from eventnilm.modes import State, StateSet
+from eventnilm.pipeline import train_models
+from eventnilm.synth import balanced_household, demo_household, generate
 
 from helpers import state, two_mode_model
 
@@ -60,13 +64,27 @@ class TestFormatNumber:
         assert float(text) == 2.5
 
 
+    def test_column_form_matches(self):
+        values = np.array([0.0, -0.0, 500.0, -20.0, 2.5, 0.1, 1e16, 1e300, -1e-300, np.inf, np.nan])
+        values = np.concatenate([values, np.random.default_rng(0).normal(0.0, 1e4, 1000)])
+        assert format_numbers(values) == [format_number(v) for v in values]
+
+
 class TestAtomicWrite:
     def test_creates_and_replaces(self, tmp_path):
         p = tmp_path / "out.txt"
-        atomic_write_text(p, "first\n")
+        atomic_write(p, "first\n")
         assert p.read_text() == "first\n"
-        atomic_write_text(p, "second\n")
+        atomic_write(p, "second\n")
         assert p.read_text() == "second\n"
+        assert list(tmp_path.iterdir()) == [p]
+
+    def test_bytes_written_as_given(self, tmp_path):
+        p = tmp_path / "out.bin"
+        atomic_write(p, b"\x00\xff\r\n")
+        assert p.read_bytes() == b"\x00\xff\r\n"
+        atomic_write(p, "\u00e9\n")
+        assert p.read_bytes() == "\u00e9\n".encode("utf-8")
         assert list(tmp_path.iterdir()) == [p]
 
 
@@ -113,6 +131,21 @@ class TestRoundTrip:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+class TestTrainedRoundTrip:
+    """save -> load -> save keeps the bytes of models trained on every household."""
+
+    @pytest.mark.parametrize("household", ["demo", "balanced"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_resave_is_identical(self, tmp_path, household, seed):
+        make = demo_household if household == "demo" else balanced_household
+        result = generate(make(), days=7, seed=seed)
+        models = train_models(result.appliances, result.aggregate, RunConfig()).models
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_models(first, models)
+        save_models(second, load_models(first))
+        assert second.read_bytes() == first.read_bytes()
+
+
 class TestLoadErrors:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError, match="not found"):
@@ -141,7 +174,7 @@ class TestLoadErrors:
         p.write_text(
             json.dumps({"schema_version": 99, "appliances": []}), encoding="utf-8"
         )
-        with pytest.raises(ParseError, match="schema_version"):
+        with pytest.raises(ParseError, match=r"schema version 99 unsupported"):
             load_models(p)
 
     def test_truncated_model_entry(self, tmp_path):
