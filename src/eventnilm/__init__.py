@@ -24,7 +24,7 @@ from .evaluation import ConfusionCounts, LabelPoint, f_measure, match_events
 from .features import ApplianceModel, BehaviorSet, Transition, transition_interval
 from .filtering import detect_events, detect_outliers, filter_and_detect
 from .modes import Cluster, State, StateSet, extract_states, lw_cluster, ward_merge_cost
-from .signals import EventRecord, GapRecord, PowerSignal, aggregate, resample_step_hold
+from .signals import EventRecord, EventTable, GapRecord, PowerSignal, aggregate, resample_step_hold
 from .synth import ApplianceSpec, GroundTruthEvent, SynthResult, generate
 
 __version__ = "0.1.0"
@@ -42,6 +42,7 @@ __all__ = [
     "ConfusionCounts",
     "DataConsistencyError",
     "EventRecord",
+    "EventTable",
     "GapRecord",
     "GroundTruthEvent",
     "InsufficientDataError",

@@ -44,7 +44,7 @@ from .errors import ModelCoverageError
 from .features import ApplianceModel, Transition, day_columns, overshoot_height
 from .filtering import filter_and_detect
 from .modes import OFF_MODE
-from .signals import EventRecord, PowerSignal
+from .signals import EventRecord, EventTable, PowerSignal
 
 log = logging.getLogger(__name__)
 
@@ -72,7 +72,7 @@ class CandidateLabelMatrix:
     rows-by-events bool view, built afresh on each read.
     """
 
-    def __init__(self, rows: list[LabelRow], events: list[EventRecord], columns: list[tuple]):
+    def __init__(self, rows: list[LabelRow], events: EventTable, columns: list[tuple]):
         self.rows = rows
         self.events = events
         self.columns = columns
@@ -157,7 +157,7 @@ def build_rows(models: list[ApplianceModel]) -> list[LabelRow]:
 
 
 def initial_labels(
-    events: list[EventRecord],
+    events: EventTable,
     rows: list[LabelRow],
     diagnostics: Diagnostics | None = None,
 ) -> CandidateLabelMatrix:
@@ -171,16 +171,15 @@ def initial_labels(
         raise ModelCoverageError("no appliance transitions to label against")
     low = np.array([row.transition.low for row in rows], dtype=np.float64)
     high = np.array([row.transition.high for row in rows], dtype=np.float64)
-    mags = np.array([ev.magnitude for ev in events], dtype=np.float64)[:, None]
+    mags = events.magnitude[:, None]
     # events x rows, the same float64 comparison as Transition.contains
     hit_events, hit_rows = np.nonzero((low <= mags) & (mags <= high))
     bounds = np.searchsorted(hit_events, np.arange(len(events) + 1)).tolist()
     hit_rows = hit_rows.tolist()
     columns = [tuple(hit_rows[a:b]) for a, b in zip(bounds, bounds[1:])]
-    for col, ev in enumerate(events):
+    for col, m in enumerate(events.magnitude.tolist()):
         if columns[col]:
             continue
-        m = ev.magnitude
         nearest = min(
             (
                 row.transition.rising != (m > 0),
@@ -219,7 +218,7 @@ def all_off_threshold(
 
 def segment_cycles(
     filtered: PowerSignal,
-    events: list[EventRecord],
+    events: EventTable,
     threshold: float,
     diagnostics: Diagnostics | None = None,
 ) -> list[Cycle]:
@@ -235,9 +234,8 @@ def segment_cycles(
     off_prefix = np.concatenate(([0], np.cumsum(off)))
     # a cycle ends at event i iff [events[i].post_index, events[i + 1].index]
     # holds an OFF sample; a range whose start passes its end is clipped empty
-    nxt = np.fromiter((ev.index for ev in events[1:]), np.int64, len(events) - 1)
-    post = np.fromiter((ev.post_index for ev in events[:-1]), np.int64, len(events) - 1)
-    post = np.minimum(post, nxt + 1)
+    nxt = events.index[1:]
+    post = np.minimum(events.post_index[:-1], nxt + 1)
     ends = np.flatnonzero(off_prefix[nxt + 1] > off_prefix[post]).tolist()
     starts = [0] + [i + 1 for i in ends]
     cycles = [Cycle(a, b) for a, b in zip(starts, ends + [len(events) - 1])]
@@ -430,7 +428,8 @@ def refine_by_behaviors(
     if all(len(col) == 1 for col in columns):
         return matrix  # every rule only drops, and never a column's last candidate
     by_app = {m.appliance_id: m for m in models}
-    cols_by_day = day_columns(matrix.events, filtered, day_base)
+    events = matrix.events
+    cols_by_day = day_columns(events.index, filtered, day_base)
 
     # (a) all-or-none daily marker
     for model in sorted(models, key=lambda m: m.appliance_id):
@@ -442,7 +441,7 @@ def refine_by_behaviors(
             r for r, row in enumerate(matrix.rows) if row.appliance == model.appliance_id
         ]
         for cols in cols_by_day.values():
-            if any(sig.contains(matrix.events[c].magnitude) for c in cols):
+            if any(sig.contains(events.magnitude[c]) for c in cols):
                 continue
             for c in cols:
                 if len(columns[c]) > 1:
@@ -454,10 +453,10 @@ def refine_by_behaviors(
         m.appliance_id: (m.behaviors.overshoot_min if m.behaviors else 0.0)
         for m in models
     }
-    for c, ev in enumerate(matrix.events):
-        if not ev.rising or matrix.column_count(c) < 2:
+    for c in np.flatnonzero(events.magnitude > 0).tolist():
+        if matrix.column_count(c) < 2:
             continue
-        height = overshoot_height(raw, ev)
+        height = overshoot_height(raw, events[c])
         if height is None:  # no raw samples after the event
             height = 0.0
         for r in matrix.candidates(c):  # a tuple: drop() cannot disturb the loop
@@ -472,10 +471,10 @@ def refine_by_behaviors(
 
     # (c) minimum off gap, inferred from single-labeled events only
     last_off: dict[str, float] = {}
-    for c, ev in enumerate(matrix.events):
+    for c, (index, post_index) in enumerate(zip(events.index.tolist(), events.post_index.tolist())):
         rows = columns[c]
         if len(rows) > 1:
-            t = filtered.time_at(ev.index)
+            t = filtered.time_at(index)
             for r in rows:
                 row = matrix.rows[r]
                 beh = by_app[row.appliance].behaviors
@@ -490,7 +489,7 @@ def refine_by_behaviors(
         if len(rows) == 1:
             row = matrix.rows[rows[0]]
             if row.transition.to_mode == OFF_MODE:
-                last_off[row.appliance] = filtered.time_at(ev.post_index)
+                last_off[row.appliance] = filtered.time_at(post_index)
     return matrix
 
 
@@ -520,7 +519,7 @@ def resolve_by_participation(
         for key, p in m.participation.items()
     }
     columns = matrix.columns
-    for cols in day_columns(matrix.events, filtered, day_base).values():
+    for cols in day_columns(matrix.events.index, filtered, day_base).values():
         if all(len(columns[c]) == 1 for c in cols):
             continue  # nothing to resolve on this day
         count: dict[int, int] = {}

@@ -28,7 +28,7 @@ from .classifier import all_off_threshold, segment_cycles
 from .config import RunConfig, apply_overrides, read_config
 from .errors import NilmError
 from .filtering import filter_and_detect
-from .model_io import atomic_write, format_number, load_models, save_models
+from .model_io import atomic_write, format_number, format_numbers, load_models, save_models
 from .modes import MIN_CLUSTERS, extract_states
 from .signals import MAX_GAP_S, resample_step_hold
 from .synth import balanced_household, demo_household, generate
@@ -122,10 +122,7 @@ def _load_dataset(manifest: str) -> ds.DatasetBundle:
 def cmd_filter(args) -> int:
     signal = _read_signal(args.input, args.period)
     filtered, _ = filter_and_detect(signal)
-    lines = [
-        f"{format_number(filtered.time_at(i))}\t{format_number(filtered.values[i])}"
-        for i in range(len(filtered))
-    ]
+    lines = map("\t".join, zip(format_numbers(filtered.times()), format_numbers(filtered.values)))
     atomic_write(args.output, "time\tfiltered\n" + "\n".join(lines) + "\n")
     print(f"wrote {len(filtered)} filtered samples to {args.output}")
     return EXIT_OK

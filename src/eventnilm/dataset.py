@@ -273,7 +273,7 @@ def slice_days(signal: PowerSignal, day_range: tuple[int, int], base: float) -> 
     if first >= last:
         raise ManifestError(f"day range {day_range[0]}-{day_range[1]} lies outside the signal")
     return PowerSignal(
-        values=signal.values[first:last].copy(),
+        values=signal.values[first:last],
         start_time=signal.time_at(first),
         sample_period=signal.sample_period,
         source_id=signal.source_id,

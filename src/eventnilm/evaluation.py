@@ -52,42 +52,33 @@ def match_events(
     negatives fill each appliance's counts up to the number of distinct
     event slots (matched pairs count once).
     """
-    preds_by_key = defaultdict(list)
-    for p in sorted(predicted, key=lambda e: e.index):
-        preds_by_key[p.key].append(p)
-    truths_by_key = defaultdict(list)
-    for t in sorted(truth, key=lambda e: e.index):
-        truths_by_key[t.key].append(t)
+    # sample indices per (appliance, from mode, to mode), predictions then truths
+    by_key = defaultdict(lambda: ([], []))
+    for side, points in enumerate((predicted, truth)):
+        for p in points:
+            by_key[p.appliance, p.from_mode, p.to_mode][side].append(p.index)
 
-    tp: dict[str, int] = defaultdict(int)
-    fp: dict[str, int] = defaultdict(int)
-    fn: dict[str, int] = defaultdict(int)
-    matched_total = 0
-    for key in sorted(set(preds_by_key) | set(truths_by_key)):
-        appliance = key[0]
-        ts = truths_by_key.get(key, [])
-        used = [False] * len(ts)
-        j = 0
-        for p in preds_by_key.get(key, []):
-            while j < len(ts) and (used[j] or ts[j].index < p.index - tolerance):
+    counts: dict[str, list[int]] = defaultdict(lambda: [0, 0, 0])  # tp, fp, fn
+    for key in sorted(by_key):
+        preds, ts = (sorted(side) for side in by_key[key])
+        hits = j = 0
+        for p in preds:
+            # truths before j are matched or too early for every later p
+            while j < len(ts) and ts[j] < p - tolerance:
                 j += 1
-            if j < len(ts) and abs(ts[j].index - p.index) <= tolerance:
-                used[j] = True
-                tp[appliance] += 1
-                matched_total += 1
+            if j < len(ts) and ts[j] - p <= tolerance:
+                hits += 1
                 j += 1
-            else:
-                fp[appliance] += 1
-        fn[appliance] += used.count(False)
+        c = counts[key[0]]
+        c[0] += hits
+        c[1] += len(preds) - hits
+        c[2] += len(ts) - hits
 
-    total_slots = len(predicted) + len(truth) - matched_total
-    out = {}
-    for appliance in sorted(set(tp) | set(fp) | set(fn)):
-        a_tp, a_fp, a_fn = tp[appliance], fp[appliance], fn[appliance]
-        out[appliance] = ConfusionCounts(
-            tp=a_tp, fp=a_fp, fn=a_fn, tn=total_slots - a_tp - a_fp - a_fn
-        )
-    return out
+    total_slots = len(predicted) + len(truth) - sum(c[0] for c in counts.values())
+    return {
+        appliance: ConfusionCounts(tp, fp, fn, total_slots - tp - fp - fn)
+        for appliance, (tp, fp, fn) in sorted(counts.items())
+    }
 
 
 def f_measure(counts: ConfusionCounts) -> float:

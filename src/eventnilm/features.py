@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DataConsistencyError
 from .modes import OFF_MODE, State, StateSet
-from .signals import EventRecord, PowerSignal
+from .signals import EventRecord, EventTable, PowerSignal
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ def transition_interval(from_state: State, to_state: State) -> tuple[float, floa
 
 
 def label_training_events(
-    events: list[EventRecord], states: StateSet
+    events: EventTable, states: StateSet
 ) -> list[tuple[EventRecord, Transition]]:
     """Assign each single-appliance training event to a mode transition.
 
@@ -80,18 +80,25 @@ def label_training_events(
     (pre and post in the same state, small residual wobble) carry no mode
     change and are dropped.
     """
-    src = states.nearest_indices([ev.pre_level for ev in events]).tolist()
-    dst = states.nearest_indices([ev.post_level for ev in events]).tolist()
     made: dict[tuple[int, int], Transition] = {}
     pairs = []
-    for ev, a, b in zip(events, src, dst):
+    for pos, a, b in zip(*(col.tolist() for col in mode_changes(events, states))):
         tr = made.get((a, b))
         if tr is None:
             s, d = states.states[a], states.states[b]
             tr = made[a, b] = Transition(s.mode, d.mode, *transition_interval(s, d))
-        if tr.from_mode != tr.to_mode:
-            pairs.append((ev, tr))
+        pairs.append((events[pos], tr))
     return pairs
+
+
+def mode_changes(events: EventTable, states: StateSet) -> tuple[np.ndarray, ...]:
+    """Positions of the events whose levels' nearest states differ in mode,
+    and the indices in ``states`` of those pre and post states."""
+    src = states.nearest_indices(events.pre_level)
+    dst = states.nearest_indices(events.post_level)
+    modes = np.array(states.mode_ids())
+    keep = np.flatnonzero(modes[src] != modes[dst])
+    return keep, src[keep], dst[keep]
 
 
 DAY_SECONDS = 86400.0
@@ -107,19 +114,18 @@ def days_of(times: np.ndarray, base: float, day_seconds: float = DAY_SECONDS) ->
 
 
 def day_columns(
-    events: list[EventRecord],
+    index: np.ndarray,
     signal: PowerSignal,
     base: float | None = None,
     day_seconds: float = DAY_SECONDS,
 ) -> dict[int, list[int]]:
-    """Positions in ``events`` grouped by the day of their sample, days ascending.
+    """Positions in an event ``index`` column grouped by their sample's day, days ascending.
 
     ``base`` anchors day 0; it defaults to the signal's own start but must be
     shared when aligning day indices across several signals.
     """
     if base is None:
         base = signal.start_time
-    index = np.fromiter((ev.index for ev in events), np.int64, len(events))
     days = days_of(signal.start_time + index * signal.sample_period, base, day_seconds)
     order = np.argsort(days, kind="stable")
     cuts = np.flatnonzero(np.diff(days[order])) + 1
@@ -130,20 +136,16 @@ def day_columns(
     }
 
 
-def split_days(
-    events: list[EventRecord],
+def transitions_by_day(
+    labeled: list[tuple[EventRecord, Transition]],
     signal: PowerSignal,
     base: float | None = None,
-    day_seconds: float = DAY_SECONDS,
-):
-    """Group events by the day of their sample timestamp, in time order.
-
-    ``base`` anchors day 0 as in :func:`day_columns`.
-    """
-    ordered = sorted(events, key=lambda e: e.index)
+) -> dict[int, list[Transition]]:
+    """Labeled transitions grouped by their event's day as in :func:`day_columns`."""
+    index = np.array([ev.index for ev, _ in labeled], dtype=np.int64)
     return {
-        day: [ordered[pos] for pos in positions]
-        for day, positions in day_columns(ordered, signal, base, day_seconds).items()
+        day: [labeled[pos][1] for pos in positions]
+        for day, positions in day_columns(index, signal, base).items()
     }
 
 
@@ -308,11 +310,7 @@ def extract_behaviors(
     overshoot_floor_w: float = 50.0,
 ) -> BehaviorSet:
     """Mine the behavior fingerprints from one appliance's training signal."""
-    days = split_days([ev for ev, _ in labeled], filtered)
-    by_index = {ev.index: tr for ev, tr in labeled}
-    daily_transitions = [
-        [by_index[ev.index] for ev in evs] for evs in days.values()
-    ]
+    daily_transitions = list(transitions_by_day(labeled, filtered).values())
     return BehaviorSet(
         signature=find_signature(daily_transitions, states),
         overshoot_min=overshoot_floor(raw, filtered, labeled, floor=overshoot_floor_w),
@@ -348,7 +346,7 @@ def train_appliance(
     appliance_id: str,
     raw: PowerSignal,
     filtered: PowerSignal,
-    events: list[EventRecord],
+    events: EventTable,
     states: StateSet,
     daily_totals: dict[int, int] | None = None,
     day_base: float | None = None,
@@ -365,11 +363,7 @@ def train_appliance(
     labeled = label_training_events(events, states)
     if not labeled:
         raise DataConsistencyError("no usable mode transitions in training data")
-    days = split_days([ev for ev, _ in labeled], filtered, base=day_base)
-    by_index = {ev.index: tr for ev, tr in labeled}
-    labeled_days = {
-        day: [by_index[ev.index] for ev in evs] for day, evs in days.items()
-    }
+    labeled_days = transitions_by_day(labeled, filtered, base=day_base)
     if daily_totals is None:
         daily_totals = {day: len(trs) for day, trs in labeled_days.items()}
     all_days = sorted(set(daily_totals) | set(labeled_days))

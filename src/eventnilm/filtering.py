@@ -5,7 +5,9 @@ An event is treated as an *uncommon* change rather than a *large* one: the
 exceeding the standard deviation of the whole ratio series are outliers.
 Outlier samples are flattened against the following inlier run, which removes
 spikes and transition overshoots while leaving genuine steps intact; a second
-outlier pass over the flattened signal then yields the events.
+outlier pass over the flattened signal then yields the events. Flattening
+changes only the marked samples, so the second pass rewrites only the ratios
+of pairs that hold a replaced sample and keeps the rest of the first series.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError
-from .signals import EventRecord, PowerSignal
+from .signals import EventTable, PowerSignal
 
 # Replacement means never average more than this many following inliers.
 REPLACEMENT_RUN_CAP = 10
@@ -48,11 +50,16 @@ class OutlierReport:
 
 def change_ratios(values: np.ndarray) -> np.ndarray:
     """1 - min/max for each consecutive pair, with 0/0 counted as no change."""
-    a, b = values[:-1], values[1:]
+    return _pair_ratios(values[:-1], values[1:])
+
+
+def _pair_ratios(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """1 - min/max of ``a[i]`` and ``b[i]``, element by element; 0 where both are 0."""
     hi = np.maximum(a, b)
-    lo = np.minimum(a, b)
+    m = np.minimum(a, b)
     with np.errstate(invalid="ignore", divide="ignore"):
-        m = 1.0 - lo / hi
+        np.divide(m, hi, out=m)
+    np.subtract(1.0, m, out=m)
     m[hi == 0] = 0.0
     return m
 
@@ -68,7 +75,10 @@ def detect_outliers(signal: PowerSignal) -> OutlierReport:
         raise InsufficientDataError(
             f"outlier detection needs at least 2 samples, got {len(signal)}"
         )
-    m = change_ratios(signal.values)
+    return _outliers(change_ratios(signal.values))
+
+
+def _outliers(m: np.ndarray) -> OutlierReport:
     sd = float(np.std(m, ddof=1)) if m.size > 1 else 0.0
     instances = np.nonzero(m > sd)[0]
     return OutlierReport(
@@ -115,15 +125,10 @@ def build_filtered_signal(signal: PowerSignal, report: OutlierReport) -> PowerSi
             start = max(first - REPLACEMENT_RUN_CAP, int(lasts[-2]) + 1 if lasts.size > 1 else 0)
             means[-1] = signal.values[start:first].mean()
         values[marks] = np.repeat(means, lasts - firsts + 1)
-    return PowerSignal(
-        np.maximum(values, 0.0),
-        start_time=signal.start_time,
-        sample_period=signal.sample_period,
-        source_id=signal.source_id,
-    )
+    return signal.replace_values(np.maximum(values, 0.0, out=values))
 
 
-def detect_events(filtered: PowerSignal) -> list[EventRecord]:
+def detect_events(filtered: PowerSignal) -> EventTable:
     """One outlier pass over a filtered signal; outlier runs become events.
 
     A maximal run of consecutive outlier instances is one mode transition:
@@ -131,23 +136,29 @@ def detect_events(filtered: PowerSignal) -> list[EventRecord]:
     one sample after (the run's own samples may straddle the edge). Runs whose
     levels end up equal are dropped, since an event must change the value.
     """
-    report = detect_outliers(filtered)
+    return _events(filtered, detect_outliers(filtered))
+
+
+def _events(filtered: PowerSignal, report: OutlierReport) -> EventTable:
     values = filtered.values
     firsts, lasts = _runs(report.instances)
-    pre_idx = firsts  # instance t flags pair (t, t+1): sample t is pre-event
     post_idx = np.minimum(lasts + 2, values.size - 1)
-    pre, post = values[pre_idx], values[post_idx]
+    # instance t flags pair (t, t+1): sample t is pre-event
+    pre, post = values[firsts], values[post_idx]
     keep = post != pre
-    return [
-        EventRecord(i, b - a, a, b, j)
-        for i, j, a, b in zip(
-            pre_idx[keep].tolist(), post_idx[keep].tolist(), pre[keep].tolist(), post[keep].tolist()
-        )
-    ]
+    return EventTable(firsts[keep], post[keep] - pre[keep], pre[keep], post[keep], post_idx[keep])
 
 
-def filter_and_detect(signal: PowerSignal) -> tuple[PowerSignal, list[EventRecord]]:
-    """Outlier detection, filtered-signal construction, event detection, in order."""
+def filter_and_detect(signal: PowerSignal) -> tuple[PowerSignal, EventTable]:
+    """Outlier detection, filtered-signal construction, event detection, in order.
+
+    The event pass recomputes only the ratios of pairs holding a replaced
+    sample, which gives :func:`detect_events`'s result on the filtered signal.
+    """
     report = detect_outliers(signal)
     filtered = build_filtered_signal(signal, report)
-    return filtered, detect_events(filtered)
+    marks = report.sample_marks
+    pairs = np.concatenate((marks - 1, marks[marks < len(signal) - 1]))  # repeats write alike
+    m = report.ratios.m  # the report is not handed out: patch its series in place
+    m[pairs] = _pair_ratios(filtered.values[pairs], filtered.values[pairs + 1])
+    return filtered, _events(filtered, _outliers(m))

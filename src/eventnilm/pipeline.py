@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .classifier import Cycle, Diagnostics, LabeledEvent, classify
 from .config import RunConfig
 from .errors import DataConsistencyError, ParseError
@@ -21,11 +23,11 @@ from .evaluation import (
     match_events,
     precision_recall,
 )
-from .features import ApplianceModel, day_columns, label_training_events, train_appliance
+from .features import ApplianceModel, day_columns, mode_changes, train_appliance
 from .filtering import filter_and_detect
-from .model_io import atomic_write, format_number, read_text
+from .model_io import atomic_write, format_number, format_numbers, read_text
 from .modes import OFF_MODE, State, StateSet, extract_states
-from .signals import EventRecord, PowerSignal
+from .signals import EventTable, PowerSignal
 
 
 @dataclass
@@ -60,7 +62,7 @@ def train_models(
     """Learn one model per appliance from its submetered training signal."""
     day_base = aggregate.start_time
     _, agg_events = filter_and_detect(aggregate)
-    totals = {d: len(cols) for d, cols in day_columns(agg_events, aggregate).items()}
+    totals = {d: len(cols) for d, cols in day_columns(agg_events.index, aggregate).items()}
 
     result = TrainResult(models=[])
     for name in sorted(appliances):
@@ -166,16 +168,21 @@ def build_ground_truth(
     aggregate (so predictions and truth share an index origin).
     """
     by_id = {m.appliance_id: m for m in models}
-    points = []
-    for name in sorted(appliances):
-        model = by_id.get(name)
-        if model is None or not model.transitions:
-            continue
+    names = sorted(n for n in appliances if n in by_id and by_id[n].transitions)
+    parts = []
+    for rank, name in enumerate(names):
         _, events = filter_and_detect(appliances[name])
-        for ev, tr in label_training_events(events, model.states):
-            points.append(LabelPoint(ev.index + offset, name, tr.from_mode, tr.to_mode))
-    points.sort(key=lambda p: (p.index, p.appliance))
-    return points
+        modes = np.array(by_id[name].states.mode_ids())
+        keep, src, dst = mode_changes(events, by_id[name].states)
+        parts.append((events.index[keep], np.full(keep.size, rank), modes[src], modes[dst]))
+    if not parts:
+        return []
+    columns = [np.concatenate(col) for col in zip(*parts)]  # index, rank, from, to
+    order = np.lexsort((columns[1], columns[0]))  # by index, then appliance
+    return [
+        LabelPoint(i + offset, names[r], a, b)
+        for i, r, a, b in zip(*(col[order].tolist() for col in columns))
+    ]
 
 
 def evaluate_points(
@@ -203,23 +210,19 @@ def format_metrics(counts: dict[str, ConfusionCounts]) -> str:
 # plot data
 
 
-def format_events_table(signal: PowerSignal, events: list[EventRecord]) -> str:
+def format_events_table(signal: PowerSignal, events: EventTable) -> str:
     """One line per detected event: index, time, magnitude, levels."""
-    lines = ["index\ttime\tmagnitude\tpre_level\tpost_level"]
-    for ev in events:
-        lines.append(
-            f"{ev.index}\t{format_number(signal.time_at(ev.index))}"
-            f"\t{format_number(ev.magnitude)}"
-            f"\t{format_number(ev.pre_level)}\t{format_number(ev.post_level)}"
-        )
-    return "\n".join(lines) + "\n"
+    times = signal.start_time + events.index * signal.sample_period
+    numbers = map(format_numbers, (times, events.magnitude, events.pre_level, events.post_level))
+    rows = map("\t".join, zip(map(str, events.index.tolist()), *numbers))
+    return "\n".join(["index\ttime\tmagnitude\tpre_level\tpost_level", *rows]) + "\n"
 
 
 def write_plot_data(
     outdir: str | Path,
     raw: PowerSignal,
     filtered: PowerSignal,
-    events: list[EventRecord],
+    events: EventTable,
     cycles: list[Cycle] | None = None,
 ) -> list[Path]:
     """Columnar series for external plotting: signal, events, cycles."""
@@ -227,14 +230,9 @@ def write_plot_data(
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
 
-    lines = ["time\traw\tfiltered"]
-    for i in range(len(raw)):
-        lines.append(
-            f"{format_number(raw.time_at(i))}\t{format_number(raw.values[i])}"
-            f"\t{format_number(filtered.values[i])}"
-        )
+    rows = map("\t".join, zip(*map(format_numbers, (raw.times(), raw.values, filtered.values))))
     p = outdir / "signal.tsv"
-    atomic_write(p, "\n".join(lines) + "\n")
+    atomic_write(p, "\n".join(["time\traw\tfiltered", *rows]) + "\n")
     written.append(p)
 
     p = outdir / "events.tsv"

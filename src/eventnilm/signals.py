@@ -49,6 +49,10 @@ class PowerSignal:
     def time_at(self, index: int) -> float:
         return self.start_time + index * self.sample_period
 
+    def times(self) -> np.ndarray:
+        """Time of every sample, as ``time_at`` computes it."""
+        return self.start_time + np.arange(len(self)) * self.sample_period
+
     @property
     def end_time(self) -> float:
         """Time of the last sample."""
@@ -99,6 +103,47 @@ class EventRecord:
     @property
     def rising(self) -> bool:
         return self.magnitude > 0
+
+
+_COLUMNS = ("index", "magnitude", "pre_level", "post_level", "post_index")  # EventRecord's order
+
+
+@dataclass(frozen=True, eq=False)
+class EventTable:
+    """Detected events as read-only columns, one row per event.
+
+    ``len``, ``table[i]`` and iteration give the rows as :class:`EventRecord`s,
+    whose rules are checked once, on the whole columns.
+    """
+
+    index: np.ndarray
+    magnitude: np.ndarray
+    pre_level: np.ndarray
+    post_level: np.ndarray
+    post_index: np.ndarray
+
+    def __post_init__(self):
+        for name in _COLUMNS:
+            col = np.array(getattr(self, name), np.int64 if "index" in name else np.float64)
+            if col.ndim != 1 or col.shape != np.shape(self.index):
+                raise ValueError("event columns must be 1-D and of one length")
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
+        if np.any(self.index < 0):
+            raise ValueError("event index must be non-negative")
+        if np.any(self.magnitude == 0):
+            raise ValueError("an event must change the signal value")
+        if np.any(np.abs((self.post_level - self.pre_level) - self.magnitude) > 1e-6):
+            raise ValueError("magnitude must equal post_level - pre_level")
+
+    def __len__(self):
+        return self.index.size
+
+    def __getitem__(self, i: int) -> EventRecord:
+        return EventRecord(*(getattr(self, name)[i].item() for name in _COLUMNS))
+
+    def __iter__(self):
+        return map(EventRecord, *(getattr(self, name).tolist() for name in _COLUMNS))
 
 
 @dataclass(frozen=True)

@@ -572,3 +572,127 @@ def reference_write_dataset(root, result, train_days, test_days, start_timestamp
         f"appliances = {','.join(names)}\n",
         encoding="utf-8",
     )
+
+
+def table(records):
+    """An ``EventTable`` whose rows are the given ``EventRecord``s, in order."""
+    from eventnilm.signals import EventTable
+
+    records = list(records)
+    names = ("index", "magnitude", "pre_level", "post_level", "post_index")
+    return EventTable(*([getattr(r, name) for r in records] for name in names))
+
+
+def assert_events_equal(events, want):
+    """An ``EventTable`` against reference ``EventRecord``s: the rows, by
+    iteration and by index, and every column bit for bit."""
+    rows = list(events)
+    assert rows == want
+    assert [events[i] for i in range(-len(want), 0)] == want
+    for name in ("index", "magnitude", "pre_level", "post_level", "post_index"):
+        column = getattr(events, name)
+        assert not column.flags.writeable
+        ref = np.array([getattr(e, name) for e in want], dtype=column.dtype)
+        assert column.shape == ref.shape and column.tobytes() == ref.tobytes(), name
+
+
+def reference_filter_and_detect(signal):
+    """Two full outlier passes: the event pass recomputes every ratio of the
+    filtered signal, as ``detect_events`` on it would."""
+    from eventnilm.filtering import build_filtered_signal, detect_outliers
+
+    filtered = build_filtered_signal(signal, detect_outliers(signal))
+    return filtered, reference_detect_events(filtered)
+
+
+def reference_build_ground_truth(appliances, models, offset=0):
+    """Per-event labels through ``label_training_events``'s rule, one
+    ``LabelPoint`` per event, then one sort on (index, appliance)."""
+    from eventnilm.evaluation import LabelPoint
+
+    by_id = {m.appliance_id: m for m in models}
+    points = []
+    for name in sorted(appliances):
+        model = by_id.get(name)
+        if model is None or not model.transitions:
+            continue
+        _, events = reference_filter_and_detect(appliances[name])
+        for e, tr in reference_label_training_events(events, model.states):
+            points.append(LabelPoint(e.index + offset, name, tr.from_mode, tr.to_mode))
+    points.sort(key=lambda p: (p.index, p.appliance))
+    return points
+
+
+def reference_match_events(predicted, truth, tolerance=1):
+    """Greedy matching over ``LabelPoint`` lists, with a used flag per truth."""
+    from collections import defaultdict
+
+    from eventnilm.evaluation import ConfusionCounts
+
+    preds_by_key = defaultdict(list)
+    for p in sorted(predicted, key=lambda e: e.index):
+        preds_by_key[p.key].append(p)
+    truths_by_key = defaultdict(list)
+    for t in sorted(truth, key=lambda e: e.index):
+        truths_by_key[t.key].append(t)
+    tp, fp, fn = defaultdict(int), defaultdict(int), defaultdict(int)
+    matched_total = 0
+    for key in sorted(set(preds_by_key) | set(truths_by_key)):
+        appliance = key[0]
+        ts = truths_by_key.get(key, [])
+        used = [False] * len(ts)
+        j = 0
+        for p in preds_by_key.get(key, []):
+            while j < len(ts) and (used[j] or ts[j].index < p.index - tolerance):
+                j += 1
+            if j < len(ts) and abs(ts[j].index - p.index) <= tolerance:
+                used[j] = True
+                tp[appliance] += 1
+                matched_total += 1
+                j += 1
+            else:
+                fp[appliance] += 1
+        fn[appliance] += used.count(False)
+    total_slots = len(predicted) + len(truth) - matched_total
+    return {
+        a: ConfusionCounts(tp[a], fp[a], fn[a], total_slots - tp[a] - fp[a] - fn[a])
+        for a in sorted(set(tp) | set(fp) | set(fn))
+    }
+
+
+def reference_filter_table(filtered):
+    """``eventnilm filter``'s output text, formatted one sample at a time."""
+    from eventnilm.model_io import format_number
+
+    lines = [
+        f"{format_number(filtered.time_at(i))}\t{format_number(filtered.values[i])}"
+        for i in range(len(filtered))
+    ]
+    return "time\tfiltered\n" + "\n".join(lines) + "\n"
+
+
+def reference_signal_tsv(raw, filtered):
+    """``signal.tsv`` of ``write_plot_data``, formatted one sample at a time."""
+    from eventnilm.model_io import format_number
+
+    lines = ["time\traw\tfiltered"]
+    for i in range(len(raw)):
+        lines.append(
+            f"{format_number(raw.time_at(i))}\t{format_number(raw.values[i])}"
+            f"\t{format_number(filtered.values[i])}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def reference_events_table(signal, events):
+    """``format_events_table``'s text, formatted one event at a time."""
+    from eventnilm.model_io import format_number
+
+    lines = ["index\ttime\tmagnitude\tpre_level\tpost_level"]
+    for e in events:
+        lines.append(
+            f"{e.index}\t{format_number(signal.time_at(e.index))}"
+            f"\t{format_number(e.magnitude)}"
+            f"\t{format_number(e.pre_level)}\t{format_number(e.post_level)}"
+        )
+    return "\n".join(lines) + "\n"

@@ -40,7 +40,7 @@ from eventnilm.pipeline import (
 from eventnilm.signals import PowerSignal
 from eventnilm.synth import balanced_household, demo_household, generate
 
-from helpers import enumerate_surviving, random_instance, split_train_test, state
+from helpers import enumerate_surviving, random_instance, split_train_test, state, table
 
 
 def report(number, ok, detail):
@@ -235,7 +235,7 @@ def test_criterion_6_compatibility_search_equivalence():
         if len(events) > 6:
             continue
         checked += 1
-        matrix = initial_labels(events, build_rows(models))
+        matrix = initial_labels(table(events), build_rows(models))
         cycle = Cycle(0, len(events) - 1)
         expected = enumerate_surviving(matrix, cycle, models)
         if all(not s for s in expected):

@@ -50,6 +50,7 @@ from helpers import (
     reference_segment_cycles,
     sig,
     state,
+    table,
     two_mode_model,
 )
 
@@ -89,7 +90,7 @@ class TestInitialLabels:
     def test_overlapping_bands_set_both_cells(self):
         models = [two_mode_model("app1", 890, 1000), two_mode_model("app2", 970, 1050)]
         rows = build_rows(models)
-        matrix = initial_labels([ev(0, 0, 980)], rows)
+        matrix = initial_labels(table([ev(0, 0, 980)]), rows)
         got = {rows[r].appliance for r in matrix.candidates(0)}
         assert got == {"app1", "app2"}
 
@@ -97,14 +98,14 @@ class TestInitialLabels:
         models = [two_mode_model("a", 890, 1000)]
         rows = build_rows(models)
         for mag in (890.0, 1000.0):
-            matrix = initial_labels([ev(0, 0, mag)], rows)
+            matrix = initial_labels(table([ev(0, 0, mag)]), rows)
             assert len(matrix.candidates(0)) == 1
 
     def test_unmatched_event_takes_nearest_rising_band(self):
         models = [two_mode_model("a", 890, 1000), two_mode_model("b", 1300, 1400)]
         rows = build_rows(models)
         diag = Diagnostics()
-        matrix = initial_labels([ev(0, 0, 1200)], rows, diag)
+        matrix = initial_labels(table([ev(0, 0, 1200)]), rows, diag)
         (r,) = matrix.candidates(0)
         assert rows[r].appliance == "b"  # distance 100 beats 200
         assert diag.unmatched_columns == [0]
@@ -118,12 +119,12 @@ class TestInitialLabels:
             behaviors=None,
         )
         rows = build_rows([rise_only])
-        matrix = initial_labels([ev(0, 950, 0)], rows)
+        matrix = initial_labels(table([ev(0, 950, 0)]), rows)
         assert len(matrix.candidates(0)) == 1
 
     def test_no_rows_rejected(self):
         with pytest.raises(ModelCoverageError):
-            initial_labels([ev(0, 0, 100)], [])
+            initial_labels(table([ev(0, 0, 100)]), [])
 
     def test_columns_never_empty(self):
         rng = np.random.default_rng(53)
@@ -133,7 +134,7 @@ class TestInitialLabels:
             mag = float(rng.uniform(-2000, 2000))
             if mag == 0.0:
                 continue
-            matrix = initial_labels([ev(0, max(0.0, -mag), max(0.0, mag))], rows)
+            matrix = initial_labels(table([ev(0, max(0.0, -mag), max(0.0, mag))]), rows)
             assert matrix.column_count(0) >= 1
 
 
@@ -203,7 +204,7 @@ class TestRefineByCompatibility:
         for _ in range(200):
             models, events = random_instance(rng)
             rows = build_rows(models)
-            matrix = initial_labels(events, rows)
+            matrix = initial_labels(table(events), rows)
             cycle = Cycle(0, len(events) - 1)
             expected = enumerate_surviving(matrix, cycle, models)
             if all(not s for s in expected):
@@ -220,7 +221,7 @@ class TestRefineByCompatibility:
         models = [app1, app2]
         rows = build_rows(models)
         events = [ev(0, 0, 300), ev(10, 300, 1000), ev(20, 1000, 0)]
-        matrix = initial_labels(events, rows)
+        matrix = initial_labels(table(events), rows)
         assert {rows[r].appliance for r in matrix.candidates(2)} == {"app1", "app2"}
         refined = refine_by_compatibility(matrix, [Cycle(0, 2)], models)
         assert [rows[r].appliance for r in refined.candidates(2)] == ["app1"]
@@ -229,7 +230,7 @@ class TestRefineByCompatibility:
         models = [two_mode_model("a", 490, 510)]
         rows = build_rows(models)
         events = [ev(0, 0, 500), ev(10, 500, 0)]
-        matrix = initial_labels(events, rows)
+        matrix = initial_labels(table(events), rows)
         refined = refine_by_compatibility(matrix, [Cycle(0, 1)], models)
         assert refined.column_count(0) == 1
         assert refined.column_count(1) == 1
@@ -239,7 +240,7 @@ class TestRefineByCompatibility:
         rows = build_rows(models)
         # two rises in a row cannot form a walk for a two-mode appliance
         events = [ev(0, 0, 500), ev(10, 500, 1000)]
-        matrix = initial_labels(events, rows)
+        matrix = initial_labels(table(events), rows)
         before = matrix.cells.copy()
         diag = Diagnostics()
         refined = refine_by_compatibility(matrix, [Cycle(0, 1)], models, diagnostics=diag)
@@ -250,7 +251,7 @@ class TestRefineByCompatibility:
         models = [two_mode_model("a", 490, 510), two_mode_model("b", 495, 505)]
         rows = build_rows(models)
         events = [ev(0, 0, 500), ev(10, 500, 0)]
-        matrix = initial_labels(events, rows)
+        matrix = initial_labels(table(events), rows)
         before = matrix.cells.copy()
         diag = Diagnostics()
         refined = refine_by_compatibility(
@@ -263,7 +264,7 @@ class TestRefineByCompatibility:
 class TestRefineByBehaviors:
     def _matrix(self, models, events):
         rows = build_rows(models)
-        return rows, initial_labels(events, rows)
+        return rows, initial_labels(table(events), rows)
 
     def _dishwasher(self):
         marker = Transition("on1", "on2", 643.0, 737.0)
@@ -396,7 +397,7 @@ class TestResolveByParticipation:
             idx += 10
         models = [dw, ko, other]
         rows = build_rows(models)
-        matrix = initial_labels(events, rows)
+        matrix = initial_labels(table(events), rows)
         s = sig(np.zeros(200))
         resolved = resolve_by_participation(matrix, models, s)
         # all seven go to dw: |0.7 - 0.73| beats |0.7 - 0.17|
@@ -414,7 +415,7 @@ class TestResolveByParticipation:
             idx += 5
         models = [a, b, filler]
         rows = build_rows(models)
-        matrix = initial_labels(events, rows)
+        matrix = initial_labels(table(events), rows)
         resolved = resolve_by_participation(matrix, models, sig(np.zeros(300)))
         # observed share 3/25 = 0.12 sits nearer 0.11 than 0.20
         for c in range(3):
@@ -426,7 +427,7 @@ class TestResolveByParticipation:
         events = [ev(0, 0, 985), ev(10, 985, 0)]
         models = [a, b]
         rows = build_rows(models)
-        matrix = initial_labels(events, rows)
+        matrix = initial_labels(table(events), rows)
         resolved = resolve_by_participation(matrix, models, sig(np.zeros(50)))
         # observed share for the lone ambiguous rise is 0.5 either way
         assert [rows[r].appliance for r in resolved.candidates(0)] == ["b"]
@@ -437,7 +438,7 @@ class TestResolveByParticipation:
         events = [ev(0, 0, 985)]
         models = [a, b]
         rows = build_rows(models)
-        matrix = initial_labels(events, rows)
+        matrix = initial_labels(table(events), rows)
         resolved = resolve_by_participation(matrix, models, sig(np.zeros(50)))
         assert [rows[r].appliance for r in resolved.candidates(0)] == ["a"]
 
@@ -458,7 +459,7 @@ class TestResolveByParticipation:
         events = [ev(10 * i, 0, m) for i, m in enumerate(mags)]
         models = [a, b, c, d, z]
         rows = build_rows(models)
-        matrix = initial_labels(events, rows)
+        matrix = initial_labels(table(events), rows)
         assert [matrix.column_count(col) for col in range(10)] == [2, 1, 2, 2, 1, 2, 1, 2, 1, 1]
         resolved = resolve_by_participation(matrix, models, sig(np.zeros(200)))
         picks = [rows[resolved.candidates(col)[0]].appliance for col in range(10)]
@@ -484,7 +485,7 @@ class TestResolveByParticipation:
                 level = post
             if not events:
                 continue
-            matrix = initial_labels(events, rows)
+            matrix = initial_labels(table(events), rows)
             resolved = resolve_by_participation(matrix, models, sig(np.zeros(200)))
             for c in range(len(events)):
                 assert resolved.column_count(c) == 1
@@ -507,7 +508,7 @@ class TestEnforceCycleClosure:
         models = [a, b]
         rows = build_rows(models)
         events = [ev(0, 0, 500), ev(10, 500, 0)]
-        matrix = initial_labels(events, rows)
+        matrix = initial_labels(table(events), rows)
         cycle = Cycle(0, 1)
         matrix = refine_by_compatibility(matrix, [cycle], models)
         pre = [matrix.candidates(c) for c in range(2)]
@@ -525,7 +526,7 @@ class TestEnforceCycleClosure:
         models = [a]
         rows = build_rows(models)
         events = [ev(0, 0, 500), ev(10, 500, 0)]
-        matrix = initial_labels(events, rows)
+        matrix = initial_labels(table(events), rows)
         cycle = Cycle(0, 1)
         pre = [matrix.candidates(c) for c in range(2)]
         matrix = resolve_by_participation(matrix, models, sig(np.zeros(50)))
@@ -537,7 +538,7 @@ class TestEnforceCycleClosure:
         a = two_mode_model("a", 490, 510)
         rows = build_rows([a])
         events = [ev(0, 0, 500), ev(10, 500, 1000)]  # cannot close
-        matrix = initial_labels(events, rows)
+        matrix = initial_labels(table(events), rows)
         matrix = resolve_by_participation(matrix, [a], sig(np.zeros(50)))
         before = matrix.cells.copy()
         repaired = enforce_cycle_closure(
@@ -549,7 +550,7 @@ class TestEnforceCycleClosure:
         models = [two_mode_model("a", 490, 510), two_mode_model("b", 485, 515)]
         rows = build_rows(models)
         events = [ev(0, 0, 500), ev(10, 500, 0)]
-        matrix = initial_labels(events, rows)
+        matrix = initial_labels(table(events), rows)
         pre = [matrix.candidates(c) for c in range(2)]
         matrix.assign(0, row_index(rows, "a", (OFF_MODE, "on1")))
         matrix.assign(1, row_index(rows, "b", ("on1", OFF_MODE)))
@@ -566,7 +567,7 @@ class TestEnforceCycleClosure:
         for _ in range(200):
             models, events = random_instance(rng)
             rows = build_rows(models)
-            matrix = initial_labels(events, rows)
+            matrix = initial_labels(table(events), rows)
             pre = [matrix.candidates(c) for c in range(len(events))]
             chosen = [int(rng.choice(p)) for p in pre]
             for c, r in enumerate(chosen):
@@ -667,7 +668,7 @@ class TestClassify:
 class TestCandidateLabelMatrix:
     def _matrix(self):
         rows = build_rows([two_mode_model("a", 100, 200), two_mode_model("b", 150, 250)])
-        return CandidateLabelMatrix(rows, [ev(0, 0, 160), ev(5, 160, 0)], [(0, 2), (1,)])
+        return CandidateLabelMatrix(rows, table([ev(0, 0, 160), ev(5, 160, 0)]), [(0, 2), (1,)])
 
     def test_cells_is_a_derived_view(self):
         matrix = self._matrix()
@@ -720,7 +721,7 @@ class TestInitialLabelsParity:
                     mags.append(float(rng.uniform(-3000, 3000)))
             events = [ev(10 * i, max(0.0, -m), max(0.0, m)) for i, m in enumerate(mags)]
             diag = Diagnostics()
-            matrix = initial_labels(events, rows, diag)
+            matrix = initial_labels(table(events), rows, diag)
             want = reference_initial_columns(events, rows)
             unmatched = [c for c, col in enumerate(want) if not col]
             assert diag.unmatched_columns == unmatched
@@ -776,7 +777,7 @@ class TestClassifyInvariants:
 
         filtered, events = filter_and_detect(test_agg)
         assert events
-        assert [le.event for le in labeled] == events
+        assert [le.event for le in labeled] == list(events)
         assert len(snapshots) == len(STAGES)
         for columns, cells in snapshots:
             assert len(columns) == len(events)
@@ -880,7 +881,7 @@ class TestSegmentCyclesParity:
             ]
             threshold = float(rng.choice([1.0, 10.0, 100.0, 1000.0]))
             diag = Diagnostics()
-            got = segment_cycles(s, events, threshold, diag)
+            got = segment_cycles(s, table(events), threshold, diag)
             assert got == reference_segment_cycles(s, events, threshold)
             assert diag.never_all_off == (not (s.values < threshold).any())
             overlapping += any(a.post_index > b.index for a, b in zip(events, events[1:]))
@@ -948,7 +949,7 @@ class TestStagesParity:
         n = idx + 20
         filtered = sig(np.zeros(n), period=300.0)
         raw = sig(rng.uniform(0.0, 2000.0, size=n), period=300.0)
-        return models, events, cycles, raw, filtered
+        return models, table(events), cycles, raw, filtered
 
     def test_random_households(self):
         rng = np.random.default_rng(97)

@@ -11,10 +11,12 @@ import pytest
 
 import eventnilm
 from eventnilm import dataset as dataset_module
-from eventnilm.cli import main
+from eventnilm.cli import _read_signal, main
+from eventnilm.filtering import filter_and_detect
 from eventnilm.model_io import save_models
+from eventnilm.synth import demo_household, generate
 
-from helpers import two_mode_model
+from helpers import reference_filter_table, two_mode_model
 
 
 def copy_dataset(src, dst):
@@ -117,6 +119,23 @@ class TestChannelCommands:
         filtered = [float(line.split("\t")[1]) for line in lines[1:]]
         assert max(filtered) == 800.0
         assert "wrote 60 filtered samples" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_filter_text_equals_per_sample_reference(self, seed, tmp_path, capsys):
+        result = generate(demo_household(), days=1, seed=seed)
+        channels = [result.aggregate, *result.appliances.values()]
+        for k, s in enumerate(channels):
+            times = 1.6e9 + 0.5 + np.arange(len(s)) * s.sample_period
+            rows = [f"{t!r} {w!r}" for t, w in zip(times.tolist(), s.values.tolist())]
+            if k == 1:  # signed zeros in the file
+                rows = [r.replace(" 0.0", " -0.0") for r in rows]
+                assert any(r.endswith(" -0.0") for r in rows)
+            channel = tmp_path / f"ch{k}.dat"
+            channel.write_text("\n".join(rows) + "\n", encoding="utf-8")
+            out = tmp_path / f"filtered{k}.tsv"
+            assert main(["filter", "--input", str(channel), "--output", str(out)]) == 0
+            filtered, _ = filter_and_detect(_read_signal(str(channel), None))
+            assert out.read_text() == reference_filter_table(filtered)
 
     def test_detect_events_table(self, tmp_path, capsys):
         channel = write_channel(tmp_path / "ch.dat", step_values())
@@ -475,6 +494,21 @@ class TestChannelCache:
             "1 negative readings clipped to 0 W, 1 gaps longer than 60 s,"
             " 1 duplicate and 1 out-of-order timestamps"
         ) in runs[0][0][0].err
+
+
+class TestFileModes:
+    def test_outputs_follow_the_umask(self, dataset, tmp_path, capsys):
+        manifest = copy_dataset(dataset, tmp_path)
+        model = tmp_path / "m.json"
+        old = os.umask(0o022)
+        try:
+            assert main(["train", "--manifest", str(manifest), "--output", str(model)]) == 0
+        finally:
+            os.umask(old)
+        entries = list((tmp_path / ".eventnilm-cache").iterdir())
+        assert entries
+        for path in [model, *entries]:
+            assert path.stat().st_mode & 0o777 == 0o644, path.name
 
 
 class TestConfigPrecedence:

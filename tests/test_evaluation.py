@@ -17,6 +17,8 @@ from eventnilm.evaluation import (
     precision_recall,
 )
 
+from helpers import reference_match_events
+
 
 def lp(index, appliance="x", from_mode="off", to_mode="on1"):
     return LabelPoint(index, appliance, from_mode, to_mode)
@@ -113,6 +115,25 @@ class TestMatchEvents:
             for app, c in out.items():
                 assert c.tp + c.fp == sum(1 for p in preds if p.appliance == app)
                 assert c.tp + c.fn == sum(1 for t in truth if t.appliance == app)
+
+    def test_equals_record_reference(self):
+        """Index lists per label against the LabelPoint walk with used flags:
+        unsorted input, repeated indices, labels on one side only."""
+        rng = np.random.default_rng(72)
+        keys = [("x", "off", "on1"), ("x", "on1", "off"), ("y", "off", "on1"), ("z", "a", "b")]
+        for _ in range(400):
+            tolerance = int(rng.integers(0, 4))
+            span = int(rng.choice([5, 40, 400]))
+            preds, truth = (
+                [
+                    LabelPoint(int(rng.integers(0, span)), *keys[rng.integers(0, k)])
+                    for _ in range(rng.integers(0, 30))
+                ]
+                for k in (3, 4)
+            )
+            assert match_events(preds, truth, tolerance) == reference_match_events(
+                preds, truth, tolerance
+            )
 
     def test_counts_are_deterministic(self):
         preds = [lp(3), lp(4), lp(5)]

@@ -22,9 +22,9 @@ from eventnilm.features import (
     min_off_gap,
     overshoot_floor,
     participation_index,
-    split_days,
     train_appliance,
     transition_interval,
+    transitions_by_day,
 )
 from eventnilm.filtering import detect_events
 from eventnilm.modes import OFF_MODE, State, StateSet
@@ -36,6 +36,7 @@ from helpers import (
     reference_label_training_events,
     reference_nearest,
     sig,
+    table,
 )
 
 
@@ -120,7 +121,7 @@ class TestLabelTrainingEvents:
     def test_containment_labels(self):
         states = dw_states()
         labeled = label_training_events(
-            [ev(5, 0.0, 1100.0), ev(20, 230.0, 1100.0)], states
+            table([ev(5, 0.0, 1100.0), ev(20, 230.0, 1100.0)]), states
         )
         assert [t.key for _, t in labeled] == [
             (OFF_MODE, "on2"),
@@ -130,15 +131,15 @@ class TestLabelTrainingEvents:
     def test_nearest_interval_when_level_falls_outside(self):
         # 1070 is 8 W under the top state's lower bound and 809 W above
         # the middle state, so the top state wins
-        labeled = label_training_events([ev(5, 230.0, 1070.0)], dw_states())
+        labeled = label_training_events(table([ev(5, 230.0, 1070.0)]), dw_states())
         assert labeled[0][1].key == ("on1", "on2")
 
     def test_self_transition_dropped(self):
-        labeled = label_training_events([ev(5, 210.0, 255.0)], dw_states())
+        labeled = label_training_events(table([ev(5, 210.0, 255.0)]), dw_states())
         assert labeled == []
 
     def test_interval_attached_matches_states(self):
-        labeled = label_training_events([ev(5, 0.0, 1100.0)], dw_states())
+        labeled = label_training_events(table([ev(5, 0.0, 1100.0)]), dw_states())
         tr = labeled[0][1]
         assert (tr.low, tr.high) == (1078.0, 1247.0)
 
@@ -150,17 +151,23 @@ class TestDaySplitting:
         assert day_of(86400.0, 0.0) == 1
         assert day_of(50.0, 0.0, day_seconds=25.0) == 2
 
-    def test_split_days_groups_by_sample_time(self):
+    def test_day_columns_groups_by_sample_time(self):
         s = sig(np.zeros(300) + 1.0, period=1.0)
-        events = [ev(10, 0, 1), ev(150, 0, 1), ev(250, 0, 1), ev(160, 1, 0)]
-        days = split_days(events, s, day_seconds=100.0)
+        index = np.array([10, 150, 250, 160])
+        days = day_columns(index, s, day_seconds=100.0)
         assert sorted(days) == [0, 1, 2]
-        assert [e.index for e in days[1]] == [150, 160]
+        assert [index[c] for c in days[1]] == [150, 160]
 
     def test_shared_base_shifts_day_index(self):
         s = sig(np.ones(10), start=200.0, period=1.0)
-        days = split_days([ev(0, 0, 1)], s, base=0.0, day_seconds=100.0)
+        days = day_columns(np.array([0]), s, base=0.0, day_seconds=100.0)
         assert list(days) == [2]
+
+    def test_transitions_by_day_follow_their_events(self):
+        s = sig(np.ones(300), period=1000.0)
+        up, down = Transition("x", "y", 0, 1), Transition("y", "x", -1, 0)
+        labeled = [(ev(10, 0, 1), up), (ev(150, 0, 1), up), (ev(160, 1, 0), down)]
+        assert transitions_by_day(labeled, s, base=-50000.0) == {0: [up], 2: [up, down]}
 
 
 class TestDayColumnsParity:
@@ -185,7 +192,7 @@ class TestDayColumnsParity:
                 base += [t, float(np.nextafter(t, np.inf)), float(np.nextafter(t, -np.inf))]
             for b in base:
                 want = reference_day_columns(events, s, b, day)
-                assert day_columns(events, s, b, day) == want
+                assert day_columns(table(events).index, s, b, day) == want
                 for e in events:
                     t = s.time_at(e.index)
                     ref = s.start_time if b is None else b
@@ -237,7 +244,7 @@ class TestLabelTrainingEventsParity:
                 on_bound += w in bounds
             steps = zip(levels, levels[1:])
             events = [ev(10 * i, a, b) for i, (a, b) in enumerate(steps) if a != b]
-            assert label_training_events(events, states) == reference_label_training_events(
+            assert label_training_events(table(events), states) == reference_label_training_events(
                 events, states
             )
         assert on_bound > 0 and equidistant > 0
@@ -467,7 +474,7 @@ class TestTrainAppliance:
         s = sig(np.zeros(48), period=3600.0)
         states = StateSet(states=(State(OFF_MODE, 0.0, 0.0, 0.0),))
         with pytest.raises(DataConsistencyError):
-            train_appliance("idle", s, s, [], states)
+            train_appliance("idle", s, s, table([]), states)
 
     def test_transition_for_unknown_key(self):
         s = self._two_day_signal()

@@ -23,7 +23,13 @@ from eventnilm.filtering import (
 
 from eventnilm.synth import balanced_household, demo_household, generate
 
-from helpers import reference_build_filtered_signal, reference_detect_events, sig
+from helpers import (
+    assert_events_equal,
+    reference_build_filtered_signal,
+    reference_detect_events,
+    reference_filter_and_detect,
+    sig,
+)
 
 
 def ratio_oracle(values):
@@ -214,7 +220,7 @@ class TestDetectEvents:
         # an isolated spike leaves pre == post, which is not an event
         s = sig([100.0] * 10 + [900.0] + [100.0] * 10)
         events = detect_events(s)
-        assert events == []
+        assert list(events) == []
 
     def test_post_index_clamped_at_end(self):
         s = sig([100.0] * 10 + [900.0, 900.0])
@@ -282,7 +288,7 @@ class TestDetectEventsParity:
             vals[spikes] = rng.lognormal(6.0, 2.0, size=int(spikes.sum()))
             s = sig(vals)
             want = reference_detect_events(s)
-            assert detect_events(s) == want
+            assert_events_equal(detect_events(s), want)
             dropped += len(_runs(detect_outliers(s).instances)[0]) > len(want)
             clamped += any(e.post_index == n - 1 for e in want)
         assert dropped > 0 and clamped > 0
@@ -294,7 +300,74 @@ class TestDetectEventsParity:
         )
         for s in [result.aggregate, *result.appliances.values()]:
             filtered, events = filter_and_detect(s)
-            assert events == reference_detect_events(filtered)
+            assert_events_equal(events, reference_detect_events(filtered))
+
+
+def random_signal(rng):
+    """Levels with spikes, built to hit the edges the event pass must patch:
+    marked runs at the first and the last pair, a marked run ending the
+    signal, runs one inlier apart, all-zero stretches and ``-0.0`` samples,
+    constant signals, and 2- and 3-sample signals."""
+    n = int(rng.choice([2, 3, int(rng.integers(4, 40)), int(rng.integers(40, 300))]))
+    if rng.uniform() < 0.1:
+        return np.full(n, float(rng.choice([0.0, -0.0, 7.0, 1500.0])))
+    levels = rng.choice([0.0, -0.0, 40.0, 500.0, 1234.5], size=n // 4 + 1)
+    vals = np.repeat(levels, 4)[:n]
+    if rng.uniform() < 0.5:
+        vals = vals * (1.0 + rng.normal(0, 0.01, size=n))
+    spikes = list(np.flatnonzero(rng.uniform(size=n) < 0.06))
+    for _ in range(int(rng.integers(0, 3))):
+        p = int(rng.integers(0, n))
+        spikes += [p, p + 2]  # two runs one inlier apart
+    spikes += [i for i in (0, 1, n - 2, n - 1) if rng.uniform() < 0.25]
+    spikes = [p for p in spikes if p < n]
+    vals[spikes] = rng.lognormal(6.0, 2.0, size=len(spikes))
+    return vals
+
+
+class TestFilterAndDetectParity:
+    """The event pass, which rewrites only the ratios next to replaced
+    samples, against two full passes: filtered values and every event field."""
+
+    def check(self, s):
+        filtered, events = filter_and_detect(s)
+        want_filtered, want = reference_filter_and_detect(s)
+        assert filtered.values.tobytes() == want_filtered.values.tobytes()
+        assert_events_equal(events, want)
+        return filtered
+
+    def test_random_signals(self):
+        rng = np.random.default_rng(1010)
+        seen = set()
+        for _ in range(600):
+            vals = random_signal(rng)
+            n = vals.size
+            marks = detect_outliers(sig(vals)).sample_marks
+            self.check(sig(vals))
+            firsts, lasts = _runs(marks)
+            seen |= {
+                ("first pair" if 1 in marks else None),
+                ("last pair" if n - 1 in marks else None),
+                ("run ends signal" if lasts.size and lasts[-1] == n - 1 else None),
+                ("one inlier apart" if (firsts[1:] - lasts[:-1] == 2).any() else None),
+                ("zero pair" if ((vals[:-1] == 0) & (vals[1:] == 0)).any() else None),
+                ("negative zero" if np.signbit(vals[vals == 0]).any() else None),
+                ("constant" if (vals == vals[0]).all() else None),
+                (n if n < 4 else None),
+            }
+        assert seen - {None} == {
+            "first pair", "last pair", "run ends signal", "one inlier apart",
+            "zero pair", "negative zero", "constant", 2, 3,
+        }
+
+    @pytest.mark.parametrize("household", ["demo", "balanced"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_generated_households(self, household, seed):
+        result = generate(
+            demo_household() if household == "demo" else balanced_household(), days=3, seed=seed
+        )
+        for s in [result.aggregate, *result.appliances.values()]:
+            self.check(s)
 
 
 class TestFilterAndDetectInvariants:

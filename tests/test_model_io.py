@@ -1,6 +1,7 @@
 """Model persistence: JSON round trips and the plain-text number format."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -86,6 +87,19 @@ class TestAtomicWrite:
         atomic_write(p, "\u00e9\n")
         assert p.read_bytes() == "\u00e9\n".encode("utf-8")
         assert list(tmp_path.iterdir()) == [p]
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+    def test_mode_is_what_open_gives(self, tmp_path, umask, mode):
+        p = tmp_path / "out.txt"
+        old = os.umask(umask)
+        try:
+            atomic_write(p, "x\n")
+            with open(tmp_path / "by_open.txt", "w") as fh:
+                fh.write("x\n")
+        finally:
+            os.umask(old)
+        assert p.stat().st_mode & 0o777 == mode
+        assert (tmp_path / "by_open.txt").stat().st_mode & 0o777 == mode
 
 
 class TestRoundTrip:

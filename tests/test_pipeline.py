@@ -18,9 +18,17 @@ from eventnilm.pipeline import (
 )
 from eventnilm.config import RunConfig
 from eventnilm.modes import OFF_MODE
-from eventnilm.synth import balanced_household, generate
+from eventnilm.dataset import slice_days
+from eventnilm.synth import balanced_household, demo_household, generate
 
-from helpers import ev, sig, two_mode_model
+from helpers import (
+    ev,
+    reference_build_ground_truth,
+    reference_events_table,
+    reference_signal_tsv,
+    sig,
+    two_mode_model,
+)
 
 
 def day_signal(run_slices, level, spd=24, period=3600.0, start=0.0):
@@ -165,6 +173,30 @@ class TestBuildGroundTruth:
         points = build_ground_truth({"heater": s, "lamp": flat}, [model, quiet])
         assert {p.appliance for p in points} == {"heater"}
 
+    def test_no_labeled_appliance_gives_no_points(self):
+        s = day_signal([(6, 12)], 500.0, spd=24)
+        assert build_ground_truth({"heater": s}, []) == []
+        assert build_ground_truth({}, [two_mode_model("heater", 490.0, 510.0)]) == []
+
+    @pytest.mark.parametrize("household", ["demo", "balanced"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_per_event_reference(self, household, seed):
+        result = generate(
+            demo_household() if household == "demo" else balanced_household(), days=4, seed=seed
+        )
+        base = result.aggregate.start_time
+        models = train_models(
+            {n: slice_days(s, (0, 1), base) for n, s in result.appliances.items()},
+            slice_days(result.aggregate, (0, 1), base),
+            RunConfig(),
+        ).models
+        test = {n: slice_days(s, (2, 3), base) for n, s in result.appliances.items()}
+        for offset in (0, 17):
+            points = build_ground_truth(test, models, offset)
+            assert points == reference_build_ground_truth(test, models, offset)
+            assert all(type(p.index) is int for p in points)
+        assert len({p.appliance for p in points}) > 1
+
 
 class TestEvaluatePoints:
     def test_perfect_match(self):
@@ -245,3 +277,16 @@ class TestWritePlotData:
         t0 = raw.time_at(events[0].index)
         t1 = raw.time_at(events[1].post_index)
         assert lines[1] == f"0\t1\t{t0:.0f}\t{t1:.0f}"
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_text_equals_per_sample_reference(self, seed, tmp_path):
+        result = generate(demo_household(), days=2, seed=seed)
+        signals = [result.aggregate, *result.appliances.values()]
+        vals = signals[1].values.copy()
+        vals[vals == 0] = -0.0  # signed zeros format as "0"
+        signals.append(sig(vals, start=1.6e9 + 0.25, period=0.1))
+        for raw in signals:
+            filtered, events = filter_and_detect(raw)
+            written = write_plot_data(tmp_path / "p", raw, filtered, events)
+            assert written[0].read_text() == reference_signal_tsv(raw, filtered)
+            assert written[1].read_text() == reference_events_table(raw, events)

@@ -6,12 +6,13 @@ import pytest
 from eventnilm.errors import AlignmentError
 from eventnilm.signals import (
     EventRecord,
+    EventTable,
     PowerSignal,
     aggregate,
     resample_step_hold,
 )
 
-from helpers import sig
+from helpers import sig, table
 
 
 class TestPowerSignal:
@@ -77,6 +78,60 @@ class TestEventRecord:
     def test_falling_sign(self):
         ev = EventRecord(index=1, magnitude=-80.0, pre_level=80.0, post_level=0.0)
         assert not ev.rising
+
+    def test_rejects_negative_index(self):
+        with pytest.raises(ValueError):
+            EventRecord(index=-1, magnitude=5.0, pre_level=0.0, post_level=5.0)
+
+
+class TestEventTable:
+    ROWS = [
+        EventRecord(index=3, magnitude=100.0, pre_level=0.0, post_level=100.0, post_index=5),
+        EventRecord(index=9, magnitude=-60.5, pre_level=100.0, post_level=39.5, post_index=10),
+    ]
+
+    def test_rows_and_columns(self):
+        t = table(self.ROWS)
+        assert len(t) == 2 and bool(t)
+        assert list(t) == self.ROWS
+        assert (t[0], t[-1]) == (self.ROWS[0], self.ROWS[1])
+        assert t.index.dtype == t.post_index.dtype == np.int64
+        assert t.magnitude.dtype == t.pre_level.dtype == t.post_level.dtype == np.float64
+        assert t.index.tolist() == [3, 9] and t.post_index.tolist() == [5, 10]
+        assert type(t[0].index) is int and type(t[0].magnitude) is float
+        with pytest.raises(IndexError):
+            t[2]
+
+    def test_empty_table_is_falsy(self):
+        t = table([])
+        assert len(t) == 0 and not t and list(t) == []
+
+    def test_columns_are_read_only_copies(self):
+        index = np.array([3, 9])
+        t = EventTable(index, [1.0, 2.0], [0.0, 0.0], [1.0, 2.0], [4, 10])
+        index[0] = 7
+        assert t.index[0] == 3
+        with pytest.raises(ValueError):
+            t.magnitude[0] = 5.0
+
+    @pytest.mark.parametrize(
+        "index, magnitude, pre, post",
+        [
+            ([2, -1], [5.0, 5.0], [0.0, 0.0], [5.0, 5.0]),  # negative index
+            ([2, 4], [5.0, 0.0], [0.0, 5.0], [5.0, 5.0]),  # no change
+            ([2, 4], [5.0, 50.0], [0.0, 0.0], [5.0, 100.0]),  # magnitude off the levels
+        ],
+    )
+    def test_rejects_what_event_record_rejects(self, index, magnitude, pre, post):
+        post_index = [i + 1 for i in index]
+        with pytest.raises(ValueError):
+            EventRecord(index[1], magnitude[1], pre[1], post[1], post_index[1])
+        with pytest.raises(ValueError):
+            EventTable(index, magnitude, pre, post, post_index)
+
+    def test_rejects_ragged_columns(self):
+        with pytest.raises(ValueError):
+            EventTable([1, 2], [1.0], [0.0], [1.0], [2])
 
 
 class TestResampleStepHold:
