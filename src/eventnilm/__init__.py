@@ -7,7 +7,7 @@ with the appliance and transition that caused it.
 
 import logging
 
-from .classifier import LabeledEvent, classify
+from .classifier import LabeledEvent, LabelTable, classify
 from .config import RunConfig
 from .errors import (
     AlignmentError,
@@ -47,6 +47,7 @@ __all__ = [
     "GroundTruthEvent",
     "InsufficientDataError",
     "LabelPoint",
+    "LabelTable",
     "LabeledEvent",
     "ManifestError",
     "ModelCoverageError",

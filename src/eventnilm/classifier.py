@@ -44,7 +44,7 @@ from .errors import ModelCoverageError
 from .features import ApplianceModel, Transition, day_columns, overshoot_height
 from .filtering import filter_and_detect
 from .modes import OFF_MODE
-from .signals import EventRecord, EventTable, PowerSignal
+from .signals import EVENT_COLUMNS, EventRecord, EventTable, PowerSignal
 
 log = logging.getLogger(__name__)
 
@@ -55,10 +55,6 @@ class LabelRow:
 
     appliance: str
     transition: Transition
-
-    @property
-    def key(self):
-        return (self.appliance, self.transition.key)
 
     def label(self) -> str:
         return self.transition.label(self.appliance)
@@ -111,14 +107,6 @@ class CandidateLabelMatrix:
             self.columns[col] = tuple(r for r in current if r != row)
             return True
         return False
-
-    def resolved(self) -> list[tuple[EventRecord, LabelRow]]:
-        out = []
-        for col, (ev, rows) in enumerate(zip(self.events, self.columns)):
-            if len(rows) != 1:
-                raise ValueError(f"column {col} holds {len(rows)} labels, wanted 1")
-            out.append((ev, self.rows[rows[0]]))
-        return out
 
 
 @dataclass(frozen=True)
@@ -174,35 +162,38 @@ def initial_labels(
     mags = events.magnitude[:, None]
     # events x rows, the same float64 comparison as Transition.contains
     hit_events, hit_rows = np.nonzero((low <= mags) & (mags <= high))
-    bounds = np.searchsorted(hit_events, np.arange(len(events) + 1)).tolist()
-    hit_rows = hit_rows.tolist()
+    bounds = np.searchsorted(hit_events, np.arange(len(events) + 1))
+    unmatched = np.flatnonzero(np.diff(bounds) == 0)
+    bounds, hit_rows = bounds.tolist(), hit_rows.tolist()
     columns = [tuple(hit_rows[a:b]) for a, b in zip(bounds, bounds[1:])]
-    for col, m in enumerate(events.magnitude.tolist()):
-        if columns[col]:
-            continue
-        nearest = min(
-            (
-                row.transition.rising != (m > 0),
-                _abs_distance(row.transition, abs(m)),
-                row.appliance,
-                row.transition.key,
-                r,
-            )
-            for r, row in enumerate(rows)
-        )
-        columns[col] = (nearest[-1],)
-        if diagnostics is not None:
-            diagnostics.unmatched_columns.append(col)
+    for col, r in zip(unmatched.tolist(), _nearest_rows(events.magnitude[unmatched], rows)):
+        columns[col] = (r,)
+    if diagnostics is not None:
+        diagnostics.unmatched_columns.extend(unmatched.tolist())
     return CandidateLabelMatrix(rows, events, columns)
 
 
-def _abs_distance(tr: Transition, abs_magnitude: float) -> float:
-    lo, hi = sorted((abs(tr.low), abs(tr.high)))
-    if abs_magnitude < lo:
-        return lo - abs_magnitude
-    if abs_magnitude > hi:
-        return abs_magnitude - hi
-    return 0.0
+def _nearest_rows(magnitudes: np.ndarray, rows: list[LabelRow]) -> list[int]:
+    """Per magnitude, the row minimising (direction mismatch, distance from
+    the band on absolute magnitude, appliance, transition key, row)."""
+    trs = [row.transition for row in rows]
+    lo, hi = np.sort(np.abs([[t.low, t.high] for t in trs]), axis=1).T
+    m = np.abs(magnitudes)[:, None]
+    keys = (
+        _ranks([t.key for t in trs]),
+        _ranks([row.appliance for row in rows]),
+        np.maximum(np.maximum(lo - m, m - hi), 0.0),
+        np.array([t.rising for t in trs]) != (magnitudes > 0)[:, None],
+    )
+    shape = (magnitudes.size, len(rows))
+    # lexsort orders by the last key first and is stable: ties go to the smaller row
+    return np.lexsort([np.broadcast_to(k, shape) for k in keys], axis=1)[:, 0].tolist()
+
+
+def _ranks(keys: list) -> np.ndarray:
+    """Each key's position among the distinct keys, in sorted order."""
+    rank = {k: i for i, k in enumerate(sorted(set(keys)))}
+    return np.array([rank[k] for k in keys])
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +341,10 @@ def refine_by_compatibility(
     """
     space = _WalkSpace(models, matrix.rows)
     starts, stops = _bounds(cycles)
-    closes, spent = space.replay(_first_candidates(matrix), starts, stops)
+    closes, spent = space.replay(_first_candidates(matrix.columns), starts, stops)
     # prefix counts of columns with several candidates; a cycle without any
     # has one walk at most, which the replay judged
-    multi = np.r_[0, np.cumsum([len(col) > 1 for col in matrix.columns])]
+    multi = np.r_[0, np.cumsum(_sizes(matrix.columns) > 1)]
     settled = multi[stops] == multi[starts]
     for ci in np.flatnonzero(~settled | ~closes | (spent > budget)).tolist():
         if settled[ci]:
@@ -392,8 +383,12 @@ def _bounds(cycles: list[Cycle]) -> tuple[np.ndarray, np.ndarray]:
     return starts, np.fromiter((c.end_event for c in cycles), np.int64, len(cycles)) + 1
 
 
-def _first_candidates(matrix: CandidateLabelMatrix) -> np.ndarray:
-    return np.fromiter((col[0] for col in matrix.columns), np.int64, len(matrix.columns))
+def _sizes(columns: list[tuple]) -> np.ndarray:
+    return np.fromiter(map(len, columns), np.int64, len(columns))
+
+
+def _first_candidates(columns: list[tuple]) -> np.ndarray:
+    return np.fromiter((col[0] for col in columns), np.int64, len(columns))
 
 
 def _flag(diagnostics, cycle_index, reason):
@@ -453,10 +448,11 @@ def refine_by_behaviors(
         m.appliance_id: (m.behaviors.overshoot_min if m.behaviors else 0.0)
         for m in models
     }
+    post_index, post_level = events.post_index.tolist(), events.post_level.tolist()
     for c in np.flatnonzero(events.magnitude > 0).tolist():
         if matrix.column_count(c) < 2:
             continue
-        height = overshoot_height(raw, events[c])
+        height = overshoot_height(raw, post_index[c], post_level[c])
         if height is None:  # no raw samples after the event
             height = 0.0
         for r in matrix.candidates(c):  # a tuple: drop() cannot disturb the loop
@@ -471,7 +467,7 @@ def refine_by_behaviors(
 
     # (c) minimum off gap, inferred from single-labeled events only
     last_off: dict[str, float] = {}
-    for c, (index, post_index) in enumerate(zip(events.index.tolist(), events.post_index.tolist())):
+    for c, index in enumerate(events.index.tolist()):
         rows = columns[c]
         if len(rows) > 1:
             t = filtered.time_at(index)
@@ -489,7 +485,7 @@ def refine_by_behaviors(
         if len(rows) == 1:
             row = matrix.rows[rows[0]]
             if row.transition.to_mode == OFF_MODE:
-                last_off[row.appliance] = filtered.time_at(post_index)
+                last_off[row.appliance] = filtered.time_at(post_index[c])
     return matrix
 
 
@@ -564,7 +560,7 @@ def enforce_cycle_closure(
     chosen and is listed in ``diagnostics.unrepaired_cycles``.
     """
     space = _WalkSpace(models, matrix.rows)
-    picks = _first_candidates(matrix)
+    picks = _first_candidates(matrix.columns)
     closes, _ = space.replay(picks, *_bounds(cycles))
     for ci in np.flatnonzero(~closes).tolist():
         if ci not in refined:
@@ -588,8 +584,13 @@ def enforce_cycle_closure(
 # the full pipeline
 
 
+STAGES = ("containment", "compatibility", "behavior", "participation", "closure")
+
+
 @dataclass(frozen=True)
 class LabeledEvent:
+    """One row of a :class:`LabelTable`: an event and the label it got."""
+
     event: EventRecord
     appliance: str
     transition: Transition
@@ -599,19 +600,76 @@ class LabeledEvent:
         return self.transition.label(self.appliance)
 
 
+@dataclass(frozen=True, eq=False)
+class LabelTable:
+    """One label per detected event, as columns.
+
+    ``row[i]`` indexes ``rows`` and ``stage[i]`` indexes :data:`STAGES` for
+    event ``events[i]``. ``len``, ``table[i]`` and iteration give the labels
+    as :class:`LabeledEvent`s; ``==`` compares content.
+    """
+
+    events: EventTable
+    rows: tuple[LabelRow, ...]
+    row: np.ndarray
+    stage: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "rows", tuple(self.rows))
+        for name in ("row", "stage"):
+            col = np.array(getattr(self, name), np.int64)
+            if col.shape != (len(self.events),):
+                raise ValueError(f"{name} must hold one entry per event")
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
+
+    def __len__(self):
+        return len(self.events)
+
+    def __getitem__(self, i: int) -> LabeledEvent:
+        return self._labeled(self.events[i], self.row[i], self.stage[i])
+
+    def __iter__(self):
+        return map(self._labeled, self.events, self.row.tolist(), self.stage.tolist())
+
+    def _labeled(self, event: EventRecord, r: int, code: int) -> LabeledEvent:
+        row = self.rows[r]
+        return LabeledEvent(event, row.appliance, row.transition, STAGES[code])
+
+    def __eq__(self, other):
+        if not isinstance(other, LabelTable):
+            return NotImplemented
+        mine = (self.row, self.stage, *(getattr(self.events, n) for n in EVENT_COLUMNS))
+        theirs = (other.row, other.stage, *(getattr(other.events, n) for n in EVENT_COLUMNS))
+        return self.rows == other.rows and all(map(np.array_equal, mine, theirs))
+
+
+def _stage_codes(after_containment, after_compat, pre_step4, after_resolve, final) -> np.ndarray:
+    """Per column, the index in STAGES of the stage that pinned its label down.
+
+    The arguments are the candidate columns after each stage; no column is
+    empty, and every ``final`` column holds one row.
+    """
+    single = [_sizes(cols) == 1 for cols in (after_containment, after_compat, pre_step4)]
+    kept = (_sizes(after_resolve) == 1) & (
+        _first_candidates(after_resolve) == _first_candidates(final)
+    )
+    return np.select([*single, kept], [0, 1, 2, 3], 4)
+
+
 def classify(
     aggregate: PowerSignal,
     models: list[ApplianceModel],
     all_off_margin: float = RunConfig.all_off_margin,
     budget: int = RunConfig.search_budget,
     day_base: float | None = None,
-) -> tuple[list[LabeledEvent], Diagnostics]:
+) -> tuple[LabelTable, Diagnostics]:
     """Label every event of the aggregate signal with one mode transition."""
     diagnostics = Diagnostics()
     filtered, events = filter_and_detect(aggregate)
-    if not events:
-        return [], diagnostics
     rows = build_rows(models)
+    if not events:
+        return LabelTable(events, rows, [], []), diagnostics
     matrix = initial_labels(events, rows, diagnostics)
     threshold = all_off_threshold(models, all_off_margin)
     cycles = segment_cycles(filtered, events, threshold, diagnostics)
@@ -629,17 +687,9 @@ def classify(
         matrix, cycles, models, pre_step4, refined, budget, diagnostics
     )
 
-    out = []
-    for col, (ev, row) in enumerate(matrix.resolved()):
-        if len(after_containment[col]) == 1:
-            stage = "containment"
-        elif len(after_compat[col]) == 1:
-            stage = "compatibility"
-        elif len(pre_step4[col]) == 1:
-            stage = "behavior"
-        elif after_resolve[col] == matrix.columns[col]:
-            stage = "participation"
-        else:
-            stage = "closure"
-        out.append(LabeledEvent(ev, row.appliance, row.transition, stage))
-    return out, diagnostics
+    sizes = _sizes(matrix.columns)
+    bad = np.flatnonzero(sizes != 1)
+    if bad.size:
+        raise ValueError(f"column {bad[0]} holds {sizes[bad[0]]} labels, wanted 1")
+    stage = _stage_codes(after_containment, after_compat, pre_step4, after_resolve, matrix.columns)
+    return LabelTable(events, rows, _first_candidates(matrix.columns), stage), diagnostics

@@ -104,10 +104,6 @@ def mode_changes(events: EventTable, states: StateSet) -> tuple[np.ndarray, ...]
 DAY_SECONDS = 86400.0
 
 
-def day_of(time: float, base: float, day_seconds: float = DAY_SECONDS) -> int:
-    return int(days_of(np.float64(time), base, day_seconds))
-
-
 def days_of(times: np.ndarray, base: float, day_seconds: float = DAY_SECONDS) -> np.ndarray:
     """Day index of each time, day 0 starting at ``base``."""
     return np.floor_divide(times - base, day_seconds).astype(np.int64)
@@ -252,16 +248,16 @@ def find_signature(
 OVERSHOOT_WINDOW = 10  # samples after an event searched for its raw peak
 
 
-def overshoot_height(raw: PowerSignal, ev: EventRecord) -> float | None:
-    """Raw peak in the window from ``ev.post_index`` on, minus the settled level.
+def overshoot_height(raw: PowerSignal, post_index: int, post_level: float) -> float | None:
+    """Raw peak in the window from an event's ``post_index`` on, minus its
+    settled ``post_level``.
 
     None when the event settles at the signal's end, leaving no samples.
     """
-    a = ev.post_index
-    b = min(len(raw), a + OVERSHOOT_WINDOW)
-    if a >= b:
+    b = min(len(raw), post_index + OVERSHOOT_WINDOW)
+    if post_index >= b:
         return None
-    return float(np.max(raw.values[a:b])) - ev.post_level
+    return float(np.max(raw.values[post_index:b])) - post_level
 
 
 def overshoot_floor(
@@ -277,7 +273,9 @@ def overshoot_floor(
     appliance exhibits the habit only if every rise overshoots by at least
     ``floor`` watts.
     """
-    heights = [overshoot_height(raw, ev) for ev, _tr in labeled if ev.rising]
+    heights = [
+        overshoot_height(raw, ev.post_index, ev.post_level) for ev, _tr in labeled if ev.rising
+    ]
     gaps = [h for h in heights if h is not None]
     if not gaps:
         return 0.0
@@ -334,12 +332,6 @@ class ApplianceModel:
     transitions: tuple[Transition, ...]
     participation: dict[tuple[str, str], float] = field(default_factory=dict)
     behaviors: BehaviorSet | None = None
-
-    def transition_for(self, key: tuple[str, str]) -> Transition:
-        for t in self.transitions:
-            if t.key == key:
-                return t
-        raise KeyError(key)
 
 
 def train_appliance(

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifier import Cycle, Diagnostics, LabeledEvent, classify
+from .classifier import STAGES, Cycle, Diagnostics, LabelTable, classify
 from .config import RunConfig
 from .errors import DataConsistencyError, ParseError
 from .evaluation import (
@@ -102,7 +102,7 @@ def disaggregate(
     aggregate: PowerSignal,
     models: list[ApplianceModel],
     config: RunConfig,
-) -> tuple[list[LabeledEvent], Diagnostics]:
+) -> tuple[LabelTable, Diagnostics]:
     return classify(
         aggregate,
         models,
@@ -115,27 +115,22 @@ def disaggregate(
 # report formats
 
 
-def format_event_report(labeled: list[LabeledEvent], signal: PowerSignal) -> str:
-    lines = [
-        "# event report 1",
-        "timestamp\tindex\tmagnitude\tappliance\tfrom_mode\tto_mode\tstage",
-    ]
-    for item in labeled:
-        ev = item.event
-        lines.append(
-            "\t".join(
-                (
-                    format_number(signal.time_at(ev.index)),
-                    str(ev.index),
-                    format_number(ev.magnitude),
-                    item.appliance,
-                    item.transition.from_mode,
-                    item.transition.to_mode,
-                    item.stage,
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+def format_event_report(labeled: LabelTable, signal: PowerSignal) -> str:
+    events = labeled.events
+    times = signal.start_time + events.index * signal.sample_period
+    labels = ["\t".join((row.appliance, *row.transition.key)) for row in labeled.rows]
+    rows = map(
+        "\t".join,
+        zip(
+            format_numbers(times),
+            map(str, events.index.tolist()),
+            format_numbers(events.magnitude),
+            map(labels.__getitem__, labeled.row.tolist()),
+            map(STAGES.__getitem__, labeled.stage.tolist()),
+        ),
+    )
+    header = "timestamp\tindex\tmagnitude\tappliance\tfrom_mode\tto_mode\tstage"
+    return "\n".join(["# event report 1", header, *rows]) + "\n"
 
 
 def parse_event_report(path: str | Path) -> list[LabelPoint]:

@@ -105,7 +105,8 @@ class EventRecord:
         return self.magnitude > 0
 
 
-_COLUMNS = ("index", "magnitude", "pre_level", "post_level", "post_index")  # EventRecord's order
+# the EventTable columns, in EventRecord's field order
+EVENT_COLUMNS = ("index", "magnitude", "pre_level", "post_level", "post_index")
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,7 +124,7 @@ class EventTable:
     post_index: np.ndarray
 
     def __post_init__(self):
-        for name in _COLUMNS:
+        for name in EVENT_COLUMNS:
             col = np.array(getattr(self, name), np.int64 if "index" in name else np.float64)
             if col.ndim != 1 or col.shape != np.shape(self.index):
                 raise ValueError("event columns must be 1-D and of one length")
@@ -140,10 +141,10 @@ class EventTable:
         return self.index.size
 
     def __getitem__(self, i: int) -> EventRecord:
-        return EventRecord(*(getattr(self, name)[i].item() for name in _COLUMNS))
+        return EventRecord(*(getattr(self, name)[i].item() for name in EVENT_COLUMNS))
 
     def __iter__(self):
-        return map(EventRecord, *(getattr(self, name).tolist() for name in _COLUMNS))
+        return map(EventRecord, *(getattr(self, name).tolist() for name in EVENT_COLUMNS))
 
 
 @dataclass(frozen=True)

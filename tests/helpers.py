@@ -130,6 +130,31 @@ def reference_initial_columns(events, rows):
     ]
 
 
+def reference_nearest_keys(rows, magnitude):
+    """Every row's fallback key for a magnitude no band contains, smallest
+    first: (direction mismatch, distance from the band on absolute
+    magnitude, appliance, transition key, row)."""
+
+    def distance(tr, a):
+        lo, hi = sorted((abs(tr.low), abs(tr.high)))
+        if a < lo:
+            return lo - a
+        if a > hi:
+            return a - hi
+        return 0.0
+
+    return sorted(
+        (
+            row.transition.rising != (magnitude > 0),
+            distance(row.transition, abs(magnitude)),
+            row.appliance,
+            row.transition.key,
+            r,
+        )
+        for r, row in enumerate(rows)
+    )
+
+
 def state(mode, lo, hi):
     from eventnilm.modes import State
 
@@ -387,7 +412,7 @@ def reference_refine_by_behaviors(matrix, models, raw, filtered, day_base=None):
     for c, e in enumerate(matrix.events):
         if not e.rising or matrix.column_count(c) < 2:
             continue
-        height = overshoot_height(raw, e)
+        height = overshoot_height(raw, e.post_index, e.post_level)
         if height is None:
             height = 0.0
         for r in matrix.candidates(c):
@@ -696,3 +721,58 @@ def reference_events_table(signal, events):
             f"\t{format_number(e.pre_level)}\t{format_number(e.post_level)}"
         )
     return "\n".join(lines) + "\n"
+
+
+def reference_event_report(labeled, signal):
+    """``format_event_report``'s text, formatted one labeled event at a time."""
+    from eventnilm.model_io import format_number
+
+    lines = [
+        "# event report 1",
+        "timestamp\tindex\tmagnitude\tappliance\tfrom_mode\tto_mode\tstage",
+    ]
+    for item in labeled:
+        ev = item.event
+        lines.append(
+            "\t".join(
+                (
+                    format_number(signal.time_at(ev.index)),
+                    str(ev.index),
+                    format_number(ev.magnitude),
+                    item.appliance,
+                    item.transition.from_mode,
+                    item.transition.to_mode,
+                    item.stage,
+                )
+            )
+        )
+    return "\n".join(lines) + "\n"
+
+
+def reference_stage(after_containment, after_compat, pre_step4, after_resolve, final, col):
+    """The stage that pinned column ``col``'s label down, by the per-event chain."""
+    if len(after_containment[col]) == 1:
+        return "containment"
+    if len(after_compat[col]) == 1:
+        return "compatibility"
+    if len(pre_step4[col]) == 1:
+        return "behavior"
+    if after_resolve[col] == final[col]:
+        return "participation"
+    return "closure"
+
+
+def reference_labeled_events(events, rows, snapshots):
+    """``classify``'s labels as one ``LabeledEvent`` per event, from the
+    candidate columns after each of its five stages."""
+    from eventnilm.classifier import LabeledEvent
+
+    final = snapshots[-1]
+    out = []
+    for col, (e, cands) in enumerate(zip(events, final)):
+        if len(cands) != 1:
+            raise ValueError(f"column {col} holds {len(cands)} labels, wanted 1")
+        row = rows[cands[0]]
+        stage = reference_stage(*snapshots, col)
+        out.append(LabeledEvent(e, row.appliance, row.transition, stage))
+    return out

@@ -6,6 +6,7 @@ back to all-OFF, and compares the surviving label sets with the reachable-
 set refinement. Instances stay small enough that enumeration is exact.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -18,7 +19,9 @@ from eventnilm.classifier import (
     _walk,
     _WalkSpace,
     Diagnostics,
+    LabeledEvent,
     LabelRow,
+    LabelTable,
     all_off_threshold,
     build_rows,
     classify,
@@ -35,7 +38,8 @@ from eventnilm.errors import ModelCoverageError
 from eventnilm.features import ApplianceModel, BehaviorSet, Transition
 from eventnilm.filtering import detect_events, filter_and_detect
 from eventnilm.modes import OFF_MODE, State, StateSet
-from eventnilm.pipeline import train_models
+from eventnilm.pipeline import format_event_report, train_models
+from eventnilm.signals import EventRecord, EventTable
 from eventnilm.synth import balanced_household, demo_household, generate
 
 from helpers import (
@@ -44,10 +48,13 @@ from helpers import (
     random_instance,
     reference_enforce_cycle_closure,
     reference_initial_columns,
+    reference_labeled_events,
+    reference_nearest_keys,
     reference_refine_by_behaviors,
     reference_refine_by_compatibility,
     reference_resolve_by_participation,
     reference_segment_cycles,
+    reference_stage,
     sig,
     state,
     table,
@@ -650,7 +657,8 @@ class TestClassify:
     def test_quiet_signal_yields_nothing(self):
         models = [two_mode_model("a", 490, 510)]
         labeled, _ = classify(sig(np.zeros(100)), models)
-        assert labeled == []
+        assert len(labeled) == 0
+        assert list(labeled) == []
 
     def test_single_appliance_aggregate_is_perfect(self):
         values = np.zeros(600)
@@ -692,7 +700,7 @@ class TestCandidateLabelMatrix:
         matrix.keep_only(0, {2, 3})
         matrix.assign(1, 3)
         assert [matrix.candidates(c) for c in range(2)] == [(2,), (3,)]
-        assert [row.label() for _, row in matrix.resolved()] == ["b:off->on1", "b:on1->off"]
+        assert [matrix.rows[r].label() for (r,) in matrix.columns] == ["b:off->on1", "b:on1->off"]
 
 
 class TestInitialLabelsParity:
@@ -726,16 +734,54 @@ class TestInitialLabelsParity:
             unmatched = [c for c, col in enumerate(want) if not col]
             assert diag.unmatched_columns == unmatched
             for c, col in enumerate(want):
-                if col:
-                    assert matrix.columns[c] == col
-                else:
-                    assert len(matrix.columns[c]) == 1
+                if not col:
+                    col = (reference_nearest_keys(rows, events[c].magnitude)[0][-1],)
+                assert matrix.columns[c] == col
             unmatched_seen += len(unmatched)
             edges_seen += sum(
                 any(e.magnitude in (r.transition.low, r.transition.high) for r in rows)
                 for e in events
             )
         assert unmatched_seen > 0 and edges_seen > 0
+
+
+    DECIDERS = ("direction", "distance", "appliance", "key", "row")
+
+    def test_nearest_band_fallback_on_any_rows(self):
+        """Unmatched columns against the per-column min, on rows in any
+        order, with repeated (appliance, key) pairs and tied distances."""
+        rng = np.random.default_rng(29)
+        modes = (OFF_MODE, "on1", "on2")
+        seen = set()
+        for _ in range(300):
+            rows = []
+            for _ in range(int(rng.integers(1, 9))):
+                lo, hi = sorted(float(x) for x in 100 * rng.integers(0, 12, size=2))
+                sign = rng.choice([1.0, -1.0])
+                band = (lo, hi) if sign > 0 else (-hi, -lo)
+                x, y = rng.choice(modes, size=2, replace=False)
+                rows.append(LabelRow(str(rng.choice(["a", "b", "c"])), Transition(x, y, *band)))
+            mags = [float(m) for m in 50 * rng.integers(-26, 27, size=12) if m != 0]
+            events = [ev(10 * i, max(0.0, -m), max(0.0, m)) for i, m in enumerate(mags)]
+            diag = Diagnostics()
+            matrix = initial_labels(table(events), rows, diag)
+            want = reference_initial_columns(events, rows)
+            assert diag.unmatched_columns == [c for c, col in enumerate(want) if not col]
+            for c in diag.unmatched_columns:
+                keys = reference_nearest_keys(rows, mags[c])
+                assert matrix.columns[c] == (keys[0][-1],)
+                seen.add("rising" if mags[c] > 0 else "falling")
+                seen.add("no same-direction band" if keys[0][0] else "same-direction band")
+                if len(keys) > 1:
+                    tied = next(i for i in range(5) if keys[0][i] != keys[1][i])
+                    seen.add(("decided by", self.DECIDERS[tied]))
+        assert seen >= {
+            "rising",
+            "falling",
+            "no same-direction band",
+            "same-direction band",
+            *(("decided by", k) for k in self.DECIDERS[1:]),
+        }
 
 
 STAGES = (
@@ -785,6 +831,11 @@ class TestClassifyInvariants:
             assert cells.shape[1] == len(events)
             assert [tuple(np.flatnonzero(cells[:, c]).tolist()) for c in range(len(events))] == columns
         assert all(len(col) == 1 for col in snapshots[-1][0])
+        # the table's rows, by index and in order, are the per-event labels
+        want = reference_labeled_events(events, build_rows(models), [c for c, _ in snapshots])
+        assert len(labeled) == len(want)
+        assert [labeled[i] for i in range(len(labeled))] == want
+        assert list(labeled) == want
 
         cycles = segment_cycles(filtered, events, all_off_threshold(models))
         skipped = {i for i, _ in diag.unrefined_cycles} | set(diag.unrepaired_cycles)
@@ -1013,3 +1064,98 @@ class TestStagesParity:
             "repaired",
             "unrepaired",
         }
+
+
+class TestLabelTable:
+    """The columnar result of ``classify``: equality, stage codes, the
+    one-label check, and no per-event objects on the way."""
+
+    def test_eq_compares_content_as_a_bool(self):
+        aggregate, models = TestClassify()._household()
+        first, _ = classify(aggregate, models)
+        second, _ = classify(aggregate, models)
+        assert first is not second
+        assert (first == second) is True
+        assert (first != second) is False
+        assert (first == list(first)) is False
+        row, stage = first.row.copy(), first.stage.copy()
+        row[3] = (row[3] + 1) % len(first.rows)
+        stage[5] = (stage[5] + 1) % len(classifier.STAGES)
+        assert (dataclasses.replace(first, row=row) == second) is False
+        assert (dataclasses.replace(first, stage=stage) == second) is False
+        assert (dataclasses.replace(first, rows=first.rows[::-1]) == second) is False
+        # the benchmark's repeat check compares (table, diagnostics) tuples
+        assert classify(aggregate, models) == classify(aggregate, models)
+
+    def test_columns_are_read_only_and_sized_to_the_events(self):
+        aggregate, models = TestClassify()._household()
+        labeled, _ = classify(aggregate, models)
+        assert labeled.row.dtype == labeled.stage.dtype == np.int64
+        with pytest.raises(ValueError):
+            labeled.row[0] = 1
+        with pytest.raises(ValueError, match="one entry per event"):
+            LabelTable(labeled.events, labeled.rows, labeled.row[1:], labeled.stage)
+
+    @pytest.mark.parametrize("bad", [(), (0, 1)])
+    def test_column_without_one_label_raises(self, monkeypatch, bad):
+        aggregate, models = TestClassify()._household()
+        closure = classifier.enforce_cycle_closure
+
+        def broken(*args, **kwargs):
+            matrix = closure(*args, **kwargs)
+            matrix.columns[2] = bad
+            return matrix
+
+        monkeypatch.setattr(classifier, "enforce_cycle_closure", broken)
+        with pytest.raises(ValueError, match=f"column 2 holds {len(bad)} labels, wanted 1"):
+            classify(aggregate, models)
+
+    def test_stage_codes_match_the_per_event_chain(self):
+        rng = np.random.default_rng(71)
+        seen = set()
+        for _ in range(200):
+            n, n_rows = int(rng.integers(1, 30)), int(rng.integers(1, 6))
+
+            def column(single_p):
+                k = 1 if rng.uniform() < single_p else int(rng.integers(1, n_rows + 1))
+                return tuple(sorted(rng.choice(n_rows, size=k, replace=False).tolist()))
+
+            final = [column(1.0) for _ in range(n)]
+            snapshots = [[column(0.3) for _ in range(n)] for _ in range(3)]
+            after_resolve = []
+            for c in range(n):  # equal to the final column, or a single or wider other
+                kind = int(rng.integers(3))
+                after_resolve.append(final[c] if kind == 0 else column(0.5 if kind == 1 else 0.0))
+            snapshots += [after_resolve, final]
+            codes = classifier._stage_codes(*snapshots)
+            got = [classifier.STAGES[k] for k in codes.tolist()]
+            assert got == [reference_stage(*snapshots, c) for c in range(n)]
+            seen.update(got)
+        assert seen == set(classifier.STAGES)
+
+    def test_labeling_builds_no_per_event_objects(self, monkeypatch):
+        result = generate(demo_household(), days=6, seed=0)
+        base = result.aggregate.start_time
+        train = {n: slice_days(s, (0, 1), base) for n, s in result.appliances.items()}
+        models = train_models(train, slice_days(result.aggregate, (0, 1), base), RunConfig()).models
+        test_agg = slice_days(result.aggregate, (2, 5), base)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-event object built on the labeling path")
+
+        overshoots = []
+        height = classifier.overshoot_height
+        monkeypatch.setattr(
+            classifier, "overshoot_height", lambda *a: overshoots.append(a) or height(*a)
+        )
+        monkeypatch.setattr(EventTable, "__getitem__", refuse)
+        monkeypatch.setattr(EventRecord, "__init__", refuse)
+        monkeypatch.setattr(LabeledEvent, "__init__", refuse)
+        labeled, _ = classify(test_agg, models)
+        report = format_event_report(labeled, test_agg)
+        monkeypatch.undo()
+        assert report.count("\n") == len(labeled) + 2
+        # the household reaches every stage up to participation, and the
+        # overshoot rule, which reads single events
+        assert set(classifier.STAGES[:4]) <= {le.stage for le in labeled}
+        assert overshoots

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from eventnilm.classifier import Cycle, LabeledEvent
+from eventnilm.classifier import STAGES, Cycle, LabelRow, LabelTable, classify
 from eventnilm.errors import ParseError
 from eventnilm.evaluation import ConfusionCounts, LabelPoint
 from eventnilm.filtering import filter_and_detect
@@ -24,9 +24,11 @@ from eventnilm.synth import balanced_household, demo_household, generate
 from helpers import (
     ev,
     reference_build_ground_truth,
+    reference_event_report,
     reference_events_table,
     reference_signal_tsv,
     sig,
+    table,
     two_mode_model,
 )
 
@@ -89,13 +91,13 @@ class TestTrainModels:
 
 class TestEventReport:
     def _labeled(self):
-        model = two_mode_model("fridge", 90.0, 110.0)
-        rise = model.transition_for((OFF_MODE, "on1"))
-        fall = model.transition_for(("on1", OFF_MODE))
-        return [
-            LabeledEvent(ev(4, 0, 100), "fridge", rise, "containment"),
-            LabeledEvent(ev(19, 100, 0), "fridge", fall, "participation"),
-        ]
+        rise, fall = two_mode_model("fridge", 90.0, 110.0).transitions
+        return LabelTable(
+            table([ev(4, 0, 100), ev(19, 100, 0)]),
+            (LabelRow("fridge", rise), LabelRow("fridge", fall)),
+            [0, 1],
+            [STAGES.index("containment"), STAGES.index("participation")],
+        )
 
     def test_round_trip(self, tmp_path):
         signal = sig(np.zeros(40), start=1000.0, period=2.0)
@@ -134,8 +136,22 @@ class TestEventReport:
     def test_empty_report_parses(self, tmp_path):
         signal = sig(np.zeros(4))
         p = tmp_path / "r.tsv"
-        p.write_text(format_event_report([], signal), encoding="utf-8")
+        empty = LabelTable(table([]), (), [], [])
+        p.write_text(format_event_report(empty, signal), encoding="utf-8")
         assert parse_event_report(p) == []
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_text_equals_per_event_reference(self, seed):
+        result = generate(demo_household(), days=6, seed=seed)
+        base = result.aggregate.start_time
+        train = {n: slice_days(s, (0, 2), base) for n, s in result.appliances.items()}
+        models = train_models(train, slice_days(result.aggregate, (0, 2), base), RunConfig()).models
+        aggregate = slice_days(result.aggregate, (3, 5), base)
+        labeled, _ = classify(aggregate, models)
+        assert len({le.stage for le in labeled}) > 1
+        odd_grid = sig(aggregate.values, start=1.6e9 + 0.25, period=0.1)
+        for signal in (aggregate, odd_grid):
+            assert format_event_report(labeled, signal) == reference_event_report(labeled, signal)
 
     def test_malformed_row(self, tmp_path):
         p = tmp_path / "r.tsv"
