@@ -406,7 +406,6 @@ def refine_by_behaviors(
     models: list[ApplianceModel],
     raw: PowerSignal,
     filtered: PowerSignal,
-    day_base: float | None = None,
 ) -> CandidateLabelMatrix:
     """Veto candidates that contradict appliance habits, in rule order.
 
@@ -424,7 +423,7 @@ def refine_by_behaviors(
         return matrix  # every rule only drops, and never a column's last candidate
     by_app = {m.appliance_id: m for m in models}
     events = matrix.events
-    cols_by_day = day_columns(events.index, filtered, day_base)
+    cols_by_day = day_columns(events.index, filtered)
 
     # (a) all-or-none daily marker
     for model in sorted(models, key=lambda m: m.appliance_id):
@@ -497,7 +496,6 @@ def resolve_by_participation(
     matrix: CandidateLabelMatrix,
     models: list[ApplianceModel],
     filtered: PowerSignal,
-    day_base: float | None = None,
 ) -> CandidateLabelMatrix:
     """Pick the candidate whose trained daily share the day best supports.
 
@@ -515,7 +513,7 @@ def resolve_by_participation(
         for key, p in m.participation.items()
     }
     columns = matrix.columns
-    for cols in day_columns(matrix.events.index, filtered, day_base).values():
+    for cols in day_columns(matrix.events.index, filtered).values():
         if all(len(columns[c]) == 1 for c in cols):
             continue  # nothing to resolve on this day
         count: dict[int, int] = {}
@@ -662,7 +660,6 @@ def classify(
     models: list[ApplianceModel],
     all_off_margin: float = RunConfig.all_off_margin,
     budget: int = RunConfig.search_budget,
-    day_base: float | None = None,
 ) -> tuple[LabelTable, Diagnostics]:
     """Label every event of the aggregate signal with one mode transition."""
     diagnostics = Diagnostics()
@@ -679,9 +676,9 @@ def classify(
     matrix = refine_by_compatibility(matrix, cycles, models, budget, diagnostics)
     after_compat = list(matrix.columns)
     refined = set(range(len(cycles))) - {i for i, _ in diagnostics.unrefined_cycles}
-    matrix = refine_by_behaviors(matrix, models, aggregate, filtered, day_base)
+    matrix = refine_by_behaviors(matrix, models, aggregate, filtered)
     pre_step4 = list(matrix.columns)
-    matrix = resolve_by_participation(matrix, models, filtered, day_base)
+    matrix = resolve_by_participation(matrix, models, filtered)
     after_resolve = list(matrix.columns)
     matrix = enforce_cycle_closure(
         matrix, cycles, models, pre_step4, refined, budget, diagnostics

@@ -29,8 +29,8 @@ from .config import RunConfig, apply_overrides, read_config
 from .errors import NilmError
 from .filtering import filter_and_detect
 from .model_io import atomic_write, format_number, format_numbers, load_models, save_models
-from .modes import MIN_CLUSTERS, extract_states
-from .signals import MAX_GAP_S, resample_step_hold
+from .modes import extract_states
+from .signals import gap_threshold, resample_step_hold
 from .synth import balanced_household, demo_household, generate
 
 EXIT_OK = 0
@@ -99,7 +99,7 @@ def _read_signal(path: str, period: float | None):
         diffs = np.diff(np.sort(times))
         diffs = diffs[diffs > 0]
         period = float(np.median(diffs)) if diffs.size else 1.0
-    max_gap = max(MAX_GAP_S, 1.5 * period)  # a slow meter's regular spacing is no gap
+    max_gap = gap_threshold(period)
     source = Path(path).stem
     signal, gaps = resample_step_hold(times, watts, period, max_gap=max_gap, source_id=source)
     _note_faults(signal.source_id, clipped, gaps, max_gap, disorder)

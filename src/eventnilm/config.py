@@ -7,6 +7,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .model_io import read_text
+from .modes import MIN_CLUSTERS
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,7 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.k_clusters < 10:
+        if self.k_clusters < MIN_CLUSTERS:
             raise ConfigError("k_clusters must be at least 10")
         if not 0.0 < self.merge_ratio < 1.0:
             raise ConfigError("merge_ratio must lie in (0, 1)")

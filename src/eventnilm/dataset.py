@@ -23,7 +23,7 @@ import numpy as np
 from .errors import AlignmentError, ManifestError, ParseError
 from .features import DAY_SECONDS
 from .model_io import atomic_write, format_number, format_numbers, read_text
-from .signals import MAX_GAP_S, GapRecord, PowerSignal, aggregate, resample_step_hold
+from .signals import GapRecord, PowerSignal, aggregate, gap_threshold, resample_step_hold
 from .synth import SynthResult
 
 
@@ -35,11 +35,13 @@ class DatasetManifest:
     train_days: tuple[int, int]  # inclusive day range
     test_days: tuple[int, int]
     appliances: tuple[str, ...]  # empty = every labeled channel
-    max_gap_s: float = MAX_GAP_S
+    max_gap_s: float | None = None  # None: gap_threshold(period)
 
     def __post_init__(self):
         if not (isfinite(self.period) and self.period > 0):
             raise ManifestError("period must be a finite positive number")
+        if self.max_gap_s is None:
+            object.__setattr__(self, "max_gap_s", gap_threshold(self.period))
         if not (isfinite(self.max_gap_s) and self.max_gap_s >= 0):
             raise ManifestError("max_gap must be a finite number of seconds, 0 or more")
         for name, rng in (("train_days", self.train_days), ("test_days", self.test_days)):
@@ -76,9 +78,9 @@ def read_manifest(path: str | Path) -> DatasetManifest:
     if missing:
         raise ManifestError(f"{path}: missing keys: {', '.join(missing)}")
 
-    def number(key: str, default: float | None = None) -> float:
+    def number(key: str) -> float:
         try:
-            return float(values.get(key, default))
+            return float(values[key])
         except ValueError:
             raise ManifestError(f"{path}: {key} must be a number") from None
 
@@ -92,7 +94,7 @@ def read_manifest(path: str | Path) -> DatasetManifest:
         train_days=_parse_day_range(values["train_days"], "train_days"),
         test_days=_parse_day_range(values["test_days"], "test_days"),
         appliances=appliances,
-        max_gap_s=number("max_gap", MAX_GAP_S),
+        max_gap_s=number("max_gap") if "max_gap" in values else None,
     )
 
 

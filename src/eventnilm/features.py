@@ -13,14 +13,14 @@ Three feature families are extracted on top of the state set:
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DataConsistencyError
 from .modes import OFF_MODE, State, StateSet
-from .signals import EventRecord, EventTable, PowerSignal
+from .signals import EventTable, PowerSignal
 
 
 @dataclass(frozen=True)
@@ -73,22 +73,25 @@ def transition_interval(from_state: State, to_state: State) -> tuple[float, floa
 
 def label_training_events(
     events: EventTable, states: StateSet
-) -> list[tuple[EventRecord, Transition]]:
+) -> tuple[np.ndarray, tuple[Transition, ...], np.ndarray]:
     """Assign each single-appliance training event to a mode transition.
 
     Pre and post levels are matched to the nearest state; self transitions
     (pre and post in the same state, small residual wobble) carry no mode
-    change and are dropped.
+    change and are dropped. Returns the positions in ``events`` of the mode
+    changes, the observed transitions sorted by key, and for each change the
+    position of its transition among them.
     """
-    made: dict[tuple[int, int], Transition] = {}
-    pairs = []
-    for pos, a, b in zip(*(col.tolist() for col in mode_changes(events, states))):
-        tr = made.get((a, b))
-        if tr is None:
-            s, d = states.states[a], states.states[b]
-            tr = made[a, b] = Transition(s.mode, d.mode, *transition_interval(s, d))
-        pairs.append((events[pos], tr))
-    return pairs
+    positions, src, dst = mode_changes(events, states)
+    n = len(states.states)
+    pairs, which = np.unique(src * n + dst, return_inverse=True)
+    made = []
+    for p in pairs.tolist():
+        s, d = states.states[p // n], states.states[p % n]
+        made.append(Transition(s.mode, d.mode, *transition_interval(s, d)))
+    order = sorted(range(len(made)), key=lambda t: made[t].key)
+    rank = np.argsort(order)  # each made transition's place in key order
+    return positions, tuple(made[t] for t in order), rank[which]
 
 
 def mode_changes(events: EventTable, states: StateSet) -> tuple[np.ndarray, ...]:
@@ -132,19 +135,6 @@ def day_columns(
     }
 
 
-def transitions_by_day(
-    labeled: list[tuple[EventRecord, Transition]],
-    signal: PowerSignal,
-    base: float | None = None,
-) -> dict[int, list[Transition]]:
-    """Labeled transitions grouped by their event's day as in :func:`day_columns`."""
-    index = np.array([ev.index for ev, _ in labeled], dtype=np.int64)
-    return {
-        day: [labeled[pos][1] for pos in positions]
-        for day, positions in day_columns(index, signal, base).items()
-    }
-
-
 # ---------------------------------------------------------------------------
 # participation index
 
@@ -183,12 +173,6 @@ def participation_index(
             key: sum(vals) / active_days for key, vals in sorted(shares.items())
         }
     return {key: sum(vals) / len(vals) for key, vals in sorted(shares.items())}
-
-
-def daily_transition_counts(
-    labeled_days: list[list[Transition]],
-) -> list[dict[tuple[str, str], int]]:
-    return [dict(Counter(t.key for t in day)) for day in labeled_days]
 
 
 # ---------------------------------------------------------------------------
@@ -262,58 +246,49 @@ def overshoot_height(raw: PowerSignal, post_index: int, post_level: float) -> fl
 
 def overshoot_floor(
     raw: PowerSignal,
-    filtered: PowerSignal,
-    labeled: list[tuple[EventRecord, Transition]],
+    post_index: np.ndarray,
+    post_level: np.ndarray,
     floor: float = 50.0,
 ) -> float:
     """Smallest consistent rise overshoot, or 0 when rises do not overshoot.
 
-    For each rising event the raw signal's local maximum in a short window
-    after the event is compared with the settled filtered level; the
-    appliance exhibits the habit only if every rise overshoots by at least
-    ``floor`` watts.
+    ``post_index`` and ``post_level`` are the rising events' columns. Each
+    rise's :func:`overshoot_height` compares the raw signal's peak in a short
+    window after the event with the settled filtered level; the appliance
+    exhibits the habit only if every rise overshoots by at least ``floor``
+    watts. Events settling at the signal's end have no window and are skipped.
     """
-    heights = [
-        overshoot_height(raw, ev.post_index, ev.post_level) for ev, _tr in labeled if ev.rising
-    ]
-    gaps = [h for h in heights if h is not None]
-    if not gaps:
+    inside = post_index < len(raw)
+    # clamping at the last sample cuts the windows at the signal's end
+    window = np.minimum(post_index[inside][:, None] + np.arange(OVERSHOOT_WINDOW), len(raw) - 1)
+    heights = raw.values[window].max(axis=1) - post_level[inside]
+    if not heights.size:
         return 0.0
-    lowest = min(gaps)
+    lowest = float(heights.min())
     return lowest if lowest >= floor else 0.0
 
 
 def min_off_gap(
-    labeled: list[tuple[EventRecord, Transition]],
     signal: PowerSignal,
+    index: np.ndarray,
+    post_index: np.ndarray,
+    into_off: np.ndarray,
+    out_of_off: np.ndarray,
 ) -> float:
-    """Shortest observed dwell in OFF between two ON runs, in seconds."""
-    gaps = []
-    enter_off_at = None
-    ordered = sorted(labeled, key=lambda p: p[0].index)
-    for ev, tr in ordered:
-        if tr.to_mode == OFF_MODE:
-            enter_off_at = signal.time_at(ev.post_index)
-        elif tr.from_mode == OFF_MODE and enter_off_at is not None:
-            gaps.append(signal.time_at(ev.index) - enter_off_at)
-            enter_off_at = None
-    return min(gaps) if gaps else 0.0
+    """Shortest observed dwell in OFF between two ON runs, in seconds.
 
-
-def extract_behaviors(
-    raw: PowerSignal,
-    filtered: PowerSignal,
-    labeled: list[tuple[EventRecord, Transition]],
-    states: StateSet,
-    overshoot_floor_w: float = 50.0,
-) -> BehaviorSet:
-    """Mine the behavior fingerprints from one appliance's training signal."""
-    daily_transitions = list(transitions_by_day(labeled, filtered).values())
-    return BehaviorSet(
-        signature=find_signature(daily_transitions, states),
-        overshoot_min=overshoot_floor(raw, filtered, labeled, floor=overshoot_floor_w),
-        min_off_gap_s=min_off_gap(labeled, filtered),
-    )
+    The columns describe mode changes in time order; ``into_off`` and
+    ``out_of_off`` mark those that end and start in OFF. A dwell runs from an
+    into-OFF change's settled sample to the next change touching OFF, when
+    that change leaves OFF.
+    """
+    touch = np.flatnonzero(into_off | out_of_off)
+    dwell = into_off[touch[:-1]] & out_of_off[touch[1:]]
+    ends, starts = touch[1:][dwell], touch[:-1][dwell]
+    if not ends.size:
+        return 0.0
+    gaps = signal.time_at(index[ends]) - signal.time_at(post_index[starts])
+    return float(gaps.min())
 
 
 # ---------------------------------------------------------------------------
@@ -350,28 +325,44 @@ def train_appliance(
     ``daily_totals`` maps day index to the aggregated household signal's
     event count that day; participation shares are fractions of those totals.
     Without it the appliance's own per-day counts stand in, which is only
-    right when the appliance is alone on the meter.
+    right when the appliance is alone on the meter. ``day_base`` anchors day
+    0 for those totals and for the signature's days; it defaults to the
+    filtered signal's start.
     """
-    labeled = label_training_events(events, states)
-    if not labeled:
+    positions, transitions, which = label_training_events(events, states)
+    if not transitions:
         raise DataConsistencyError("no usable mode transitions in training data")
-    labeled_days = transitions_by_day(labeled, filtered, base=day_base)
+    index = events.index[positions]
+    counts = {
+        day: np.bincount(which[cols], minlength=len(transitions)).tolist()
+        for day, cols in day_columns(index, filtered, day_base).items()
+    }
     if daily_totals is None:
-        daily_totals = {day: len(trs) for day, trs in labeled_days.items()}
-    all_days = sorted(set(daily_totals) | set(labeled_days))
-    counts = daily_transition_counts([labeled_days.get(d, []) for d in all_days])
-    totals = [daily_totals.get(d, 0) for d in all_days]
-    participation = participation_index(counts, totals, count_all_days=count_all_days)
-    behaviors = extract_behaviors(
-        raw, filtered, labeled, states, overshoot_floor_w=overshoot_floor_w
+        daily_totals = {day: sum(per) for day, per in counts.items()}
+    days = sorted(set(daily_totals) | set(counts))
+    participation = participation_index(
+        [{t.key: c for t, c in zip(transitions, counts.get(d, ())) if c} for d in days],
+        [daily_totals.get(d, 0) for d in days],
+        count_all_days=count_all_days,
     )
-    observed = {}
-    for _, tr in labeled:
-        observed.setdefault(tr.key, tr)
+    rises = positions[events.magnitude[positions] > 0]
+    into_off = np.array([t.to_mode == OFF_MODE for t in transitions])[which]
+    out_of_off = np.array([t.from_mode == OFF_MODE for t in transitions])[which]
+    behaviors = BehaviorSet(
+        signature=find_signature(
+            [[t for t, c in zip(transitions, per) if c] for per in counts.values()], states
+        ),
+        overshoot_min=overshoot_floor(
+            raw, events.post_index[rises], events.post_level[rises], floor=overshoot_floor_w
+        ),
+        min_off_gap_s=min_off_gap(
+            filtered, index, events.post_index[positions], into_off, out_of_off
+        ),
+    )
     return ApplianceModel(
         appliance_id=appliance_id,
         states=states,
-        transitions=tuple(observed[k] for k in sorted(observed)),
+        transitions=transitions,
         participation=participation,
         behaviors=behaviors,
     )

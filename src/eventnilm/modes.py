@@ -79,9 +79,6 @@ class State:
     centroid: float
     size: int = 0
 
-    def contains(self, watts: float) -> bool:
-        return self.low <= watts <= self.high
-
 
 @dataclass(frozen=True)
 class StateSet:

@@ -60,7 +60,6 @@ def train_models(
     config: RunConfig,
 ) -> TrainResult:
     """Learn one model per appliance from its submetered training signal."""
-    day_base = aggregate.start_time
     _, agg_events = filter_and_detect(aggregate)
     totals = {d: len(cols) for d, cols in day_columns(agg_events.index, aggregate).items()}
 
@@ -86,7 +85,7 @@ def train_models(
                 events,
                 states,
                 daily_totals=totals,
-                day_base=day_base,
+                day_base=aggregate.start_time,
                 overshoot_floor_w=config.overshoot_floor,
                 count_all_days=config.n_days_variant,
             )
@@ -237,8 +236,8 @@ def write_plot_data(
     if cycles is not None:
         lines = ["start_event\tend_event\tstart_time\tend_time"]
         for c in cycles:
-            t0 = raw.time_at(events[c.start_event].index)
-            t1 = raw.time_at(events[c.end_event].post_index)
+            t0 = raw.time_at(int(events.index[c.start_event]))
+            t1 = raw.time_at(int(events.post_index[c.end_event]))
             lines.append(
                 f"{c.start_event}\t{c.end_event}"
                 f"\t{format_number(t0)}\t{format_number(t1)}"

@@ -17,6 +17,13 @@ _GRID_EPS = 1e-9
 MAX_GAP_S = 60.0  # default hole length, in seconds, that step-hold filling reports
 
 
+def gap_threshold(period: float) -> float:
+    """Hole length, in seconds, past which a channel sampled every ``period``
+    seconds has a gap: 60 s, or 1.5 periods for a slow meter, whose regular
+    spacing is no gap."""
+    return max(MAX_GAP_S, 1.5 * period)
+
+
 @dataclass(frozen=True)
 class PowerSignal:
     """Uniformly indexed active-power series for one appliance or the aggregate.

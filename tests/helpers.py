@@ -356,6 +356,86 @@ def reference_label_training_events(events, states):
     return pairs
 
 
+def reference_overshoot_floor(raw, labeled, floor=50.0):
+    """``overshoot_floor`` over (event, transition) pairs, one window per rising event."""
+    from eventnilm.features import overshoot_height
+
+    heights = [overshoot_height(raw, e.post_index, e.post_level) for e, _ in labeled if e.rising]
+    gaps = [h for h in heights if h is not None]
+    if not gaps:
+        return 0.0
+    lowest = min(gaps)
+    return lowest if lowest >= floor else 0.0
+
+
+def reference_min_off_gap(labeled, signal):
+    """``min_off_gap`` as a walk over (event, transition) pairs in index order,
+    remembering when OFF was last entered."""
+    from eventnilm.modes import OFF_MODE
+
+    gaps = []
+    enter_off_at = None
+    for e, tr in sorted(labeled, key=lambda p: p[0].index):
+        if tr.to_mode == OFF_MODE:
+            enter_off_at = signal.time_at(e.post_index)
+        elif tr.from_mode == OFF_MODE and enter_off_at is not None:
+            gaps.append(signal.time_at(e.index) - enter_off_at)
+            enter_off_at = None
+    return min(gaps) if gaps else 0.0
+
+
+def reference_train_appliance(
+    appliance_id, raw, filtered, events, states, daily_totals=None, day_base=None,
+    overshoot_floor_w=50.0, count_all_days=False,
+):
+    """``train_appliance`` from one (event, transition) pair per mode change:
+    one transition list per day, a ``Counter`` of keys per day, and the
+    per-event references above. Signature and participation share the days
+    counted from ``day_base``."""
+    from collections import Counter
+
+    from eventnilm.errors import DataConsistencyError
+    from eventnilm.features import (
+        ApplianceModel,
+        BehaviorSet,
+        find_signature,
+        participation_index,
+    )
+
+    labeled = reference_label_training_events(events, states)
+    if not labeled:
+        raise DataConsistencyError("no usable mode transitions in training data")
+    by_day = {
+        day: [labeled[pos][1] for pos in positions]
+        for day, positions in reference_day_columns(
+            [e for e, _ in labeled], filtered, day_base
+        ).items()
+    }
+    if daily_totals is None:
+        daily_totals = {day: len(trs) for day, trs in by_day.items()}
+    days = sorted(set(daily_totals) | set(by_day))
+    participation = participation_index(
+        [dict(Counter(t.key for t in by_day.get(d, []))) for d in days],
+        [daily_totals.get(d, 0) for d in days],
+        count_all_days=count_all_days,
+    )
+    behaviors = BehaviorSet(
+        signature=find_signature(list(by_day.values()), states),
+        overshoot_min=reference_overshoot_floor(raw, labeled, floor=overshoot_floor_w),
+        min_off_gap_s=reference_min_off_gap(labeled, filtered),
+    )
+    observed = {}
+    for _, tr in labeled:
+        observed.setdefault(tr.key, tr)
+    return ApplianceModel(
+        appliance_id=appliance_id,
+        states=states,
+        transitions=tuple(observed[k] for k in sorted(observed)),
+        participation=participation,
+        behaviors=behaviors,
+    )
+
+
 # Stages 2-4 and the closure repair as per-cycle, per-column loops. Stage 2
 # walks every cycle, single-candidate or not, and the closure check replays
 # every refined cycle through ``_walk``.
@@ -389,12 +469,12 @@ def reference_refine_by_compatibility(matrix, cycles, models, budget, diagnostic
     return matrix
 
 
-def reference_refine_by_behaviors(matrix, models, raw, filtered, day_base=None):
+def reference_refine_by_behaviors(matrix, models, raw, filtered):
     from eventnilm.features import overshoot_height
     from eventnilm.modes import OFF_MODE
 
     by_app = {m.appliance_id: m for m in models}
-    cols_by_day = reference_day_columns(matrix.events, filtered, day_base)
+    cols_by_day = reference_day_columns(matrix.events, filtered)
     for model in sorted(models, key=lambda m: m.appliance_id):
         beh = model.behaviors
         if beh is None or beh.signature is None:
@@ -445,9 +525,9 @@ def reference_refine_by_behaviors(matrix, models, raw, filtered, day_base=None):
     return matrix
 
 
-def reference_resolve_by_participation(matrix, models, filtered, day_base=None):
+def reference_resolve_by_participation(matrix, models, filtered):
     trained = {(m.appliance_id, key): p for m in models for key, p in m.participation.items()}
-    for cols in reference_day_columns(matrix.events, filtered, day_base).values():
+    for cols in reference_day_columns(matrix.events, filtered).values():
         count = {}
         for c in cols:
             for r in matrix.candidates(c):

@@ -14,7 +14,7 @@ from eventnilm import dataset as dataset_module
 from eventnilm.cli import _read_signal, main
 from eventnilm.filtering import filter_and_detect
 from eventnilm.model_io import save_models
-from eventnilm.synth import demo_household, generate
+from eventnilm.synth import balanced_household, demo_household, generate
 
 from helpers import reference_filter_table, two_mode_model
 
@@ -373,6 +373,21 @@ class TestMeterFaults:
         manifest, out = dataset / "manifest.cfg", tmp_path / "m.json"
         assert main(["train", "--manifest", str(manifest), "--output", str(out)]) == 0
         assert "negative readings" not in capsys.readouterr().err
+
+    def test_slow_dataset_gaps_judged_by_its_period(self, tmp_path, capsys):
+        result = generate(balanced_household()[:2], days=2, period=120.0, seed=1)
+        manifest = dataset_module.write_dataset(tmp_path, result, (0, 0), (1, 1))
+        args = ["train", "--manifest", str(manifest), "--output", str(tmp_path / "m.json")]
+        assert main(args) == 0
+        assert "gaps longer" not in capsys.readouterr().err  # regular 120 s spacing is no gap
+        with open(manifest, "a", encoding="utf-8") as fh:
+            fh.write("max_gap = 60\n")  # an explicit max_gap still wins
+        assert main(args) == 0
+        notes = [n for n in capsys.readouterr().err.splitlines() if "gaps longer" in n]
+        assert notes == [
+            f"note: {name}: 0 negative readings clipped to 0 W, 1439 gaps longer than 60 s"
+            for name in sorted(result.appliances)
+        ]
 
 
 class TestFullFlow:

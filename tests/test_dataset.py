@@ -113,6 +113,15 @@ class TestManifest:
         )
         assert read_manifest(p).max_gap_s == 0.0
 
+    @pytest.mark.parametrize("period, max_gap", [("1", 60.0), ("20", 60.0), ("120", 180.0)])
+    def test_max_gap_defaults_to_the_gap_threshold(self, tmp_path, period, max_gap):
+        p = write(
+            tmp_path / "m.cfg",
+            f"labels = l.dat\nperiod = {period}\ntrain_days = 0\ntest_days = 1\n",
+        )
+        assert read_manifest(p).max_gap_s == max_gap
+        assert DatasetManifest(tmp_path, "l", float(period), (0, 0), (1, 1), ()).max_gap_s == max_gap
+
     def test_not_utf8(self, tmp_path):
         p = tmp_path / "m.cfg"
         p.write_bytes(b"labels = l.dat\nperiod = 1\xff\n")

@@ -6,15 +6,14 @@ must be achievable. Participation is checked against a direct evaluation
 of the averaging rule on randomly generated count tables.
 """
 
+import re
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from eventnilm.errors import DataConsistencyError
 from eventnilm.features import (
-    ApplianceModel,
-    BehaviorSet,
-    Transition,
-    daily_transition_counts,
     day_columns,
     days_of,
     find_signature,
@@ -24,7 +23,6 @@ from eventnilm.features import (
     participation_index,
     train_appliance,
     transition_interval,
-    transitions_by_day,
 )
 from eventnilm.filtering import detect_events
 from eventnilm.modes import OFF_MODE, State, StateSet
@@ -35,6 +33,7 @@ from helpers import (
     reference_day_columns,
     reference_label_training_events,
     reference_nearest,
+    reference_train_appliance,
     sig,
     table,
 )
@@ -119,29 +118,28 @@ class TestTransitionInterval:
 
 class TestLabelTrainingEvents:
     def test_containment_labels(self):
-        states = dw_states()
-        labeled = label_training_events(
-            table([ev(5, 0.0, 1100.0), ev(20, 230.0, 1100.0)]), states
-        )
-        assert [t.key for _, t in labeled] == [
-            (OFF_MODE, "on2"),
-            ("on1", "on2"),
-        ]
+        events = table([ev(5, 0.0, 1100.0), ev(20, 230.0, 1100.0)])
+        positions, transitions, which = label_training_events(events, dw_states())
+        assert positions.tolist() == [0, 1]
+        assert [t.key for t in transitions] == [(OFF_MODE, "on2"), ("on1", "on2")]
+        assert which.tolist() == [0, 1]
 
     def test_nearest_interval_when_level_falls_outside(self):
         # 1070 is 8 W under the top state's lower bound and 809 W above
         # the middle state, so the top state wins
-        labeled = label_training_events(table([ev(5, 230.0, 1070.0)]), dw_states())
-        assert labeled[0][1].key == ("on1", "on2")
+        _, transitions, which = label_training_events(table([ev(5, 230.0, 1070.0)]), dw_states())
+        assert [transitions[t].key for t in which] == [("on1", "on2")]
 
     def test_self_transition_dropped(self):
-        labeled = label_training_events(table([ev(5, 210.0, 255.0)]), dw_states())
-        assert labeled == []
+        events = table([ev(5, 210.0, 255.0), ev(9, 0.0, 230.0), ev(12, 230.0, 0.0)])
+        positions, transitions, which = label_training_events(events, dw_states())
+        assert positions.tolist() == [1, 2]
+        assert [t.key for t in transitions] == [(OFF_MODE, "on1"), ("on1", OFF_MODE)]
+        assert label_training_events(table([ev(5, 210.0, 255.0)]), dw_states())[1] == ()
 
     def test_interval_attached_matches_states(self):
-        labeled = label_training_events(table([ev(5, 0.0, 1100.0)]), dw_states())
-        tr = labeled[0][1]
-        assert (tr.low, tr.high) == (1078.0, 1247.0)
+        _, transitions, _ = label_training_events(table([ev(5, 0.0, 1100.0)]), dw_states())
+        assert [(t.low, t.high) for t in transitions] == [(1078.0, 1247.0)]
 
 
 class TestDaySplitting:
@@ -162,12 +160,6 @@ class TestDaySplitting:
         s = sig(np.ones(10), start=200.0, period=1.0)
         days = day_columns(np.array([0]), s, base=0.0, day_seconds=100.0)
         assert list(days) == [2]
-
-    def test_transitions_by_day_follow_their_events(self):
-        s = sig(np.ones(300), period=1000.0)
-        up, down = Transition("x", "y", 0, 1), Transition("y", "x", -1, 0)
-        labeled = [(ev(10, 0, 1), up), (ev(150, 0, 1), up), (ev(160, 1, 0), down)]
-        assert transitions_by_day(labeled, s, base=-50000.0) == {0: [up], 2: [up, down]}
 
 
 class TestDayColumnsParity:
@@ -244,9 +236,11 @@ class TestLabelTrainingEventsParity:
                 on_bound += w in bounds
             steps = zip(levels, levels[1:])
             events = [ev(10 * i, a, b) for i, (a, b) in enumerate(steps) if a != b]
-            assert label_training_events(table(events), states) == reference_label_training_events(
-                events, states
-            )
+            positions, transitions, which = label_training_events(table(events), states)
+            want = reference_label_training_events(events, states)
+            assert [events[p] for p in positions.tolist()] == [e for e, _ in want]
+            assert [transitions[t] for t in which.tolist()] == [tr for _, tr in want]
+            assert list(transitions) == sorted({tr for _, tr in want}, key=lambda t: t.key)
         assert on_bound > 0 and equidistant > 0
 
 
@@ -320,18 +314,6 @@ class TestParticipationIndex:
             participation_index([{}], [1, 2])
 
 
-class TestDailyCounts:
-    def test_counter_per_day(self):
-        t1 = Transition("off", "on1", 10.0, 20.0)
-        t2 = Transition("on1", "off", -20.0, -10.0)
-        out = daily_transition_counts([[t1, t1, t2], [], [t2]])
-        assert out == [
-            {("off", "on1"): 2, ("on1", "off"): 1},
-            {},
-            {("on1", "off"): 1},
-        ]
-
-
 class TestFindSignature:
     def test_all_modes_each_active_day_yields_marker(self):
         states = dw_states()
@@ -372,14 +354,11 @@ class TestFindSignature:
 
 
 class TestOvershootFloor:
-    def _labeled(self, raw_values, rises):
-        raw = sig(raw_values)
-        labeled = []
-        for idx, pre, post in rises:
-            labeled.append(
-                (ev(idx, pre, post, post_index=idx + 2), Transition("x", "y", 0, 1))
-            )
-        return raw, labeled
+    @staticmethod
+    def rises(*pairs):
+        """``post_index`` and ``post_level`` columns of rising events."""
+        post_index, post_level = zip(*pairs)
+        return np.array(post_index), np.array(post_level, dtype=np.float64)
 
     def test_min_gap_over_rises(self):
         values = np.zeros(60)
@@ -387,8 +366,8 @@ class TestOvershootFloor:
         values[12] = 620.0  # overshoot 120 at first rise
         values[42:] = 500.0
         values[42] = 580.0  # overshoot 80 at second rise
-        raw, labeled = self._labeled(values, [(10, 0, 500), (40, 0, 500)])
-        assert overshoot_floor(raw, sig(np.zeros(60)), labeled) == pytest.approx(80.0)
+        raw = sig(values)
+        assert overshoot_floor(raw, *self.rises((12, 500), (42, 500))) == pytest.approx(80.0)
 
     def test_one_weak_rise_disables(self):
         values = np.zeros(60)
@@ -396,42 +375,57 @@ class TestOvershootFloor:
         values[12] = 620.0
         values[42:] = 500.0
         values[42] = 530.0  # only 30 above the settled level
-        raw, labeled = self._labeled(values, [(10, 0, 500), (40, 0, 500)])
-        assert overshoot_floor(raw, sig(np.zeros(60)), labeled) == 0.0
+        raw = sig(values)
+        assert overshoot_floor(raw, *self.rises((12, 500), (42, 500))) == 0.0
 
     def test_falling_events_ignored(self):
-        values = np.full(30, 500.0)
-        values[12:] = 0.0
-        raw = sig(values)
-        labeled = [(ev(10, 500, 0), Transition("y", "x", -1, 0))]
-        assert overshoot_floor(raw, sig(values), labeled) == 0.0
+        raw = np.zeros(60)
+        raw[12:30] = 500.0
+        raw[12] = 620.0  # the rise overshoots by 120
+        filtered = np.zeros(60)
+        filtered[12:30] = 500.0
+        states = StateSet(states=(State(OFF_MODE, 0.0, 0.0, 0.0), state("on1", 500, 500)))
+        # the fall's window peaks 0 W above its settled level, under the floor
+        events = table([ev(10, 0, 500, post_index=12), ev(29, 500, 0, post_index=31)])
+        model = train_appliance("a", sig(raw), sig(filtered), events, states)
+        assert model.behaviors.overshoot_min == pytest.approx(120.0)
+        assert overshoot_floor(sig(raw), *self.rises((31, 0))) == 0.0
 
     def test_floor_parameter(self):
         values = np.zeros(40)
         values[12:] = 500.0
         values[12] = 570.0
-        raw, labeled = self._labeled(values, [(10, 0, 500)])
-        assert overshoot_floor(raw, sig(np.zeros(40)), labeled, floor=50.0) == 70.0
-        assert overshoot_floor(raw, sig(np.zeros(40)), labeled, floor=100.0) == 0.0
+        raw = sig(values)
+        assert overshoot_floor(raw, *self.rises((12, 500)), floor=50.0) == 70.0
+        assert overshoot_floor(raw, *self.rises((12, 500)), floor=100.0) == 0.0
+
+    def test_window_stops_at_the_signal_end(self):
+        raw = sig(np.array([0.0, 0.0, 700.0, 900.0]))
+        assert overshoot_floor(raw, *self.rises((2, 500), (4, 0))) == pytest.approx(400.0)
+        assert overshoot_floor(raw, *self.rises((4, 0))) == 0.0
 
 
 class TestMinOffGap:
     def test_shortest_gap_in_seconds(self):
         s = sig(np.zeros(100), period=2.0)
-        off = Transition("on1", OFF_MODE, -1, 0)
-        on = Transition(OFF_MODE, "on1", 0, 1)
-        labeled = [
-            (ev(10, 500, 0, post_index=12), off),
-            (ev(20, 0, 500), on),  # gap (20 - 12) * 2 s = 16 s
-            (ev(40, 500, 0, post_index=42), off),
-            (ev(45, 0, 500), on),  # gap 6 s
-        ]
-        assert min_off_gap(labeled, s) == pytest.approx(6.0)
+        index, post_index = np.array([10, 20, 40, 45]), np.array([12, 22, 42, 47])
+        into_off = np.array([True, False, True, False])
+        # gaps (20 - 12) * 2 s = 16 s and (45 - 42) * 2 s = 6 s
+        assert min_off_gap(s, index, post_index, into_off, ~into_off) == pytest.approx(6.0)
 
     def test_no_complete_gap_returns_zero(self):
         s = sig(np.zeros(50))
-        on = Transition(OFF_MODE, "on1", 0, 1)
-        assert min_off_gap([(ev(5, 0, 500), on)], s) == 0.0
+        one = np.array([5])
+        assert min_off_gap(s, one, one + 2, np.array([False]), np.array([True])) == 0.0
+
+    def test_only_changes_touching_off_count(self):
+        s = sig(np.zeros(100))
+        index, post_index = np.array([10, 20, 30, 40, 50]), np.array([12, 22, 32, 42, 52])
+        into_off = np.array([True, False, True, False, False])
+        out_of_off = np.array([False, False, False, True, True])
+        # on->off at 10, on1->on2 at 20 (ignored), a second into-OFF at 30
+        # restarts the dwell, out at 40; the out at 50 follows no into-OFF
+        assert min_off_gap(s, index, post_index, into_off, out_of_off) == 8.0
 
 
 class TestTrainAppliance:
@@ -475,3 +469,75 @@ class TestTrainAppliance:
         states = StateSet(states=(State(OFF_MODE, 0.0, 0.0, 0.0),))
         with pytest.raises(DataConsistencyError):
             train_appliance("idle", s, s, table([]), states)
+
+
+class TestTrainApplianceParity:
+    """Columnar training against the per-event references, on seeded random
+    state sets, event tables, day bases and household totals."""
+
+    def test_random_trainings(self):
+        rng = np.random.default_rng(91)
+        seen = Counter()
+        for _ in range(400):
+            states = TestLabelTrainingEventsParity.random_states(rng)
+            pool = [v for st in states.states for v in (st.low, st.high, st.centroid)]
+            period = float(rng.choice([900.0, 3600.0, 7200.0]))
+            n = int(rng.integers(8, 4 * 86400 / period))  # up to four days
+            start = float(rng.choice([0.0, 1.6e9, rng.uniform(-1e5, 1e5)]))
+            filtered = sig(np.ones(n), start=start, period=period)
+            raw = sig(rng.uniform(0.0, 5000.0, n - int(rng.integers(0, 3))), start, period)
+            index = np.sort(rng.choice(n, size=int(rng.integers(0, min(n, 30))), replace=False))
+            events = []
+            for i in index.tolist():
+                pre, post = (
+                    float(rng.choice(pool)) if rng.uniform() < 0.7 else rng.uniform(0, 3500)
+                    for _ in range(2)
+                )
+                if pre != post:
+                    post_index = min(i + int(rng.integers(1, 4)), n - 1)
+                    events.append(ev(i, pre, post, post_index=post_index))
+            day_base = [None, start, start - 86400.0, start + rng.uniform(-86400, 86400)][
+                int(rng.integers(4))
+            ]
+            daily_totals = None
+            if rng.uniform() < 0.6:
+                days = reference_day_columns(events, filtered, day_base)
+                lo, hi = min(days, default=0) - 1, max(days, default=0) + 1
+                daily_totals = {
+                    d: len(days.get(d, ())) + int(rng.integers(0, 5)) for d in range(lo, hi + 1)
+                }
+                if days and rng.uniform() < 0.1:  # a day with changes but no total
+                    del daily_totals[int(rng.choice(list(days)))]
+            args = ("a", raw, filtered, table(events), states)
+            kwargs = dict(
+                daily_totals=daily_totals,
+                day_base=day_base,
+                overshoot_floor_w=float(rng.choice([0.0, 50.0, 1000.0])),
+                count_all_days=bool(rng.uniform() < 0.3),
+            )
+            try:
+                want = reference_train_appliance(*args, **kwargs)
+            except DataConsistencyError as exc:
+                with pytest.raises(DataConsistencyError, match=re.escape(str(exc))):
+                    train_appliance(*args, **kwargs)
+                seen["rejected"] += 1
+                continue
+            assert train_appliance(*args, **kwargs) == want
+
+            labeled = reference_label_training_events(events, states)
+            touching = [
+                tr.to_mode == OFF_MODE for _, tr in labeled if OFF_MODE in tr.key
+            ]
+            seen["consecutive into-OFF"] += any(a and b for a, b in zip(touching, touching[1:]))
+            seen["out-of-OFF first"] += bool(touching) and not touching[0]
+            seen["settles at the end"] += any(
+                e.rising and e.post_index >= len(raw) for e, _ in labeled
+            )
+            changed = set(reference_day_columns([e for e, _ in labeled], filtered, day_base))
+            seen["day without change"] += bool(set(daily_totals or ()) - changed)
+            seen["totals given" if daily_totals else "totals None"] += 1
+            seen["base off the start"] += day_base not in (None, start)
+            seen["signature"] += want.behaviors.signature is not None
+            seen["overshoot"] += want.behaviors.overshoot_min > 0
+            seen["off gap"] += want.behaviors.min_off_gap_s > 0
+        assert len(seen) == 11 and min(seen.values()) > 0, seen

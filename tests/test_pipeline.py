@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from eventnilm.classifier import STAGES, Cycle, LabelRow, LabelTable, classify
+from eventnilm.classifier import (
+    STAGES,
+    Cycle,
+    LabelRow,
+    LabelTable,
+    all_off_threshold,
+    classify,
+    segment_cycles,
+)
 from eventnilm.errors import ParseError
 from eventnilm.evaluation import ConfusionCounts, LabelPoint
 from eventnilm.filtering import filter_and_detect
@@ -18,6 +26,7 @@ from eventnilm.pipeline import (
 )
 from eventnilm.config import RunConfig
 from eventnilm.modes import OFF_MODE
+from eventnilm.signals import EventRecord
 from eventnilm.dataset import slice_days
 from eventnilm.synth import balanced_household, demo_household, generate
 
@@ -306,3 +315,25 @@ class TestWritePlotData:
             written = write_plot_data(tmp_path / "p", raw, filtered, events)
             assert written[0].read_text() == reference_signal_tsv(raw, filtered)
             assert written[1].read_text() == reference_events_table(raw, events)
+
+
+def test_training_and_plot_data_build_no_event_records(tmp_path, monkeypatch):
+    """Training and the plot files read the event columns, never row objects."""
+    result = generate(demo_household(), days=6, seed=0)
+    raw = result.aggregate
+    filtered, events = filter_and_detect(raw)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("EventRecord built on a columnar path")
+
+    monkeypatch.setattr(EventRecord, "__init__", refuse)
+    trained = train_models(result.appliances, raw, RunConfig())
+    cycles = segment_cycles(filtered, events, all_off_threshold(trained.models))
+    written = write_plot_data(tmp_path, raw, filtered, events, cycles)
+    monkeypatch.undo()
+    assert trained.notes == [] and all(m.behaviors for m in trained.models)
+    assert len(cycles) > 1
+    lines = written[2].read_text().splitlines()
+    first, last = cycles[-1].start_event, cycles[-1].end_event
+    t0, t1 = raw.time_at(events[first].index), raw.time_at(events[last].post_index)
+    assert lines[-1] == f"{first}\t{last}\t{t0:.0f}\t{t1:.0f}"
