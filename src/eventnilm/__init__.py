@@ -20,7 +20,7 @@ from .errors import (
     ParseError,
     SpecValidationError,
 )
-from .evaluation import ConfusionCounts, LabelPoint, f_measure, match_events
+from .evaluation import ConfusionCounts, LabelPoint, PointTable, f_measure, match_events
 from .features import ApplianceModel, BehaviorSet, Transition, transition_interval
 from .filtering import detect_events, detect_outliers, filter_and_detect
 from .modes import Cluster, State, StateSet, extract_states, lw_cluster, ward_merge_cost
@@ -53,6 +53,7 @@ __all__ = [
     "ModelCoverageError",
     "NilmError",
     "ParseError",
+    "PointTable",
     "PowerSignal",
     "RunConfig",
     "SpecValidationError",

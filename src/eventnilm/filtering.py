@@ -55,13 +55,11 @@ def change_ratios(values: np.ndarray) -> np.ndarray:
 
 def _pair_ratios(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """1 - min/max of ``a[i]`` and ``b[i]``, element by element; 0 where both are 0."""
-    hi = np.maximum(a, b)
     m = np.minimum(a, b)
     with np.errstate(invalid="ignore", divide="ignore"):
-        np.divide(m, hi, out=m)
+        np.divide(m, np.maximum(a, b), out=m)
     np.subtract(1.0, m, out=m)
-    m[hi == 0] = 0.0
-    return m
+    return np.fmax(m, 0.0, out=m)  # 0/0 is the only NaN: both samples are zero
 
 
 def detect_outliers(signal: PowerSignal) -> OutlierReport:
@@ -106,7 +104,7 @@ def build_filtered_signal(signal: PowerSignal, report: OutlierReport) -> PowerSi
     Runs are averaged in one (runs, L) block per inlier-run length L, whose
     ``mean(axis=1)`` keeps ``np.mean``'s order of summation over each run.
     """
-    values = signal.values.copy()
+    values = signal.values + 0.0  # a fresh copy, with -0.0 made +0.0
     marks = report.sample_marks
     if marks.size:
         firsts, lasts = _runs(marks)
@@ -124,8 +122,9 @@ def build_filtered_signal(signal: PowerSignal, report: OutlierReport) -> PowerSi
             first = int(firsts[-1])
             start = max(first - REPLACEMENT_RUN_CAP, int(lasts[-2]) + 1 if lasts.size > 1 else 0)
             means[-1] = signal.values[start:first].mean()
-        values[marks] = np.repeat(means, lasts - firsts + 1)
-    return signal.replace_values(np.maximum(values, 0.0, out=values))
+        values[marks] = np.repeat(np.maximum(means, 0.0, out=means), lasts - firsts + 1)
+    values.flags.writeable = False
+    return signal.replace_values(values)
 
 
 def detect_events(filtered: PowerSignal) -> EventTable:

@@ -18,6 +18,7 @@ from .errors import DataConsistencyError, ParseError
 from .evaluation import (
     ConfusionCounts,
     LabelPoint,
+    PointTable,
     f_measure,
     macro_average_f,
     match_events,
@@ -132,11 +133,11 @@ def format_event_report(labeled: LabelTable, signal: PowerSignal) -> str:
     return "\n".join(["# event report 1", header, *rows]) + "\n"
 
 
-def parse_event_report(path: str | Path) -> list[LabelPoint]:
+def parse_event_report(path: str | Path) -> PointTable:
     path = Path(path)
     if not path.is_file():
         raise ParseError(f"report not found: {path}")
-    out = []
+    slot, index, code = {}, [], []  # slot: label -> code
     for lineno, line in enumerate(read_text(path).splitlines(), 1):
         if not line.strip() or line.startswith("#") or line.startswith("timestamp"):
             continue
@@ -144,44 +145,43 @@ def parse_event_report(path: str | Path) -> list[LabelPoint]:
         if len(parts) != 7:
             raise ParseError(f"{path}:{lineno}: expected 7 tab-separated fields")
         try:
-            index = int(parts[1])
-        except ValueError:
+            index.append(np.int64(parts[1]))
+        except (ValueError, OverflowError):
             raise ParseError(f"{path}:{lineno}: index must be an integer") from None
-        out.append(LabelPoint(index, parts[3], parts[4], parts[5]))
-    return out
+        code.append(slot.setdefault((parts[3], parts[4], parts[5]), len(slot)))
+    return PointTable(index, code, tuple(slot))
 
 
 def build_ground_truth(
     appliances: dict[str, PowerSignal],
     models: list[ApplianceModel],
     offset: int = 0,
-) -> list[LabelPoint]:
-    """Per-appliance events on submetered test signals, labeled by the model.
+) -> PointTable:
+    """Per-appliance events on submetered test signals, labeled by the model,
+    ordered by index, then appliance.
 
     ``offset`` shifts indices when the signals are a slice of a longer
     aggregate (so predictions and truth share an index origin).
     """
     by_id = {m.appliance_id: m for m in models}
     names = sorted(n for n in appliances if n in by_id and by_id[n].transitions)
-    parts = []
-    for rank, name in enumerate(names):
+    index, code, keys = [np.empty(0, np.int64)], [np.empty(0, np.int64)], []
+    for name in names:
         _, events = filter_and_detect(appliances[name])
-        modes = np.array(by_id[name].states.mode_ids())
+        modes = by_id[name].states.mode_ids()
         keep, src, dst = mode_changes(events, by_id[name].states)
-        parts.append((events.index[keep], np.full(keep.size, rank), modes[src], modes[dst]))
-    if not parts:
-        return []
-    columns = [np.concatenate(col) for col in zip(*parts)]  # index, rank, from, to
-    order = np.lexsort((columns[1], columns[0]))  # by index, then appliance
-    return [
-        LabelPoint(i + offset, names[r], a, b)
-        for i, r, a, b in zip(*(col[order].tolist() for col in columns))
-    ]
+        index.append(events.index[keep])
+        # each appliance owns a block of S² keys, one per (from, to) state pair
+        code.append(len(keys) + src * len(modes) + dst)
+        keys += [(name, a, b) for a in modes for b in modes]
+    index, code = np.concatenate(index), np.concatenate(code)
+    order = np.argsort(index, kind="stable")  # ties keep the appliances' sorted order
+    return PointTable(index[order] + offset, code[order], keys)
 
 
 def evaluate_points(
-    predicted: list[LabelPoint],
-    truth: list[LabelPoint],
+    predicted: PointTable | list[LabelPoint],
+    truth: PointTable | list[LabelPoint],
     tolerance: int,
 ) -> tuple[dict[str, ConfusionCounts], float]:
     counts = match_events(predicted, truth, tolerance)

@@ -46,7 +46,8 @@ class PowerSignal:
             raise ValueError(f"signal {self.source_id!r} contains negative samples")
         if not (self.sample_period > 0):
             raise ValueError("sample_period must be positive")
-        arr = arr.copy() if arr is self.values else arr
+        if arr is self.values and (arr.flags.writeable or not arr.flags.owndata):
+            arr = arr.copy()  # the caller may still write to it, or to the array it views
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
@@ -172,15 +173,15 @@ def resample_step_hold(
     period: float,
     start: float | None = None,
     end: float | None = None,
-    max_gap: float = MAX_GAP_S,
+    max_gap: float | None = None,
     source_id: str = "",
 ) -> tuple[PowerSignal, list[GapRecord]]:
     """Put an irregular (time, value) series onto a uniform grid.
 
     Each grid sample takes the most recent source sample at or before the
-    grid instant. Source gaps longer than ``max_gap`` seconds are still
-    filled with the last value but reported, so outages are visible instead
-    of silently fabricating flat power.
+    grid instant. Source gaps longer than ``max_gap`` seconds (by default
+    ``gap_threshold(period)``) are still filled with the last value but
+    reported, so outages are visible instead of fabricating flat power.
     """
     times = np.asarray(times, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
@@ -199,11 +200,13 @@ def resample_step_hold(
     grid = lo + np.arange(n) * period
     # index of most recent source sample at or before each grid instant
     src = np.searchsorted(times, grid + _GRID_EPS, side="right") - 1
-    signal = PowerSignal(values[src], start_time=lo, sample_period=period, source_id=source_id)
+    values = values[src]
+    values.flags.writeable = False
+    signal = PowerSignal(values, start_time=lo, sample_period=period, source_id=source_id)
 
     gaps = []
     spacing = np.diff(times)
-    for i in np.nonzero(spacing > max_gap)[0]:
+    for i in np.nonzero(spacing > (gap_threshold(period) if max_gap is None else max_gap))[0]:
         if times[i] <= hi and times[i + 1] >= lo:
             gaps.append(GapRecord(start_time=times[i], end_time=times[i + 1]))
     return signal, gaps
@@ -222,6 +225,7 @@ def aggregate(signals: list[PowerSignal]) -> PowerSignal:
     total = np.zeros(len(first))
     for s in signals:  # summed in list order so results are deterministic
         total += s.values
+    total.flags.writeable = False
     return PowerSignal(
         total, start_time=first.start_time, sample_period=first.sample_period, source_id="aggregate"
     )

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SpecValidationError
-from .evaluation import LabelPoint
+from .evaluation import PointTable
 from .features import DAY_SECONDS
 from .signals import PowerSignal
 
@@ -122,9 +122,6 @@ class GroundTruthEvent:
     to_mode: str
     magnitude: float
 
-    def as_label_point(self) -> LabelPoint:
-        return LabelPoint(self.index, self.appliance, self.from_mode, self.to_mode)
-
 
 @dataclass(frozen=True)
 class SynthResult:
@@ -135,8 +132,8 @@ class SynthResult:
     days: int
     seed: int
 
-    def truth_points(self) -> list[LabelPoint]:
-        return [t.as_label_point() for t in self.truth]
+    def truth_points(self) -> PointTable:
+        return PointTable.of(self.truth)  # the events carry LabelPoint's four fields
 
 
 @dataclass
@@ -283,6 +280,7 @@ def generate(
         values *= jitter
         np.maximum(values, 0.0, out=values)
         total += values
+        values.flags.writeable = False
         signals[spec.appliance_id] = PowerSignal(
             values=values, sample_period=period, source_id=spec.appliance_id
         )
@@ -298,6 +296,7 @@ def generate(
             )
 
     truth.sort(key=lambda t: (t.index, t.appliance))
+    total.flags.writeable = False
     aggregate = PowerSignal(values=total, sample_period=period, source_id="aggregate")
     return SynthResult(
         appliances=signals,

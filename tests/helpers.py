@@ -78,27 +78,38 @@ def reference_read_channel(path):
     return np.asarray(times), np.maximum(np.asarray(watts), 0.0)
 
 
-def reference_build_filtered_signal(signal, report):
+def reference_ratios(values):
+    """1 - min/max of each consecutive pair, set to 0 where both samples are 0."""
+    a, b = values[:-1], values[1:]
+    hi = np.maximum(a, b)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        m = 1.0 - np.minimum(a, b) / hi
+    m[hi == 0] = 0.0
+    return m
+
+
+def reference_outliers(values):
+    """Outlier instances: the ratios strictly above their sample (n-1) std."""
+    m = reference_ratios(values)
+    sd = float(np.std(m, ddof=1)) if m.size > 1 else 0.0
+    return np.nonzero(m > sd)[0]
+
+
+def reference_build_filtered_signal(signal, marks):
     """Run-by-run spike flattening, one ``np.mean`` per run, for parity tests.
 
     Walks each maximal run of marked samples in order and averages the
     inliers after it (or, for a run ending the signal, before it) with a
-    scalar scan, as ``build_filtered_signal`` is specified to.
+    scalar scan, as ``build_filtered_signal`` is specified to, then clamps
+    the whole array at 0.
     """
     from eventnilm.filtering import REPLACEMENT_RUN_CAP
 
     values = signal.values.copy()
     n = values.size
-    marks = report.sample_marks
     marked = np.zeros(n, dtype=bool)
     marked[marks] = True
-    runs = []
-    for i in marks.tolist():
-        if runs and runs[-1][1] == i - 1:
-            runs[-1][1] = i
-        else:
-            runs.append([i, i])
-    for first, last in runs:
+    for first, last in reference_runs(marks):
         if last + 1 < n:
             stop = last + 1
             while stop < n and not marked[stop] and stop - (last + 1) < REPLACEMENT_RUN_CAP:
@@ -270,16 +281,25 @@ def random_instance(rng):
     return models, events
 
 
+def reference_runs(indices):
+    """Maximal runs of consecutive sorted integers, as inclusive [first, last] pairs."""
+    runs = []
+    for i in indices.tolist():
+        if runs and runs[-1][1] == i - 1:
+            runs[-1][1] = i
+        else:
+            runs.append([i, i])
+    return runs
+
+
 def reference_detect_events(filtered):
     """Run-by-run event construction from numpy scalars, for parity tests."""
-    from eventnilm.filtering import _runs, detect_outliers
     from eventnilm.signals import EventRecord
 
-    report = detect_outliers(filtered)
     values = filtered.values
     n = values.size
     events = []
-    for first, last in zip(*(a.tolist() for a in _runs(report.instances))):
+    for first, last in reference_runs(reference_outliers(values)):
         pre_idx = first
         post_idx = min(last + 2, n - 1)
         pre = float(values[pre_idx])
@@ -702,11 +722,9 @@ def assert_events_equal(events, want):
 
 
 def reference_filter_and_detect(signal):
-    """Two full outlier passes: the event pass recomputes every ratio of the
-    filtered signal, as ``detect_events`` on it would."""
-    from eventnilm.filtering import build_filtered_signal, detect_outliers
-
-    filtered = build_filtered_signal(signal, detect_outliers(signal))
+    """Two full outlier passes, none of them the library's: the event pass
+    recomputes every ratio of the filtered signal."""
+    filtered = reference_build_filtered_signal(signal, reference_outliers(signal.values) + 1)
     return filtered, reference_detect_events(filtered)
 
 

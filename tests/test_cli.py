@@ -12,6 +12,7 @@ import pytest
 import eventnilm
 from eventnilm import dataset as dataset_module
 from eventnilm.cli import _read_signal, main
+from eventnilm.evaluation import LabelPoint
 from eventnilm.filtering import filter_and_detect
 from eventnilm.model_io import save_models
 from eventnilm.synth import balanced_household, demo_household, generate
@@ -476,6 +477,21 @@ class TestFullFlow:
         notes = proc.stderr.splitlines()
         assert any(re.fullmatch(r"note: \d+ cycle\(s\) left unrefined", n) for n in notes)
         assert all(n.startswith("note: ") for n in notes)
+
+
+    def test_evaluate_builds_no_label_points(self, dataset, tmp_path, capsys, monkeypatch):
+        manifest = dataset / "manifest.cfg"
+        models, report = tmp_path / "models.json", tmp_path / "report.tsv"
+        assert main(["train", "--manifest", str(manifest), "--output", str(models)]) == 0
+        args = ["--manifest", str(manifest), "--model", str(models)]
+        assert main(["disaggregate", *args, "--output", str(report)]) == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("LabelPoint built on the scoring path")
+
+        monkeypatch.setattr(LabelPoint, "__init__", refuse)
+        assert main(["evaluate", *args, "--report", str(report)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].startswith("average_f\t")
 
 
 class TestChannelCache:

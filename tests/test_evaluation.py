@@ -11,6 +11,7 @@ import pytest
 from eventnilm.evaluation import (
     ConfusionCounts,
     LabelPoint,
+    PointTable,
     f_measure,
     macro_average_f,
     match_events,
@@ -131,9 +132,12 @@ class TestMatchEvents:
                 ]
                 for k in (3, 4)
             )
-            assert match_events(preds, truth, tolerance) == reference_match_events(
-                preds, truth, tolerance
-            )
+            want = reference_match_events(preds, truth, tolerance)
+            tables = PointTable.of(preds), PointTable.of(truth)
+            assert match_events(preds, truth, tolerance) == want
+            assert match_events(*tables, tolerance) == want
+            assert match_events(tables[0], truth, tolerance) == want
+            assert match_events(preds, tables[1], tolerance) == want
 
     def test_counts_are_deterministic(self):
         preds = [lp(3), lp(4), lp(5)]
@@ -141,6 +145,40 @@ class TestMatchEvents:
         a = match_events(preds, truth, tolerance=1)
         b = match_events(list(reversed(preds)), list(reversed(truth)), tolerance=1)
         assert a == b
+
+
+class TestPointTable:
+    def test_rows_and_columns(self):
+        points = [lp(7, "y"), lp(3), lp(7, "y"), lp(9, to_mode="on2")]
+        t = PointTable.of(points)
+        assert len(t) == 4 and list(t) == points
+        assert [t[i] for i in range(-4, 4)] == points + points
+        assert t.index.tolist() == [7, 3, 7, 9] and t.code.tolist() == [0, 1, 0, 2]
+        assert not t.index.flags.writeable and not t.code.flags.writeable
+        assert PointTable.of(t) is t
+        assert all(type(p.index) is int for p in [*t, t[0]])
+
+    def test_equality_compares_content(self):
+        a = PointTable([1, 2], [0, 1], [("x", "off", "on1"), ("y", "off", "on1")])
+        b = PointTable([1, 2], [1, 0], [("y", "off", "on1"), ("x", "off", "on1"), ("z", "", "")])
+        assert a == b and a == PointTable.of(list(b))
+        assert a != PointTable([1, 3], [0, 1], a.keys)
+        assert a != PointTable([1, 2], [0, 0], a.keys)
+        assert a != list(a)
+        assert PointTable([], []) == PointTable.of([])
+
+    @pytest.mark.parametrize(
+        "index, code, keys",
+        [
+            ([1, 2], [0], [("x", "a", "b")]),  # ragged
+            ([[1]], [[0]], [("x", "a", "b")]),  # not 1-D
+            ([1], [1], [("x", "a", "b")]),  # code past the keys
+            ([1], [-1], [("x", "a", "b")]),
+        ],
+    )
+    def test_rejects_bad_columns(self, index, code, keys):
+        with pytest.raises(ValueError):
+            PointTable(index, code, keys)
 
 
 class TestScores:

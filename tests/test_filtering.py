@@ -28,6 +28,7 @@ from helpers import (
     reference_build_filtered_signal,
     reference_detect_events,
     reference_filter_and_detect,
+    reference_ratios,
     sig,
 )
 
@@ -165,7 +166,7 @@ class TestFilteredSignalParity:
 
     def check(self, signal, report):
         got = build_filtered_signal(signal, report).values
-        want = reference_build_filtered_signal(signal, report).values
+        want = reference_build_filtered_signal(signal, report.sample_marks).values
         assert got.tobytes() == want.tobytes()
 
     def test_random_mark_sets(self):
@@ -330,6 +331,7 @@ class TestFilterAndDetectParity:
     samples, against two full passes: filtered values and every event field."""
 
     def check(self, s):
+        assert change_ratios(s.values).tobytes() == reference_ratios(s.values).tobytes()
         filtered, events = filter_and_detect(s)
         want_filtered, want = reference_filter_and_detect(s)
         assert filtered.values.tobytes() == want_filtered.values.tobytes()

@@ -13,7 +13,7 @@ from eventnilm.classifier import (
     segment_cycles,
 )
 from eventnilm.errors import ParseError
-from eventnilm.evaluation import ConfusionCounts, LabelPoint
+from eventnilm.evaluation import ConfusionCounts, LabelPoint, PointTable, match_events
 from eventnilm.filtering import filter_and_detect
 from eventnilm.pipeline import (
     build_ground_truth,
@@ -114,7 +114,7 @@ class TestEventReport:
         p = tmp_path / "report.tsv"
         p.write_text(text, encoding="utf-8")
         points = parse_event_report(p)
-        assert points == [
+        assert list(points) == [
             LabelPoint(4, "fridge", OFF_MODE, "on1"),
             LabelPoint(19, "fridge", "on1", OFF_MODE),
         ]
@@ -147,7 +147,7 @@ class TestEventReport:
         p = tmp_path / "r.tsv"
         empty = LabelTable(table([]), (), [], [])
         p.write_text(format_event_report(empty, signal), encoding="utf-8")
-        assert parse_event_report(p) == []
+        assert list(parse_event_report(p)) == []
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_text_equals_per_event_reference(self, seed):
@@ -171,6 +171,13 @@ class TestEventReport:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError, match="not found"):
             parse_event_report(tmp_path / "r.tsv")
+
+    @pytest.mark.parametrize("index", ["x", "1.5", str(2**63), str(-(2**63) - 1)])
+    def test_index_must_be_a_64_bit_integer(self, tmp_path, index):
+        p = tmp_path / "r.tsv"
+        p.write_text(f"# event report 1\n0\t{index}\t5\tfridge\toff\ton1\tcontainment\n")
+        with pytest.raises(ParseError, match=":2: index must be an integer"):
+            parse_event_report(p)
 
 
 class TestBuildGroundTruth:
@@ -200,8 +207,8 @@ class TestBuildGroundTruth:
 
     def test_no_labeled_appliance_gives_no_points(self):
         s = day_signal([(6, 12)], 500.0, spd=24)
-        assert build_ground_truth({"heater": s}, []) == []
-        assert build_ground_truth({}, [two_mode_model("heater", 490.0, 510.0)]) == []
+        assert list(build_ground_truth({"heater": s}, [])) == []
+        assert list(build_ground_truth({}, [two_mode_model("heater", 490.0, 510.0)])) == []
 
     @pytest.mark.parametrize("household", ["demo", "balanced"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -218,7 +225,7 @@ class TestBuildGroundTruth:
         test = {n: slice_days(s, (2, 3), base) for n, s in result.appliances.items()}
         for offset in (0, 17):
             points = build_ground_truth(test, models, offset)
-            assert points == reference_build_ground_truth(test, models, offset)
+            assert list(points) == reference_build_ground_truth(test, models, offset)
             assert all(type(p.index) is int for p in points)
         assert len({p.appliance for p in points}) > 1
 
@@ -337,3 +344,23 @@ def test_training_and_plot_data_build_no_event_records(tmp_path, monkeypatch):
     first, last = cycles[-1].start_event, cycles[-1].end_event
     t0, t1 = raw.time_at(events[first].index), raw.time_at(events[last].post_index)
     assert lines[-1] == f"{first}\t{last}\t{t0:.0f}\t{t1:.0f}"
+
+
+def test_scoring_builds_no_label_points(monkeypatch):
+    """Ground truth and matching work on columns, never on row objects."""
+    result = generate(balanced_household(), days=3, seed=0)
+    base = result.aggregate.start_time
+    train = {n: slice_days(s, (0, 1), base) for n, s in result.appliances.items()}
+    models = train_models(train, slice_days(result.aggregate, (0, 1), base), RunConfig()).models
+    test = {n: slice_days(s, (2, 2), base) for n, s in result.appliances.items()}
+    predicted = PointTable.of(reference_build_ground_truth(test, models))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("LabelPoint built on a columnar path")
+
+    monkeypatch.setattr(LabelPoint, "__init__", refuse)
+    truth = build_ground_truth(test, models)
+    counts = match_events(predicted, truth)
+    monkeypatch.undo()
+    assert len(truth) > 10 and truth == predicted
+    assert all(c.fp == c.fn == 0 for c in counts.values()) and len(counts) > 1

@@ -21,6 +21,20 @@ class TestPowerSignal:
         with pytest.raises(ValueError):
             s.values[0] = 9.0
 
+    def test_caller_arrays_are_copied(self):
+        """A writeable array or a view may change later, so the signal keeps
+        its own copy; a read-only array that owns its data is taken as is."""
+        mine = np.array([1.0, 2.0, 3.0])
+        view = mine[:]
+        view.flags.writeable = False
+        signals = [PowerSignal(mine), PowerSignal(view)]
+        mine[0] = 9.0
+        for s in signals:
+            assert s.values.tolist() == [1.0, 2.0, 3.0]
+        frozen = np.array([1.0, 2.0])
+        frozen.flags.writeable = False
+        assert PowerSignal(frozen).values is frozen
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             PowerSignal(values=np.array([]))
@@ -153,6 +167,13 @@ class TestResampleStepHold:
         assert gaps[0].start_time == 0.0
         assert gaps[0].end_time == 200.0
         assert gaps[0].duration == 200.0
+
+    def test_default_gap_rule_follows_the_period(self):
+        times = np.arange(1440) * 120.0
+        _, gaps = resample_step_hold(times, np.ones(1440), 120.0)
+        assert gaps == []  # regular 120 s spacing is no gap
+        _, gaps = resample_step_hold(times, np.ones(1440), 120.0, max_gap=60.0)
+        assert len(gaps) == 1439
 
     def test_explicit_span(self):
         times = np.array([0.0, 10.0, 20.0, 30.0])
