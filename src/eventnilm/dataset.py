@@ -14,6 +14,7 @@ import re
 import warnings
 import zlib
 from dataclasses import dataclass
+from functools import cache
 from math import isfinite
 from pathlib import Path
 from typing import NoReturn
@@ -314,9 +315,14 @@ def write_dataset(
     names = sorted(result.appliances)
     lines = [f"{i + 1} {name}" for i, name in enumerate(names)]
     (root / "labels.dat").write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    @cache  # the channels share one grid, so one time column
+    def time_column(n: int, period: float) -> list[str]:
+        return format_numbers(start_timestamp + np.arange(n) * period)
+
     for i, name in enumerate(names):
         sig = result.appliances[name]
-        times = format_numbers(start_timestamp + np.arange(len(sig)) * sig.sample_period)
+        times = time_column(len(sig), sig.sample_period)
         lines = map(" ".join, zip(times, format_numbers(sig.values)))
         (root / f"channel_{i + 1}.dat").write_text("\n".join(lines) + "\n", encoding="utf-8")
     with open(root / "ground_truth.tsv", "w", encoding="utf-8") as fh:

@@ -8,9 +8,12 @@ byte-identical files. Writes go through a temp-file-then-rename step.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ParseError
 from .features import ApplianceModel, BehaviorSet, Transition
@@ -26,8 +29,15 @@ def format_number(x: float) -> str:
 
 
 def format_numbers(values) -> list[str]:
-    """``format_number`` of each element of a float64 array, in one pass."""
-    return [str(int(x)) if x.is_integer() else repr(x) for x in values.tolist()]
+    """``format_number`` of each element of a float64 array.
+
+    Each distinct value is formatted once: a meter column repeats a few
+    thousand levels over many samples. ``-0.0`` and ``0.0``, and all NaNs,
+    share a text, so merging them is exact.
+    """
+    distinct, position = np.unique(np.asarray(values, dtype=np.float64), return_inverse=True)
+    texts = [str(int(x)) if x.is_integer() else repr(x) for x in distinct.tolist()]
+    return np.array(texts, dtype=object)[position].tolist()
 
 
 def atomic_write(path: str | Path, data: str | bytes) -> None:
@@ -64,7 +74,7 @@ def _key_str(key: tuple[str, str]) -> str:
 def _key_tuple(text: str) -> tuple[str, str]:
     a, sep, b = text.partition("->")
     if not sep:
-        raise ParseError(f"bad transition key {text!r}")
+        raise ValueError(f"bad transition key {text!r}")
     return (a, b)
 
 
@@ -106,47 +116,67 @@ def _model_to_dict(model: ApplianceModel) -> dict:
     }
 
 
-def _model_from_dict(data: dict) -> ApplianceModel:
-    try:
-        states = StateSet(
-            states=tuple(
-                State(
-                    mode=s["mode"],
-                    low=float(s["low"]),
-                    high=float(s["high"]),
-                    centroid=float(s["centroid"]),
-                    size=int(s["size"]),
-                )
-                for s in data["states"]
-            )
+def _take(entry, key: str, kind: type | tuple[type, ...], what: str):
+    """``entry[key]`` if it is a ``kind`` (a bool is no number), else ValueError."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"expected an object, got {json.dumps(entry)[:60]}")
+    if key not in entry:
+        raise ValueError(f"missing key {key!r}")
+    value = entry[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"{key!r} must be {what}, got {json.dumps(value)[:60]}")
+    return value
+
+
+def _text(entry, key: str) -> str:
+    return _take(entry, key, str, "a string")
+
+
+def _number(entry, key: str) -> float:
+    value = float(_take(entry, key, (int, float), "a number"))  # OverflowError past 1e308
+    if not math.isfinite(value):
+        raise ValueError(f"{key!r} must be finite, got {value}")
+    return value
+
+
+def _transition(entry) -> Transition:
+    return Transition(
+        _text(entry, "from"), _text(entry, "to"), _number(entry, "low"), _number(entry, "high")
+    )
+
+
+def _model_from_dict(data) -> ApplianceModel:
+    """The model a file entry describes, or ValueError naming its first flaw."""
+    states = tuple(
+        State(
+            mode=_text(s, "mode"),
+            low=_number(s, "low"),
+            high=_number(s, "high"),
+            centroid=_number(s, "centroid"),
+            size=_take(s, "size", int, "an integer"),
         )
-        transitions = tuple(
-            Transition(t["from"], t["to"], float(t["low"]), float(t["high"]))
-            for t in data["transitions"]
+        for s in _take(data, "states", list, "a list")
+    )
+    modes = [s.mode for s in states]
+    if len(set(modes)) != len(modes):
+        raise ValueError(f"duplicate modes in {modes}")
+    shares = _take(data, "participation", dict, "an object")
+    beh = _take(data, "behaviors", (dict, type(None)), "an object or null")
+    behaviors = None
+    if beh is not None:
+        sig = _take(beh, "signature", (dict, type(None)), "an object or null")
+        behaviors = BehaviorSet(
+            signature=None if sig is None else _transition(sig),
+            overshoot_min=_number(beh, "overshoot_min"),
+            min_off_gap_s=_number(beh, "min_off_gap_s"),
         )
-        participation = {
-            _key_tuple(k): float(v) for k, v in data["participation"].items()
-        }
-        beh = data["behaviors"]
-        behaviors = None
-        if beh is not None:
-            sig = beh["signature"]
-            behaviors = BehaviorSet(
-                signature=None
-                if sig is None
-                else Transition(sig["from"], sig["to"], float(sig["low"]), float(sig["high"])),
-                overshoot_min=float(beh["overshoot_min"]),
-                min_off_gap_s=float(beh["min_off_gap_s"]),
-            )
-        return ApplianceModel(
-            appliance_id=data["id"],
-            states=states,
-            transitions=transitions,
-            participation=participation,
-            behaviors=behaviors,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed model entry: {exc}") from exc
+    return ApplianceModel(
+        appliance_id=_text(data, "id"),
+        states=StateSet(states=states),
+        transitions=tuple(map(_transition, _take(data, "transitions", list, "a list"))),
+        participation={_key_tuple(k): _number(shares, k) for k in shares},
+        behaviors=behaviors,
+    )
 
 
 def save_models(path: str | Path, models: list[ApplianceModel]) -> None:
@@ -174,4 +204,11 @@ def load_models(path: str | Path) -> list[ApplianceModel]:
             f"{path}: schema version {doc['schema_version']} unsupported "
             f"(expected {SCHEMA_VERSION})"
         )
-    return [_model_from_dict(d) for d in doc.get("appliances", [])]
+    try:
+        models = [_model_from_dict(d) for d in _take(doc, "appliances", list, "a list")]
+    except (ValueError, OverflowError) as exc:
+        raise ParseError(f"{path}: malformed model entry: {exc}") from None
+    ids = [m.appliance_id for m in models]
+    if len(set(ids)) != len(ids):
+        raise ParseError(f"{path}: duplicate appliance ids in {ids}")
+    return models

@@ -46,7 +46,9 @@ class PowerSignal:
             raise ValueError(f"signal {self.source_id!r} contains negative samples")
         if not (self.sample_period > 0):
             raise ValueError("sample_period must be positive")
-        if arr is self.values and (arr.flags.writeable or not arr.flags.owndata):
+        owner = arr if arr.flags.owndata else arr.base
+        frozen = isinstance(owner, np.ndarray) and owner.flags.owndata and not owner.flags.writeable
+        if arr is self.values and (arr.flags.writeable or not frozen):
             arr = arr.copy()  # the caller may still write to it, or to the array it views
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
@@ -197,10 +199,19 @@ def resample_step_hold(
     if hi < lo:
         raise AlignmentError(f"empty grid span for {source_id!r}")
     n = int(np.floor((hi - lo) / period + _GRID_EPS)) + 1
-    grid = lo + np.arange(n) * period
-    # index of most recent source sample at or before each grid instant
-    src = np.searchsorted(times, grid + _GRID_EPS, side="right") - 1
-    values = values[src]
+    key = lo + np.arange(n) * period + _GRID_EPS
+    # the most recent source sample at or before each grid instant: sample j
+    # itself when times[j] <= key[j] < times[j + 1] for every j, the test
+    # searchsorted(side="right") makes, which a channel logged on the grid passes
+    on_grid = (
+        n <= times.size
+        and np.all(times[:n] <= key)
+        and np.all(key[: times.size - 1] < times[1 : n + 1])
+    )
+    if on_grid:
+        values = values[:n].copy()
+    else:
+        values = values[np.searchsorted(times, key, side="right") - 1]
     values.flags.writeable = False
     signal = PowerSignal(values, start_time=lo, sample_period=period, source_id=source_id)
 

@@ -874,3 +874,33 @@ def reference_labeled_events(events, rows, snapshots):
         stage = reference_stage(*snapshots, col)
         out.append(LabeledEvent(e, row.appliance, row.transition, stage))
     return out
+
+
+def reference_format_numbers(values):
+    """``format_numbers`` one element at a time, as it was before it formatted
+    each distinct value once."""
+    return [str(int(x)) if x.is_integer() else repr(x) for x in values.tolist()]
+
+
+def reference_resample_step_hold(times, values, period, start=None, end=None, max_gap=None):
+    """``resample_step_hold`` with one ``np.searchsorted`` for every grid
+    instant, as it was before on-grid channels skipped the search: the
+    resampled values and the (start, end) of each reported gap."""
+    from eventnilm.signals import _GRID_EPS, gap_threshold
+
+    times = np.asarray(times, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
+    order = np.argsort(times, kind="stable")
+    times, values = times[order], values[order]
+    lo = times[0] if start is None else start
+    hi = times[-1] if end is None else end
+    n = int(np.floor((hi - lo) / period + _GRID_EPS)) + 1
+    grid = lo + np.arange(n) * period
+    src = np.searchsorted(times, grid + _GRID_EPS, side="right") - 1
+    limit = gap_threshold(period) if max_gap is None else max_gap
+    gaps = [
+        (times[i], times[i + 1])
+        for i in np.nonzero(np.diff(times) > limit)[0]
+        if times[i] <= hi and times[i + 1] >= lo
+    ]
+    return values[src], gaps

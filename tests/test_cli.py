@@ -11,6 +11,7 @@ import pytest
 
 import eventnilm
 from eventnilm import dataset as dataset_module
+from eventnilm import signals
 from eventnilm.cli import _read_signal, main
 from eventnilm.evaluation import LabelPoint
 from eventnilm.filtering import filter_and_detect
@@ -492,6 +493,30 @@ class TestFullFlow:
         monkeypatch.setattr(LabelPoint, "__init__", refuse)
         assert main(["evaluate", *args, "--report", str(report)]) == 0
         assert capsys.readouterr().out.splitlines()[-1].startswith("average_f\t")
+
+
+class TestRoundTrip:
+    @pytest.mark.parametrize("household", ["demo", "balanced"])
+    def test_loaded_channels_equal_the_generated_signals(
+        self, household, tmp_path, capsys, monkeypatch
+    ):
+        args = ["synth", "--output", str(tmp_path), "--days", "2", "--train-days", "1"]
+        assert main(args + ["--household", household, "--seed", "5"]) == 0
+        capsys.readouterr()
+        make = demo_household if household == "demo" else balanced_household
+        result = generate(make(), days=2, period=20.0, seed=5)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("searched a channel written on its grid")
+
+        monkeypatch.setattr(signals.np, "searchsorted", refuse)
+        manifest = dataset_module.read_manifest(tmp_path / "manifest.cfg")
+        bundle = dataset_module.load_dataset(manifest)
+        assert sorted(bundle.appliances) == sorted(result.appliances)
+        for name, loaded in bundle.appliances.items():
+            assert loaded.sample_period == 20.0
+            assert loaded.values.tobytes() == result.appliances[name].values.tobytes()
+        assert bundle.aggregate.values.tobytes() == result.aggregate.values.tobytes()
 
 
 class TestChannelCache:

@@ -575,13 +575,15 @@ class TestSliceDays:
         out = slice_days(s, (0, 5), base=0.0)
         assert len(out) == 30
 
-    def test_one_read_only_copy(self):
+    def test_read_only_view_of_the_source(self):
+        # the source's samples are read-only and owned, so a slice needs no copy
         s = sig(np.arange(3 * 24, dtype=float) * 1.5, start=0.0, period=3600.0)
         out = slice_days(s, (1, 1), base=0.0)
         assert out.values.tolist() == s.values[24:48].tolist()
         assert out.start_time == 86400.0
         assert not out.values.flags.writeable
-        assert not np.shares_memory(out.values, s.values)
+        assert np.shares_memory(out.values, s.values)
+        assert out.values.base is s.values
 
     def test_outside_raises(self):
         s = sig(np.arange(24, dtype=float), period=3600.0)

@@ -1,10 +1,10 @@
-"""Pinned output bytes of the library flow at seed 0.
+"""Pinned output bytes of the library flow, and of the written dataset, at seed 0.
 
 A change meant to keep every output byte-identical, such as a refactor or a
 speed-up, must leave these digests as they are. A change that alters the
-model file, the event report or the scoring on purpose updates the pin and
-says why. The pinned model file must also survive a load and a save byte
-for byte.
+dataset files, the model file, the event report or the scoring on purpose
+updates the pin and says why. The pinned model file must also survive a load
+and a save byte for byte.
 """
 
 import hashlib
@@ -12,6 +12,7 @@ import hashlib
 import pytest
 
 from eventnilm import model_io, pipeline
+from eventnilm.cli import main
 from eventnilm.config import RunConfig
 from eventnilm.dataset import slice_days
 from eventnilm.evaluation import LabelPoint
@@ -40,6 +41,35 @@ SCORING_PINS = {
         "cae79699c320907fc9a2d956cd4a6691df4183136716eac296ac4e54e7342dac",
         "d13d044c37f287538e0e22bb180aa76aad6dfe3bdf4a9ba751f3e1bd9ab5934b",
     ),
+}
+
+# (household, days, training days): sha256 of each file ``eventnilm synth``
+# writes at seed 0
+DATASET_PINS = {
+    ("balanced", 3, 2): {
+        "channel_1.dat": "f012e34f78e65c78e1c4ec87eadc0237b5877dc6cf10f6fbf103bf5f884e7d1a",
+        "channel_2.dat": "6dd93d5194ba1bcfef1c96943f897a6740547fa553ffd8bc9254719cbe734b98",
+        "channel_3.dat": "fbbaa3a69fe9f2198c30e1b64a414b009d8829191e04a9646bf3e58d3b9defc4",
+        "channel_4.dat": "422390d97d118918d7e16cecb08fac88114acb50265bb03719277d0038624697",
+        "channel_5.dat": "4b277e936b3337c4f57c9c91fc70457538229007091715bc21281493f378494f",
+        "channel_6.dat": "09cadfb66326c0f40be5b17def15826b1274806ebfcc5dfce43603e826731847",
+        "channel_7.dat": "5a7b84fce45bcf7be5bc24d2512317ad3e3b5e05820bfcafc96d661ded8136d9",
+        "ground_truth.tsv": "d9a19ad2e6489aea6911a8abbf23ebddc7f635715b690c257ded4bfbcaac41f7",
+        "labels.dat": "b8bc0083df8688b173ded2f523edb1c0364cc83b2a7b40e8d6a98661d103213e",
+        "manifest.cfg": "ca4ab8b8a6bc4467249b3fd8297d81a40bc7f8c74fa42d06d9952c300932b690",
+    },
+    ("demo", 28, 21): {
+        "channel_1.dat": "cc1ba33822a7bafeeb7ce22630d7c2e22fdb530631d91b84050a8fde1ed7ec30",
+        "channel_2.dat": "053df6536b223b1474c440788db269e762c66563a1d86b8f068c9e4621d3091f",
+        "channel_3.dat": "b22088cfcb2e5014baa3b7f30a4a2cecba12c455c8d0b40d6de02c2848299af8",
+        "channel_4.dat": "92ed5c8649f5746c9ba2d0f60cb6cd74e2f02ebc2e0f7c1c48be67a3694e5686",
+        "channel_5.dat": "d32f54884fbb681a59c042e3364d40e28091a5723a9727d40e65f89cb7966108",
+        "channel_6.dat": "3095a9b0d88aa691638f2bb73caedc0390c23dc09a59ea4cbe6cb41e08f6ad52",
+        "channel_7.dat": "9ac4e5aa68a4ef6030768ec4aad97277ab2c82284563a358acaa44fd743bd363",
+        "ground_truth.tsv": "c6bd608e46d7f248fc30f13758933089a07d9e13f5171a30f720ec2c9740836c",
+        "labels.dat": "2f8bbd7a9a6b286452fd8fe1a6bd6e8852a17ce8f18ba419141ada77c0f68cb9",
+        "manifest.cfg": "54b70209aaf4841579b2bd9332d4dbd50cd1fb54e7635a4fd82cc7f7d4c34f29",
+    },
 }
 
 
@@ -98,3 +128,12 @@ def test_ground_truth_and_metrics_bytes(household, days, train_days):
     assert (sha256(rows.encode()), sha256(metrics.encode())) == SCORING_PINS[
         household, days, train_days
     ]
+
+
+@pytest.mark.parametrize("household, days, train_days", sorted(DATASET_PINS))
+def test_written_dataset_bytes(household, days, train_days, tmp_path, capsys):
+    args = ["synth", "--output", str(tmp_path), "--household", household, "--seed", "0"]
+    assert main(args + ["--days", str(days), "--train-days", str(train_days)]) == 0
+    capsys.readouterr()
+    written = {f.name: sha256(f.read_bytes()) for f in tmp_path.iterdir()}
+    assert written == DATASET_PINS[household, days, train_days]

@@ -21,7 +21,7 @@ from eventnilm.modes import State, StateSet
 from eventnilm.pipeline import train_models
 from eventnilm.synth import balanced_household, demo_household, generate
 
-from helpers import state, two_mode_model
+from helpers import reference_format_numbers, state, two_mode_model
 
 
 def rich_model():
@@ -69,6 +69,24 @@ class TestFormatNumber:
         values = np.array([0.0, -0.0, 500.0, -20.0, 2.5, 0.1, 1e16, 1e300, -1e-300, np.inf, np.nan])
         values = np.concatenate([values, np.random.default_rng(0).normal(0.0, 1e4, 1000)])
         assert format_numbers(values) == [format_number(v) for v in values]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_distinct_values_match_the_per_element_rule(self, seed):
+        rng = np.random.default_rng(seed)
+        big = [2.0**63, -(2.0**63), 1e300]
+        specials = np.array([-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, *big])
+        cases = [
+            rng.choice(rng.normal(0.0, 1e3, 40).round(1), 5000),  # heavy repeats
+            rng.normal(0.0, 1e4, 5000),  # all distinct
+            np.full(1000, rng.normal(0.0, 1e3)),  # one value repeated
+            np.array([]),
+            rng.choice(np.array([-0.0, 0.0]), 500),  # mixes of -0.0 and 0.0
+            np.concatenate([np.full(20, np.nan), [1.0, -0.0], np.full(30, np.nan)]),
+            rng.choice(specials, 2000),
+            rng.permutation(np.concatenate([specials, rng.integers(-9, 9, 200) * 0.5])),
+        ]
+        for values in cases:
+            assert format_numbers(values) == reference_format_numbers(values)
 
 
 class TestAtomicWrite:

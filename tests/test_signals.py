@@ -12,7 +12,7 @@ from eventnilm.signals import (
     resample_step_hold,
 )
 
-from helpers import sig, table
+from helpers import reference_resample_step_hold, sig, table
 
 
 class TestPowerSignal:
@@ -34,6 +34,17 @@ class TestPowerSignal:
         frozen = np.array([1.0, 2.0])
         frozen.flags.writeable = False
         assert PowerSignal(frozen).values is frozen
+
+    def test_read_only_view_of_owned_read_only_array_is_taken(self):
+        frozen = np.arange(6.0)
+        frozen.flags.writeable = False
+        view = frozen[2:5]
+        assert PowerSignal(view).values is view
+        loose = np.arange(6.0)[2:5]  # a view of a writeable array
+        loose.flags.writeable = False
+        assert not np.shares_memory(PowerSignal(loose).values, loose)
+        inner = np.frombuffer(np.arange(6.0).tobytes())  # read-only, owns nothing
+        assert not np.shares_memory(PowerSignal(inner[1:]).values, inner)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -208,6 +219,71 @@ class TestResampleStepHold:
     def test_empty_source_rejected(self):
         with pytest.raises(AlignmentError):
             resample_step_hold(np.array([]), np.array([]), period=1.0)
+
+
+class TestResampleStepHoldReference:
+    """Every grid instant takes the sample one ``np.searchsorted`` names,
+    whether or not the channel sits on the grid."""
+
+    KINDS = (
+        "on_grid",
+        "shift_below_eps",
+        "shift_above_eps",
+        "dropped",
+        "duplicated",
+        "trailing",
+        "inside_span",
+    )
+
+    @staticmethod
+    def series(kind, rng):
+        period = float(rng.choice([0.1, 1.0, 3.0, 20.0]))
+        n = int(rng.integers(1, 300))
+        times = float(rng.choice([0.0, 100.0, 1234.5])) + np.arange(n) * period
+        start = end = None
+        pick = rng.random(n) < 0.3
+        if kind == "shift_below_eps":
+            times[pick] += rng.choice([-0.5e-9, 0.5e-9], pick.sum())
+        elif kind == "shift_above_eps":
+            times[pick] += rng.choice([-2e-9, 2e-9, 0.3 * period], pick.sum())
+        elif kind == "dropped":
+            times = times[~pick] if (~pick).any() else times
+        elif kind == "duplicated":
+            times = np.sort(np.concatenate([times, times[pick]]))
+        elif kind == "trailing":
+            end = times[-1]
+            # the first extra sample may sit exactly at the last instant plus _GRID_EPS
+            steps = [rng.choice([1e-9, 0.5e-9]), *rng.choice([0.3 * period, period], 3)]
+            extra = times[-1] + np.cumsum(steps)
+            times = np.concatenate([times, extra])
+        elif kind == "inside_span":
+            a, b = sorted(rng.integers(0, n, 2))
+            start = times[a] + rng.choice([0.0, 0.5e-9, 0.5 * period])
+            end = max(start, times[b] - rng.choice([0.0, 0.5e-9, 0.5 * period]))
+        values = rng.integers(0, 3000, times.size).astype(float)
+        return times, values, period, start, end
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_searchsorted(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        times, values, period, start, end = self.series(kind, rng)
+        max_gap = float(rng.choice([0.5 * period, 60.0]))
+        out, gaps = resample_step_hold(times, values, period, start, end, max_gap)
+        want, want_gaps = reference_resample_step_hold(times, values, period, start, end, max_gap)
+        assert np.array_equal(out.values, want)
+        assert [(g.start_time, g.end_time) for g in gaps] == want_gaps
+
+    def test_on_grid_channel_needs_no_search(self, monkeypatch):
+        times = 100.0 + np.arange(50) * 3.0
+        values = np.arange(50.0)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("searched an on-grid channel")
+
+        monkeypatch.setattr(np, "searchsorted", refuse)
+        out, _ = resample_step_hold(times, values, 3.0, end=130.0)
+        assert out.values.tolist() == values[:11].tolist()
 
 
 class TestAggregate:
