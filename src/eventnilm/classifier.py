@@ -41,7 +41,7 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import ModelCoverageError
-from .features import ApplianceModel, Transition, day_columns, overshoot_height
+from .features import ApplianceModel, BehaviorSet, Transition, day_columns, overshoot_heights
 from .filtering import filter_and_detect
 from .modes import OFF_MODE
 from .signals import EVENT_COLUMNS, EventRecord, EventTable, PowerSignal
@@ -55,9 +55,6 @@ class LabelRow:
 
     appliance: str
     transition: Transition
-
-    def label(self) -> str:
-        return self.transition.label(self.appliance)
 
 
 class CandidateLabelMatrix:
@@ -238,26 +235,25 @@ def segment_cycles(
 
 
 class _WalkSpace:
-    """Mode-vector bookkeeping shared by the walk searches."""
+    """Mode vectors of the walk searches: one integer mode code per appliance,
+    appliances in id order, OFF being code 0."""
 
     def __init__(self, models: list[ApplianceModel], rows: list[LabelRow]):
-        self.apps = sorted(m.appliance_id for m in models)
-        self.index = {a: i for i, a in enumerate(self.apps)}
-        self.all_off = tuple(OFF_MODE for _ in self.apps)
-        # per row: appliance index, from-mode code, to-mode code; OFF is code 0
+        index = {a: i for i, a in enumerate(sorted(m.appliance_id for m in models))}
+        self.all_off = (0,) * len(index)
+        # per row: appliance index, from-mode code, to-mode code
         modes = {OFF_MODE: 0}
-        table = []
-        for row in rows:
-            src, dst = (modes.setdefault(m, len(modes)) for m in row.transition.key)
-            table.append((self.index[row.appliance], src, dst))
-        self.codes = np.array(table, dtype=np.int64).reshape(len(rows), 3)
+        self.steps = [
+            (index[row.appliance], *(modes.setdefault(m, len(modes)) for m in row.transition.key))
+            for row in rows
+        ]
+        self.codes = np.array(self.steps, dtype=np.int64).reshape(len(rows), 3)
 
-    def applicable(self, theta: tuple, row: LabelRow) -> bool:
-        return theta[self.index[row.appliance]] == row.transition.from_mode
-
-    def apply(self, theta: tuple, row: LabelRow) -> tuple:
-        i = self.index[row.appliance]
-        return theta[:i] + (row.transition.to_mode,) + theta[i + 1 :]
+    def step(self, theta: tuple, r: int) -> tuple | None:
+        """The vector row ``r`` steps ``theta`` into, or None if it leaves
+        another mode than the one ``theta`` holds for its appliance."""
+        i, src, dst = self.steps[r]
+        return theta[:i] + (dst,) + theta[i + 1 :] if theta[i] == src else None
 
     def replay(
         self, picks: np.ndarray, starts: np.ndarray, stops: np.ndarray
@@ -275,7 +271,7 @@ class _WalkSpace:
         app, src, dst = self.codes[picks[starts[cycle] + step]].T
         # a step applies iff it leaves the mode that the previous step of its
         # appliance in the cycle entered, or OFF for the first such step
-        group = cycle * len(self.apps) + app
+        group = cycle * len(self.all_off) + app
         order = np.argsort(group, kind="stable")
         group, src, dst = group[order], src[order], dst[order]
         opens = np.diff(group, prepend=-1) != 0
@@ -294,7 +290,7 @@ class _WalkSpace:
         return closes, spent
 
 
-def _walk(space, rows, options, budget, chosen=None):
+def _walk(space, options, budget, chosen=None):
     """Forward layers of the walks from all-OFF through one cycle's columns.
 
     ``options[i]`` lists the row indices column i may take. Layer i maps each
@@ -311,10 +307,9 @@ def _walk(space, rows, options, budget, chosen=None):
                 budget -= 1
                 if budget < 0:
                     return None
-                row = rows[r]
-                if not space.applicable(theta, row):
+                th2 = space.step(theta, r)
+                if th2 is None:
                     continue
-                th2 = space.apply(theta, row)
                 c2 = cost + (chosen is not None and r != chosen[i])
                 prev = nxt.get(th2)
                 if prev is None or (c2, r) < (prev[0], prev[2]):
@@ -353,7 +348,7 @@ def refine_by_compatibility(
             continue
         cols = list(cycles[ci].columns)
         options = [matrix.candidates(c) for c in cols]
-        forward = _walk(space, matrix.rows, options, budget)
+        forward = _walk(space, options, budget)
         if forward is None:
             _flag(diagnostics, ci, "search budget exhausted")
             continue
@@ -368,8 +363,7 @@ def refine_by_compatibility(
             keep, back = set(), set()
             for theta in forward[i]:
                 for r in options[i]:
-                    row = matrix.rows[r]
-                    if space.applicable(theta, row) and space.apply(theta, row) in alive:
+                    if space.step(theta, r) in alive:
                         keep.add(r)
                         back.add(theta)
             matrix.keep_only(cols[i], keep)
@@ -421,64 +415,55 @@ def refine_by_behaviors(
     columns = matrix.columns
     if all(len(col) == 1 for col in columns):
         return matrix  # every rule only drops, and never a column's last candidate
-    by_app = {m.appliance_id: m for m in models}
     events = matrix.events
-    cols_by_day = day_columns(events.index, filtered)
+    # per row, its appliance's habits: the overshoot floor, and the minimum
+    # off gap where the row leaves OFF (0 disables either rule)
+    by_app = {m.appliance_id: m.behaviors or BehaviorSet(None, 0.0, 0.0) for m in models}
+    habits = [by_app[row.appliance] for row in matrix.rows]
+    overshoot = [beh.overshoot_min for beh in habits]
+    off_gap = [
+        beh.min_off_gap_s if row.transition.from_mode == OFF_MODE else 0.0
+        for beh, row in zip(habits, matrix.rows)
+    ]
 
     # (a) all-or-none daily marker
-    for model in sorted(models, key=lambda m: m.appliance_id):
-        beh = model.behaviors
-        if beh is None or beh.signature is None:
+    cols_by_day = day_columns(events.index, filtered)
+    for app, beh in sorted(by_app.items()):
+        if beh.signature is None:
             continue
-        sig = beh.signature
-        app_rows = [
-            r for r, row in enumerate(matrix.rows) if row.appliance == model.appliance_id
-        ]
+        app_rows = [r for r, row in enumerate(matrix.rows) if row.appliance == app]
         for cols in cols_by_day.values():
-            if any(sig.contains(events.magnitude[c]) for c in cols):
+            if any(beh.signature.contains(events.magnitude[c]) for c in cols):
                 continue
             for c in cols:
                 if len(columns[c]) > 1:
                     for r in app_rows:
                         matrix.drop(c, r)
 
-    # (b) overshoot habit on rising multi-labeled events
-    overshoot_of = {
-        m.appliance_id: (m.behaviors.overshoot_min if m.behaviors else 0.0)
-        for m in models
-    }
-    post_index, post_level = events.post_index.tolist(), events.post_level.tolist()
-    for c in np.flatnonzero(events.magnitude > 0).tolist():
-        if matrix.column_count(c) < 2:
-            continue
-        height = overshoot_height(raw, post_index[c], post_level[c])
-        if height is None:  # no raw samples after the event
-            height = 0.0
-        for r in matrix.candidates(c):  # a tuple: drop() cannot disturb the loop
-            need = overshoot_of[matrix.rows[r].appliance]
-            if need > 0.0 and height < need:
+    # (b) overshoot habit on rising multi-labeled events; an event settling
+    # at the signal's end has no raw samples after it and counts as 0 W
+    rising = [c for c in np.flatnonzero(events.magnitude > 0).tolist() if len(columns[c]) > 1]
+    heights = overshoot_heights(raw, events.post_index[rising], events.post_level[rising])
+    for c, height in zip(rising, np.nan_to_num(heights, nan=0.0).tolist()):
+        for r in columns[c]:  # a tuple: drop() cannot disturb the loop
+            if overshoot[r] > 0.0 and height < overshoot[r]:
                 matrix.drop(c, r)
-        cand = matrix.candidates(c)
-        if any(0.0 < overshoot_of[matrix.rows[r].appliance] <= height for r in cand):
+        cand = columns[c]
+        if any(0.0 < overshoot[r] <= height for r in cand):
             for r in cand:
-                if overshoot_of[matrix.rows[r].appliance] == 0.0:
+                if overshoot[r] == 0.0:
                     matrix.drop(c, r)
 
     # (c) minimum off gap, inferred from single-labeled events only
     last_off: dict[str, float] = {}
+    post_index = events.post_index.tolist()
     for c, index in enumerate(events.index.tolist()):
         rows = columns[c]
         if len(rows) > 1:
             t = filtered.time_at(index)
             for r in rows:
-                row = matrix.rows[r]
-                beh = by_app[row.appliance].behaviors
-                if beh is None or beh.min_off_gap_s <= 0.0:
-                    continue
-                if row.transition.from_mode != OFF_MODE:
-                    continue
-                seen = last_off.get(row.appliance)
-                if seen is not None and t - seen < beh.min_off_gap_s:
+                seen = last_off.get(matrix.rows[r].appliance)
+                if off_gap[r] > 0.0 and seen is not None and t - seen < off_gap[r]:
                     matrix.drop(c, r)
             rows = columns[c]
         if len(rows) == 1:
@@ -507,30 +492,22 @@ def resolve_by_participation(
     competing for disjoint candidate rows need no grouping: each row's count
     only ever gathers the events that may take it.
     """
-    trained = {
-        (m.appliance_id, key): p
-        for m in models
-        for key, p in m.participation.items()
-    }
+    trained = {(m.appliance_id, key): p for m in models for key, p in m.participation.items()}
+    # per row: its (appliance, transition key), which breaks ties, and its trained share
+    keys = [(row.appliance, row.transition.key) for row in matrix.rows]
+    share = [trained.get(key, 0.0) for key in keys]
     columns = matrix.columns
     for cols in day_columns(matrix.events.index, filtered).values():
         if all(len(columns[c]) == 1 for c in cols):
             continue  # nothing to resolve on this day
         count: dict[int, int] = {}
         for c in cols:
-            for r in matrix.candidates(c):
+            for r in columns[c]:
                 count[r] = count.get(r, 0) + 1
+        rank = {r: (abs(k / len(cols) - share[r]), -share[r], keys[r], r) for r, k in count.items()}
         for c in cols:
-            rows = matrix.candidates(c)
-            if len(rows) == 1:
-                continue
-            scored = []
-            for r in rows:
-                row = matrix.rows[r]
-                p = trained.get((row.appliance, row.transition.key), 0.0)
-                observed = count[r] / len(cols)
-                scored.append((abs(observed - p), -p, row.appliance, row.transition.key, r))
-            matrix.keep_only(c, {min(scored)[4]})
+            if len(columns[c]) > 1:
+                matrix.keep_only(c, {min(columns[c], key=rank.__getitem__)})
     return matrix
 
 
@@ -565,7 +542,7 @@ def enforce_cycle_closure(
             continue
         cols = list(cycles[ci].columns)
         chosen = picks[cols].tolist()
-        layers = _walk(space, matrix.rows, [pre_step4[c] for c in cols], budget, chosen)
+        layers = _walk(space, [pre_step4[c] for c in cols], budget, chosen)
         if layers is None or space.all_off not in layers[-1]:
             if diagnostics is not None:
                 diagnostics.unrepaired_cycles.append(ci)
@@ -593,9 +570,6 @@ class LabeledEvent:
     appliance: str
     transition: Transition
     stage: str = "containment"  # which stage pinned the label down
-
-    def label(self) -> str:
-        return self.transition.label(self.appliance)
 
 
 @dataclass(frozen=True, eq=False)

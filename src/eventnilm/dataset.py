@@ -309,12 +309,15 @@ def write_dataset(
     test_days: tuple[int, int],
     start_timestamp: float = 1600000000.0,
 ) -> Path:
-    """Write a generated household in the standard layout; returns manifest path."""
+    """Write a generated household in the standard layout; returns manifest path.
+
+    The manifest goes last, so a dataset whose manifest exists is complete.
+    """
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     names = sorted(result.appliances)
     lines = [f"{i + 1} {name}" for i, name in enumerate(names)]
-    (root / "labels.dat").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    atomic_write(root / "labels.dat", "\n".join(lines) + "\n")
 
     @cache  # the channels share one grid, so one time column
     def time_column(n: int, period: float) -> list[str]:
@@ -324,20 +327,21 @@ def write_dataset(
         sig = result.appliances[name]
         times = time_column(len(sig), sig.sample_period)
         lines = map(" ".join, zip(times, format_numbers(sig.values)))
-        (root / f"channel_{i + 1}.dat").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with open(root / "ground_truth.tsv", "w", encoding="utf-8") as fh:
-        fh.write("index\tappliance\tfrom_mode\tto_mode\tmagnitude\n")
-        for t in result.truth:
-            fh.write(f"{t.index}\t{t.appliance}\t{t.from_mode}\t{t.to_mode}")
-            fh.write(f"\t{format_number(t.magnitude)}\n")
+        atomic_write(root / f"channel_{i + 1}.dat", "\n".join(lines) + "\n")
+    truth = "".join(
+        f"{t.index}\t{t.appliance}\t{t.from_mode}\t{t.to_mode}\t{format_number(t.magnitude)}\n"
+        for t in result.truth
+    )
+    header = "index\tappliance\tfrom_mode\tto_mode\tmagnitude\n"
+    atomic_write(root / "ground_truth.tsv", header + truth)
     manifest = root / "manifest.cfg"
-    manifest.write_text(
+    atomic_write(
+        manifest,
         "labels = labels.dat\n"
         f"period = {format_number(result.period)}\n"
         f"train_days = {train_days[0]}-{train_days[1]}\n"
         f"test_days = {test_days[0]}-{test_days[1]}\n"
         f"appliances = {','.join(names)}\n",
-        encoding="utf-8",
     )
     return manifest
 

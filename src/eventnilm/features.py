@@ -45,9 +45,6 @@ class Transition:
     def contains(self, magnitude: float) -> bool:
         return self.low <= magnitude <= self.high
 
-    def label(self, appliance: str) -> str:
-        return f"{appliance}:{self.from_mode}->{self.to_mode}"
-
 
 def transition_interval(from_state: State, to_state: State) -> tuple[float, float]:
     """Magnitude band for a jump between two power intervals.
@@ -232,16 +229,16 @@ def find_signature(
 OVERSHOOT_WINDOW = 10  # samples after an event searched for its raw peak
 
 
-def overshoot_height(raw: PowerSignal, post_index: int, post_level: float) -> float | None:
-    """Raw peak in the window from an event's ``post_index`` on, minus its
-    settled ``post_level``.
-
-    None when the event settles at the signal's end, leaving no samples.
-    """
-    b = min(len(raw), post_index + OVERSHOOT_WINDOW)
-    if post_index >= b:
-        return None
-    return float(np.max(raw.values[post_index:b])) - post_level
+def overshoot_heights(
+    raw: PowerSignal, post_index: np.ndarray, post_level: np.ndarray
+) -> np.ndarray:
+    """Per event, the raw peak in the window from its ``post_index`` on minus its
+    settled ``post_level``; NaN where the event settles at the signal's end."""
+    # clamping at the last sample cuts the windows at the signal's end
+    window = np.minimum(post_index[:, None] + np.arange(OVERSHOOT_WINDOW), len(raw) - 1)
+    heights = raw.values[window].max(axis=1) - post_level
+    heights[post_index >= len(raw)] = np.nan
+    return heights
 
 
 def overshoot_floor(
@@ -253,15 +250,13 @@ def overshoot_floor(
     """Smallest consistent rise overshoot, or 0 when rises do not overshoot.
 
     ``post_index`` and ``post_level`` are the rising events' columns. Each
-    rise's :func:`overshoot_height` compares the raw signal's peak in a short
+    rise's height (:func:`overshoot_heights`) compares the raw peak in a short
     window after the event with the settled filtered level; the appliance
     exhibits the habit only if every rise overshoots by at least ``floor``
     watts. Events settling at the signal's end have no window and are skipped.
     """
-    inside = post_index < len(raw)
-    # clamping at the last sample cuts the windows at the signal's end
-    window = np.minimum(post_index[inside][:, None] + np.arange(OVERSHOOT_WINDOW), len(raw) - 1)
-    heights = raw.values[window].max(axis=1) - post_level[inside]
+    heights = overshoot_heights(raw, post_index, post_level)
+    heights = heights[~np.isnan(heights)]
     if not heights.size:
         return 0.0
     lowest = float(heights.min())

@@ -78,6 +78,10 @@ def _key_tuple(text: str) -> tuple[str, str]:
     return (a, b)
 
 
+def _transition_to_dict(t: Transition) -> dict:
+    return {"from": t.from_mode, "to": t.to_mode, "low": t.low, "high": t.high}
+
+
 def _model_to_dict(model: ApplianceModel) -> dict:
     beh = model.behaviors
     return {
@@ -92,24 +96,14 @@ def _model_to_dict(model: ApplianceModel) -> dict:
             }
             for s in model.states.states
         ],
-        "transitions": [
-            {"from": t.from_mode, "to": t.to_mode, "low": t.low, "high": t.high}
-            for t in model.transitions
-        ],
+        "transitions": [_transition_to_dict(t) for t in model.transitions],
         "participation": {
             _key_str(k): v for k, v in sorted(model.participation.items())
         },
         "behaviors": None
         if beh is None
         else {
-            "signature": None
-            if beh.signature is None
-            else {
-                "from": beh.signature.from_mode,
-                "to": beh.signature.to_mode,
-                "low": beh.signature.low,
-                "high": beh.signature.high,
-            },
+            "signature": None if beh.signature is None else _transition_to_dict(beh.signature),
             "overshoot_min": beh.overshoot_min,
             "min_off_gap_s": beh.min_off_gap_s,
         },
@@ -139,10 +133,15 @@ def _number(entry, key: str) -> float:
     return value
 
 
-def _transition(entry) -> Transition:
-    return Transition(
+def _transition(entry, modes: list[str]) -> Transition:
+    """The transition an entry describes; both its modes must be in ``modes``."""
+    t = Transition(
         _text(entry, "from"), _text(entry, "to"), _number(entry, "low"), _number(entry, "high")
     )
+    for mode in t.key:
+        if mode not in modes:
+            raise ValueError(f"transition {_key_str(t.key)} names mode {mode!r}, not in {modes}")
+    return t
 
 
 def _model_from_dict(data) -> ApplianceModel:
@@ -166,14 +165,16 @@ def _model_from_dict(data) -> ApplianceModel:
     if beh is not None:
         sig = _take(beh, "signature", (dict, type(None)), "an object or null")
         behaviors = BehaviorSet(
-            signature=None if sig is None else _transition(sig),
+            signature=None if sig is None else _transition(sig, modes),
             overshoot_min=_number(beh, "overshoot_min"),
             min_off_gap_s=_number(beh, "min_off_gap_s"),
         )
     return ApplianceModel(
         appliance_id=_text(data, "id"),
         states=StateSet(states=states),
-        transitions=tuple(map(_transition, _take(data, "transitions", list, "a list"))),
+        transitions=tuple(
+            _transition(t, modes) for t in _take(data, "transitions", list, "a list")
+        ),
         participation={_key_tuple(k): _number(shares, k) for k in shares},
         behaviors=behaviors,
     )

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SpecValidationError
-from .evaluation import PointTable
 from .features import DAY_SECONDS
 from .signals import PowerSignal
 
@@ -131,9 +130,6 @@ class SynthResult:
     period: float
     days: int
     seed: int
-
-    def truth_points(self) -> PointTable:
-        return PointTable.of(self.truth)  # the events carry LabelPoint's four fields
 
 
 @dataclass

@@ -376,11 +376,22 @@ def reference_label_training_events(events, states):
     return pairs
 
 
+def reference_overshoot_height(raw, post_index, post_level):
+    """One event's raw peak in the window from ``post_index`` on, minus its
+    ``post_level``, from a slice; None when the event settles at the end."""
+    from eventnilm.features import OVERSHOOT_WINDOW
+
+    b = min(len(raw), post_index + OVERSHOOT_WINDOW)
+    if post_index >= b:
+        return None
+    return float(np.max(raw.values[post_index:b])) - post_level
+
+
 def reference_overshoot_floor(raw, labeled, floor=50.0):
     """``overshoot_floor`` over (event, transition) pairs, one window per rising event."""
-    from eventnilm.features import overshoot_height
-
-    heights = [overshoot_height(raw, e.post_index, e.post_level) for e, _ in labeled if e.rising]
+    heights = [
+        reference_overshoot_height(raw, e.post_index, e.post_level) for e, _ in labeled if e.rising
+    ]
     gaps = [h for h in heights if h is not None]
     if not gaps:
         return 0.0
@@ -458,17 +469,58 @@ def reference_train_appliance(
 
 # Stages 2-4 and the closure repair as per-cycle, per-column loops. Stage 2
 # walks every cycle, single-candidate or not, and the closure check replays
-# every refined cycle through ``_walk``.
+# every refined cycle through ``reference_walk``.
+
+
+class ReferenceWalkSpace:
+    """Mode vectors as tuples of mode names, one per appliance in id order."""
+
+    def __init__(self, models, rows):
+        from eventnilm.modes import OFF_MODE
+
+        self.apps = sorted(m.appliance_id for m in models)
+        self.index = {a: i for i, a in enumerate(self.apps)}
+        self.all_off = tuple(OFF_MODE for _ in self.apps)
+        self.rows = rows
+
+    def applicable(self, theta, r):
+        row = self.rows[r]
+        return theta[self.index[row.appliance]] == row.transition.from_mode
+
+    def apply(self, theta, r):
+        row = self.rows[r]
+        i = self.index[row.appliance]
+        return theta[:i] + (row.transition.to_mode,) + theta[i + 1 :]
+
+
+def reference_walk(space, options, budget, chosen=None):
+    """``classifier._walk`` on a :class:`ReferenceWalkSpace`: layers mapping
+    each reachable vector to (cost, parent vector, row), None past ``budget``."""
+    layers = [{space.all_off: (0, None, None)}]
+    for i, candidates in enumerate(options):
+        nxt = {}
+        for theta, (cost, _, _) in layers[-1].items():
+            for r in candidates:
+                budget -= 1
+                if budget < 0:
+                    return None
+                if not space.applicable(theta, r):
+                    continue
+                th2 = space.apply(theta, r)
+                c2 = cost + (chosen is not None and r != chosen[i])
+                prev = nxt.get(th2)
+                if prev is None or (c2, r) < (prev[0], prev[2]):
+                    nxt[th2] = (c2, theta, r)
+        layers.append(nxt)
+    return layers
 
 
 def reference_refine_by_compatibility(matrix, cycles, models, budget, diagnostics):
-    from eventnilm.classifier import _walk, _WalkSpace
-
-    space = _WalkSpace(models, matrix.rows)
+    space = ReferenceWalkSpace(models, matrix.rows)
     for ci, cycle in enumerate(cycles):
         cols = list(cycle.columns)
         options = [matrix.candidates(c) for c in cols]
-        forward = _walk(space, matrix.rows, options, budget)
+        forward = reference_walk(space, options, budget)
         if forward is None:
             diagnostics.unrefined_cycles.append((ci, "search budget exhausted"))
             continue
@@ -480,8 +532,7 @@ def reference_refine_by_compatibility(matrix, cycles, models, budget, diagnostic
             keep, back = set(), set()
             for theta in forward[i]:
                 for r in options[i]:
-                    row = matrix.rows[r]
-                    if space.applicable(theta, row) and space.apply(theta, row) in alive:
+                    if space.applicable(theta, r) and space.apply(theta, r) in alive:
                         keep.add(r)
                         back.add(theta)
             matrix.keep_only(cols[i], keep)
@@ -490,7 +541,6 @@ def reference_refine_by_compatibility(matrix, cycles, models, budget, diagnostic
 
 
 def reference_refine_by_behaviors(matrix, models, raw, filtered):
-    from eventnilm.features import overshoot_height
     from eventnilm.modes import OFF_MODE
 
     by_app = {m.appliance_id: m for m in models}
@@ -512,7 +562,7 @@ def reference_refine_by_behaviors(matrix, models, raw, filtered):
     for c, e in enumerate(matrix.events):
         if not e.rising or matrix.column_count(c) < 2:
             continue
-        height = overshoot_height(raw, e.post_index, e.post_level)
+        height = reference_overshoot_height(raw, e.post_index, e.post_level)
         if height is None:
             height = 0.0
         for r in matrix.candidates(c):
@@ -569,18 +619,16 @@ def reference_resolve_by_participation(matrix, models, filtered):
 def reference_enforce_cycle_closure(
     matrix, cycles, models, pre_step4, refined, budget, diagnostics
 ):
-    from eventnilm.classifier import _walk, _WalkSpace
-
-    space = _WalkSpace(models, matrix.rows)
+    space = ReferenceWalkSpace(models, matrix.rows)
     for ci, cycle in enumerate(cycles):
         if ci not in refined:
             continue
         cols = list(cycle.columns)
         chosen = [matrix.candidates(c)[0] for c in cols]
-        replay = _walk(space, matrix.rows, [[r] for r in chosen], len(cols))
+        replay = reference_walk(space, [[r] for r in chosen], len(cols))
         if space.all_off in replay[-1]:
             continue
-        layers = _walk(space, matrix.rows, [pre_step4[c] for c in cols], budget, chosen)
+        layers = reference_walk(space, [pre_step4[c] for c in cols], budget, chosen)
         if layers is None or space.all_off not in layers[-1]:
             diagnostics.unrepaired_cycles.append(ci)
             continue

@@ -112,6 +112,8 @@ def test_mutated_model_file_exits_0_or_2(flow, tmp_path, capsys):
         ((0, "behaviors"), 3),
         ((0, "states", 1, "mode"), "off"),  # two OFF states: a duplicate mode
         ((1, "id"), None),  # set below to appliance 0's id: a duplicate id
+        ((0, "transitions", 0, "from"), "on9"),  # a mode the appliance lacks
+        ((0, "behaviors", "signature", "to"), "on9"),
     ],
 )
 def test_damaged_model_entry_is_a_data_error(flow, tmp_path, capsys, path, value):

@@ -43,6 +43,7 @@ from eventnilm.signals import EventRecord, EventTable
 from eventnilm.synth import balanced_household, demo_household, generate
 
 from helpers import (
+    ReferenceWalkSpace,
     enumerate_surviving,
     ev,
     random_instance,
@@ -55,6 +56,7 @@ from helpers import (
     reference_resolve_by_participation,
     reference_segment_cycles,
     reference_stage,
+    reference_walk,
     sig,
     state,
     table,
@@ -700,7 +702,11 @@ class TestCandidateLabelMatrix:
         matrix.keep_only(0, {2, 3})
         matrix.assign(1, 3)
         assert [matrix.candidates(c) for c in range(2)] == [(2,), (3,)]
-        assert [matrix.rows[r].label() for (r,) in matrix.columns] == ["b:off->on1", "b:on1->off"]
+        picked = [matrix.rows[r] for (r,) in matrix.columns]
+        assert [(row.appliance, row.transition.key) for row in picked] == [
+            ("b", (OFF_MODE, "on1")),
+            ("b", ("on1", OFF_MODE)),
+        ]
 
 
 class TestInitialLabelsParity:
@@ -846,7 +852,8 @@ class TestClassifyInvariants:
 
 
 class TestReplayParity:
-    """The batched replay against ``_walk`` on one-row columns, cycle by cycle."""
+    """The batched replay against the string-mode reference walk on one-row
+    columns, cycle by cycle."""
 
     @staticmethod
     def random_cycle(rng, apps, rows):
@@ -876,7 +883,8 @@ class TestReplayParity:
                 LabelRow(a, Transition(x, y, 0.0, 0.0))
                 for a in apps for x in modes for y in modes if x != y
             ]
-            space = _WalkSpace([two_mode_model(a, 1.0, 2.0) for a in apps], rows)
+            models = [two_mode_model(a, 1.0, 2.0) for a in apps]
+            space, ref = _WalkSpace(models, rows), ReferenceWalkSpace(models, rows)
             cycles, picks = [], []
             for _ in range(int(rng.integers(1, 10))):
                 cyc = self.random_cycle(rng, apps, rows)
@@ -886,13 +894,13 @@ class TestReplayParity:
             for k, cycle in enumerate(cycles):
                 options = [[picks[c]] for c in cycle.columns]
                 n = len(options)
-                walked = _walk(space, rows, options, n)
-                assert closes[k] == (space.all_off in walked[-1])
+                walked = reference_walk(ref, options, n)
+                assert closes[k] == (ref.all_off in walked[-1])
                 # the expansions spent: the smallest budget the walk fits in
-                fits = [b for b in range(n + 1) if _walk(space, rows, options, b) is not None]
+                fits = [b for b in range(n + 1) if reference_walk(ref, options, b) is not None]
                 assert spent[k] == fits[0]
                 budget = int(rng.integers(0, n + 1))
-                assert (spent[k] > budget) == (_walk(space, rows, options, budget) is None)
+                assert (spent[k] > budget) == (reference_walk(ref, options, budget) is None)
                 steps = [rows[picks[c]] for c in cycle.columns]
                 if steps[0].transition.from_mode != OFF_MODE:
                     seen.add("inapplicable first step")
@@ -913,6 +921,50 @@ class TestReplayParity:
             "over budget",
             "interleaved appliances",
         }
+
+
+class TestWalkParity:
+    """``_walk`` on integer mode codes against the string-mode reference walk:
+    the same layers, in the same order, once codes are read as mode names."""
+
+    def test_random_options(self):
+        rng = np.random.default_rng(89)
+        modes = (OFF_MODE, "on1", "on2")
+        seen = set()
+        for _ in range(200):
+            apps = [f"app{i}" for i in range(int(rng.integers(1, 4)))]
+            rows = [
+                LabelRow(a, Transition(x, y, 0.0, 0.0))
+                for a in apps for x in modes for y in modes if x != y
+            ]
+            models = [two_mode_model(a, 1.0, 2.0) for a in apps]
+            space, ref = _WalkSpace(models, rows), ReferenceWalkSpace(models, rows)
+            names = {}
+            for (_, src, dst), row in zip(space.steps, rows):
+                names[src], names[dst] = row.transition.key
+
+            def named(theta):
+                return None if theta is None else tuple(names[m] for m in theta)
+
+            options = [
+                sorted(rng.choice(len(rows), size=int(rng.integers(1, 4)), replace=False).tolist())
+                for _ in range(int(rng.integers(1, 7)))
+            ]
+            chosen = [int(rng.choice(o)) for o in options] if rng.uniform() < 0.5 else None
+            budget = int(rng.integers(0, 150))
+            got = _walk(space, options, budget, chosen)
+            want = reference_walk(ref, options, budget, chosen)
+            if want is None:
+                assert got is None
+                seen.add("over budget")
+                continue
+            assert [
+                [(named(v), (cost, named(parent), r)) for v, (cost, parent, r) in layer.items()]
+                for layer in got
+            ] == [list(layer.items()) for layer in want]
+            seen.add("closes" if ref.all_off in want[-1] else "open")
+            seen.add("costed" if chosen else "uncosted")
+        assert seen == {"over budget", "closes", "open", "costed", "uncosted"}
 
 
 class TestSegmentCyclesParity:
@@ -1144,9 +1196,9 @@ class TestLabelTable:
             raise AssertionError("per-event object built on the labeling path")
 
         overshoots = []
-        height = classifier.overshoot_height
+        heights = classifier.overshoot_heights
         monkeypatch.setattr(
-            classifier, "overshoot_height", lambda *a: overshoots.append(a) or height(*a)
+            classifier, "overshoot_heights", lambda *a: overshoots.append(a) or heights(*a)
         )
         monkeypatch.setattr(EventTable, "__getitem__", refuse)
         monkeypatch.setattr(EventRecord, "__init__", refuse)
@@ -1156,6 +1208,6 @@ class TestLabelTable:
         monkeypatch.undo()
         assert report.count("\n") == len(labeled) + 2
         # the household reaches every stage up to participation, and the
-        # overshoot rule, which reads single events
+        # overshoot rule on some rising event
         assert set(classifier.STAGES[:4]) <= {le.stage for le in labeled}
-        assert overshoots
+        assert any(len(post_index) for _, post_index, _ in overshoots)

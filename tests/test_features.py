@@ -14,17 +14,19 @@ import pytest
 
 from eventnilm.errors import DataConsistencyError
 from eventnilm.features import (
+    OVERSHOOT_WINDOW,
     day_columns,
     days_of,
     find_signature,
     label_training_events,
     min_off_gap,
     overshoot_floor,
+    overshoot_heights,
     participation_index,
     train_appliance,
     transition_interval,
 )
-from eventnilm.filtering import detect_events
+from eventnilm.filtering import detect_events, filter_and_detect
 from eventnilm.modes import OFF_MODE, State, StateSet
 from eventnilm.signals import EventRecord
 
@@ -33,6 +35,7 @@ from helpers import (
     reference_day_columns,
     reference_label_training_events,
     reference_nearest,
+    reference_overshoot_height,
     reference_train_appliance,
     sig,
     table,
@@ -403,6 +406,50 @@ class TestOvershootFloor:
         raw = sig(np.array([0.0, 0.0, 700.0, 900.0]))
         assert overshoot_floor(raw, *self.rises((2, 500), (4, 0))) == pytest.approx(400.0)
         assert overshoot_floor(raw, *self.rises((4, 0))) == 0.0
+
+
+class TestOvershootHeights:
+    """The vectorised rule against the scalar one on a slice, event by event."""
+
+    def test_random_columns(self):
+        rng = np.random.default_rng(97)
+        seen = set()
+        for _ in range(300):
+            levels = rng.choice([0.0, 300.0, 900.0], size=int(rng.integers(1, 7)))
+            values = np.repeat(levels, rng.integers(3, 15, size=levels.size))
+            values[rng.uniform(size=values.size) < 0.1] += 200.0  # overshoots and spikes
+            raw, n = sig(values), values.size
+            _, events = filter_and_detect(raw)
+            # detected events, rising and falling, and events settling near the end
+            extra = rng.integers(max(0, n - OVERSHOOT_WINDOW - 2), n + 1, size=3)
+            post_index = np.concatenate((events.post_index, extra))
+            post_level = np.concatenate((events.post_level, rng.uniform(0.0, 1000.0, 3)))
+            falling = np.concatenate((events.magnitude < 0, np.zeros(3, bool)))
+            pick = np.flatnonzero(rng.uniform(size=post_index.size) < 0.6)
+            got = overshoot_heights(raw, post_index[pick], post_level[pick])
+            assert got.shape == pick.shape
+            for c, height in zip(pick.tolist(), got.tolist()):
+                want = reference_overshoot_height(raw, int(post_index[c]), float(post_level[c]))
+                if want is None:
+                    assert np.isnan(height)
+                    seen.add("settles past the last sample")
+                    continue
+                assert height == want
+                if post_index[c] == n - 1:
+                    seen.add("settles on the last sample")
+                elif post_index[c] + OVERSHOOT_WINDOW > n:
+                    seen.add("window cut by the end")
+                if falling[c]:
+                    seen.add("falling")
+            if not pick.size:
+                seen.add("empty")
+        assert seen == {
+            "settles past the last sample",
+            "settles on the last sample",
+            "window cut by the end",
+            "falling",
+            "empty",
+        }
 
 
 class TestMinOffGap:

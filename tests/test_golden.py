@@ -1,4 +1,5 @@
-"""Pinned output bytes of the library flow, and of the written dataset, at seed 0.
+"""Pinned output bytes of the library flow, the written dataset and the
+single-channel commands, at seed 0.
 
 A change meant to keep every output byte-identical, such as a refactor or a
 speed-up, must leave these digests as they are. A change that alters the
@@ -73,6 +74,29 @@ DATASET_PINS = {
 }
 
 
+# (household, days, training days, channel): sha256 of each file the
+# single-channel commands write for that channel of the seed-0 dataset, with
+# ``plot-data`` given the model trained on it
+CHANNEL_PINS = {
+    ("balanced", 3, 2, 1): {
+        "cycles.tsv": "c7b3f7242e447cb0eac1ad46fab98e1d60ed27b6f056af8787acaf79778fce54",
+        "detected.tsv": "4fa4a9bdca75d8cf1d8c8c3aab0e815b1365732c5d41ac9bc85fa40f7fd4b5c1",
+        "events.tsv": "4fa4a9bdca75d8cf1d8c8c3aab0e815b1365732c5d41ac9bc85fa40f7fd4b5c1",
+        "filtered.tsv": "3dadc8e037760c9b307d984e5b51a4078cc98d2eaeafb384f56df44cc02ff840",
+        "modes.tsv": "7c8121cf95f412b838540bc6bf456b7ce49716ba6cc98b5b9b78374e4cfcefb1",
+        "signal.tsv": "42b2c6b1a2f81ec2b896c9b6bbd5f4f4e9c940d7a9e70f5c1378172198bf0b83",
+    },
+    ("demo", 3, 2, 2): {
+        "cycles.tsv": "bb7e99d5ef456d9471b0c610fbfb4253057bebe35e42f21d551ba9129968e906",
+        "detected.tsv": "7c739481603e51d2fb5b21d5a8f8d4b5a197f6dd0303a4cae6c4ed261ae85501",
+        "events.tsv": "7c739481603e51d2fb5b21d5a8f8d4b5a197f6dd0303a4cae6c4ed261ae85501",
+        "filtered.tsv": "786126fd59a1ec001b90e20bd373c489c83f1398b79e7a910d0b7d96b2acee19",
+        "modes.tsv": "efd8e04ed5e8c1f9c89735e2eed9e6b4c8670d4b7185dfd79b30fd9349b57dd6",
+        "signal.tsv": "1078374c99f8c18de4fc1e171005d656533d2190e0f4a97aa7a7927c332114d5",
+    },
+}
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -137,3 +161,24 @@ def test_written_dataset_bytes(household, days, train_days, tmp_path, capsys):
     capsys.readouterr()
     written = {f.name: sha256(f.read_bytes()) for f in tmp_path.iterdir()}
     assert written == DATASET_PINS[household, days, train_days]
+
+
+@pytest.mark.parametrize("household, days, train_days, channel", sorted(CHANNEL_PINS))
+def test_single_channel_command_bytes(household, days, train_days, channel, tmp_path, capsys):
+    data, out = tmp_path / "data", tmp_path / "out"
+    out.mkdir()
+    args = ["synth", "--output", str(data), "--household", household, "--seed", "0"]
+    assert main(args + ["--days", str(days), "--train-days", str(train_days)]) == 0
+    models = str(tmp_path / "models.json")
+    assert main(["train", "--manifest", str(data / "manifest.cfg"), "--output", models]) == 0
+    source = ["--input", str(data / f"channel_{channel}.dat")]
+    for command, target in [
+        ("filter", "filtered.tsv"),
+        ("detect-events", "detected.tsv"),
+        ("extract-modes", "modes.tsv"),
+    ]:
+        assert main([command, *source, "--output", str(out / target)]) == 0
+    assert main(["plot-data", *source, "--output", str(out), "--model", models]) == 0
+    capsys.readouterr()
+    written = {f.name: sha256(f.read_bytes()) for f in out.iterdir()}
+    assert written == CHANNEL_PINS[household, days, train_days, channel]

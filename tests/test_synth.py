@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from eventnilm.errors import SpecValidationError
-from eventnilm.evaluation import LabelPoint, match_events
+from eventnilm.evaluation import LabelPoint, PointTable, match_events
 from eventnilm.filtering import filter_and_detect
 from eventnilm.synth import (
     DAY_MARGIN_SAMPLES,
@@ -201,7 +201,7 @@ class TestTruthRecovery:
 
     def test_truth_points_conversion(self):
         result = generate([clean_spec()], days=1, seed=23)
-        points = result.truth_points()
+        points = PointTable.of(result.truth)  # the events carry LabelPoint's four fields
         assert len(points) == len(result.truth)
         for p, t in zip(points, result.truth):
             assert p == LabelPoint(t.index, t.appliance, t.from_mode, t.to_mode)
