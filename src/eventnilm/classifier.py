@@ -26,15 +26,17 @@ backward pass of stage 2 only revisits edges the forward pass already
 expanded, so it is not counted.
 
 Candidates are kept as one sorted tuple of row indices per event column
-(``CandidateLabelMatrix.columns``); its rows-by-events bool ``cells`` is a
-derived view. A stage never strips a column's last remaining candidate, so a
-label always comes out even for events the model explains poorly; such
-columns are listed in the diagnostics.
+(``CandidateLabelMatrix.columns``), with their sizes and first rows kept as
+arrays; cycles are start and end arrays (``CycleTable``). A stage never
+strips a column's last remaining candidate, so a label always comes out even
+for events the model explains poorly; such columns are listed in the
+diagnostics.
 """
 
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,33 +63,36 @@ class CandidateLabelMatrix:
     """Candidate labels per event column, with stage bookkeeping.
 
     ``columns[c]`` is the sorted tuple of row indices event c may still take;
-    every operation is a plain tuple operation. ``cells`` is a derived
-    rows-by-events bool view, built afresh on each read.
+    ``size[c]`` and ``first[c]``, int64 arrays the mutators keep in step, are
+    its length and first row. ``cells`` is a derived rows-by-events bool
+    view, built afresh on each read.
     """
 
-    def __init__(self, rows: list[LabelRow], events: EventTable, columns: list[tuple]):
-        self.rows = rows
-        self.events = events
-        self.columns = columns
+    def __init__(self, rows: list[LabelRow], events: EventTable, columns: list[tuple],
+                 size: np.ndarray | None = None, first: np.ndarray | None = None):
+        self.rows, self.events, self.columns = rows, events, columns
+        if size is None:
+            size = np.fromiter(map(len, columns), np.int64, len(columns))
+            first = np.fromiter((col[0] for col in columns), np.int64, len(columns))
+        self.size, self.first = size, first
+
+    def snapshot(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.size.copy(), self.first.copy()
 
     @property
     def cells(self) -> np.ndarray:
         cells = np.zeros((len(self.rows), len(self.events)), dtype=bool)
-        sizes = [len(col) for col in self.columns]
         flat = [r for col in self.columns for r in col]
-        cells[flat, np.repeat(np.arange(len(sizes)), sizes)] = True
+        cells[flat, np.repeat(np.arange(self.size.size), self.size)] = True
         return cells
 
     def candidates(self, col: int) -> tuple[int, ...]:
         return self.columns[col]
 
-    def column_count(self, col: int) -> int:
-        return len(self.columns[col])
-
     def keep_only(self, col: int, keep: set[int]) -> None:
         kept = tuple(r for r in self.columns[col] if r in keep)
         if kept:  # never empty a column
-            self.columns[col] = kept
+            self._set(col, kept)
 
     def assign(self, col: int, row: int) -> None:
         """Set a column to one row outright, even one not currently set.
@@ -95,15 +100,20 @@ class CandidateLabelMatrix:
         Closure repair picks from the pre-resolution candidate sets, which
         the resolution pass may already have cleared from the column.
         """
-        self.columns[col] = (row,)
+        self._set(col, (row,))
 
     def drop(self, col: int, row: int) -> bool:
         """Remove one candidate unless it is the column's last. True if dropped."""
         current = self.columns[col]
         if len(current) > 1 and row in current:
-            self.columns[col] = tuple(r for r in current if r != row)
+            self._set(col, tuple(r for r in current if r != row))
             return True
         return False
+
+    def _set(self, col: int, rows: tuple[int, ...]) -> None:
+        self.columns[col] = rows
+        self.size[col] = len(rows)
+        self.first[col] = rows[0]
 
 
 @dataclass(frozen=True)
@@ -118,6 +128,31 @@ class Cycle:
         return range(self.start_event, self.end_event + 1)
 
 
+@dataclass(frozen=True, eq=False)
+class CycleTable:
+    """Cycles as columns: cycle k spans events ``starts[k]`` to ``ends[k]``
+    inclusive. ``len``, ``table[k]`` and iteration give :class:`Cycle`s."""
+
+    starts: np.ndarray
+    ends: np.ndarray
+
+    @classmethod
+    def of(cls, cycles) -> "CycleTable":
+        if isinstance(cycles, CycleTable):
+            return cycles
+        bounds = np.array([(c.start_event, c.end_event) for c in cycles], np.int64)
+        return cls(*bounds.reshape(-1, 2).T)
+
+    def __len__(self):
+        return self.starts.size
+
+    def __getitem__(self, k: int) -> Cycle:
+        return Cycle(int(self.starts[k]), int(self.ends[k]))
+
+    def __iter__(self):
+        return map(Cycle, self.starts.tolist(), self.ends.tolist())
+
+
 @dataclass
 class Diagnostics:
     """What the pipeline could not fully explain, for the run report."""
@@ -130,11 +165,11 @@ class Diagnostics:
 
 def build_rows(models: list[ApplianceModel]) -> list[LabelRow]:
     """Global label space: every observed transition of every appliance."""
-    rows = []
-    for model in sorted(models, key=lambda m: m.appliance_id):
-        for tr in sorted(model.transitions, key=lambda t: t.key):
-            rows.append(LabelRow(model.appliance_id, tr))
-    return rows
+    return [
+        LabelRow(model.appliance_id, tr)
+        for model in sorted(models, key=lambda m: m.appliance_id)
+        for tr in sorted(model.transitions, key=lambda t: t.key)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -160,14 +195,17 @@ def initial_labels(
     # events x rows, the same float64 comparison as Transition.contains
     hit_events, hit_rows = np.nonzero((low <= mags) & (mags <= high))
     bounds = np.searchsorted(hit_events, np.arange(len(events) + 1))
-    unmatched = np.flatnonzero(np.diff(bounds) == 0)
-    bounds, hit_rows = bounds.tolist(), hit_rows.tolist()
-    columns = [tuple(hit_rows[a:b]) for a, b in zip(bounds, bounds[1:])]
-    for col, r in zip(unmatched.tolist(), _nearest_rows(events.magnitude[unmatched], rows)):
-        columns[col] = (r,)
+    size = np.diff(bounds)
+    unmatched = np.flatnonzero(size == 0)
+    first = np.r_[hit_rows, -1][bounds[:-1]]  # -1 pads an unmatched last column
+    first[unmatched] = _nearest_rows(events.magnitude[unmatched], rows)
+    size[unmatched] = 1
+    columns = list(zip(first.tolist()))
+    for c in np.flatnonzero(size > 1).tolist():
+        columns[c] = tuple(hit_rows[bounds[c] : bounds[c + 1]].tolist())
     if diagnostics is not None:
         diagnostics.unmatched_columns.extend(unmatched.tolist())
-    return CandidateLabelMatrix(rows, events, columns)
+    return CandidateLabelMatrix(rows, events, columns, size, first)
 
 
 def _nearest_rows(magnitudes: np.ndarray, rows: list[LabelRow]) -> list[int]:
@@ -209,24 +247,23 @@ def segment_cycles(
     events: EventTable,
     threshold: float,
     diagnostics: Diagnostics | None = None,
-) -> list[Cycle]:
-    """Split events into cycles separated by all-OFF stretches.
+) -> CycleTable:
+    """Split events into cycles separated by all-OFF stretches, as a table.
 
     Two consecutive events belong to different cycles iff some sample
     between them (from the first event's settled sample to the second's last
     pre-event sample) sits below the all-OFF threshold.
     """
     if not events:
-        return []
+        return CycleTable.of([])
     off = filtered.values < threshold
     off_prefix = np.concatenate(([0], np.cumsum(off)))
     # a cycle ends at event i iff [events[i].post_index, events[i + 1].index]
     # holds an OFF sample; a range whose start passes its end is clipped empty
     nxt = events.index[1:]
     post = np.minimum(events.post_index[:-1], nxt + 1)
-    ends = np.flatnonzero(off_prefix[nxt + 1] > off_prefix[post]).tolist()
-    starts = [0] + [i + 1 for i in ends]
-    cycles = [Cycle(a, b) for a, b in zip(starts, ends + [len(events) - 1])]
+    ends = np.flatnonzero(off_prefix[nxt + 1] > off_prefix[post])
+    cycles = CycleTable(np.r_[0, ends + 1], np.r_[ends, len(events) - 1])
     if not off.any():
         log.warning("signal never reaches all-OFF; treating it as one cycle")
         if diagnostics is not None:
@@ -255,17 +292,14 @@ class _WalkSpace:
         i, src, dst = self.steps[r]
         return theta[:i] + (dst,) + theta[i + 1 :] if theta[i] == src else None
 
-    def replay(
-        self, picks: np.ndarray, starts: np.ndarray, stops: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def replay(self, picks: np.ndarray, cycles: CycleTable) -> tuple[np.ndarray, np.ndarray]:
         """Walk all cycles at once, each column on its one row ``picks[column]``.
 
-        Cycle k spans columns ``starts[k]`` to ``stops[k] - 1``. Per cycle:
-        whether the rows walk from all-OFF back to all-OFF, and the
-        expansions ``_walk`` spends on the same one-row columns, which is
-        every step up to and including the first inapplicable one.
+        Per cycle: whether the rows walk from all-OFF back to all-OFF, and
+        the expansions ``_walk`` spends on the same one-row columns, which
+        is every step up to and including the first inapplicable one.
         """
-        lengths = stops - starts
+        starts, lengths = cycles.starts, cycles.ends + 1 - cycles.starts
         cycle = np.repeat(np.arange(starts.size), lengths)
         step = np.arange(cycle.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
         app, src, dst = self.codes[picks[starts[cycle] + step]].T
@@ -320,7 +354,7 @@ def _walk(space, options, budget, chosen=None):
 
 def refine_by_compatibility(
     matrix: CandidateLabelMatrix,
-    cycles: list[Cycle],
+    cycles: CycleTable | list[Cycle],
     models: list[ApplianceModel],
     budget: int = RunConfig.search_budget,
     diagnostics: Diagnostics | None = None,
@@ -335,12 +369,12 @@ def refine_by_compatibility(
     left as-is and reported in the diagnostics.
     """
     space = _WalkSpace(models, matrix.rows)
-    starts, stops = _bounds(cycles)
-    closes, spent = space.replay(_first_candidates(matrix.columns), starts, stops)
+    cycles = CycleTable.of(cycles)
+    closes, spent = space.replay(matrix.first, cycles)
     # prefix counts of columns with several candidates; a cycle without any
     # has one walk at most, which the replay judged
-    multi = np.r_[0, np.cumsum(_sizes(matrix.columns) > 1)]
-    settled = multi[stops] == multi[starts]
+    multi = np.r_[0, np.cumsum(matrix.size > 1)]
+    settled = multi[cycles.ends + 1] == multi[cycles.starts]
     for ci in np.flatnonzero(~settled | ~closes | (spent > budget)).tolist():
         if settled[ci]:
             reason = "search budget exhausted" if spent[ci] > budget else "no compatible assignment"
@@ -371,20 +405,6 @@ def refine_by_compatibility(
     return matrix
 
 
-def _bounds(cycles: list[Cycle]) -> tuple[np.ndarray, np.ndarray]:
-    """Each cycle's first column and one past its last, as arrays."""
-    starts = np.fromiter((c.start_event for c in cycles), np.int64, len(cycles))
-    return starts, np.fromiter((c.end_event for c in cycles), np.int64, len(cycles)) + 1
-
-
-def _sizes(columns: list[tuple]) -> np.ndarray:
-    return np.fromiter(map(len, columns), np.int64, len(columns))
-
-
-def _first_candidates(columns: list[tuple]) -> np.ndarray:
-    return np.fromiter((col[0] for col in columns), np.int64, len(columns))
-
-
 def _flag(diagnostics, cycle_index, reason):
     log.warning("cycle %d left unrefined: %s", cycle_index, reason)
     if diagnostics is not None:
@@ -412,10 +432,9 @@ def refine_by_behaviors(
         appliance's last single-labeled OFF is dropped.
     No rule removes a column's last candidate.
     """
-    columns = matrix.columns
-    if all(len(col) == 1 for col in columns):
+    if not (matrix.size > 1).any():
         return matrix  # every rule only drops, and never a column's last candidate
-    events = matrix.events
+    columns, events = matrix.columns, matrix.events
     # per row, its appliance's habits: the overshoot floor, and the minimum
     # off gap where the row leaves OFF (0 disables either rule)
     by_app = {m.appliance_id: m.behaviors or BehaviorSet(None, 0.0, 0.0) for m in models}
@@ -432,17 +451,17 @@ def refine_by_behaviors(
         if beh.signature is None:
             continue
         app_rows = [r for r, row in enumerate(matrix.rows) if row.appliance == app]
+        marked = (beh.signature.low <= events.magnitude) & (events.magnitude <= beh.signature.high)
         for cols in cols_by_day.values():
-            if any(beh.signature.contains(events.magnitude[c]) for c in cols):
+            if marked[cols].any():
                 continue
-            for c in cols:
-                if len(columns[c]) > 1:
-                    for r in app_rows:
-                        matrix.drop(c, r)
+            for c in np.extract(matrix.size[cols] > 1, cols).tolist():
+                for r in app_rows:
+                    matrix.drop(c, r)
 
     # (b) overshoot habit on rising multi-labeled events; an event settling
     # at the signal's end has no raw samples after it and counts as 0 W
-    rising = [c for c in np.flatnonzero(events.magnitude > 0).tolist() if len(columns[c]) > 1]
+    rising = np.flatnonzero((events.magnitude > 0) & (matrix.size > 1)).tolist()
     heights = overshoot_heights(raw, events.post_index[rising], events.post_level[rising])
     for c, height in zip(rising, np.nan_to_num(heights, nan=0.0).tolist()):
         for r in columns[c]:  # a tuple: drop() cannot disturb the loop
@@ -492,18 +511,18 @@ def resolve_by_participation(
     competing for disjoint candidate rows need no grouping: each row's count
     only ever gathers the events that may take it.
     """
+    multi = matrix.size > 1
+    if not multi.any():
+        return matrix
     trained = {(m.appliance_id, key): p for m in models for key, p in m.participation.items()}
     # per row: its (appliance, transition key), which breaks ties, and its trained share
     keys = [(row.appliance, row.transition.key) for row in matrix.rows]
     share = [trained.get(key, 0.0) for key in keys]
     columns = matrix.columns
     for cols in day_columns(matrix.events.index, filtered).values():
-        if all(len(columns[c]) == 1 for c in cols):
+        if not multi[cols].any():
             continue  # nothing to resolve on this day
-        count: dict[int, int] = {}
-        for c in cols:
-            for r in columns[c]:
-                count[r] = count.get(r, 0) + 1
+        count = Counter(r for c in cols for r in columns[c])
         rank = {r: (abs(k / len(cols) - share[r]), -share[r], keys[r], r) for r, k in count.items()}
         for c in cols:
             if len(columns[c]) > 1:
@@ -517,7 +536,7 @@ def resolve_by_participation(
 
 def enforce_cycle_closure(
     matrix: CandidateLabelMatrix,
-    cycles: list[Cycle],
+    cycles: CycleTable | list[Cycle],
     models: list[ApplianceModel],
     pre_step4: list[tuple[int, ...]],
     refined: set[int],
@@ -535,13 +554,11 @@ def enforce_cycle_closure(
     chosen and is listed in ``diagnostics.unrepaired_cycles``.
     """
     space = _WalkSpace(models, matrix.rows)
-    picks = _first_candidates(matrix.columns)
-    closes, _ = space.replay(picks, *_bounds(cycles))
-    for ci in np.flatnonzero(~closes).tolist():
-        if ci not in refined:
-            continue
+    cycles = CycleTable.of(cycles)
+    closes, _ = space.replay(matrix.first, cycles)
+    for ci in sorted(refined.intersection(np.flatnonzero(~closes).tolist())):
         cols = list(cycles[ci].columns)
-        chosen = picks[cols].tolist()
+        chosen = matrix.first[cols].tolist()
         layers = _walk(space, [pre_step4[c] for c in cols], budget, chosen)
         if layers is None or space.all_off not in layers[-1]:
             if diagnostics is not None:
@@ -619,13 +636,11 @@ class LabelTable:
 def _stage_codes(after_containment, after_compat, pre_step4, after_resolve, final) -> np.ndarray:
     """Per column, the index in STAGES of the stage that pinned its label down.
 
-    The arguments are the candidate columns after each stage; no column is
-    empty, and every ``final`` column holds one row.
+    The arguments are the matrix's (size, first) arrays after each stage;
+    every ``final`` column holds one row.
     """
-    single = [_sizes(cols) == 1 for cols in (after_containment, after_compat, pre_step4)]
-    kept = (_sizes(after_resolve) == 1) & (
-        _first_candidates(after_resolve) == _first_candidates(final)
-    )
+    single = [size == 1 for size, _ in (after_containment, after_compat, pre_step4)]
+    kept = (after_resolve[0] == 1) & (after_resolve[1] == final[1])
     return np.select([*single, kept], [0, 1, 2, 3], 4)
 
 
@@ -645,22 +660,22 @@ def classify(
     threshold = all_off_threshold(models, all_off_margin)
     cycles = segment_cycles(filtered, events, threshold, diagnostics)
 
-    # columns are immutable tuples, so a shallow list copy is a snapshot
-    after_containment = list(matrix.columns)
+    snapshots = [matrix.snapshot()]
     matrix = refine_by_compatibility(matrix, cycles, models, budget, diagnostics)
-    after_compat = list(matrix.columns)
+    snapshots.append(matrix.snapshot())
     refined = set(range(len(cycles))) - {i for i, _ in diagnostics.unrefined_cycles}
     matrix = refine_by_behaviors(matrix, models, aggregate, filtered)
-    pre_step4 = list(matrix.columns)
+    snapshots.append(matrix.snapshot())
+    pre_step4 = list(matrix.columns)  # of immutable tuples, so a snapshot
     matrix = resolve_by_participation(matrix, models, filtered)
-    after_resolve = list(matrix.columns)
+    snapshots.append(matrix.snapshot())
     matrix = enforce_cycle_closure(
         matrix, cycles, models, pre_step4, refined, budget, diagnostics
     )
 
-    sizes = _sizes(matrix.columns)
+    sizes = np.fromiter(map(len, matrix.columns), np.int64, len(events))
     bad = np.flatnonzero(sizes != 1)
     if bad.size:
         raise ValueError(f"column {bad[0]} holds {sizes[bad[0]]} labels, wanted 1")
-    stage = _stage_codes(after_containment, after_compat, pre_step4, after_resolve, matrix.columns)
-    return LabelTable(events, rows, _first_candidates(matrix.columns), stage), diagnostics
+    stage = _stage_codes(*snapshots, matrix.snapshot())
+    return LabelTable(events, rows, matrix.first, stage), diagnostics

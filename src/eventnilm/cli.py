@@ -11,7 +11,8 @@ Subcommands cover each pipeline stage plus dataset generation:
   synth         generate a ground-truthed synthetic dataset
   plot-data     raw channel -> plot-ready columnar files
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
+Exit codes: 0 success, 1 usage error, 2 data error (an input that cannot be
+read, or an output path that cannot be written), 3 internal error.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -41,6 +42,9 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
+        watts = (self.off_threshold, self.all_off_margin, self.overshoot_floor)
+        if not all(map(math.isfinite, watts)):
+            raise ConfigError("off_threshold, all_off_margin and overshoot_floor must be finite")
         if self.k_clusters < MIN_CLUSTERS:
             raise ConfigError("k_clusters must be at least 10")
         if not 0.0 < self.merge_ratio < 1.0:

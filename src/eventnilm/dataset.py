@@ -21,9 +21,9 @@ from typing import NoReturn
 
 import numpy as np
 
-from .errors import AlignmentError, ManifestError, ParseError
+from .errors import AlignmentError, ManifestError, OutputError, ParseError
 from .features import DAY_SECONDS
-from .model_io import atomic_write, format_number, format_numbers, read_text
+from .model_io import atomic_write, format_number, format_numbers, make_dirs, read_text
 from .signals import GapRecord, PowerSignal, aggregate, gap_threshold, resample_step_hold
 from .synth import SynthResult
 
@@ -189,7 +189,7 @@ def _store_table(entry: Path, name: str, table: np.ndarray) -> None:
         for old in entry.parent.iterdir():
             if own.fullmatch(old.name) and old.name != entry.name:
                 old.unlink()
-    except OSError:
+    except (OSError, OutputError):
         pass  # no cache: the next read parses the file again
 
 
@@ -313,8 +313,7 @@ def write_dataset(
 
     The manifest goes last, so a dataset whose manifest exists is complete.
     """
-    root = Path(root)
-    root.mkdir(parents=True, exist_ok=True)
+    root = make_dirs(root)
     names = sorted(result.appliances)
     lines = [f"{i + 1} {name}" for i, name in enumerate(names)]
     atomic_write(root / "labels.dat", "\n".join(lines) + "\n")

@@ -35,3 +35,7 @@ class ManifestError(NilmError):
 
 class ConfigError(NilmError):
     """A run configuration value is out of range or unreadable."""
+
+
+class OutputError(NilmError):
+    """An output file or directory cannot be written where the user asked."""

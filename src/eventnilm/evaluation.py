@@ -102,7 +102,7 @@ def match_events(
     """
     sides = [PointTable.of(points) for points in (predicted, truth)]
     counts: dict[str, list[int]] = defaultdict(lambda: [0, 0, 0])  # tp, fp, fn
-    keys = sorted({s.keys[c] for s in sides for c in np.unique(s.code).tolist()})
+    keys = sorted({s.keys[c] for s in sides for c in np.flatnonzero(np.bincount(s.code)).tolist()})
     rank = {k: g for g, k in enumerate(keys)}  # label -> position in keys
     ranks = [np.array([rank.get(k, -1) for k in s.keys], np.int64)[s.code] for s in sides]
     for g, key in enumerate(keys):

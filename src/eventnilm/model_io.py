@@ -11,11 +11,12 @@ import json
 import math
 import os
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import OutputError, ParseError
 from .features import ApplianceModel, BehaviorSet, Transition
 from .modes import State, StateSet
 
@@ -40,21 +41,39 @@ def format_numbers(values) -> list[str]:
     return np.array(texts, dtype=object)[position].tolist()
 
 
+@contextmanager
+def _writing(path: Path):
+    """Report an OSError while writing ``path`` as an OutputError."""
+    try:
+        yield
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def atomic_write(path: str | Path, data: str | bytes) -> None:
     """Write bytes, or text as UTF-8, to a temp file that replaces ``path``."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or ".", prefix=f".{path.name}.")
-    try:
-        umask = os.umask(0)
-        os.umask(umask)
-        os.fchmod(fd, 0o666 & ~umask)  # the mode open() gives a new file
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with _writing(path):
+        fd, tmp = tempfile.mkstemp(dir=path.parent or ".", prefix=f".{path.name}.")
+        try:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)  # the mode open() gives a new file
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+
+
+def make_dirs(path: str | Path) -> Path:
+    """``path`` as a directory, made with its parents where missing."""
+    path = Path(path)
+    with _writing(path):
+        path.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 def read_text(path: Path) -> str:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifier import STAGES, Cycle, Diagnostics, LabelTable, classify
+from .classifier import STAGES, Cycle, CycleTable, Diagnostics, LabelTable, classify
 from .config import RunConfig
 from .errors import DataConsistencyError, ParseError
 from .evaluation import (
@@ -26,7 +26,7 @@ from .evaluation import (
 )
 from .features import ApplianceModel, day_columns, mode_changes, train_appliance
 from .filtering import filter_and_detect
-from .model_io import atomic_write, format_number, format_numbers, read_text
+from .model_io import atomic_write, format_number, format_numbers, make_dirs, read_text
 from .modes import OFF_MODE, State, StateSet, extract_states
 from .signals import EventTable, PowerSignal
 
@@ -217,11 +217,10 @@ def write_plot_data(
     raw: PowerSignal,
     filtered: PowerSignal,
     events: EventTable,
-    cycles: list[Cycle] | None = None,
+    cycles: CycleTable | list[Cycle] | None = None,
 ) -> list[Path]:
     """Columnar series for external plotting: signal, events, cycles."""
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = make_dirs(outdir)
     written = []
 
     rows = map("\t".join, zip(*map(format_numbers, (raw.times(), raw.values, filtered.values))))

@@ -560,7 +560,7 @@ def reference_refine_by_behaviors(matrix, models, raw, filtered):
         m.appliance_id: (m.behaviors.overshoot_min if m.behaviors else 0.0) for m in models
     }
     for c, e in enumerate(matrix.events):
-        if not e.rising or matrix.column_count(c) < 2:
+        if not e.rising or len(matrix.candidates(c)) < 2:
             continue
         height = reference_overshoot_height(raw, e.post_index, e.post_level)
         if height is None:

@@ -16,6 +16,7 @@ from eventnilm import classifier
 from eventnilm.classifier import (
     CandidateLabelMatrix,
     Cycle,
+    CycleTable,
     _walk,
     _WalkSpace,
     Diagnostics,
@@ -144,7 +145,7 @@ class TestInitialLabels:
             if mag == 0.0:
                 continue
             matrix = initial_labels(table([ev(0, max(0.0, -mag), max(0.0, mag))]), rows)
-            assert matrix.column_count(0) >= 1
+            assert len(matrix.candidates(0)) >= 1
 
 
 class TestAllOffThreshold:
@@ -191,7 +192,7 @@ class TestSegmentCycles:
         assert diag.never_all_off
 
     def test_no_events_no_cycles(self):
-        assert segment_cycles(sig([0.0] * 10), [], threshold=10.0) == []
+        assert list(segment_cycles(sig([0.0] * 10), [], threshold=10.0)) == []
 
     def test_three_disjoint_runs(self):
         values = np.zeros(120)
@@ -241,8 +242,8 @@ class TestRefineByCompatibility:
         events = [ev(0, 0, 500), ev(10, 500, 0)]
         matrix = initial_labels(table(events), rows)
         refined = refine_by_compatibility(matrix, [Cycle(0, 1)], models)
-        assert refined.column_count(0) == 1
-        assert refined.column_count(1) == 1
+        assert len(refined.candidates(0)) == 1
+        assert len(refined.candidates(1)) == 1
 
     def test_no_walk_leaves_cycle_unrefined(self):
         models = [two_mode_model("a", 490, 510)]
@@ -469,7 +470,7 @@ class TestResolveByParticipation:
         models = [a, b, c, d, z]
         rows = build_rows(models)
         matrix = initial_labels(table(events), rows)
-        assert [matrix.column_count(col) for col in range(10)] == [2, 1, 2, 2, 1, 2, 1, 2, 1, 1]
+        assert [len(matrix.candidates(col)) for col in range(10)] == [2, 1, 2, 2, 1, 2, 1, 2, 1, 1]
         resolved = resolve_by_participation(matrix, models, sig(np.zeros(200)))
         picks = [rows[resolved.candidates(col)[0]].appliance for col in range(10)]
         assert picks == ["a", "a", "a", "d", "z", "a", "c", "d", "z", "z"]
@@ -497,7 +498,7 @@ class TestResolveByParticipation:
             matrix = initial_labels(table(events), rows)
             resolved = resolve_by_participation(matrix, models, sig(np.zeros(200)))
             for c in range(len(events)):
-                assert resolved.column_count(c) == 1
+                assert len(resolved.candidates(c)) == 1
 
 
 class TestEnforceCycleClosure:
@@ -709,6 +710,78 @@ class TestCandidateLabelMatrix:
         ]
 
 
+    def test_size_and_first_follow_random_mutations(self):
+        rng = np.random.default_rng(101)
+        rows = build_rows([two_mode_model(f"a{i}", 100 * i, 100 * i + 50) for i in range(4)])
+        seen = set()
+        for _ in range(100):
+            n = int(rng.integers(1, 12))
+            columns = [
+                tuple(sorted(rng.choice(len(rows), size=int(rng.integers(1, 5)), replace=False)))
+                for _ in range(n)
+            ]
+            matrix = CandidateLabelMatrix(rows, table([ev(i, 0, 1) for i in range(n)]), columns)
+            for _ in range(int(rng.integers(1, 30))):
+                c, r = int(rng.integers(n)), int(rng.integers(len(rows)))
+                kind = ("keep_only", "drop", "assign")[int(rng.integers(3))]
+                before = matrix.columns[c]
+                if kind == "keep_only":
+                    keep = set(rng.choice(len(rows), size=int(rng.integers(0, 4))).tolist())
+                    matrix.keep_only(c, keep)
+                else:
+                    getattr(matrix, kind)(c, r)
+                if matrix.columns[c] != before:
+                    seen.add(kind)
+                assert matrix.size.tolist() == [len(col) for col in matrix.columns]
+                assert matrix.first.tolist() == [col[0] for col in matrix.columns]
+            size, first = matrix.snapshot()
+            matrix.assign(0, (first[0] + 1) % len(rows))
+            assert first[0] != matrix.first[0] and size is not matrix.size
+        assert seen == {"keep_only", "drop", "assign"}
+
+    def test_initial_labels_fill_size_and_first(self):
+        rng = np.random.default_rng(103)
+        rows = build_rows([two_mode_model(f"a{i}", 100 * i, 100 * i + 150) for i in range(4)])
+        unmatched = multi = 0
+        for _ in range(50):
+            mags = rng.uniform(-600, 600, size=int(rng.integers(1, 40))).round()
+            mags[mags == 0] = 1.0
+            events = table([ev(10 * i, max(0.0, -m), max(0.0, m)) for i, m in enumerate(mags)])
+            diag = Diagnostics()
+            matrix = initial_labels(events, rows, diag)
+            assert matrix.size.tolist() == [len(col) for col in matrix.columns]
+            assert matrix.first.tolist() == [col[0] for col in matrix.columns]
+            assert matrix.size.dtype == matrix.first.dtype == np.int64
+            unmatched += len(diag.unmatched_columns)
+            multi += int((matrix.size > 1).sum())
+        assert unmatched > 0 and multi > 0
+
+
+class TestCycleTable:
+    def test_sequence_of_cycles(self):
+        cycles = [Cycle(0, 2), Cycle(3, 3), Cycle(4, 9)]
+        got = CycleTable.of(cycles)
+        assert len(got) == 3
+        assert got.starts.tolist() == [0, 3, 4] and got.ends.tolist() == [2, 3, 9]
+        assert got.starts.dtype == got.ends.dtype == np.int64
+        assert [got[k] for k in range(3)] == list(got) == cycles
+        assert all(type(c) is Cycle for c in got)
+        assert list(got[2].columns) == [4, 5, 6, 7, 8, 9]
+        assert CycleTable.of(got) is got
+
+    def test_empty(self):
+        for empty in (CycleTable.of([]), segment_cycles(sig([0.0] * 10), table([]), 10.0)):
+            assert len(empty) == 0 and list(empty) == []
+            assert empty.starts.shape == empty.ends.shape == (0,)
+
+    def test_segment_cycles_returns_a_table(self):
+        values = [0.0] * 5 + [500.0] * 10 + [0.0] * 5 + [800.0] * 10 + [0.0] * 5
+        s = sig(values)
+        cycles = segment_cycles(s, detect_events(s), threshold=10.0)
+        assert isinstance(cycles, CycleTable)
+        assert cycles.starts.tolist() == [0, 2] and cycles.ends.tolist() == [1, 3]
+
+
 class TestInitialLabelsParity:
     """One broadcast comparison against ``Transition.contains`` row by row."""
 
@@ -890,7 +963,7 @@ class TestReplayParity:
                 cyc = self.random_cycle(rng, apps, rows)
                 cycles.append(Cycle(len(picks), len(picks) + len(cyc) - 1))
                 picks += cyc
-            closes, spent = space.replay(np.array(picks), *classifier._bounds(cycles))
+            closes, spent = space.replay(np.array(picks), CycleTable.of(cycles))
             for k, cycle in enumerate(cycles):
                 options = [[picks[c]] for c in cycle.columns]
                 n = len(options)
@@ -985,7 +1058,7 @@ class TestSegmentCyclesParity:
             threshold = float(rng.choice([1.0, 10.0, 100.0, 1000.0]))
             diag = Diagnostics()
             got = segment_cycles(s, table(events), threshold, diag)
-            assert got == reference_segment_cycles(s, events, threshold)
+            assert list(got) == reference_segment_cycles(s, events, threshold)
             assert diag.never_all_off == (not (s.values < threshold).any())
             overlapping += any(a.post_index > b.index for a, b in zip(events, events[1:]))
             never_off += diag.never_all_off
@@ -999,7 +1072,7 @@ class TestSegmentCyclesParity:
         filtered, events = filter_and_detect(result.aggregate)
         for threshold in (10.0, 100.0, 1000.0):
             want = reference_segment_cycles(filtered, events, threshold)
-            assert segment_cycles(filtered, events, threshold) == want
+            assert list(segment_cycles(filtered, events, threshold)) == want
 
 
 class TestStagesParity:
@@ -1061,12 +1134,13 @@ class TestStagesParity:
             models, events, cycles, raw, filtered = self.instance(rng)
             rows = build_rows(models)
             budget = int(rng.choice([1, 2, 4, 8, 1_000_000]))
-            new = initial_labels(events, rows)
+            columns = initial_labels(events, rows).columns
             for c in range(len(events)):
                 if rng.uniform() < 0.1:  # odd candidate sets, as earlier stages never make
                     pick = rng.choice(len(rows), size=int(rng.integers(1, 4)), replace=False)
-                    new.columns[c] = tuple(sorted(int(r) for r in pick))
-            ref = CandidateLabelMatrix(rows, events, list(new.columns))
+                    columns[c] = tuple(sorted(int(r) for r in pick))
+            new = CandidateLabelMatrix(rows, events, columns)
+            ref = CandidateLabelMatrix(rows, events, list(columns))
             d_new, d_ref = Diagnostics(), Diagnostics()
 
             before = list(new.columns)
@@ -1179,7 +1253,9 @@ class TestLabelTable:
                 kind = int(rng.integers(3))
                 after_resolve.append(final[c] if kind == 0 else column(0.5 if kind == 1 else 0.0))
             snapshots += [after_resolve, final]
-            codes = classifier._stage_codes(*snapshots)
+            codes = classifier._stage_codes(
+                *(CandidateLabelMatrix([], [], cols).snapshot() for cols in snapshots)
+            )
             got = [classifier.STAGES[k] for k in codes.tolist()]
             assert got == [reference_stage(*snapshots, c) for c in range(n)]
             seen.update(got)

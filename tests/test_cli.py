@@ -494,6 +494,26 @@ class TestFullFlow:
         assert main(["evaluate", *args, "--report", str(report)]) == 0
         assert capsys.readouterr().out.splitlines()[-1].startswith("average_f\t")
 
+    def test_evaluate_leaves_numpy_ma_unloaded(self, dataset, tmp_path, capsys):
+        # a fresh process: this one may have loaded numpy.ma for other tests
+        manifest = dataset / "manifest.cfg"
+        models, report = tmp_path / "models.json", tmp_path / "report.tsv"
+        assert main(["train", "--manifest", str(manifest), "--output", str(models)]) == 0
+        args = ["--manifest", str(manifest), "--model", str(models)]
+        assert main(["disaggregate", *args, "--output", str(report)]) == 0
+        capsys.readouterr()
+        src = str(Path(eventnilm.__file__).parents[1])
+        code = (
+            "import sys\n"
+            "from eventnilm.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(code, 'numpy.ma' in sys.modules, 'numpy' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        argv = [sys.executable, "-c", code, "evaluate", *args, "--report", str(report)]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+        assert proc.stdout.splitlines()[-1] == "0 False True"
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("household", ["demo", "balanced"])
@@ -550,6 +570,31 @@ class TestChannelCache:
             "1 negative readings clipped to 0 W, 1 gaps longer than 60 s,"
             " 1 duplicate and 1 out-of-order timestamps"
         ) in runs[0][0][0].err
+
+
+class TestOutputPaths:
+    """An output path the file system refuses is a data error, not an internal one."""
+
+    def test_train_into_a_missing_directory(self, dataset, tmp_path, capsys):
+        manifest = str(dataset / "manifest.cfg")
+        out = tmp_path / "nodir" / "m.json"
+        assert main(["train", "--manifest", manifest, "--output", str(out)]) == 2
+        assert f"error: cannot write {out}" in capsys.readouterr().err
+        assert not (tmp_path / "nodir").exists()
+
+    def test_train_onto_a_directory(self, dataset, tmp_path, capsys):
+        manifest = str(dataset / "manifest.cfg")
+        assert main(["train", "--manifest", manifest, "--output", str(tmp_path)]) == 2
+        assert f"error: cannot write {tmp_path}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []  # no temp file left behind
+
+    def test_synth_into_a_file(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("keep\n", encoding="utf-8")
+        argv = ["synth", "--output", str(out), "--days", "2", "--train-days", "1"]
+        assert main(argv) == 2
+        assert f"error: cannot write {out}" in capsys.readouterr().err
+        assert out.read_text(encoding="utf-8") == "keep\n"
 
 
 class TestFileModes:

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from eventnilm.cli import main
 from eventnilm.config import RunConfig, apply_overrides, read_config
 from eventnilm.errors import ConfigError, ParseError
 
@@ -133,3 +134,37 @@ class TestApplyOverrides:
     def test_revalidates(self):
         with pytest.raises(ConfigError):
             apply_overrides(RunConfig(), {"merge_ratio": 2.0})
+
+
+WATT_KNOBS = ("off_threshold", "all_off_margin", "overshoot_floor")
+NON_FINITE = ("nan", "inf", "-inf")
+
+
+class TestFiniteWatts:
+    """NaN passes a ``< 0`` test and inf a ``>= 0`` one; both must be refused,
+    from the file and from the flag alike, as a data error (exit 2)."""
+
+    @pytest.mark.parametrize("knob", WATT_KNOBS)
+    @pytest.mark.parametrize("text", NON_FINITE)
+    def test_file_and_override_refuse(self, tmp_path, knob, text):
+        with pytest.raises(ConfigError, match="finite"):
+            RunConfig(**{knob: float(text)})
+        p = tmp_path / "run.cfg"
+        p.write_text(f"{knob} = {text}\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="finite"):
+            read_config(p)
+        with pytest.raises(ConfigError, match="finite"):
+            apply_overrides(RunConfig(), {knob: float(text)})
+
+    @pytest.mark.parametrize("knob", WATT_KNOBS)
+    @pytest.mark.parametrize("text", NON_FINITE)
+    def test_cli_exits_with_data_error(self, tmp_path, capsys, knob, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{knob} = {text}\n", encoding="utf-8")
+        synth = ["synth", "--days", "2", "--train-days", "1"]
+        flag = "--" + knob.replace("_", "-")
+        assert main([*synth, "--output", str(tmp_path / "a"), "--config", str(cfg)]) == 2
+        assert main([*synth, "--output", str(tmp_path / "b"), f"{flag}={text}"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("must be finite") == 2
+        assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
