@@ -257,12 +257,13 @@ def segment_cycles(
     if not events:
         return CycleTable.of([])
     off = filtered.values < threshold
-    off_prefix = np.concatenate(([0], np.cumsum(off)))
     # a cycle ends at event i iff [events[i].post_index, events[i + 1].index]
-    # holds an OFF sample; a range whose start passes its end is clipped empty
-    nxt = events.index[1:]
-    post = np.minimum(events.post_index[:-1], nxt + 1)
-    ends = np.flatnonzero(off_prefix[nxt + 1] > off_prefix[post])
+    # holds an OFF sample: its first sample, or one that starts a run of OFF
+    # samples; a range whose start passes its end is empty
+    post, nxt = events.post_index[:-1], events.index[1:]
+    run_starts = np.flatnonzero(off[1:] & ~off[:-1]) + 1
+    inside = np.searchsorted(run_starts, nxt, "right") - np.searchsorted(run_starts, post, "right")
+    ends = np.flatnonzero((post <= nxt) & (off[np.minimum(post, nxt)] | (inside > 0)))
     cycles = CycleTable(np.r_[0, ends + 1], np.r_[ends, len(events) - 1])
     if not off.any():
         log.warning("signal never reaches all-OFF; treating it as one cycle")
@@ -406,7 +407,6 @@ def refine_by_compatibility(
 
 
 def _flag(diagnostics, cycle_index, reason):
-    log.warning("cycle %d left unrefined: %s", cycle_index, reason)
     if diagnostics is not None:
         diagnostics.unrefined_cycles.append((cycle_index, reason))
 
@@ -563,7 +563,6 @@ def enforce_cycle_closure(
         if layers is None or space.all_off not in layers[-1]:
             if diagnostics is not None:
                 diagnostics.unrepaired_cycles.append(ci)
-            log.warning("cycle %d: resolved labels do not close; left as chosen", ci)
             continue
         theta = space.all_off
         for i in range(len(cols), 0, -1):

@@ -24,12 +24,11 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import dataset as ds
-from . import pipeline
-from .classifier import all_off_threshold, segment_cycles
 from .config import RunConfig, apply_overrides, read_config
 from .errors import NilmError
 from .filtering import filter_and_detect
-from .model_io import atomic_write, format_number, format_numbers, load_models, save_models
+from .model_io import atomic_write, format_number, format_numbers, join_cells
+from .model_io import load_models, save_models
 from .modes import extract_states
 from .signals import gap_threshold, resample_step_hold
 from .synth import balanced_household, demo_household, generate
@@ -121,15 +120,16 @@ def _load_dataset(manifest: str) -> ds.DatasetBundle:
 
 
 def cmd_filter(args) -> int:
-    signal = _read_signal(args.input, args.period)
-    filtered, _ = filter_and_detect(signal)
-    lines = map("\t".join, zip(format_numbers(filtered.times()), format_numbers(filtered.values)))
-    atomic_write(args.output, "time\tfiltered\n" + "\n".join(lines) + "\n")
+    filtered, _ = filter_and_detect(_read_signal(args.input, args.period))
+    cells = format_numbers(filtered.times(), "\t"), format_numbers(filtered.values, "\n")
+    atomic_write(args.output, "time\tfiltered\n" + join_cells(*cells))
     print(f"wrote {len(filtered)} filtered samples to {args.output}")
     return EXIT_OK
 
 
 def cmd_detect_events(args) -> int:
+    from . import pipeline
+
     signal = _read_signal(args.input, args.period)
     _, events = filter_and_detect(signal)
     atomic_write(args.output, pipeline.format_events_table(signal, events))
@@ -139,8 +139,7 @@ def cmd_detect_events(args) -> int:
 
 def cmd_extract_modes(args) -> int:
     config = _config_from(args)
-    signal = _read_signal(args.input, args.period)
-    filtered, _ = filter_and_detect(signal)
+    filtered, _ = filter_and_detect(_read_signal(args.input, args.period))
     states = extract_states(
         filtered,
         k=config.k_clusters,
@@ -159,6 +158,8 @@ def cmd_extract_modes(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from . import pipeline
+
     config = _config_from(args)
     bundle = _load_dataset(args.manifest)
     train_apps, train_agg, _, _ = ds.split_bundle(bundle)
@@ -171,6 +172,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_disaggregate(args) -> int:
+    from . import pipeline
+
     config = _config_from(args)
     bundle = _load_dataset(args.manifest)
     _, _, _, test_agg = ds.split_bundle(bundle)
@@ -187,6 +190,8 @@ def cmd_disaggregate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from . import pipeline
+
     config = _config_from(args)
     bundle = _load_dataset(args.manifest)
     _, _, test_apps, _ = ds.split_bundle(bundle)
@@ -226,6 +231,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_plot_data(args) -> int:
+    from . import pipeline
+    from .classifier import all_off_threshold, segment_cycles
+
     signal = _read_signal(args.input, args.period)
     filtered, events = filter_and_detect(signal)
     cycles = None

@@ -28,7 +28,7 @@ class RunConfig:
     match_tolerance: +/- samples allowed when matching events in evaluation.
     n_days_variant: average participation shares over all active days
       instead of only the days the transition occurred in.
-    seed: seed for anything randomized (the synthetic generator).
+    seed: non-negative seed for anything randomized (the synthetic generator).
     """
 
     k_clusters: int = 10
@@ -57,6 +57,8 @@ class RunConfig:
             raise ConfigError("search_budget must be positive")
         if self.match_tolerance < 0:
             raise ConfigError("match_tolerance must be non-negative")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import AlignmentError, ManifestError, OutputError, ParseError
 from .features import DAY_SECONDS
-from .model_io import atomic_write, format_number, format_numbers, make_dirs, read_text
+from .model_io import atomic_write, format_number, format_numbers, join_cells, make_dirs, read_text
 from .signals import GapRecord, PowerSignal, aggregate, gap_threshold, resample_step_hold
 from .synth import SynthResult
 
@@ -319,14 +319,13 @@ def write_dataset(
     atomic_write(root / "labels.dat", "\n".join(lines) + "\n")
 
     @cache  # the channels share one grid, so one time column
-    def time_column(n: int, period: float) -> list[str]:
-        return format_numbers(start_timestamp + np.arange(n) * period)
+    def time_column(n: int, period: float) -> np.ndarray:
+        return format_numbers(start_timestamp + np.arange(n) * period, " ")
 
     for i, name in enumerate(names):
         sig = result.appliances[name]
-        times = time_column(len(sig), sig.sample_period)
-        lines = map(" ".join, zip(times, format_numbers(sig.values)))
-        atomic_write(root / f"channel_{i + 1}.dat", "\n".join(lines) + "\n")
+        cells = time_column(len(sig), sig.sample_period), format_numbers(sig.values, "\n")
+        atomic_write(root / f"channel_{i + 1}.dat", join_cells(*cells))
     truth = "".join(
         f"{t.index}\t{t.appliance}\t{t.from_mode}\t{t.to_mode}\t{format_number(t.magnitude)}\n"
         for t in result.truth

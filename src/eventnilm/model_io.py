@@ -29,16 +29,31 @@ def format_number(x: float) -> str:
     return str(int(x)) if x.is_integer() else repr(x)
 
 
-def format_numbers(values) -> list[str]:
-    """``format_number`` of each element of a float64 array.
+def format_numbers(values, sep: str = "") -> np.ndarray:
+    """``format_number`` of each element of a float64 array, ``sep`` appended,
+    as an object array of texts.
 
-    Each distinct value is formatted once: a meter column repeats a few
-    thousand levels over many samples. ``-0.0`` and ``0.0``, and all NaNs,
-    share a text, so merging them is exact.
+    Each run of equal neighbours, then each distinct value, is formatted
+    once: a meter column repeats a few thousand levels over many samples, an
+    idle one the same level for hours. ``-0.0`` and ``0.0``, and all NaNs,
+    share a text, so merging them is exact. Whole numbers within 2**53 of
+    zero are printed as int64s.
     """
-    distinct, position = np.unique(np.asarray(values, dtype=np.float64), return_inverse=True)
-    texts = [str(int(x)) if x.is_integer() else repr(x) for x in distinct.tolist()]
-    return np.array(texts, dtype=object)[position].tolist()
+    v = np.asarray(values, dtype=np.float64)
+    # the first sample of each run of equal neighbours (none if v is empty)
+    starts = np.flatnonzero(np.r_[True, v[1:] != v[:-1]][: v.size])
+    distinct, position = np.unique(v[starts], return_inverse=True)
+    whole = (np.trunc(distinct) == distinct) & (np.abs(distinct) <= 2.0**53)
+    texts = np.empty(distinct.size, dtype=object)
+    texts[whole] = [str(i) + sep for i in distinct[whole].astype(np.int64).tolist()]
+    texts[~whole] = [format_number(x) + sep for x in distinct[~whole].tolist()]
+    return np.repeat(texts[position], np.diff(np.r_[starts, v.size]))
+
+
+def join_cells(*columns: np.ndarray) -> str:
+    """The text of a table given column by column as object arrays of cells,
+    each cell ending in its separator (see ``format_numbers``): one join."""
+    return "".join(np.column_stack(columns).ravel().tolist())
 
 
 @contextmanager

@@ -26,7 +26,7 @@ from .evaluation import (
 )
 from .features import ApplianceModel, day_columns, mode_changes, train_appliance
 from .filtering import filter_and_detect
-from .model_io import atomic_write, format_number, format_numbers, make_dirs, read_text
+from .model_io import atomic_write, format_number, format_numbers, join_cells, make_dirs, read_text
 from .modes import OFF_MODE, State, StateSet, extract_states
 from .signals import EventTable, PowerSignal
 
@@ -118,19 +118,18 @@ def disaggregate(
 def format_event_report(labeled: LabelTable, signal: PowerSignal) -> str:
     events = labeled.events
     times = signal.start_time + events.index * signal.sample_period
-    labels = ["\t".join((row.appliance, *row.transition.key)) for row in labeled.rows]
-    rows = map(
-        "\t".join,
-        zip(
-            format_numbers(times),
-            map(str, events.index.tolist()),
-            format_numbers(events.magnitude),
-            map(labels.__getitem__, labeled.row.tolist()),
-            map(STAGES.__getitem__, labeled.stage.tolist()),
-        ),
+    labels = ["\t".join((r.appliance, *r.transition.key, "")) for r in labeled.rows]
+    labels = np.array(labels, dtype=object)
+    stages = np.array([f"{stage}\n" for stage in STAGES], dtype=object)
+    rows = join_cells(
+        format_numbers(times, "\t"),
+        format_numbers(events.index, "\t"),
+        format_numbers(events.magnitude, "\t"),
+        labels[labeled.row],
+        stages[labeled.stage],
     )
-    header = "timestamp\tindex\tmagnitude\tappliance\tfrom_mode\tto_mode\tstage"
-    return "\n".join(["# event report 1", header, *rows]) + "\n"
+    header = "timestamp\tindex\tmagnitude\tappliance\tfrom_mode\tto_mode\tstage\n"
+    return "# event report 1\n" + header + rows
 
 
 def parse_event_report(path: str | Path) -> PointTable:
@@ -207,9 +206,9 @@ def format_metrics(counts: dict[str, ConfusionCounts]) -> str:
 def format_events_table(signal: PowerSignal, events: EventTable) -> str:
     """One line per detected event: index, time, magnitude, levels."""
     times = signal.start_time + events.index * signal.sample_period
-    numbers = map(format_numbers, (times, events.magnitude, events.pre_level, events.post_level))
-    rows = map("\t".join, zip(map(str, events.index.tolist()), *numbers))
-    return "\n".join(["index\ttime\tmagnitude\tpre_level\tpost_level", *rows]) + "\n"
+    numbers = (events.index, times, events.magnitude, events.pre_level)
+    cells = [format_numbers(c, "\t") for c in numbers] + [format_numbers(events.post_level, "\n")]
+    return "index\ttime\tmagnitude\tpre_level\tpost_level\n" + join_cells(*cells)
 
 
 def write_plot_data(
@@ -223,9 +222,10 @@ def write_plot_data(
     outdir = make_dirs(outdir)
     written = []
 
-    rows = map("\t".join, zip(*map(format_numbers, (raw.times(), raw.values, filtered.values))))
+    numbers = (raw.times(), raw.values)
+    cells = [format_numbers(c, "\t") for c in numbers] + [format_numbers(filtered.values, "\n")]
     p = outdir / "signal.tsv"
-    atomic_write(p, "\n".join(["time\traw\tfiltered", *rows]) + "\n")
+    atomic_write(p, "time\traw\tfiltered\n" + join_cells(*cells))
     written.append(p)
 
     p = outdir / "events.tsv"

@@ -40,9 +40,10 @@ class PowerSignal:
         arr = np.asarray(self.values, dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("values must be a non-empty 1-D sequence")
-        if not np.all(np.isfinite(arr)):
+        lo, hi = arr.min(), arr.max()  # NaN reaches both, an infinity one of them
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ValueError(f"signal {self.source_id!r} contains non-finite samples")
-        if np.any(arr < 0):
+        if lo < 0:
             raise ValueError(f"signal {self.source_id!r} contains negative samples")
         if not (self.sample_period > 0):
             raise ValueError("sample_period must be positive")

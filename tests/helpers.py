@@ -930,6 +930,14 @@ def reference_format_numbers(values):
     return [str(int(x)) if x.is_integer() else repr(x) for x in values.tolist()]
 
 
+def reference_channel_text(signal, start_timestamp=1600000000.0):
+    """A channel file's text as ``write_dataset`` built it before it joined
+    pre-formatted cells: one ``" ".join`` per line, then ``"\n".join``."""
+    times = start_timestamp + np.arange(len(signal)) * signal.sample_period
+    times = reference_format_numbers(times)
+    return "\n".join(map(" ".join, zip(times, reference_format_numbers(signal.values)))) + "\n"
+
+
 def reference_resample_step_hold(times, values, period, start=None, end=None, max_gap=None):
     """``resample_step_hold`` with one ``np.searchsorted`` for every grid
     instant, as it was before on-grid channels skipped the search: the

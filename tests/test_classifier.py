@@ -8,6 +8,7 @@ set refinement. Instances stay small enough that enumeration is exact.
 
 import dataclasses
 import itertools
+import logging
 
 import numpy as np
 import pytest
@@ -1073,6 +1074,56 @@ class TestSegmentCyclesParity:
         for threshold in (10.0, 100.0, 1000.0):
             want = reference_segment_cycles(filtered, events, threshold)
             assert list(segment_cycles(filtered, events, threshold)) == want
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_extreme_thresholds_and_empty_gaps(self, seed):
+        """Threshold 0 (no sample is OFF), above the maximum (every sample
+        is), and events whose settled sample lies past the next event, so
+        the gap between them is empty whatever the samples hold."""
+        rng = np.random.default_rng(seed)
+        n = 400
+        s = sig(rng.choice([0.0, 3.0, 40.0, 700.0], size=n))
+        index = np.sort(rng.choice(n - 1, size=60, replace=False))
+        events = [
+            ev(int(i), 0.0, 1.0, post_index=min(n - 1, int(i) + int(rng.integers(1, 12))))
+            for i in index
+        ]
+        assert sum(a.post_index > b.index for a, b in zip(events, events[1:])) > 5
+        for threshold in (0.0, 5.0, 701.0):
+            diag = Diagnostics()
+            got = list(segment_cycles(s, table(events), threshold, diag))
+            assert got == reference_segment_cycles(s, events, threshold)
+            assert diag.never_all_off == (threshold == 0.0)
+            if threshold == 0.0:
+                assert got == [Cycle(0, len(events) - 1)]
+
+
+class TestLogging:
+    def test_unrefined_cycles_are_listed_not_logged(self, caplog, monkeypatch):
+        result = generate(balanced_household(), days=5, seed=0)
+        base = result.aggregate.start_time
+        train = {n: slice_days(s, (0, 2), base) for n, s in result.appliances.items()}
+        models = train_models(train, slice_days(result.aggregate, (0, 2), base), RunConfig()).models
+        flagged = []
+
+        def spy(diagnostics, cycle_index, reason):
+            flagged.append((cycle_index, reason))
+            flag(diagnostics, cycle_index, reason)
+
+        flag = classifier._flag
+        monkeypatch.setattr(classifier, "_flag", spy)
+        with caplog.at_level(logging.DEBUG, logger="eventnilm.classifier"):
+            _, diag = classify(slice_days(result.aggregate, (3, 4), base), models)
+        assert diag.unrefined_cycles and diag.unrefined_cycles == flagged
+        assert [r for r in caplog.records if r.name == "eventnilm.classifier"] == []
+
+    def test_never_all_off_is_one_warning(self, caplog):
+        events = table([ev(2, 100.0, 200.0, post_index=3), ev(6, 200.0, 100.0, post_index=7)])
+        with caplog.at_level(logging.DEBUG, logger="eventnilm.classifier"):
+            segment_cycles(sig([100.0] * 3 + [200.0] * 4 + [100.0] * 3), events, 10.0)
+        assert [r.getMessage() for r in caplog.records] == [
+            "signal never reaches all-OFF; treating it as one cycle"
+        ]
 
 
 class TestStagesParity:

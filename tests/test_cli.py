@@ -514,6 +514,25 @@ class TestFullFlow:
         proc = subprocess.run(argv, capture_output=True, text=True, env=env)
         assert proc.stdout.splitlines()[-1] == "0 False True"
 
+    def test_synth_leaves_labeling_and_scoring_unloaded(self, tmp_path):
+        """``python -m eventnilm.cli synth`` in a fresh process imports none
+        of the modules that only train, label or score."""
+        src = str(Path(eventnilm.__file__).parents[1])
+        names = ["eventnilm.classifier", "eventnilm.pipeline", "eventnilm.evaluation"]
+        code = (
+            "import runpy, sys\n"
+            "try:\n"
+            "    runpy.run_module('eventnilm.cli', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            f"    print(exc.code, *(m in sys.modules for m in {names}))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        args = ["synth", "--output", str(tmp_path / "house"), "--days", "2", "--train-days", "1"]
+        argv = [sys.executable, "-c", code, *args]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+        assert proc.stdout.splitlines()[-1] == "0 False False False"
+        assert (tmp_path / "house" / "manifest.cfg").is_file()
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("household", ["demo", "balanced"])

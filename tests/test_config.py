@@ -47,6 +47,25 @@ class TestValidation:
         RunConfig(k_clusters=10, off_threshold=0.0, match_tolerance=0)
         RunConfig(merge_ratio=0.999, search_budget=1)
 
+    def test_negative_seed(self):
+        RunConfig(seed=0)
+        with pytest.raises(ConfigError, match="seed must be non-negative"):
+            RunConfig(seed=-1)
+
+    @pytest.mark.parametrize("where", ["flag", "file"])
+    def test_negative_seed_is_a_data_error_in_synth(self, tmp_path, capsys, where):
+        """numpy's generator refuses a negative seed; the config does first."""
+        out = tmp_path / "house"
+        args = ["synth", "--output", str(out), "--days", "2", "--train-days", "1"]
+        if where == "flag":
+            args += ["--seed", "-1"]
+        else:
+            (tmp_path / "run.cfg").write_text("seed = -5\n", encoding="utf-8")
+            args += ["--config", str(tmp_path / "run.cfg")]
+        assert main(args) == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestReadConfig:
     def test_parses_values_and_comments(self, tmp_path):

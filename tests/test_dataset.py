@@ -23,7 +23,7 @@ from eventnilm.dataset import (
 from eventnilm.errors import AlignmentError, ManifestError, ParseError
 from eventnilm.synth import balanced_household, demo_household, generate
 
-from helpers import reference_read_channel, reference_write_dataset, sig
+from helpers import reference_channel_text, reference_read_channel, reference_write_dataset, sig
 
 
 def write(path, text):
@@ -500,6 +500,18 @@ class TestWriteAndLoad:
         assert sorted(p.name for p in (tmp_path / "bulk").iterdir()) == names
         for name in names:
             assert (tmp_path / "bulk" / name).read_bytes() == (tmp_path / "lines" / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "period, start", [(20.0, 1600000000.0), (1.5, 1600000000.0), (1.5, 1600000000.37)]
+    )
+    def test_channels_equal_the_per_line_join(self, tmp_path, period, start):
+        """Whole and fractional timestamps (no golden pin covers the latter)."""
+        result = generate(demo_household(), days=1, period=period, seed=3)
+        write_dataset(tmp_path, result, (0, 0), (1, 1), start_timestamp=start)
+        labels = parse_labels(tmp_path / "labels.dat")
+        for channel, name in labels.items():
+            text = (tmp_path / f"channel_{channel}.dat").read_text(encoding="utf-8")
+            assert text == reference_channel_text(result.appliances[name], start)
 
     def test_generated_household_round_trips(self, tmp_path):
         result = generate(balanced_household(), days=2, seed=1)

@@ -6,6 +6,7 @@ syntax tree, string annotations included.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -62,3 +63,30 @@ def test_checker_finds_an_unused_import():
         "    return extract_states(x)\n"
     )
     assert unused_imports(source) == [("os", 3), ("MIN_CLUSTERS", 4)]
+
+
+def test_package_exports_resolve_to_their_submodules():
+    """Each ``__all__`` name is the object its submodule defines, whether read
+    as an attribute or bound by ``from eventnilm import *``."""
+    star = {}
+    exec("from eventnilm import *", star)
+    assert set(eventnilm.__all__) <= set(star)
+    for name in eventnilm.__all__:
+        value = getattr(eventnilm, name)
+        assert star[name] is value
+        if name != "__version__":
+            home = importlib.import_module(value.__module__)
+            assert home.__name__.startswith("eventnilm.") and getattr(home, name) is value
+
+
+def test_unknown_package_attribute_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        eventnilm.no_such_name
+    assert not hasattr(eventnilm, "no_such_name")
+
+
+def test_submodules_import_from_the_package():
+    from eventnilm import evaluation, pipeline
+
+    assert pipeline is importlib.import_module("eventnilm.pipeline")
+    assert evaluation.match_events is eventnilm.match_events

@@ -14,6 +14,7 @@ from eventnilm.model_io import (
     atomic_write,
     format_number,
     format_numbers,
+    join_cells,
     load_models,
     save_models,
 )
@@ -68,7 +69,7 @@ class TestFormatNumber:
     def test_column_form_matches(self):
         values = np.array([0.0, -0.0, 500.0, -20.0, 2.5, 0.1, 1e16, 1e300, -1e-300, np.inf, np.nan])
         values = np.concatenate([values, np.random.default_rng(0).normal(0.0, 1e4, 1000)])
-        assert format_numbers(values) == [format_number(v) for v in values]
+        assert format_numbers(values).tolist() == [format_number(v) for v in values]
 
     @pytest.mark.parametrize("seed", range(3))
     def test_distinct_values_match_the_per_element_rule(self, seed):
@@ -86,7 +87,32 @@ class TestFormatNumber:
             rng.permutation(np.concatenate([specials, rng.integers(-9, 9, 200) * 0.5])),
         ]
         for values in cases:
-            assert format_numbers(values) == reference_format_numbers(values)
+            assert format_numbers(values).tolist() == reference_format_numbers(values)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("sep", ["", " ", "\t", "\n"])
+    def test_cells_match_the_scalar_rule(self, seed, sep):
+        """Runs, signed zeros, NaN, infinities, whole numbers on both sides of
+        2**53 and 2**63, negative whole numbers and subnormals, shuffled into
+        runs of random length: each cell is ``format_number`` plus ``sep``."""
+        rng = np.random.default_rng(seed)
+        edges = [2.0**53, 2.0**63]
+        pool = np.array(
+            [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2e-308, 0.1, 1e16, 1e300]
+            + [s * np.nextafter(e, d) for e in edges for d in (0.0, np.inf) for s in (1, -1)]
+            + [s * e for e in edges for s in (1, -1)]
+            + (rng.integers(-5000, 5000, 20) * 1.0).tolist()
+            + rng.normal(0.0, 1e3, 20).round(rng.integers(0, 4)).tolist()
+        )
+        values = np.repeat(rng.choice(pool, 300), rng.integers(1, 40, 300))
+        cells = format_numbers(values, sep)
+        assert cells.dtype == object and cells.shape == values.shape
+        assert cells.tolist() == [format_number(v) + sep for v in values.tolist()]
+
+    def test_join_cells_lays_rows_out_in_order(self):
+        cells = format_numbers([1.0, 2.5, -0.0], " "), format_numbers([np.nan, 7.0, 1e20], "\n")
+        assert join_cells(*cells) == "1 nan\n2.5 7\n0 100000000000000000000\n"
+        assert join_cells(format_numbers([], "\t"), format_numbers([], "\n")) == ""
 
 
 class TestAtomicWrite:

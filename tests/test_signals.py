@@ -60,6 +60,21 @@ class TestPowerSignal:
         with pytest.raises(ValueError):
             sig([1.0, np.inf])
 
+    @pytest.mark.parametrize(
+        "values, problem",
+        [
+            ([1.0, np.nan, 2.0], "non-finite"),
+            ([1.0, np.inf, 2.0], "non-finite"),
+            ([1.0, -np.inf, 2.0], "non-finite"),
+            ([1.0, -0.5, 2.0], "negative"),
+            ([-0.5, np.nan, 2.0], "non-finite"),  # non-finite is reported first
+            ([np.nan, -0.5, np.inf], "non-finite"),
+        ],
+    )
+    def test_sample_check_names_the_first_problem(self, values, problem):
+        with pytest.raises(ValueError, match=f"signal 'test' contains {problem} samples"):
+            sig(values)
+
     def test_rejects_bad_period(self):
         with pytest.raises(ValueError):
             PowerSignal(values=np.array([1.0]), sample_period=0.0)
