@@ -192,7 +192,7 @@ def initial_labels(
     low = np.array([row.transition.low for row in rows], dtype=np.float64)
     high = np.array([row.transition.high for row in rows], dtype=np.float64)
     mags = events.magnitude[:, None]
-    # events x rows, the same float64 comparison as Transition.contains
+    # events x rows: low <= magnitude <= high in float64, the band test
     hit_events, hit_rows = np.nonzero((low <= mags) & (mags <= high))
     bounds = np.searchsorted(hit_events, np.arange(len(events) + 1))
     size = np.diff(bounds)

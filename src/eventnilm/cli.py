@@ -20,11 +20,10 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 from . import dataset as ds
-from .config import RunConfig, apply_overrides, read_config
+from .config import FIELD_TYPES, RunConfig, apply_overrides, read_config
 from .errors import NilmError
 from .filtering import filter_and_detect
 from .model_io import atomic_write, format_number, format_numbers, join_cells
@@ -58,20 +57,24 @@ def _period(text: str) -> float:
     return value
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    """One flag per RunConfig field: --k-clusters sets k_clusters, and so on."""
+_MODE_FIELDS = ("k_clusters", "merge_ratio", "off_threshold")  # what extract_states reads
+
+
+def _add_config_flags(p: argparse.ArgumentParser, *names: str) -> None:
+    """--config, and one flag per named RunConfig field: --k-clusters sets
+    k_clusters, and so on. A command names only the fields it reads."""
     p.add_argument("--config", help="key = value config file")
-    for f in fields(RunConfig):
-        flag = "--" + f.name.replace("_", "-")
-        if f.type == "bool":
-            p.add_argument(flag, action="store_const", const=True, dest=f.name)
+    for name in names:
+        flag = "--" + name.replace("_", "-")
+        if FIELD_TYPES[name] == "bool":
+            p.add_argument(flag, action="store_const", const=True, dest=name)
         else:
-            p.add_argument(flag, type={"int": int, "float": float}[f.type], dest=f.name)
+            p.add_argument(flag, type={"int": int, "float": float}[FIELD_TYPES[name]], dest=name)
 
 
 def _config_from(args) -> RunConfig:
     config = read_config(args.config) if args.config else RunConfig()
-    flags = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
+    flags = {name: getattr(args, name, None) for name in FIELD_TYPES}
     return apply_overrides(config, flags)
 
 
@@ -269,20 +272,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--period", type=_period, default=None)
-    _add_config_flags(p)
+    _add_config_flags(p, *_MODE_FIELDS)
     p.set_defaults(func=cmd_extract_modes)
 
     p = sub.add_parser("train", help="train appliance models from a dataset")
     p.add_argument("--manifest", required=True)
     p.add_argument("--output", required=True)
-    _add_config_flags(p)
+    _add_config_flags(p, *_MODE_FIELDS, "overshoot_floor", "n_days_variant")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("disaggregate", help="label the test aggregate's events")
     p.add_argument("--manifest", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--output", required=True)
-    _add_config_flags(p)
+    _add_config_flags(p, "all_off_margin", "search_budget")
     p.set_defaults(func=cmd_disaggregate)
 
     p = sub.add_parser("evaluate", help="score a report against submetered truth")
@@ -290,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--report", required=True)
     p.add_argument("--output", default=None)
-    _add_config_flags(p)
+    _add_config_flags(p, "match_tolerance")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset with ground truth")
@@ -299,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-days", type=int, default=21, dest="train_days")
     p.add_argument("--period", type=_period, default=20.0)
     p.add_argument("--household", choices=("demo", "balanced"), default="demo")
-    _add_config_flags(p)
+    _add_config_flags(p, "seed")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("plot-data", help="emit plot-ready series for a channel")

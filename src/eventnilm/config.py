@@ -7,16 +7,24 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .errors import ConfigError
-from .model_io import read_text
-from .modes import MIN_CLUSTERS
+
+# the floor on k_clusters: below 10 clusters the linkage phase of mode
+# extraction would already be doing the distance sweep's job
+MIN_CLUSTERS = 10
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Tunable knobs shared by training and classification.
+    """Tunable knobs shared by training and classification, each with the
+    one default every library function takes.
 
-    k_clusters: agglomeration target before distance merging; at least 10 so
-      infrequent modes survive to the merge phase.
+    Each command offers flags for the fields it reads: extract-modes the
+    first three, train those and overshoot_floor and n_days_variant,
+    disaggregate all_off_margin and search_budget, evaluate match_tolerance,
+    synth seed. ``--config`` checks every field.
+
+    k_clusters: agglomeration target before distance merging; at least
+      ``MIN_CLUSTERS`` so infrequent modes survive to the merge phase.
     merge_ratio: centroid-closeness fraction for the distance merge sweep.
     off_threshold: a lone lowest cluster under this many watts is the OFF
       state; above it the appliance was never seen off.
@@ -46,7 +54,7 @@ class RunConfig:
         if not all(map(math.isfinite, watts)):
             raise ConfigError("off_threshold, all_off_margin and overshoot_floor must be finite")
         if self.k_clusters < MIN_CLUSTERS:
-            raise ConfigError("k_clusters must be at least 10")
+            raise ConfigError(f"k_clusters must be at least {MIN_CLUSTERS}")
         if not 0.0 < self.merge_ratio < 1.0:
             raise ConfigError("merge_ratio must lie in (0, 1)")
         if self.off_threshold < 0 or self.all_off_margin < 0:
@@ -61,11 +69,12 @@ class RunConfig:
             raise ConfigError("seed must be non-negative")
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+# each field's type name ("int", "float" or "bool"), in declaration order
+FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
 def _parse_value(key: str, text: str):
-    kind = _FIELD_TYPES[key]
+    kind = FIELD_TYPES[key]
     try:
         if kind == "bool":
             if text.lower() in ("1", "true", "yes", "on"):
@@ -85,6 +94,8 @@ def read_config(path: str | Path) -> RunConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
+    from .model_io import read_text
+
     overrides = {}
     for lineno, line in enumerate(read_text(path).splitlines(), 1):
         line = line.strip()
@@ -94,7 +105,7 @@ def read_config(path: str | Path) -> RunConfig:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
         key, _, val = line.partition("=")
         key = key.strip()
-        if key not in _FIELD_TYPES:
+        if key not in FIELD_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         overrides[key] = _parse_value(key, val.strip())
     return RunConfig(**overrides)
@@ -103,7 +114,7 @@ def read_config(path: str | Path) -> RunConfig:
 def apply_overrides(config: RunConfig, overrides: dict[str, object]) -> RunConfig:
     """Override selected fields; None values mean "leave as is"."""
     actual = {k: v for k, v in overrides.items() if v is not None}
-    unknown = set(actual) - set(_FIELD_TYPES)
+    unknown = set(actual) - set(FIELD_TYPES)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
     return replace(config, **actual) if actual else config

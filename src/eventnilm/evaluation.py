@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RunConfig
+
 
 @dataclass(frozen=True)
 class LabelPoint:
@@ -90,7 +92,7 @@ class PointTable:
 def match_events(
     predicted: PointTable | list[LabelPoint],
     truth: PointTable | list[LabelPoint],
-    tolerance: int = 1,
+    tolerance: int = RunConfig.match_tolerance,
 ) -> dict[str, ConfusionCounts]:
     """Greedy one-to-one matching, then per-appliance confusion counts.
 

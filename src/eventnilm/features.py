@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import RunConfig
 from .errors import DataConsistencyError
 from .modes import OFF_MODE, State, StateSet
 from .signals import EventTable, PowerSignal
@@ -41,9 +42,6 @@ class Transition:
         # intervals never straddle zero: a transition between distinct
         # states is either wholly rising or wholly falling
         return self.high > 0 or (self.high == 0 and self.low == 0)
-
-    def contains(self, magnitude: float) -> bool:
-        return self.low <= magnitude <= self.high
 
 
 def transition_interval(from_state: State, to_state: State) -> tuple[float, float]:
@@ -139,7 +137,7 @@ def day_columns(
 def participation_index(
     daily_counts: list[dict[tuple[str, str], int]],
     daily_totals: list[int],
-    count_all_days: bool = False,
+    count_all_days: bool = RunConfig.n_days_variant,
 ) -> dict[tuple[str, str], float]:
     """Average share of a day's events that each transition accounts for.
 
@@ -245,7 +243,7 @@ def overshoot_floor(
     raw: PowerSignal,
     post_index: np.ndarray,
     post_level: np.ndarray,
-    floor: float = 50.0,
+    floor: float = RunConfig.overshoot_floor,
 ) -> float:
     """Smallest consistent rise overshoot, or 0 when rises do not overshoot.
 
@@ -312,8 +310,8 @@ def train_appliance(
     states: StateSet,
     daily_totals: dict[int, int] | None = None,
     day_base: float | None = None,
-    overshoot_floor_w: float = 50.0,
-    count_all_days: bool = False,
+    overshoot_floor_w: float = RunConfig.overshoot_floor,
+    count_all_days: bool = RunConfig.n_days_variant,
 ) -> ApplianceModel:
     """Assemble the appliance model from its filtered signal and events.
 

@@ -37,14 +37,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import MIN_CLUSTERS, RunConfig
 from .errors import InsufficientDataError
 from .signals import PowerSignal
 
 OFF_MODE = "off"
-
-# extract_states guard: below 10 clusters the linkage phase would already be
-# doing the distance sweep's job.
-MIN_CLUSTERS = 10
 
 
 @dataclass(frozen=True)
@@ -105,16 +102,6 @@ class StateSet:
 
     def mode_ids(self) -> list[str]:
         return [s.mode for s in self.states]
-
-    def get(self, mode: str) -> State:
-        for s in self.states:
-            if s.mode == mode:
-                return s
-        raise KeyError(mode)
-
-    def nearest(self, watts: float) -> State:
-        """State containing the value, else the closest interval."""
-        return self.states[int(self.nearest_indices(np.array([watts]))[0])]
 
     def nearest_indices(self, watts: np.ndarray) -> np.ndarray:
         """Index into ``states`` of the nearest state to each value.
@@ -209,7 +196,9 @@ def _merge_clusters(a: Cluster, b: Cluster) -> Cluster:
     )
 
 
-def distance_merge(clusters: list[Cluster], merge_ratio: float = 0.15) -> list[Cluster]:
+def distance_merge(
+    clusters: list[Cluster], merge_ratio: float = RunConfig.merge_ratio
+) -> list[Cluster]:
     """Absorb clusters whose centroids sit close under the current root.
 
     Centroids are walked in descending order. While the next centroid is
@@ -238,7 +227,7 @@ def _mode_names(count: int) -> list[str]:
 
 
 def states_from_clusters(
-    clusters: list[Cluster], off_threshold: float = 5.0
+    clusters: list[Cluster], off_threshold: float = RunConfig.off_threshold
 ) -> StateSet:
     """Tag merged clusters as states; split the OFF mode off by its level.
 
@@ -263,9 +252,9 @@ def states_from_clusters(
 
 def extract_states(
     filtered_signal: PowerSignal,
-    k: int = MIN_CLUSTERS,
-    merge_ratio: float = 0.15,
-    off_threshold: float = 5.0,
+    k: int = RunConfig.k_clusters,
+    merge_ratio: float = RunConfig.merge_ratio,
+    off_threshold: float = RunConfig.off_threshold,
 ) -> StateSet:
     """Learn an appliance's states from its filtered training signal."""
     if k < MIN_CLUSTERS:

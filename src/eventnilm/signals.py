@@ -14,6 +14,7 @@ import numpy as np
 from .errors import AlignmentError
 
 _GRID_EPS = 1e-9
+_MAX_SAMPLES = np.iinfo(np.intp).max // 8  # the longest float64 array numpy can size
 MAX_GAP_S = 60.0  # default hole length, in seconds, that step-hold filling reports
 
 
@@ -64,11 +65,6 @@ class PowerSignal:
         """Time of every sample, as ``time_at`` computes it."""
         return self.start_time + np.arange(len(self)) * self.sample_period
 
-    @property
-    def end_time(self) -> float:
-        """Time of the last sample."""
-        return self.time_at(len(self) - 1)
-
     def replace_values(self, values: np.ndarray, source_id: str | None = None) -> "PowerSignal":
         """New signal on the same grid with different samples."""
         return PowerSignal(
@@ -110,10 +106,6 @@ class EventRecord:
             raise ValueError("magnitude must equal post_level - pre_level")
         if self.post_index < 0:
             object.__setattr__(self, "post_index", self.index + 1)
-
-    @property
-    def rising(self) -> bool:
-        return self.magnitude > 0
 
 
 # the EventTable columns, in EventRecord's field order
@@ -165,10 +157,6 @@ class GapRecord:
     start_time: float
     end_time: float
 
-    @property
-    def duration(self) -> float:
-        return self.end_time - self.start_time
-
 
 def resample_step_hold(
     times: np.ndarray,
@@ -199,7 +187,13 @@ def resample_step_hold(
         raise AlignmentError(f"grid for {source_id!r} starts before its first sample")
     if hi < lo:
         raise AlignmentError(f"empty grid span for {source_id!r}")
-    n = int(np.floor((hi - lo) / period + _GRID_EPS)) + 1
+    steps = float(hi - lo) / period + _GRID_EPS  # a float quotient overflows to inf quietly
+    if not steps < _MAX_SAMPLES:
+        raise AlignmentError(
+            f"grid for {source_id!r} at period {period:g} s needs {steps + 1:.3g} samples,"
+            " more than an array can index"
+        )
+    n = int(steps) + 1
     key = lo + np.arange(n) * period + _GRID_EPS
     # the most recent source sample at or before each grid instant: sample j
     # itself when times[j] <= key[j] < times[j + 1] for every j, the test

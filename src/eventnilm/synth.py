@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import RunConfig
 from .errors import SpecValidationError
 from .features import DAY_SECONDS
 from .signals import PowerSignal
@@ -201,7 +202,7 @@ def generate(
     specs: list[ApplianceSpec],
     days: int,
     period: float = 20.0,
-    seed: int = 0,
+    seed: int = RunConfig.seed,
     jitter_fraction: float = 0.015,
 ) -> SynthResult:
     """Build a seeded household: per-appliance signals, aggregate, truth."""

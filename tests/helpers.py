@@ -130,15 +130,13 @@ def reference_build_filtered_signal(signal, marks):
 
 
 def reference_initial_columns(events, rows):
-    """Per-event candidate rows by ``Transition.contains``, one row at a time.
+    """Per-event candidate rows whose band holds the magnitude, one row at a time.
 
     A column no band contains comes back empty; the nearest-band fallback is
     checked separately.
     """
-    return [
-        tuple(r for r, row in enumerate(rows) if row.transition.contains(e.magnitude))
-        for e in events
-    ]
+    bands = [(row.transition.low, row.transition.high) for row in rows]
+    return [tuple(r for r, (lo, hi) in enumerate(bands) if lo <= e.magnitude <= hi) for e in events]
 
 
 def reference_nearest_keys(rows, magnitude):
@@ -390,7 +388,9 @@ def reference_overshoot_height(raw, post_index, post_level):
 def reference_overshoot_floor(raw, labeled, floor=50.0):
     """``overshoot_floor`` over (event, transition) pairs, one window per rising event."""
     heights = [
-        reference_overshoot_height(raw, e.post_index, e.post_level) for e, _ in labeled if e.rising
+        reference_overshoot_height(raw, e.post_index, e.post_level)
+        for e, _ in labeled
+        if e.magnitude > 0
     ]
     gaps = [h for h in heights if h is not None]
     if not gaps:
@@ -550,8 +550,9 @@ def reference_refine_by_behaviors(matrix, models, raw, filtered):
         if beh is None or beh.signature is None:
             continue
         app_rows = [r for r, row in enumerate(matrix.rows) if row.appliance == model.appliance_id]
+        mark = beh.signature
         for cols in cols_by_day.values():
-            if any(beh.signature.contains(matrix.events[c].magnitude) for c in cols):
+            if any(mark.low <= matrix.events[c].magnitude <= mark.high for c in cols):
                 continue
             for c in cols:
                 for r in app_rows:
@@ -560,7 +561,7 @@ def reference_refine_by_behaviors(matrix, models, raw, filtered):
         m.appliance_id: (m.behaviors.overshoot_min if m.behaviors else 0.0) for m in models
     }
     for c, e in enumerate(matrix.events):
-        if not e.rising or len(matrix.candidates(c)) < 2:
+        if e.magnitude <= 0 or len(matrix.candidates(c)) < 2:
             continue
         height = reference_overshoot_height(raw, e.post_index, e.post_level)
         if height is None:

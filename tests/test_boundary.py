@@ -1,4 +1,4 @@
-"""Input boundary: a damaged model file is a data error, never an internal one.
+"""Input boundary: a damaged input file is a data error, never an internal one.
 
 A seeded sweep makes one mutation of a trained model file per trial, in the
 shape real damage takes: a value of the wrong type, NaN, an infinite or huge
@@ -6,15 +6,21 @@ number, an empty value, a deleted key, or a list entry duplicated or dropped.
 Each mutated file goes through ``disaggregate`` and ``evaluate`` in process.
 Every exit must be 0 (the file still describes usable models) or 2 (a data
 error naming the file); 3, an internal error, is a bug.
+
+Two more sweeps mutate the ``key = value`` files one line at a time: the
+dataset manifest, through ``train``, and the run config, through ``train``
+and ``disaggregate``. There every exit must be 0, 1 or 2.
 """
 
 import json
 import math
 import random
+from dataclasses import fields
 
 import pytest
 
 from eventnilm import cli
+from eventnilm.config import RunConfig
 
 TRIALS = 300
 
@@ -81,24 +87,35 @@ def commands(root, models, out):
     ]
 
 
+def sweep(cases, runs, capsys):
+    """Run each case's commands; the exit codes seen, and every exit not 0, 1 or 2."""
+    codes, bad = set(), []
+    for what in cases:
+        for args in runs:
+            code = cli.main(args)
+            err = capsys.readouterr().err
+            codes.add(code)
+            if code not in (0, 1, 2):
+                bad.append(f"{what}: {args[0]} exit {code}: {err.strip()}")
+    return codes, bad
+
+
 def test_mutated_model_file_exits_0_or_2(flow, tmp_path, capsys):
     root, doc = flow
     spots = list(positions(doc))
     strings = sorted({v for p in spots if isinstance(v := lookup(doc, p), str)})
     models = tmp_path / "models.json"
     rng = random.Random(20)
-    codes, bad = set(), []
-    for trial in range(TRIALS):
-        mutated, what = mutate(doc, spots, strings, rng)
-        models.write_text(json.dumps(mutated), encoding="utf-8")
-        for args in commands(root, models, tmp_path):
-            code = cli.main(args)
-            err = capsys.readouterr().err
-            codes.add(code)
-            if code not in (0, 2):
-                bad.append(f"trial {trial}, {what}: {args[0]} exit {code}: {err.strip()}")
+
+    def cases():
+        for trial in range(TRIALS):
+            mutated, what = mutate(doc, spots, strings, rng)
+            models.write_text(json.dumps(mutated), encoding="utf-8")
+            yield f"trial {trial}, {what}"
+
+    codes, bad = sweep(cases(), commands(root, models, tmp_path), capsys)
     assert not bad, "\n".join(bad)
-    assert codes == {0, 2}  # the sweep reaches both outcomes
+    assert codes == {0, 2}  # the sweep reaches both outcomes, and no usage error
 
 
 @pytest.mark.parametrize(
@@ -126,3 +143,68 @@ def test_damaged_model_entry_is_a_data_error(flow, tmp_path, capsys, path, value
     for args in commands(root, models, tmp_path):
         assert cli.main(args) == 2
         assert f"error: {models}: " in capsys.readouterr().err
+
+
+# Values a damaged `key = value` file may hold. No small positive number is
+# here: a period of a millisecond would make a grid that really allocates.
+TEXT_REPLACEMENTS = (
+    "x", "", "nan", "inf", "-inf", "1e308", "-1e308", "0", "-3", "2.5", "1e-300",
+)
+
+
+def text_mutations(text, rng, extra=()):
+    """Every one-line mutation of a `key = value` text, and what it was: each
+    key's value replaced by each of ``TEXT_REPLACEMENTS`` and by another key's
+    value (a seeded pick), each line deleted, duplicated or stripped of its
+    ``=``, and each of the ``extra`` lines added."""
+    lines = text.splitlines()
+    pairs = [line.partition("=") for line in lines]
+    for i, (key, _, value) in enumerate(pairs):
+        others = [v for j, (_, _, v) in enumerate(pairs) if j != i]
+        for new in (*TEXT_REPLACEMENTS, rng.choice(others).strip()):
+            changed = [*lines[:i], f"{key}= {new}", *lines[i + 1 :]]
+            yield changed, f"{key.strip()} = {new!r}"
+        yield [*lines[:i], *lines[i + 1 :]], f"{key.strip()} deleted"
+        yield [*lines[: i + 1], *lines[i:]], f"{key.strip()} duplicated"
+        yield [*lines[:i], key + value, *lines[i + 1 :]], f"{key.strip()} without '='"
+    for line in extra:
+        yield [*lines, line], f"{line!r} added"
+
+
+def test_mutated_manifest_exits_0_1_or_2(flow, tmp_path, capsys):
+    root, _ = flow
+    base = (root / "manifest.cfg").read_text(encoding="utf-8") + "max_gap = 90\n"
+    for channel in root.glob("*.dat"):
+        (tmp_path / channel.name).write_bytes(channel.read_bytes())
+    manifest = tmp_path / "manifest.cfg"
+    train = ["train", "--manifest", str(manifest), "--output", str(tmp_path / "models.json")]
+
+    def cases():  # period = 1e-300 among them: a grid too long to index
+        for lines, what in text_mutations(base, random.Random(21)):
+            manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            yield what
+
+    codes, bad = sweep(cases(), [train], capsys)
+    assert not bad, "\n".join(bad)
+    assert {0, 2} <= codes
+
+
+def test_mutated_config_exits_0_1_or_2(flow, tmp_path, capsys):
+    root, _ = flow
+    base = "".join(f"{f.name} = {getattr(RunConfig(), f.name)}\n" for f in fields(RunConfig))
+    cfg = tmp_path / "run.cfg"
+    common = ["--manifest", str(root / "manifest.cfg"), "--config", str(cfg)]
+    runs = [
+        ["train", *common, "--output", str(tmp_path / "models.json")],
+        ["disaggregate", *common, "--model", str(root / "models.json"),
+         "--output", str(tmp_path / "report.tsv")],
+    ]
+
+    def cases():
+        for lines, what in text_mutations(base, random.Random(22), ["speed = 3"]):
+            cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            yield what
+
+    codes, bad = sweep(cases(), runs, capsys)
+    assert not bad, "\n".join(bad)
+    assert {0, 2} <= codes

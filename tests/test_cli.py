@@ -1,5 +1,7 @@
 """Command-line interface, driven in process through main()."""
 
+import argparse
+import dataclasses
 import os
 import re
 import subprocess
@@ -12,7 +14,8 @@ import pytest
 import eventnilm
 from eventnilm import dataset as dataset_module
 from eventnilm import signals
-from eventnilm.cli import _read_signal, main
+from eventnilm.cli import _read_signal, build_parser, main
+from eventnilm.config import RunConfig
 from eventnilm.evaluation import LabelPoint
 from eventnilm.filtering import filter_and_detect
 from eventnilm.model_io import save_models
@@ -91,6 +94,19 @@ class TestExitCodes:
         code = main(["train", "--manifest", str(manifest), "--output", str(tmp_path / "m.json")])
         assert code == 2
         assert "period must be a finite positive number" in capsys.readouterr().err
+
+    def test_period_too_small_for_any_grid_is_data_error(self, dataset, tmp_path, capsys):
+        manifest = copy_dataset(dataset, tmp_path)
+        manifest.write_text(manifest.read_text().replace("period = 30", "period = 1e-300"))
+        channel = write_channel(tmp_path / "ch.dat", step_values())
+        out = tmp_path / "out"
+        for args in (
+            ["train", "--manifest", str(manifest), "--output", str(out)],
+            ["filter", "--input", str(channel), "--output", str(out), "--period", "1e-300"],
+        ):
+            assert main(args) == 2
+            assert "at period 1e-300 s needs" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_report_index_not_integer_is_data_error(self, dataset, tmp_path, capsys):
         model = tmp_path / "m.json"
@@ -686,3 +702,93 @@ class TestConfigPrecedence:
         )
         assert code == 1
         capsys.readouterr()
+
+
+# the RunConfig fields each command reads, each offered as a flag
+SETTINGS_FLAGS = {
+    "filter": set(),
+    "detect-events": set(),
+    "extract-modes": {"k_clusters", "merge_ratio", "off_threshold"},
+    "train": {"k_clusters", "merge_ratio", "off_threshold", "overshoot_floor", "n_days_variant"},
+    "disaggregate": {"all_off_margin", "search_budget"},
+    "evaluate": {"match_tolerance"},
+    "synth": {"seed"},
+    "plot-data": set(),
+}
+
+REQUIRED_ARGS = {
+    "filter": ["--input", "in.dat"],
+    "detect-events": ["--input", "in.dat"],
+    "extract-modes": ["--input", "in.dat"],
+    "train": ["--manifest", "manifest.cfg"],
+    "disaggregate": ["--manifest", "manifest.cfg", "--model", "models.json"],
+    "evaluate": ["--manifest", "manifest.cfg", "--model", "models.json", "--report", "r.tsv"],
+    "synth": [],
+    "plot-data": ["--input", "in.dat"],
+}
+
+# the fixed help text, at 80 columns, of the commands that read no settings
+HELP = {
+    "filter": """\
+usage: eventnilm filter [-h] --input INPUT --output OUTPUT [--period PERIOD]
+
+options:
+  -h, --help       show this help message and exit
+  --input INPUT
+  --output OUTPUT
+  --period PERIOD
+""",
+    "detect-events": """\
+usage: eventnilm detect-events [-h] --input INPUT --output OUTPUT
+                               [--period PERIOD]
+
+options:
+  -h, --help       show this help message and exit
+  --input INPUT
+  --output OUTPUT
+  --period PERIOD
+""",
+    "plot-data": """\
+usage: eventnilm plot-data [-h] --input INPUT --output OUTPUT
+                           [--period PERIOD] [--model MODEL]
+
+options:
+  -h, --help       show this help message and exit
+  --input INPUT
+  --output OUTPUT
+  --period PERIOD
+  --model MODEL    model file, enables cycle export
+""",
+}
+
+
+class TestConfigFlags:
+    FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
+
+    def test_each_command_offers_the_settings_it_reads(self):
+        actions = build_parser()._actions
+        parsers = next(a for a in actions if isinstance(a, argparse._SubParsersAction)).choices
+        assert set(parsers) == set(SETTINGS_FLAGS)
+        for command, p in parsers.items():
+            dests = {a.dest for a in p._actions}
+            assert dests & self.FIELDS == SETTINGS_FLAGS[command], command
+            assert ("config" in dests) == bool(SETTINGS_FLAGS[command]), command
+        assert sum(map(len, SETTINGS_FLAGS.values())) == 12
+
+    @pytest.mark.parametrize("command", sorted(HELP))
+    def test_help_of_commands_without_settings(self, command, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert main([command, "--help"]) == 0
+        assert capsys.readouterr().out == HELP[command]
+
+    @pytest.mark.parametrize("command", sorted(SETTINGS_FLAGS))
+    def test_unread_flag_is_a_usage_error(self, command, tmp_path, capsys):
+        out = tmp_path / "out"
+        args = [command, *REQUIRED_ARGS[command], "--output", str(out)]
+        for name in sorted(self.FIELDS - SETTINGS_FLAGS[command]):
+            flag = ["--" + name.replace("_", "-")]
+            if name != "n_days_variant":
+                flag.append("12")
+            assert main([*args, *flag]) == 1, flag
+            assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+            assert not out.exists()

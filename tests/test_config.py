@@ -1,12 +1,30 @@
 """Run configuration: defaults, file parsing, and override precedence."""
 
 import dataclasses
+import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import eventnilm
+from eventnilm import classifier, evaluation, features, modes, synth
 from eventnilm.cli import main
 from eventnilm.config import RunConfig, apply_overrides, read_config
 from eventnilm.errors import ConfigError, ParseError
+
+
+@pytest.fixture(scope="module")
+def dataset(tmp_path_factory):
+    """A 2-day demo dataset's manifest and its trained model file."""
+    root = tmp_path_factory.mktemp("config")
+    args = ["--days", "2", "--train-days", "1", "--period", "60"]
+    assert main(["synth", "--output", str(root), *args]) == 0
+    manifest, models = root / "manifest.cfg", root / "models.json"
+    assert main(["train", "--manifest", str(manifest), "--output", str(models)]) == 0
+    return manifest, models
 
 
 class TestDefaults:
@@ -25,6 +43,40 @@ class TestDefaults:
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             RunConfig().seed = 3
+
+    @pytest.mark.parametrize(
+        "function, parameter, field",
+        [
+            (modes.distance_merge, "merge_ratio", "merge_ratio"),
+            (modes.states_from_clusters, "off_threshold", "off_threshold"),
+            (modes.extract_states, "k", "k_clusters"),
+            (modes.extract_states, "merge_ratio", "merge_ratio"),
+            (modes.extract_states, "off_threshold", "off_threshold"),
+            (features.participation_index, "count_all_days", "n_days_variant"),
+            (features.overshoot_floor, "floor", "overshoot_floor"),
+            (features.train_appliance, "overshoot_floor_w", "overshoot_floor"),
+            (features.train_appliance, "count_all_days", "n_days_variant"),
+            (evaluation.match_events, "tolerance", "match_tolerance"),
+            (classifier.all_off_threshold, "margin", "all_off_margin"),
+            (classifier.refine_by_compatibility, "budget", "search_budget"),
+            (classifier.enforce_cycle_closure, "budget", "search_budget"),
+            (classifier.classify, "all_off_margin", "all_off_margin"),
+            (classifier.classify, "budget", "search_budget"),
+            (synth.generate, "seed", "seed"),
+        ],
+        ids=lambda v: getattr(v, "__name__", v),
+    )
+    def test_library_defaults_are_the_config_defaults(self, function, parameter, field):
+        default = inspect.signature(function).parameters[parameter].default
+        assert default == getattr(RunConfig(), field)
+
+    def test_import_loads_no_other_module(self):
+        """The config is a leaf: every other module may read its defaults."""
+        src = str(Path(eventnilm.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        code = "import sys, eventnilm.config\nprint(*sorted(m for m in sys.modules if 'nilm' in m))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.stdout.split() == ["eventnilm", "eventnilm.config", "eventnilm.errors"]
 
 
 class TestValidation:
@@ -177,13 +229,21 @@ class TestFiniteWatts:
 
     @pytest.mark.parametrize("knob", WATT_KNOBS)
     @pytest.mark.parametrize("text", NON_FINITE)
-    def test_cli_exits_with_data_error(self, tmp_path, capsys, knob, text):
+    def test_cli_exits_with_data_error(self, dataset, tmp_path, capsys, knob, text):
+        """The file goes to ``synth``, which checks every key; the flag goes to
+        the command that reads it."""
+        manifest, models = dataset
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{knob} = {text}\n", encoding="utf-8")
         synth = ["synth", "--days", "2", "--train-days", "1"]
+        reader = {
+            "off_threshold": ["train", "--manifest", str(manifest)],
+            "overshoot_floor": ["train", "--manifest", str(manifest)],
+            "all_off_margin": ["disaggregate", "--manifest", str(manifest), "--model", str(models)],
+        }[knob]
         flag = "--" + knob.replace("_", "-")
         assert main([*synth, "--output", str(tmp_path / "a"), "--config", str(cfg)]) == 2
-        assert main([*synth, "--output", str(tmp_path / "b"), f"{flag}={text}"]) == 2
+        assert main([*reader, "--output", str(tmp_path / "b"), f"{flag}={text}"]) == 2
         err = capsys.readouterr().err
         assert err.count("must be finite") == 2
         assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()

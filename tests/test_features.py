@@ -233,7 +233,8 @@ class TestLabelTrainingEventsParity:
                 else:
                     levels.append(float(rng.uniform(0.0, 3500.0)))
             for w in levels:
-                assert states.nearest(w) is reference_nearest(states, w)
+                nearest = states.states[states.nearest_indices(np.array([w]))[0]]
+                assert nearest is reference_nearest(states, w)
                 dist = sorted(max(st.low - w, w - st.high, 0.0) for st in states.states)
                 equidistant += len(dist) > 1 and dist[0] == dist[1]
                 on_bound += w in bounds
@@ -578,7 +579,7 @@ class TestTrainApplianceParity:
             seen["consecutive into-OFF"] += any(a and b for a, b in zip(touching, touching[1:]))
             seen["out-of-OFF first"] += bool(touching) and not touching[0]
             seen["settles at the end"] += any(
-                e.rising and e.post_index >= len(raw) for e, _ in labeled
+                e.magnitude > 0 and e.post_index >= len(raw) for e, _ in labeled
             )
             changed = set(reference_day_columns([e for e, _ in labeled], filtered, day_base))
             seen["day without change"] += bool(set(daily_totals or ()) - changed)

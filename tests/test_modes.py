@@ -271,8 +271,9 @@ class TestStatesFromClusters:
         clusters = [Cluster.of([1500.0]), Cluster.of([1.0]), Cluster.of([700.0])]
         ss = states_from_clusters(clusters)
         assert ss.mode_ids() == [OFF_MODE, "on1", "on2"]
-        assert ss.get("on1").centroid == 700.0
-        assert ss.get("on2").centroid == 1500.0
+        by_mode = {s.mode: s for s in ss.states}
+        assert by_mode["on1"].centroid == 700.0
+        assert by_mode["on2"].centroid == 1500.0
 
 
 class TestStateSet:
@@ -298,15 +299,9 @@ class TestStateSet:
                 State("on2", 300.0, 400.0, 350.0),
             )
         )
-        assert ss.nearest(170.0).mode == "on1"
-        assert ss.nearest(250.0).mode == "on1"  # 50 from each side, lower wins
-        assert ss.nearest(260.0).mode == "on2"
-        assert ss.nearest(0.0).mode == OFF_MODE
-
-    def test_get_unknown_mode(self):
-        ss = StateSet(states=(State(OFF_MODE, 0.0, 0.0, 0.0),))
-        with pytest.raises(KeyError):
-            ss.get("on9")
+        # 250 W sits 50 W from each side: the lower centroid wins
+        picks = ss.nearest_indices(np.array([170.0, 250.0, 260.0, 0.0]))
+        assert [ss.states[i].mode for i in picks] == ["on1", "on1", "on2", OFF_MODE]
 
 
 class TestExtractStates:
@@ -320,13 +315,14 @@ class TestExtractStates:
         values = values[rng.permutation(values.size)]
         ss = extract_states(sig(values))
         assert ss.mode_ids() == [OFF_MODE, "on1", "on2"]
-        assert ss.get("on1").centroid == pytest.approx(480.0, abs=2.0)
-        assert ss.get("on2").centroid == pytest.approx(1150.0, abs=2.0)
+        by_mode = {s.mode: s for s in ss.states}
+        assert by_mode["on1"].centroid == pytest.approx(480.0, abs=2.0)
+        assert by_mode["on2"].centroid == pytest.approx(1150.0, abs=2.0)
 
     def test_short_signal_caps_initial_k(self):
         ss = extract_states(sig([0.0, 800.0, 800.0]))
         assert ss.mode_ids() == [OFF_MODE, "on1"]
-        assert ss.get("on1").centroid == pytest.approx(800.0)
+        assert {s.mode: s for s in ss.states}["on1"].centroid == pytest.approx(800.0)
 
     def test_k_below_minimum_rejected(self):
         with pytest.raises(ValueError):
