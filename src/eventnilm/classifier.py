@@ -60,12 +60,15 @@ class LabelRow:
 
 
 class CandidateLabelMatrix:
-    """Candidate labels per event column, with stage bookkeeping.
+    """The one record of a labeling: candidate labels per event column, the
+    stage that settled each column, and the diagnostics.
 
     ``columns[c]`` is the sorted tuple of row indices event c may still take;
     ``size[c]`` and ``first[c]``, int64 arrays the mutators keep in step, are
-    its length and first row. ``cells`` is a derived rows-by-events bool
-    view, built afresh on each read.
+    its length and first row. ``settled[c]`` indexes :data:`STAGES`: the
+    stage running (``stage``) when the column last went from several rows to
+    one, or from one row to another; 0, containment, until then. ``cells``
+    is a derived rows-by-events bool view, built afresh on each read.
     """
 
     def __init__(self, rows: list[LabelRow], events: EventTable, columns: list[tuple],
@@ -75,9 +78,9 @@ class CandidateLabelMatrix:
             size = np.fromiter(map(len, columns), np.int64, len(columns))
             first = np.fromiter((col[0] for col in columns), np.int64, len(columns))
         self.size, self.first = size, first
-
-    def snapshot(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.size.copy(), self.first.copy()
+        self.settled = np.zeros(len(columns), np.int64)
+        self.stage = 0
+        self.diagnostics = Diagnostics()
 
     @property
     def cells(self) -> np.ndarray:
@@ -111,6 +114,8 @@ class CandidateLabelMatrix:
         return False
 
     def _set(self, col: int, rows: tuple[int, ...]) -> None:
+        if len(rows) == 1 and (self.size[col] > 1 or rows[0] != self.first[col]):
+            self.settled[col] = self.stage
         self.columns[col] = rows
         self.size[col] = len(rows)
         self.first[col] = rows[0]
@@ -176,16 +181,13 @@ def build_rows(models: list[ApplianceModel]) -> list[LabelRow]:
 # stage 1: interval containment
 
 
-def initial_labels(
-    events: EventTable,
-    rows: list[LabelRow],
-    diagnostics: Diagnostics | None = None,
-) -> CandidateLabelMatrix:
+def initial_labels(events: EventTable, rows: list[LabelRow]) -> CandidateLabelMatrix:
     """Mark every transition whose magnitude band contains the event.
 
     Intervals are signed (falling transitions carry negative bands), so
     containment is direction-aware for free. A column matching nothing gets
-    the nearest band on absolute magnitude, a same-direction band if any.
+    the nearest band on absolute magnitude, a same-direction band if any,
+    and is listed in the diagnostics.
     """
     if not rows:
         raise ModelCoverageError("no appliance transitions to label against")
@@ -203,9 +205,9 @@ def initial_labels(
     columns = list(zip(first.tolist()))
     for c in np.flatnonzero(size > 1).tolist():
         columns[c] = tuple(hit_rows[bounds[c] : bounds[c + 1]].tolist())
-    if diagnostics is not None:
-        diagnostics.unmatched_columns.extend(unmatched.tolist())
-    return CandidateLabelMatrix(rows, events, columns, size, first)
+    matrix = CandidateLabelMatrix(rows, events, columns, size, first)
+    matrix.diagnostics.unmatched_columns.extend(unmatched.tolist())
+    return matrix
 
 
 def _nearest_rows(magnitudes: np.ndarray, rows: list[LabelRow]) -> list[int]:
@@ -358,7 +360,6 @@ def refine_by_compatibility(
     cycles: CycleTable | list[Cycle],
     models: list[ApplianceModel],
     budget: int = RunConfig.search_budget,
-    diagnostics: Diagnostics | None = None,
 ) -> CandidateLabelMatrix:
     """Keep a candidate iff some full assignment of its cycle uses it.
 
@@ -369,6 +370,8 @@ def refine_by_compatibility(
     forward search exceeds the budget, or that admits no walk at all, is
     left as-is and reported in the diagnostics.
     """
+    matrix.stage = STAGES.index("compatibility")
+    unrefined = matrix.diagnostics.unrefined_cycles
     space = _WalkSpace(models, matrix.rows)
     cycles = CycleTable.of(cycles)
     closes, spent = space.replay(matrix.first, cycles)
@@ -379,16 +382,16 @@ def refine_by_compatibility(
     for ci in np.flatnonzero(~settled | ~closes | (spent > budget)).tolist():
         if settled[ci]:
             reason = "search budget exhausted" if spent[ci] > budget else "no compatible assignment"
-            _flag(diagnostics, ci, reason)
+            unrefined.append((ci, reason))
             continue
         cols = list(cycles[ci].columns)
         options = [matrix.candidates(c) for c in cols]
         forward = _walk(space, options, budget)
         if forward is None:
-            _flag(diagnostics, ci, "search budget exhausted")
+            unrefined.append((ci, "search budget exhausted"))
             continue
         if space.all_off not in forward[-1]:
-            _flag(diagnostics, ci, "no compatible assignment")
+            unrefined.append((ci, "no compatible assignment"))
             continue
         # backward from all-OFF: ``alive`` holds the vectors of layer i + 1
         # that can still finish the cycle; a row is kept iff it steps from a
@@ -404,11 +407,6 @@ def refine_by_compatibility(
             matrix.keep_only(cols[i], keep)
             alive = back
     return matrix
-
-
-def _flag(diagnostics, cycle_index, reason):
-    if diagnostics is not None:
-        diagnostics.unrefined_cycles.append((cycle_index, reason))
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +430,7 @@ def refine_by_behaviors(
         appliance's last single-labeled OFF is dropped.
     No rule removes a column's last candidate.
     """
+    matrix.stage = STAGES.index("behavior")
     if not (matrix.size > 1).any():
         return matrix  # every rule only drops, and never a column's last candidate
     columns, events = matrix.columns, matrix.events
@@ -511,6 +510,7 @@ def resolve_by_participation(
     competing for disjoint candidate rows need no grouping: each row's count
     only ever gathers the events that may take it.
     """
+    matrix.stage = STAGES.index("participation")
     multi = matrix.size > 1
     if not multi.any():
         return matrix
@@ -539,30 +539,30 @@ def enforce_cycle_closure(
     cycles: CycleTable | list[Cycle],
     models: list[ApplianceModel],
     pre_step4: list[tuple[int, ...]],
-    refined: set[int],
     budget: int = RunConfig.search_budget,
-    diagnostics: Diagnostics | None = None,
 ) -> CandidateLabelMatrix:
     """Nudge resolved labels onto a feasible walk, changing as few as possible.
 
     Participation picks each column independently, which can break the walk
     property stage 2 guaranteed was attainable. For every cycle stage 2
-    refined, if the chosen labels do not replay from all-OFF to all-OFF, the
-    valid assignment disagreeing with the fewest choices replaces them
-    (candidates drawn from the pre-resolution label sets). A cycle with no
-    valid assignment, or whose repair search exceeds the budget, stays as
-    chosen and is listed in ``diagnostics.unrepaired_cycles``.
+    refined (none listed in ``diagnostics.unrefined_cycles``), if the chosen
+    labels do not replay from all-OFF to all-OFF, the valid assignment
+    disagreeing with the fewest choices replaces them (candidates drawn from
+    the pre-resolution label sets). A cycle with no valid assignment, or
+    whose repair search exceeds the budget, stays as chosen and is listed in
+    ``diagnostics.unrepaired_cycles``.
     """
+    matrix.stage = STAGES.index("closure")
+    unrefined = {ci for ci, _ in matrix.diagnostics.unrefined_cycles}
     space = _WalkSpace(models, matrix.rows)
     cycles = CycleTable.of(cycles)
     closes, _ = space.replay(matrix.first, cycles)
-    for ci in sorted(refined.intersection(np.flatnonzero(~closes).tolist())):
+    for ci in sorted(set(np.flatnonzero(~closes).tolist()) - unrefined):
         cols = list(cycles[ci].columns)
         chosen = matrix.first[cols].tolist()
         layers = _walk(space, [pre_step4[c] for c in cols], budget, chosen)
         if layers is None or space.all_off not in layers[-1]:
-            if diagnostics is not None:
-                diagnostics.unrepaired_cycles.append(ci)
+            matrix.diagnostics.unrepaired_cycles.append(ci)
             continue
         theta = space.all_off
         for i in range(len(cols), 0, -1):
@@ -632,17 +632,6 @@ class LabelTable:
         return self.rows == other.rows and all(map(np.array_equal, mine, theirs))
 
 
-def _stage_codes(after_containment, after_compat, pre_step4, after_resolve, final) -> np.ndarray:
-    """Per column, the index in STAGES of the stage that pinned its label down.
-
-    The arguments are the matrix's (size, first) arrays after each stage;
-    every ``final`` column holds one row.
-    """
-    single = [size == 1 for size, _ in (after_containment, after_compat, pre_step4)]
-    kept = (after_resolve[0] == 1) & (after_resolve[1] == final[1])
-    return np.select([*single, kept], [0, 1, 2, 3], 4)
-
-
 def classify(
     aggregate: PowerSignal,
     models: list[ApplianceModel],
@@ -650,31 +639,21 @@ def classify(
     budget: int = RunConfig.search_budget,
 ) -> tuple[LabelTable, Diagnostics]:
     """Label every event of the aggregate signal with one mode transition."""
-    diagnostics = Diagnostics()
     filtered, events = filter_and_detect(aggregate)
     rows = build_rows(models)
     if not events:
-        return LabelTable(events, rows, [], []), diagnostics
-    matrix = initial_labels(events, rows, diagnostics)
+        return LabelTable(events, rows, [], []), Diagnostics()
+    matrix = initial_labels(events, rows)
     threshold = all_off_threshold(models, all_off_margin)
-    cycles = segment_cycles(filtered, events, threshold, diagnostics)
-
-    snapshots = [matrix.snapshot()]
-    matrix = refine_by_compatibility(matrix, cycles, models, budget, diagnostics)
-    snapshots.append(matrix.snapshot())
-    refined = set(range(len(cycles))) - {i for i, _ in diagnostics.unrefined_cycles}
+    cycles = segment_cycles(filtered, events, threshold, matrix.diagnostics)
+    matrix = refine_by_compatibility(matrix, cycles, models, budget)
     matrix = refine_by_behaviors(matrix, models, aggregate, filtered)
-    snapshots.append(matrix.snapshot())
     pre_step4 = list(matrix.columns)  # of immutable tuples, so a snapshot
     matrix = resolve_by_participation(matrix, models, filtered)
-    snapshots.append(matrix.snapshot())
-    matrix = enforce_cycle_closure(
-        matrix, cycles, models, pre_step4, refined, budget, diagnostics
-    )
+    matrix = enforce_cycle_closure(matrix, cycles, models, pre_step4, budget)
 
     sizes = np.fromiter(map(len, matrix.columns), np.int64, len(events))
     bad = np.flatnonzero(sizes != 1)
     if bad.size:
         raise ValueError(f"column {bad[0]} holds {sizes[bad[0]]} labels, wanted 1")
-    stage = _stage_codes(*snapshots, matrix.snapshot())
-    return LabelTable(events, rows, matrix.first, stage), diagnostics
+    return LabelTable(events, rows, matrix.first, matrix.settled), matrix.diagnostics

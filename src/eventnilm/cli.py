@@ -20,10 +20,11 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import dataset as ds
-from .config import FIELD_TYPES, RunConfig, apply_overrides, read_config
+from .config import FIELD_TYPES, RunConfig, read_config
 from .errors import NilmError
 from .filtering import filter_and_detect
 from .model_io import atomic_write, format_number, format_numbers, join_cells
@@ -74,8 +75,8 @@ def _add_config_flags(p: argparse.ArgumentParser, *names: str) -> None:
 
 def _config_from(args) -> RunConfig:
     config = read_config(args.config) if args.config else RunConfig()
-    flags = {name: getattr(args, name, None) for name in FIELD_TYPES}
-    return apply_overrides(config, flags)
+    given = {name: v for name in FIELD_TYPES if (v := getattr(args, name, None)) is not None}
+    return replace(config, **given)
 
 
 def _note_faults(

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
@@ -94,27 +94,8 @@ def read_config(path: str | Path) -> RunConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    from .model_io import read_text
+    from .model_io import read_settings
 
-    overrides = {}
-    for lineno, line in enumerate(read_text(path).splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key = value")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        if key not in FIELD_TYPES:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        overrides[key] = _parse_value(key, val.strip())
+    values = read_settings(path, FIELD_TYPES, ConfigError)
+    overrides = {key: _parse_value(key, text) for key, text in values.items()}
     return RunConfig(**overrides)
-
-
-def apply_overrides(config: RunConfig, overrides: dict[str, object]) -> RunConfig:
-    """Override selected fields; None values mean "leave as is"."""
-    actual = {k: v for k, v in overrides.items() if v is not None}
-    unknown = set(actual) - set(FIELD_TYPES)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    return replace(config, **actual) if actual else config

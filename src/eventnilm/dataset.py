@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import AlignmentError, ManifestError, OutputError, ParseError
 from .features import DAY_SECONDS
-from .model_io import atomic_write, format_number, format_numbers, join_cells, make_dirs, read_text
+from .model_io import atomic_write, format_number, format_numbers, join_cells, make_dirs
+from .model_io import read_settings, read_text
 from .signals import GapRecord, PowerSignal, aggregate, gap_threshold, resample_step_hold
 from .synth import SynthResult
 
@@ -52,6 +53,10 @@ class DatasetManifest:
             raise ManifestError("train and test day ranges overlap")
 
 
+# the keys a manifest may hold; the first four it must
+MANIFEST_KEYS = ("labels", "period", "train_days", "test_days", "appliances", "max_gap")
+
+
 def _parse_day_range(text: str, key: str) -> tuple[int, int]:
     first, sep, last = text.partition("-")
     try:
@@ -65,17 +70,8 @@ def read_manifest(path: str | Path) -> DatasetManifest:
     path = Path(path)
     if not path.is_file():
         raise ManifestError(f"manifest not found: {path}")
-    values: dict[str, str] = {}
-    for lineno, line in enumerate(read_text(path).splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ManifestError(f"{path}:{lineno}: expected key = value")
-        key, _, val = line.partition("=")
-        values[key.strip()] = val.strip()
-    required = ("labels", "period", "train_days", "test_days")
-    missing = [k for k in required if k not in values]
+    values = read_settings(path, MANIFEST_KEYS, ManifestError)
+    missing = [k for k in MANIFEST_KEYS[:4] if k not in values]
     if missing:
         raise ManifestError(f"{path}: missing keys: {', '.join(missing)}")
 
@@ -100,11 +96,13 @@ def read_manifest(path: str | Path) -> DatasetManifest:
 
 
 def parse_labels(path: str | Path) -> dict[int, str]:
-    """Labels file: one "channel_number name" pair per line."""
+    """Labels file: one "channel_number name" pair per line, each channel
+    and each name on one line only."""
     path = Path(path)
     if not path.is_file():
         raise ManifestError(f"labels file not found: {path}")
     out: dict[int, str] = {}
+    line_of: dict[str, int] = {}  # name -> the line naming it
     for lineno, line in enumerate(read_text(path).splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -115,7 +113,10 @@ def parse_labels(path: str | Path) -> dict[int, str]:
         channel = int(parts[0])
         if channel in out:
             raise ParseError(f"{path}:{lineno}: duplicate channel {channel}")
-        out[channel] = parts[1].strip()
+        name = parts[1].strip()
+        if name in line_of:
+            raise ParseError(f"{path}:{lineno}: name {name!r} repeats line {line_of[name]}")
+        out[channel], line_of[name] = name, lineno
     if not out:
         raise ParseError(f"{path}: no channel labels")
     return out

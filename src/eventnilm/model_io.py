@@ -101,6 +101,27 @@ def read_text(path: Path) -> str:
         raise ParseError(f"{path}:{line}: not UTF-8 text") from None
 
 
+def read_settings(path: Path, keys, error: type[Exception]) -> dict[str, str]:
+    """The ``key = value`` lines of a settings file, values stripped; blank
+    and ``#`` lines are skipped. A line without ``=``, a key not in ``keys``
+    or a key given twice raises ``error`` naming the line."""
+    values, line_of = {}, {}
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, eq, value = line.partition("=")
+        key = key.strip()
+        if not eq:
+            raise error(f"{path}:{lineno}: expected key = value")
+        if key not in keys:
+            raise error(f"{path}:{lineno}: unknown key {key!r}")
+        if key in line_of:
+            raise error(f"{path}:{lineno}: key {key!r} repeats line {line_of[key]}")
+        values[key], line_of[key] = value.strip(), lineno
+    return values
+
+
 def _key_str(key: tuple[str, str]) -> str:
     return f"{key[0]}->{key[1]}"
 

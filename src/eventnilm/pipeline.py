@@ -154,14 +154,9 @@ def parse_event_report(path: str | Path) -> PointTable:
 def build_ground_truth(
     appliances: dict[str, PowerSignal],
     models: list[ApplianceModel],
-    offset: int = 0,
 ) -> PointTable:
     """Per-appliance events on submetered test signals, labeled by the model,
-    ordered by index, then appliance.
-
-    ``offset`` shifts indices when the signals are a slice of a longer
-    aggregate (so predictions and truth share an index origin).
-    """
+    ordered by index, then appliance."""
     by_id = {m.appliance_id: m for m in models}
     names = sorted(n for n in appliances if n in by_id and by_id[n].transitions)
     index, code, keys = [np.empty(0, np.int64)], [np.empty(0, np.int64)], []
@@ -175,7 +170,7 @@ def build_ground_truth(
         keys += [(name, a, b) for a in modes for b in modes]
     index, code = np.concatenate(index), np.concatenate(code)
     order = np.argsort(index, kind="stable")  # ties keep the appliances' sorted order
-    return PointTable(index[order] + offset, code[order], keys)
+    return PointTable(index[order], code[order], keys)
 
 
 def evaluate_points(

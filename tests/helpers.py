@@ -777,7 +777,7 @@ def reference_filter_and_detect(signal):
     return filtered, reference_detect_events(filtered)
 
 
-def reference_build_ground_truth(appliances, models, offset=0):
+def reference_build_ground_truth(appliances, models):
     """Per-event labels through ``label_training_events``'s rule, one
     ``LabelPoint`` per event, then one sort on (index, appliance)."""
     from eventnilm.evaluation import LabelPoint
@@ -790,7 +790,7 @@ def reference_build_ground_truth(appliances, models, offset=0):
             continue
         _, events = reference_filter_and_detect(appliances[name])
         for e, tr in reference_label_training_events(events, model.states):
-            points.append(LabelPoint(e.index + offset, name, tr.from_mode, tr.to_mode))
+            points.append(LabelPoint(e.index, name, tr.from_mode, tr.to_mode))
     points.sort(key=lambda p: (p.index, p.appliance))
     return points
 

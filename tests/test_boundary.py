@@ -9,7 +9,10 @@ error naming the file); 3, an internal error, is a bug.
 
 Two more sweeps mutate the ``key = value`` files one line at a time: the
 dataset manifest, through ``train``, and the run config, through ``train``
-and ``disaggregate``. There every exit must be 0, 1 or 2.
+and ``disaggregate``. Three more mutate one line of the other inputs: a
+channel file, through ``train`` and ``evaluate``; the labels file, through
+``train``; and an event report, through ``evaluate``. There every exit must
+be 0, 1 or 2.
 """
 
 import json
@@ -206,5 +209,143 @@ def test_mutated_config_exits_0_1_or_2(flow, tmp_path, capsys):
             yield what
 
     codes, bad = sweep(cases(), runs, capsys)
+    assert not bad, "\n".join(bad)
+    assert {0, 2} <= codes
+
+
+def copy_dataset(root, dst):
+    """The manifest of a copy of ``root``'s dataset files in ``dst``."""
+    for path in [root / "manifest.cfg", *root.glob("*.dat")]:
+        (dst / path.name).write_bytes(path.read_bytes())
+    return dst / "manifest.cfg"
+
+
+CHANNEL_TRIALS = 80
+CHANNEL_MUTATIONS = (
+    "drop", "duplicate", "timestamp", "watts", "third field", "trailing #", "not UTF-8",
+)
+
+
+def mutate_channel_line(line, kind, rng):
+    """The lines that replace one ``timestamp watts`` line of a channel file."""
+    if kind == "drop":
+        return []
+    if kind == "duplicate":
+        return [line, line]
+    if kind in ("timestamp", "watts"):
+        fields = line.split(b" ")
+        fields[kind == "watts"] = rng.choice(TEXT_REPLACEMENTS).encode()
+        return [b" ".join(fields)]
+    if kind == "third field":
+        return [line + b" 0"]
+    if kind == "trailing #":
+        return [line + b" #"]
+    return [line[:1] + b"\xff" + line[1:]]
+
+
+def test_mutated_channel_exits_0_1_or_2(flow, tmp_path, capsys):
+    """Through dataset commands only: there the grid spans the channels'
+    common span, so a timestamp of 0 or 1e308 cannot ask for a huge grid."""
+    root, _ = flow
+    manifest = copy_dataset(root, tmp_path)
+    channels = sorted(tmp_path.glob("channel_*.dat"))
+    common = ["--manifest", str(manifest), "--model", str(root / "models.json")]
+    runs = [
+        ["train", "--manifest", str(manifest), "--output", str(tmp_path / "models.json")],
+        ["evaluate", *common, "--report", str(root / "report.tsv")],
+    ]
+    rng = random.Random(23)
+
+    def cases():
+        for trial in range(CHANNEL_TRIALS):
+            path = rng.choice(channels)
+            original = path.read_bytes()
+            lines = original.split(b"\n")
+            i = rng.randrange(len(lines) - 1)  # the text ends in a newline
+            kind = rng.choice(CHANNEL_MUTATIONS)
+            changed = [*lines[:i], *mutate_channel_line(lines[i], kind, rng), *lines[i + 1 :]]
+            path.write_bytes(b"\n".join(changed))
+            yield f"trial {trial}, {path.name}:{i + 1} {kind}"
+            path.write_bytes(original)
+
+    codes, bad = sweep(cases(), runs, capsys)
+    assert not bad, "\n".join(bad)
+    assert {0, 2} <= codes
+
+
+def label_mutations(lines, rng):
+    """Each line deleted, duplicated, swapped with the next, renumbered (to
+    another line's channel or to one with no file) and renamed (to another
+    line's name), and a comment line added, with what each was."""
+    numbers, names = zip(*(line.split(None, 1) for line in lines))
+    for i in range(len(lines)):
+        j = (i + 1) % len(lines)
+        swapped = list(lines)
+        swapped[i], swapped[j] = lines[j], lines[i]
+        number = rng.choice([n for n in numbers if n != numbers[i]] + [str(len(lines) + 1)])
+        name = rng.choice([n for n in names if n != names[i]])
+        yield [*lines[:i], *lines[i + 1 :]], f"line {i + 1} deleted"
+        yield [*lines[: i + 1], *lines[i:]], f"line {i + 1} duplicated"
+        yield swapped, f"lines {i + 1} and {j + 1} swapped"
+        yield [*lines[:i], f"{number} {names[i]}", *lines[i + 1 :]], f"line {i + 1} as {number}"
+        yield [*lines[:i], f"{numbers[i]} {name}", *lines[i + 1 :]], f"line {i + 1} named {name}"
+    yield ["# channel name", *lines], "comment line added"
+
+
+def test_mutated_labels_exit_0_1_or_2(flow, tmp_path, capsys):
+    root, _ = flow
+    manifest = copy_dataset(root, tmp_path)
+    labels = tmp_path / "labels.dat"
+    base = labels.read_text(encoding="utf-8").splitlines()
+    train = ["train", "--manifest", str(manifest), "--output", str(tmp_path / "models.json")]
+
+    def cases():
+        for lines, what in label_mutations(base, random.Random(24)):
+            labels.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            yield what
+
+    codes, bad = sweep(cases(), [train], capsys)
+    assert not bad, "\n".join(bad)
+    assert {0, 2} <= codes
+
+
+REPORT_TRIALS = 80
+REPORT_INDICES = ("x", "", "2.5", "1e3", "-3", "0x10", "9223372036854775808", "-9" * 12)
+
+
+def mutate_report_line(line, kind, rng):
+    """The lines that replace one tab-separated line of an event report."""
+    fields = line.split("\t")
+    if kind == "deleted":
+        return []
+    if kind == "field dropped":
+        del fields[rng.randrange(len(fields))]
+    elif kind == "field added":
+        fields.insert(rng.randrange(len(fields) + 1), "x")
+    elif kind == "index":
+        fields[1] = rng.choice(REPORT_INDICES)
+    else:  # an appliance or mode no model knows
+        fields[rng.choice((3, 4, 5))] = "unknown"
+    return ["\t".join(fields)]
+
+
+def test_mutated_report_exits_0_1_or_2(flow, tmp_path, capsys):
+    root, _ = flow
+    base = (root / "report.tsv").read_text(encoding="utf-8").splitlines()
+    data = [i for i, line in enumerate(base) if line[:1].isdigit()]
+    report = tmp_path / "report.tsv"
+    common = ["--manifest", str(root / "manifest.cfg"), "--model", str(root / "models.json")]
+    evaluate = ["evaluate", *common, "--report", str(report)]
+    rng = random.Random(25)
+
+    def cases():
+        for trial in range(REPORT_TRIALS):
+            i = rng.choice(data)
+            kind = rng.choice(("deleted", "field dropped", "field added", "index", "label"))
+            lines = [*base[:i], *mutate_report_line(base[i], kind, rng), *base[i + 1 :]]
+            report.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            yield f"trial {trial}, line {i + 1} {kind}"
+
+    codes, bad = sweep(cases(), [evaluate], capsys)
     assert not bad, "\n".join(bad)
     assert {0, 2} <= codes

@@ -115,11 +115,10 @@ class TestInitialLabels:
     def test_unmatched_event_takes_nearest_rising_band(self):
         models = [two_mode_model("a", 890, 1000), two_mode_model("b", 1300, 1400)]
         rows = build_rows(models)
-        diag = Diagnostics()
-        matrix = initial_labels(table([ev(0, 0, 1200)]), rows, diag)
+        matrix = initial_labels(table([ev(0, 0, 1200)]), rows)
         (r,) = matrix.candidates(0)
         assert rows[r].appliance == "b"  # distance 100 beats 200
-        assert diag.unmatched_columns == [0]
+        assert matrix.diagnostics.unmatched_columns == [0]
 
     def test_fallback_ignores_direction_when_no_same_sign_band(self):
         rise_only = ApplianceModel(
@@ -253,10 +252,9 @@ class TestRefineByCompatibility:
         events = [ev(0, 0, 500), ev(10, 500, 1000)]
         matrix = initial_labels(table(events), rows)
         before = matrix.cells.copy()
-        diag = Diagnostics()
-        refined = refine_by_compatibility(matrix, [Cycle(0, 1)], models, diagnostics=diag)
+        refined = refine_by_compatibility(matrix, [Cycle(0, 1)], models)
         assert (refined.cells == before).all()
-        assert diag.unrefined_cycles == [(0, "no compatible assignment")]
+        assert refined.diagnostics.unrefined_cycles == [(0, "no compatible assignment")]
 
     def test_budget_exhaustion_flags_and_preserves(self):
         models = [two_mode_model("a", 490, 510), two_mode_model("b", 495, 505)]
@@ -264,12 +262,9 @@ class TestRefineByCompatibility:
         events = [ev(0, 0, 500), ev(10, 500, 0)]
         matrix = initial_labels(table(events), rows)
         before = matrix.cells.copy()
-        diag = Diagnostics()
-        refined = refine_by_compatibility(
-            matrix, [Cycle(0, 1)], models, budget=1, diagnostics=diag
-        )
+        refined = refine_by_compatibility(matrix, [Cycle(0, 1)], models, budget=1)
         assert (refined.cells == before).all()
-        assert diag.unrefined_cycles == [(0, "search budget exhausted")]
+        assert refined.diagnostics.unrefined_cycles == [(0, "search budget exhausted")]
 
 
 class TestRefineByBehaviors:
@@ -526,7 +521,7 @@ class TestEnforceCycleClosure:
         matrix = resolve_by_participation(matrix, models, sig(np.zeros(50)))
         picked = [rows[matrix.candidates(c)[0]].appliance for c in range(2)]
         assert picked == ["a", "b"]  # participation split the run across appliances
-        repaired = enforce_cycle_closure(matrix, [cycle], models, pre, {0})
+        repaired = enforce_cycle_closure(matrix, [cycle], models, pre)
         labels = [rows[repaired.candidates(c)[0]] for c in range(2)]
         assert [l.appliance for l in labels] == ["a", "a"]
         assert labels[0].transition.key == (OFF_MODE, "on1")
@@ -542,7 +537,7 @@ class TestEnforceCycleClosure:
         pre = [matrix.candidates(c) for c in range(2)]
         matrix = resolve_by_participation(matrix, models, sig(np.zeros(50)))
         before = matrix.cells.copy()
-        repaired = enforce_cycle_closure(matrix, [cycle], models, pre, {0})
+        repaired = enforce_cycle_closure(matrix, [cycle], models, pre)
         assert (repaired.cells == before).all()
 
     def test_unrefined_cycles_skipped(self):
@@ -550,10 +545,11 @@ class TestEnforceCycleClosure:
         rows = build_rows([a])
         events = [ev(0, 0, 500), ev(10, 500, 1000)]  # cannot close
         matrix = initial_labels(table(events), rows)
+        matrix = refine_by_compatibility(matrix, [Cycle(0, 1)], [a])  # lists cycle 0 unrefined
         matrix = resolve_by_participation(matrix, [a], sig(np.zeros(50)))
         before = matrix.cells.copy()
         repaired = enforce_cycle_closure(
-            matrix, [Cycle(0, 1)], [a], [list(range(len(rows)))] * 2, set()
+            matrix, [Cycle(0, 1)], [a], [list(range(len(rows)))] * 2
         )
         assert (repaired.cells == before).all()
 
@@ -566,11 +562,8 @@ class TestEnforceCycleClosure:
         matrix.assign(0, row_index(rows, "a", (OFF_MODE, "on1")))
         matrix.assign(1, row_index(rows, "b", ("on1", OFF_MODE)))
         before = matrix.cells.copy()
-        diag = Diagnostics()
-        repaired = enforce_cycle_closure(
-            matrix, [Cycle(0, 1)], models, pre, {0}, budget=1, diagnostics=diag
-        )
-        assert diag.unrepaired_cycles == [0]
+        repaired = enforce_cycle_closure(matrix, [Cycle(0, 1)], models, pre, budget=1)
+        assert repaired.diagnostics.unrepaired_cycles == [0]
         assert (repaired.cells == before).all()
 
     def test_repair_is_minimal_on_random_instances(self):
@@ -588,10 +581,8 @@ class TestEnforceCycleClosure:
                 if replay_closes([rows[r] for r in walk], models)
             ]
             before = matrix.cells.copy()
-            diag = Diagnostics()
-            repaired = enforce_cycle_closure(
-                matrix, [Cycle(0, len(events) - 1)], models, pre, {0}, diagnostics=diag
-            )
+            repaired = enforce_cycle_closure(matrix, [Cycle(0, len(events) - 1)], models, pre)
+            diag = repaired.diagnostics
             picked = [repaired.candidates(c)[0] for c in range(len(events))]
             if not closing:
                 assert diag.unrepaired_cycles == [0]
@@ -735,9 +726,6 @@ class TestCandidateLabelMatrix:
                     seen.add(kind)
                 assert matrix.size.tolist() == [len(col) for col in matrix.columns]
                 assert matrix.first.tolist() == [col[0] for col in matrix.columns]
-            size, first = matrix.snapshot()
-            matrix.assign(0, (first[0] + 1) % len(rows))
-            assert first[0] != matrix.first[0] and size is not matrix.size
         assert seen == {"keep_only", "drop", "assign"}
 
     def test_initial_labels_fill_size_and_first(self):
@@ -748,8 +736,8 @@ class TestCandidateLabelMatrix:
             mags = rng.uniform(-600, 600, size=int(rng.integers(1, 40))).round()
             mags[mags == 0] = 1.0
             events = table([ev(10 * i, max(0.0, -m), max(0.0, m)) for i, m in enumerate(mags)])
-            diag = Diagnostics()
-            matrix = initial_labels(events, rows, diag)
+            matrix = initial_labels(events, rows)
+            diag = matrix.diagnostics
             assert matrix.size.tolist() == [len(col) for col in matrix.columns]
             assert matrix.first.tolist() == [col[0] for col in matrix.columns]
             assert matrix.size.dtype == matrix.first.dtype == np.int64
@@ -808,8 +796,8 @@ class TestInitialLabelsParity:
                 else:
                     mags.append(float(rng.uniform(-3000, 3000)))
             events = [ev(10 * i, max(0.0, -m), max(0.0, m)) for i, m in enumerate(mags)]
-            diag = Diagnostics()
-            matrix = initial_labels(table(events), rows, diag)
+            matrix = initial_labels(table(events), rows)
+            diag = matrix.diagnostics
             want = reference_initial_columns(events, rows)
             unmatched = [c for c, col in enumerate(want) if not col]
             assert diag.unmatched_columns == unmatched
@@ -843,8 +831,8 @@ class TestInitialLabelsParity:
                 rows.append(LabelRow(str(rng.choice(["a", "b", "c"])), Transition(x, y, *band)))
             mags = [float(m) for m in 50 * rng.integers(-26, 27, size=12) if m != 0]
             events = [ev(10 * i, max(0.0, -m), max(0.0, m)) for i, m in enumerate(mags)]
-            diag = Diagnostics()
-            matrix = initial_labels(table(events), rows, diag)
+            matrix = initial_labels(table(events), rows)
+            diag = matrix.diagnostics
             want = reference_initial_columns(events, rows)
             assert diag.unmatched_columns == [c for c, col in enumerate(want) if not col]
             for c in diag.unmatched_columns:
@@ -1106,12 +1094,13 @@ class TestLogging:
         models = train_models(train, slice_days(result.aggregate, (0, 2), base), RunConfig()).models
         flagged = []
 
-        def spy(diagnostics, cycle_index, reason):
-            flagged.append((cycle_index, reason))
-            flag(diagnostics, cycle_index, reason)
+        def spy(*args, **kwargs):
+            matrix = refine(*args, **kwargs)
+            flagged.extend(matrix.diagnostics.unrefined_cycles)
+            return matrix
 
-        flag = classifier._flag
-        monkeypatch.setattr(classifier, "_flag", spy)
+        refine = classifier.refine_by_compatibility
+        monkeypatch.setattr(classifier, "refine_by_compatibility", spy)
         with caplog.at_level(logging.DEBUG, logger="eventnilm.classifier"):
             _, diag = classify(slice_days(result.aggregate, (3, 4), base), models)
         assert diag.unrefined_cycles and diag.unrefined_cycles == flagged
@@ -1192,10 +1181,10 @@ class TestStagesParity:
                     columns[c] = tuple(sorted(int(r) for r in pick))
             new = CandidateLabelMatrix(rows, events, columns)
             ref = CandidateLabelMatrix(rows, events, list(columns))
-            d_new, d_ref = Diagnostics(), Diagnostics()
+            d_new, d_ref = new.diagnostics, Diagnostics()
 
             before = list(new.columns)
-            refine_by_compatibility(new, cycles, models, budget, d_new)
+            refine_by_compatibility(new, cycles, models, budget)
             reference_refine_by_compatibility(ref, cycles, models, budget, d_ref)
             assert new.columns == ref.columns
             assert d_new.unrefined_cycles == d_ref.unrefined_cycles
@@ -1221,7 +1210,7 @@ class TestStagesParity:
                 seen.add("participation picks")
 
             before = list(new.columns)
-            enforce_cycle_closure(new, cycles, models, pre, refined, budget, d_new)
+            enforce_cycle_closure(new, cycles, models, pre, budget)
             reference_enforce_cycle_closure(ref, cycles, models, pre, refined, budget, d_ref)
             assert new.columns == ref.columns
             assert d_new.unrepaired_cycles == d_ref.unrepaired_cycles
@@ -1288,26 +1277,34 @@ class TestLabelTable:
             classify(aggregate, models)
 
     def test_stage_codes_match_the_per_event_chain(self):
+        """``matrix.settled`` after random stage chains as the stages make
+        them: stages 2 and 3 narrow, participation leaves one row, closure
+        assigns a row of the pre-participation set."""
         rng = np.random.default_rng(71)
         seen = set()
         for _ in range(200):
             n, n_rows = int(rng.integers(1, 30)), int(rng.integers(1, 6))
 
-            def column(single_p):
-                k = 1 if rng.uniform() < single_p else int(rng.integers(1, n_rows + 1))
-                return tuple(sorted(rng.choice(n_rows, size=k, replace=False).tolist()))
+            def subset(rows, size):
+                return set(rng.choice(rows, size=size, replace=False).tolist())
 
-            final = [column(1.0) for _ in range(n)]
-            snapshots = [[column(0.3) for _ in range(n)] for _ in range(3)]
-            after_resolve = []
-            for c in range(n):  # equal to the final column, or a single or wider other
-                kind = int(rng.integers(3))
-                after_resolve.append(final[c] if kind == 0 else column(0.5 if kind == 1 else 0.0))
-            snapshots += [after_resolve, final]
-            codes = classifier._stage_codes(
-                *(CandidateLabelMatrix([], [], cols).snapshot() for cols in snapshots)
-            )
-            got = [classifier.STAGES[k] for k in codes.tolist()]
+            columns = []
+            for _ in range(n):
+                k = 1 if rng.uniform() < 0.3 else int(rng.integers(1, n_rows + 1))
+                columns.append(tuple(sorted(subset(n_rows, k))))
+            matrix = CandidateLabelMatrix([], [], columns)
+            snapshots = [list(matrix.columns)]
+            for stage in range(1, 5):
+                matrix.stage = stage
+                for c, col in enumerate(list(matrix.columns)):
+                    if stage < 3 and rng.uniform() < 0.5:  # compatibility, behavior
+                        matrix.keep_only(c, subset(col, int(rng.integers(1, len(col) + 1))))
+                    elif stage == 3:  # participation
+                        matrix.keep_only(c, subset(col, 1))
+                    elif stage == 4 and rng.uniform() < 0.4:  # closure
+                        matrix.assign(c, int(rng.choice(snapshots[2][c])))
+                snapshots.append(list(matrix.columns))
+            got = [classifier.STAGES[k] for k in matrix.settled.tolist()]
             assert got == [reference_stage(*snapshots, c) for c in range(n)]
             seen.update(got)
         assert seen == set(classifier.STAGES)

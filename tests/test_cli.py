@@ -108,6 +108,43 @@ class TestExitCodes:
             assert "at period 1e-300 s needs" in capsys.readouterr().err
             assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ("period = 60\n", "manifest.cfg:6: key 'period' repeats line 2"),
+            ("appliance = kettle\n", "manifest.cfg:6: unknown key 'appliance'"),
+        ],
+    )
+    def test_repeated_or_unknown_manifest_key_is_data_error(
+        self, dataset, tmp_path, capsys, extra, message
+    ):
+        manifest = copy_dataset(dataset, tmp_path)
+        manifest.write_text(manifest.read_text() + extra)
+        out = tmp_path / "m.json"
+        assert main(["train", "--manifest", str(manifest), "--output", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_config_key_is_data_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 1\nseed = 5\n", encoding="utf-8")
+        out = tmp_path / "out"
+        args = ["synth", "--output", str(out), "--days", "2", "--train-days", "1"]
+        assert main([*args, "--config", str(cfg)]) == 2
+        assert "run.cfg:2: key 'seed' repeats line 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_labels_name_is_data_error(self, dataset, tmp_path, capsys):
+        manifest = copy_dataset(dataset, tmp_path)
+        labels = (tmp_path / "labels.dat").read_text().splitlines()
+        first = labels[0].split()[1]
+        labels[1] = labels[1].split()[0] + " " + first
+        (tmp_path / "labels.dat").write_text("\n".join(labels) + "\n")
+        out = tmp_path / "m.json"
+        assert main(["train", "--manifest", str(manifest), "--output", str(out)]) == 2
+        assert f"labels.dat:2: name '{first}' repeats line 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_report_index_not_integer_is_data_error(self, dataset, tmp_path, capsys):
         model = tmp_path / "m.json"
         save_models(model, [two_mode_model("heater", 790.0, 810.0)])

@@ -1,5 +1,6 @@
 """Run configuration: defaults, file parsing, and override precedence."""
 
+import argparse
 import dataclasses
 import inspect
 import os
@@ -11,8 +12,8 @@ import pytest
 
 import eventnilm
 from eventnilm import classifier, evaluation, features, modes, synth
-from eventnilm.cli import main
-from eventnilm.config import RunConfig, apply_overrides, read_config
+from eventnilm.cli import _config_from, main
+from eventnilm.config import RunConfig, read_config
 from eventnilm.errors import ConfigError, ParseError
 
 
@@ -164,6 +165,12 @@ class TestReadConfig:
         with pytest.raises(ConfigError, match="unknown"):
             read_config(p)
 
+    def test_repeated_key(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_text("seed = 1\n\n# again\nseed = 5\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"run\.cfg:4: key 'seed' repeats line 1"):
+            read_config(p)
+
     def test_bad_value(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("seed = many\n", encoding="utf-8")
@@ -187,24 +194,24 @@ class TestReadConfig:
             read_config(p)
 
 
+def flags(**given):
+    """The settings a command line gives, over the defaults: flags not given are None."""
+    return _config_from(argparse.Namespace(config=None, **given))
+
+
 class TestApplyOverrides:
     def test_none_values_skipped(self):
-        base = RunConfig()
-        out = apply_overrides(base, {"seed": None, "k_clusters": 14})
+        out = flags(seed=None, k_clusters=14)
         assert out.seed == 0
         assert out.k_clusters == 14
 
     def test_empty_returns_same_config(self):
         base = RunConfig()
-        assert apply_overrides(base, {}) == base
-
-    def test_unknown_key(self):
-        with pytest.raises(ConfigError, match="unknown"):
-            apply_overrides(RunConfig(), {"speed": 3})
+        assert flags() == base
 
     def test_revalidates(self):
         with pytest.raises(ConfigError):
-            apply_overrides(RunConfig(), {"merge_ratio": 2.0})
+            flags(merge_ratio=2.0)
 
 
 WATT_KNOBS = ("off_threshold", "all_off_margin", "overshoot_floor")
@@ -225,7 +232,7 @@ class TestFiniteWatts:
         with pytest.raises(ConfigError, match="finite"):
             read_config(p)
         with pytest.raises(ConfigError, match="finite"):
-            apply_overrides(RunConfig(), {knob: float(text)})
+            flags(**{knob: float(text)})
 
     @pytest.mark.parametrize("knob", WATT_KNOBS)
     @pytest.mark.parametrize("text", NON_FINITE)

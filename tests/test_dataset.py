@@ -128,6 +128,20 @@ class TestManifest:
         with pytest.raises(ParseError, match=r"m\.cfg:2: not UTF-8"):
             read_manifest(p)
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ("period = 30\n", r"m\.cfg:6: key 'period' repeats line 3"),
+            ("appliance = oven\n", r"m\.cfg:6: unknown key 'appliance'"),
+            ("max_gap = 60\nmax_gap = 90\n", r"m\.cfg:7: key 'max_gap' repeats line 6"),
+        ],
+    )
+    def test_repeated_or_unknown_key(self, tmp_path, extra, message):
+        base = "# household\nlabels = l.dat\nperiod = 20\ntrain_days = 0\ntest_days = 1\n"
+        p = write(tmp_path / "m.cfg", base + extra)
+        with pytest.raises(ManifestError, match=message):
+            read_manifest(p)
+
     def test_bad_day_range_text(self, tmp_path):
         p = write(
             tmp_path / "m.cfg",
@@ -145,6 +159,11 @@ class TestLabels:
     def test_duplicate_channel(self, tmp_path):
         p = write(tmp_path / "l.dat", "1 a\n1 b\n")
         with pytest.raises(ParseError, match="duplicate"):
+            parse_labels(p)
+
+    def test_repeated_name(self, tmp_path):
+        p = write(tmp_path / "l.dat", "1 kettle\n# spare\n2 oven\n3 kettle\n")
+        with pytest.raises(ParseError, match=r"l\.dat:4: name 'kettle' repeats line 1"):
             parse_labels(p)
 
     def test_garbage_line(self, tmp_path):

@@ -190,13 +190,6 @@ class TestBuildGroundTruth:
         assert points[1].key == ("heater", "on1", OFF_MODE)
         assert points[0].index < points[1].index
 
-    def test_offset_shifts_indices(self):
-        s = day_signal([(6, 12)], 500.0, spd=24)
-        model = two_mode_model("heater", 490.0, 510.0)
-        base = build_ground_truth({"heater": s}, [model])
-        moved = build_ground_truth({"heater": s}, [model], offset=1000)
-        assert [p.index - 1000 for p in moved] == [p.index for p in base]
-
     def test_off_only_models_skipped(self):
         s = day_signal([(6, 12)], 500.0, spd=24)
         model = two_mode_model("heater", 490.0, 510.0)
@@ -223,10 +216,9 @@ class TestBuildGroundTruth:
             RunConfig(),
         ).models
         test = {n: slice_days(s, (2, 3), base) for n, s in result.appliances.items()}
-        for offset in (0, 17):
-            points = build_ground_truth(test, models, offset)
-            assert list(points) == reference_build_ground_truth(test, models, offset)
-            assert all(type(p.index) is int for p in points)
+        points = build_ground_truth(test, models)
+        assert list(points) == reference_build_ground_truth(test, models)
+        assert all(type(p.index) is int for p in points)
         assert len({p.appliance for p in points}) > 1
 
 
