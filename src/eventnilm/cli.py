@@ -198,9 +198,9 @@ def cmd_evaluate(args) -> int:
 
     config = _config_from(args)
     bundle = _load_dataset(args.manifest)
-    _, _, test_apps, _ = ds.split_bundle(bundle)
+    _, _, test_apps, test_agg = ds.split_bundle(bundle)
     models = load_models(args.model)
-    predicted = pipeline.parse_event_report(args.report)
+    predicted = pipeline.parse_event_report(args.report, models, len(test_agg))
     truth = pipeline.build_ground_truth(test_apps, models)
     counts, avg = pipeline.evaluate_points(predicted, truth, config.match_tolerance)
     text = pipeline.format_metrics(counts)
@@ -228,7 +228,7 @@ def cmd_synth(args) -> int:
         test_days=(split, args.days - 1),
     )
     print(
-        f"wrote {len(result.appliances)} channels, {len(result.truth)} truth events"
+        f"wrote {len(result.appliances)} channels, {len(result.truth_index)} truth events"
         f" -> {manifest}"
     )
     return EXIT_OK

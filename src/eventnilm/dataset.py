@@ -327,10 +327,9 @@ def write_dataset(
         sig = result.appliances[name]
         cells = time_column(len(sig), sig.sample_period), format_numbers(sig.values, "\n")
         atomic_write(root / f"channel_{i + 1}.dat", join_cells(*cells))
-    truth = "".join(
-        f"{t.index}\t{t.appliance}\t{t.from_mode}\t{t.to_mode}\t{format_number(t.magnitude)}\n"
-        for t in result.truth
-    )
+    labels = [f"{a}\t{f}\t{t}\t{format_number(m)}\n" for a, f, t, m in result.truth_keys]
+    labels = np.array(labels, dtype=object)
+    truth = join_cells(format_numbers(result.truth_index, "\t"), labels[result.truth_code])
     header = "index\tappliance\tfrom_mode\tto_mode\tmagnitude\n"
     atomic_write(root / "ground_truth.tsv", header + truth)
     manifest = root / "manifest.cfg"

@@ -132,10 +132,14 @@ def format_event_report(labeled: LabelTable, signal: PowerSignal) -> str:
     return "# event report 1\n" + header + rows
 
 
-def parse_event_report(path: str | Path) -> PointTable:
+def parse_event_report(path: str | Path, models: list[ApplianceModel], samples: int) -> PointTable:
+    """The report's labeled events as columns. A label whose appliance or
+    modes no model has is a ParseError, and so is an index outside the test
+    signal's ``samples``; each names its line."""
     path = Path(path)
     if not path.is_file():
         raise ParseError(f"report not found: {path}")
+    modes = {m.appliance_id: set(m.states.mode_ids()) for m in models}
     slot, index, code = {}, [], []  # slot: label -> code
     for lineno, line in enumerate(read_text(path).splitlines(), 1):
         if not line.strip() or line.startswith("#") or line.startswith("timestamp"):
@@ -147,7 +151,16 @@ def parse_event_report(path: str | Path) -> PointTable:
             index.append(np.int64(parts[1]))
         except (ValueError, OverflowError):
             raise ParseError(f"{path}:{lineno}: index must be an integer") from None
-        code.append(slot.setdefault((parts[3], parts[4], parts[5]), len(slot)))
+        if not 0 <= index[-1] < samples:
+            raise ParseError(
+                f"{path}:{lineno}: index {parts[1]} is outside the test signal's {samples} samples"
+            )
+        label = (parts[3], parts[4], parts[5])
+        if label not in slot:
+            if not {parts[4], parts[5]} <= modes.get(parts[3], set()):
+                raise ParseError(f"{path}:{lineno}: no model has the label {' '.join(label)}")
+            slot[label] = len(slot)
+        code.append(slot[label])
     return PointTable(index, code, tuple(slot))
 
 

@@ -16,7 +16,9 @@ false-positive rate attainable on long signals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -123,78 +125,72 @@ class GroundTruthEvent:
     magnitude: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SynthResult:
+    """A generated household: per-appliance signals, their exact aggregate,
+    and the ground truth as read-only columns. The order of ``generate``'s
+    random draws fixes all of it for a seed.
+
+    Truth event ``i`` is the switch after sample ``truth_index[i]``, with the
+    (appliance, from mode, to mode, magnitude) ``truth_keys[truth_code[i]]``,
+    in (index, appliance) order. ``truth`` builds the events as
+    :class:`GroundTruthEvent`s on its first read.
+    """
+
     appliances: dict[str, PowerSignal]
     aggregate: PowerSignal
-    truth: tuple[GroundTruthEvent, ...]
+    truth_index: np.ndarray
+    truth_code: np.ndarray
+    truth_keys: tuple[tuple[str, str, str, float], ...]
     period: float
     days: int
     seed: int
 
-
-@dataclass
-class _Run:
-    start: int
-    switches: list[tuple[int, int, int]] = field(default_factory=list)  # (sample, from, to)
-    end: int = 0
+    @cached_property
+    def truth(self) -> tuple[GroundTruthEvent, ...]:
+        keys = map(self.truth_keys.__getitem__, self.truth_code.tolist())
+        return tuple(map(GroundTruthEvent, self.truth_index.tolist(), *zip(*keys)))
 
 
-def _sample_dwell(rng, spec, period) -> int:
-    sec = rng.uniform(spec.dwell_s[0], spec.dwell_s[1])
-    return max(MIN_DWELL_SAMPLES, int(round(sec / period)))
+_EVENT_SPAN = b"\1" * (2 * EVENT_GAP_SAMPLES - 1)
+_SPIKE_SPAN = b"\1" * (2 * SPIKE_GAP_SAMPLES - 1)
 
 
-def _clear_of_registry(switches: list[int], registry: set[int]) -> bool:
-    for s in switches:
-        for g in range(s - EVENT_GAP_SAMPLES + 1, s + EVENT_GAP_SAMPLES):
-            if g in registry:
-                return False
-    return True
+def _register(near_switch: bytearray, near_spike: bytearray, at: int) -> None:
+    """Mark the samples a switch or spike at ``at`` forbids to later switches
+    and to later spikes; the day margins keep both inside the signal."""
+    near_switch[at - EVENT_GAP_SAMPLES + 1 : at + EVENT_GAP_SAMPLES] = _EVENT_SPAN
+    near_spike[at - SPIKE_GAP_SAMPLES + 1 : at + SPIKE_GAP_SAMPLES] = _SPIKE_SPAN
 
 
-def _schedule_day(rng, spec, period, day_start, day_end, registry) -> list[_Run]:
-    """Place this appliance's runs for one day, avoiding global switch clashes."""
-    n_runs = int(rng.integers(spec.runs_per_day[0], spec.runs_per_day[1] + 1))
-    runs: list[_Run] = []
-    occupied: list[tuple[int, int]] = []
-    for _ in range(n_runs):
-        seq = spec.run_sequences[int(rng.integers(len(spec.run_sequences)))]
-        dwells = [_sample_dwell(rng, spec, period) for _ in seq]
-        duration = sum(dwells)
-        lo = day_start + DAY_MARGIN_SAMPLES
+def _place_runs(rng, spec, period, day_start, day_end, busy, near_switch, near_spike):
+    """One day's runs of an appliance as (start, sequence number, switch
+    offsets), in time order: each RUN_GAP_SAMPLES from the day's other runs
+    (``busy`` marks them), each switch clear of every registered one."""
+    n_seq = len(spec.run_sequences)
+    lo = day_start + DAY_MARGIN_SAMPLES
+    runs = []
+    for _ in range(int(rng.integers(spec.runs_per_day[0], spec.runs_per_day[1] + 1))):
+        k = int(rng.integers(n_seq)) if n_seq > 1 else 0  # integers(1) draws nothing
+        secs = rng.uniform(spec.dwell_s[0], spec.dwell_s[1], len(spec.run_sequences[k]))
+        offsets = [0, *accumulate(max(MIN_DWELL_SAMPLES, round(s / period)) for s in secs.tolist())]
+        duration = offsets[-1]
         hi = day_end - DAY_MARGIN_SAMPLES - duration
         if hi <= lo:
             continue
-        placed = None
         for _ in range(PLACE_ATTEMPTS):
             start = int(rng.integers(lo, hi))
-            end = start + duration
-            if any(
-                start - RUN_GAP_SAMPLES < e and end + RUN_GAP_SAMPLES > s
-                for s, e in occupied
-            ):
-                continue
-            switches = [start]
-            at = start
-            for d in dwells:
-                at += d
-                switches.append(at)
-            if not _clear_of_registry(switches, registry):
-                continue
-            placed = (start, end, switches)
-            break
-        if placed is None:
+            # the day's earlier runs only: later days hold no runs yet
+            window = max(day_start, start - RUN_GAP_SAMPLES + 1), start + duration + RUN_GAP_SAMPLES
+            if busy.find(1, *window) < 0 and not any(near_switch[start + o] for o in offsets):
+                break
+        else:
             continue
-        start, end, switches = placed
-        occupied.append((start, end))
-        registry.update(switches)
-        run = _Run(start=start, end=end)
-        modes = [0] + list(seq) + [0]
-        for i in range(len(modes) - 1):
-            run.switches.append((switches[i], modes[i], modes[i + 1]))
-        runs.append(run)
-    runs.sort(key=lambda r: r.start)
+        busy[start : start + duration + 1] = b"\1" * (duration + 1)
+        for o in offsets:
+            _register(near_switch, near_spike, start + o)
+        runs.append((start, k, offsets))
+    runs.sort()
     return runs
 
 
@@ -205,7 +201,9 @@ def generate(
     seed: int = RunConfig.seed,
     jitter_fraction: float = 0.015,
 ) -> SynthResult:
-    """Build a seeded household: per-appliance signals, aggregate, truth."""
+    """Build a seeded household. The draws, in order: the jitter series, then
+    per appliance its runs day by day, its noise, its overshoot heights and
+    its spikes day by day."""
     if days < 1:
         raise SpecValidationError("need at least one day")
     if not specs:
@@ -217,60 +215,70 @@ def generate(
     if abs(spd - round(spd)) > 1e-9:
         raise SpecValidationError("sample period must divide a day evenly")
     spd = int(round(spd))
+    if spd <= 2 * DAY_MARGIN_SAMPLES:
+        raise SpecValidationError(
+            f"a {period:g} s period gives {spd} samples per day;"
+            f" the generator needs more than {2 * DAY_MARGIN_SAMPLES}"
+        )
     n = days * spd
 
     rng = np.random.default_rng(seed)
     jitter = 1.0 + rng.uniform(-jitter_fraction, jitter_fraction, n)
 
     signals: dict[str, PowerSignal] = {}
-    truth: list[GroundTruthEvent] = []
-    registry: set[int] = set()
+    near_switch, near_spike = bytearray(n), bytearray(n)
     total = np.zeros(n, dtype=np.float64)
+    slot: dict[tuple, int] = {}  # truth key -> code
+    to_level, rising, switch_at, switch_code = [], [], [], []
 
     for spec in specs:
-        base = np.full(n, spec.off_level, dtype=np.float64)
-        switch_list: list[tuple[int, int, int]] = []
-        for day in range(days):
-            day_runs = _schedule_day(
-                rng, spec, period, day * spd, (day + 1) * spd, registry
-            )
-            for run in day_runs:
-                for i, (at, m_from, m_to) in enumerate(run.switches):
-                    nxt = run.switches[i + 1][0] if i + 1 < len(run.switches) else run.end
-                    base[at:nxt] = spec.level_of(m_to)
-                    switch_list.append((at, m_from, m_to))
+        # each run sequence as the truth-key codes of its switches
+        programs = []
+        for seq in spec.run_sequences:
+            modes = (0, *seq, 0)
+            programs.append([])
+            for a, b in zip(modes, modes[1:]):
+                lv_a, lv_b = spec.level_of(a), spec.level_of(b)
+                key = (spec.appliance_id, mode_name(a), mode_name(b), lv_b - lv_a)
+                if key not in slot:
+                    slot[key] = len(slot)
+                    to_level.append(lv_b)
+                    rising.append(lv_b > lv_a)
+                programs[-1].append(slot[key])
 
-        noise = rng.uniform(-spec.noise_fraction, spec.noise_fraction, n)
-        values = base * (1.0 + noise)
+        ats, codes = [], []
+        busy = bytearray(n)
+        for day in range(days):
+            for start, k, offsets in _place_runs(
+                rng, spec, period, day * spd, (day + 1) * spd, busy, near_switch, near_spike
+            ):
+                ats += [start + o for o in offsets]
+                codes += programs[k]
+        ats, codes = np.array(ats, dtype=np.int64), np.array(codes, dtype=np.int64)
+
+        levels = np.array([spec.off_level, *to_level])[np.r_[0, codes + 1]]
+        values = rng.uniform(-spec.noise_fraction, spec.noise_fraction, n)
+        values += 1.0
+        values *= np.repeat(levels, np.diff(np.r_[0, ats, n]))
 
         # turn-on overshoots: geometric tails on rising switches
         if spec.overshoot_w[1] > 0:
-            for at, m_from, m_to in switch_list:
-                if spec.level_of(m_to) <= spec.level_of(m_from):
-                    continue
-                h = rng.uniform(spec.overshoot_w[0], spec.overshoot_w[1])
-                for k in range(OVERSHOOT_MAX_LEN):
-                    if at + k >= n:
-                        break
-                    values[at + k] += h * spec.overshoot_decay**k
+            rises = ats[np.array(rising, dtype=bool)[codes]]
+            heights = rng.uniform(spec.overshoot_w[0], spec.overshoot_w[1], rises.size)
+            decay = np.array([spec.overshoot_decay**k for k in range(OVERSHOOT_MAX_LEN)])
+            tails = rises[:, None] + np.arange(OVERSHOOT_MAX_LEN)
+            kept = tails < n
+            np.add.at(values, tails[kept], (heights[:, None] * decay)[kept])
 
         # single-sample spikes, kept clear of switches and one another
         if spec.spike_rate_per_day > 0:
             for day in range(days):
-                count = int(rng.poisson(spec.spike_rate_per_day))
-                for _ in range(count):
+                lo, hi = day * spd + DAY_MARGIN_SAMPLES, (day + 1) * spd - DAY_MARGIN_SAMPLES
+                for _ in range(int(rng.poisson(spec.spike_rate_per_day))):
                     for _ in range(PLACE_ATTEMPTS):
-                        pos = int(
-                            rng.integers(
-                                day * spd + DAY_MARGIN_SAMPLES,
-                                (day + 1) * spd - DAY_MARGIN_SAMPLES,
-                            )
-                        )
-                        near = range(
-                            pos - SPIKE_GAP_SAMPLES + 1, pos + SPIKE_GAP_SAMPLES
-                        )
-                        if all(g not in registry for g in near):
-                            registry.add(pos)
+                        pos = int(rng.integers(lo, hi))
+                        if not near_spike[pos]:
+                            _register(near_switch, near_spike, pos)
                             values[pos] += rng.uniform(*spec.spike_height_w)
                             break
 
@@ -281,28 +289,18 @@ def generate(
         signals[spec.appliance_id] = PowerSignal(
             values=values, sample_period=period, source_id=spec.appliance_id
         )
-        for at, m_from, m_to in switch_list:
-            truth.append(
-                GroundTruthEvent(
-                    index=at - 1,
-                    appliance=spec.appliance_id,
-                    from_mode=mode_name(m_from),
-                    to_mode=mode_name(m_to),
-                    magnitude=spec.level_of(m_to) - spec.level_of(m_from),
-                )
-            )
+        switch_at.append(ats)
+        switch_code.append(codes)
 
-    truth.sort(key=lambda t: (t.index, t.appliance))
-    total.flags.writeable = False
+    index = np.concatenate(switch_at) - 1
+    # registered switches lie EVENT_GAP_SAMPLES apart, so no two share an
+    # index and the index order is the (index, appliance) order
+    order = np.argsort(index)
+    index, code = index[order], np.concatenate(switch_code)[order]
+    for column in (index, code, total):
+        column.flags.writeable = False
     aggregate = PowerSignal(values=total, sample_period=period, source_id="aggregate")
-    return SynthResult(
-        appliances=signals,
-        aggregate=aggregate,
-        truth=tuple(truth),
-        period=period,
-        days=days,
-        seed=seed,
-    )
+    return SynthResult(signals, aggregate, index, code, tuple(slot), period, days, seed)
 
 
 # ---------------------------------------------------------------------------

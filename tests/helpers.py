@@ -961,3 +961,141 @@ def reference_resample_step_hold(times, values, period, start=None, end=None, ma
         if times[i] <= hi and times[i + 1] >= lo
     ]
     return values[src], gaps
+
+
+def _reference_sample_dwell(rng, spec, period):
+    from eventnilm.synth import MIN_DWELL_SAMPLES
+
+    sec = rng.uniform(spec.dwell_s[0], spec.dwell_s[1])
+    return max(MIN_DWELL_SAMPLES, int(round(sec / period)))
+
+
+def _reference_clear_of_registry(switches, registry):
+    from eventnilm.synth import EVENT_GAP_SAMPLES
+
+    for s in switches:
+        for g in range(s - EVENT_GAP_SAMPLES + 1, s + EVENT_GAP_SAMPLES):
+            if g in registry:
+                return False
+    return True
+
+
+def _reference_schedule_day(rng, spec, period, day_start, day_end, registry):
+    """One day's runs as ``(start, end, [(sample, from, to), ...])``, sorted."""
+    from eventnilm.synth import DAY_MARGIN_SAMPLES, PLACE_ATTEMPTS, RUN_GAP_SAMPLES
+
+    n_runs = int(rng.integers(spec.runs_per_day[0], spec.runs_per_day[1] + 1))
+    runs, occupied = [], []
+    for _ in range(n_runs):
+        seq = spec.run_sequences[int(rng.integers(len(spec.run_sequences)))]
+        dwells = [_reference_sample_dwell(rng, spec, period) for _ in seq]
+        duration = sum(dwells)
+        lo = day_start + DAY_MARGIN_SAMPLES
+        hi = day_end - DAY_MARGIN_SAMPLES - duration
+        if hi <= lo:
+            continue
+        placed = None
+        for _ in range(PLACE_ATTEMPTS):
+            start = int(rng.integers(lo, hi))
+            end = start + duration
+            if any(
+                start - RUN_GAP_SAMPLES < e and end + RUN_GAP_SAMPLES > s for s, e in occupied
+            ):
+                continue
+            switches = [start]
+            at = start
+            for d in dwells:
+                at += d
+                switches.append(at)
+            if not _reference_clear_of_registry(switches, registry):
+                continue
+            placed = (start, end, switches)
+            break
+        if placed is None:
+            continue
+        start, end, switches = placed
+        occupied.append((start, end))
+        registry.update(switches)
+        modes = [0] + list(seq) + [0]
+        steps = [(switches[i], modes[i], modes[i + 1]) for i in range(len(seq) + 1)]
+        runs.append((start, end, steps))
+    runs.sort(key=lambda r: r[0])
+    return runs
+
+
+def reference_generate(specs, days, period=20.0, seed=0, jitter_fraction=0.015):
+    """``synth.generate`` as it was when it drew one number per call, kept a
+    set of registered samples and built one ``GroundTruthEvent`` per switch:
+    (appliance values by id, aggregate values, truth tuple)."""
+    from eventnilm.features import DAY_SECONDS
+    from eventnilm.synth import (
+        DAY_MARGIN_SAMPLES,
+        OVERSHOOT_MAX_LEN,
+        PLACE_ATTEMPTS,
+        SPIKE_GAP_SAMPLES,
+        GroundTruthEvent,
+        mode_name,
+    )
+
+    spd = int(round(DAY_SECONDS / period))
+    n = days * spd
+    rng = np.random.default_rng(seed)
+    jitter = 1.0 + rng.uniform(-jitter_fraction, jitter_fraction, n)
+    signals, truth, registry = {}, [], set()
+    total = np.zeros(n, dtype=np.float64)
+    for spec in specs:
+        base = np.full(n, spec.off_level, dtype=np.float64)
+        switch_list = []
+        for day in range(days):
+            day_runs = _reference_schedule_day(
+                rng, spec, period, day * spd, (day + 1) * spd, registry
+            )
+            for _, end, switches in day_runs:
+                for i, (at, m_from, m_to) in enumerate(switches):
+                    nxt = switches[i + 1][0] if i + 1 < len(switches) else end
+                    base[at:nxt] = spec.level_of(m_to)
+                    switch_list.append((at, m_from, m_to))
+
+        noise = rng.uniform(-spec.noise_fraction, spec.noise_fraction, n)
+        values = base * (1.0 + noise)
+        if spec.overshoot_w[1] > 0:
+            for at, m_from, m_to in switch_list:
+                if spec.level_of(m_to) <= spec.level_of(m_from):
+                    continue
+                h = rng.uniform(spec.overshoot_w[0], spec.overshoot_w[1])
+                for k in range(OVERSHOOT_MAX_LEN):
+                    if at + k >= n:
+                        break
+                    values[at + k] += h * spec.overshoot_decay**k
+        if spec.spike_rate_per_day > 0:
+            for day in range(days):
+                count = int(rng.poisson(spec.spike_rate_per_day))
+                for _ in range(count):
+                    for _ in range(PLACE_ATTEMPTS):
+                        pos = int(
+                            rng.integers(
+                                day * spd + DAY_MARGIN_SAMPLES,
+                                (day + 1) * spd - DAY_MARGIN_SAMPLES,
+                            )
+                        )
+                        near = range(pos - SPIKE_GAP_SAMPLES + 1, pos + SPIKE_GAP_SAMPLES)
+                        if all(g not in registry for g in near):
+                            registry.add(pos)
+                            values[pos] += rng.uniform(*spec.spike_height_w)
+                            break
+        values *= jitter
+        np.maximum(values, 0.0, out=values)
+        total += values
+        signals[spec.appliance_id] = values
+        for at, m_from, m_to in switch_list:
+            truth.append(
+                GroundTruthEvent(
+                    index=at - 1,
+                    appliance=spec.appliance_id,
+                    from_mode=mode_name(m_from),
+                    to_mode=mode_name(m_to),
+                    magnitude=spec.level_of(m_to) - spec.level_of(m_from),
+                )
+            )
+    truth.sort(key=lambda t: (t.index, t.appliance))
+    return signals, total, tuple(truth)

@@ -88,6 +88,19 @@ class TestExitCodes:
                 assert "period must be a positive number" in capsys.readouterr().err
                 assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "household, period, samples",
+        [("demo", "3600", 24), ("balanced", "3600", 24), ("balanced", "86400", 1)],
+    )
+    def test_synth_period_without_room_inside_a_day_is_data_error(
+        self, tmp_path, capsys, household, period, samples
+    ):
+        out = tmp_path / "out"
+        args = ["synth", "--output", str(out), "--household", household, "--period", period]
+        assert main([*args, "--days", "3", "--train-days", "2"]) == 2
+        assert f"gives {samples} samples per day" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_manifest_number_is_data_error(self, dataset, tmp_path, capsys):
         manifest = copy_dataset(dataset, tmp_path)
         manifest.write_text(manifest.read_text().replace("period = 30", "period = nan"))
@@ -159,6 +172,33 @@ class TestExitCodes:
         args = ["--manifest", str(dataset / "manifest.cfg"), "--model", str(model)]
         assert main(["evaluate", *args, "--report", str(report)]) == 2
         assert "report.tsv:4: index must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("1600000300\t30\t-800\tkettle\ton1\toff\tcontainment\n",
+             "report.tsv:4: no model has the label kettle on1 off"),
+            ("1600000300\t30\t-800\theater\ton7\toff\tcontainment\n",
+             "report.tsv:4: no model has the label heater on7 off"),
+            ("1600000300\t-3\t-800\theater\ton1\toff\tcontainment\n",
+             "report.tsv:4: index -3 is outside the test signal's 2880 samples"),
+            ("1600000300\t2880\t-800\theater\ton1\toff\tcontainment\n",
+             "report.tsv:4: index 2880 is outside the test signal's 2880 samples"),
+        ],
+        ids=["appliance", "mode", "negative index", "index past the end"],
+    )
+    def test_report_label_or_index_the_test_set_lacks_is_data_error(
+        self, dataset, tmp_path, capsys, line, message
+    ):
+        model = tmp_path / "m.json"
+        save_models(model, [two_mode_model("heater", 790.0, 810.0)])
+        report = tmp_path / "report.tsv"
+        header = "timestamp\tindex\tmagnitude\tappliance\tfrom_mode\tto_mode\tstage\n"
+        first = "1600000000\t12\t800\theater\toff\ton1\tcontainment\n"
+        args = ["evaluate", "--manifest", str(dataset / "manifest.cfg"), "--model", str(model)]
+        report.write_text("# event report 1\n" + header + first + line, encoding="utf-8")
+        assert main([*args, "--report", str(report)]) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestChannelCommands:

@@ -1,5 +1,5 @@
 """Pinned output bytes of the library flow, the written dataset and the
-single-channel commands, at seed 0.
+single-channel commands, at seed 0, and of the generator at seeds 1 and 2.
 
 A change meant to keep every output byte-identical, such as a refactor or a
 speed-up, must leave these digests as they are. A change that alters the
@@ -97,6 +97,45 @@ CHANNEL_PINS = {
 }
 
 
+# (household, seed, sample period, days): sha256 of ``generate``'s arrays (each
+# appliance's values after its name, in name order, then the aggregate's), of
+# its truth rows with ``repr`` magnitudes
+GENERATE_PINS = {
+    ("balanced", 1, 6.0, 2): (
+        "64ee446bbc2dc073f88836d735850782fb88dd625c66cfa8be9aa6c7bb0439d6",
+        "df11314af4a80a38c6f55c27b2c249c13a4dc7e175ddb875308245a6be6e0fc3",
+    ),
+    ("balanced", 1, 60.0, 5): (
+        "4c05d791a9f5677707687e645c6e8034baa5294e7378ef0bdfd278224a58fbdd",
+        "f6dbaf06c126f7952b85131eb040866a0efb262d6e0c9545de0db19cdbcc2c03",
+    ),
+    ("balanced", 2, 6.0, 2): (
+        "46fd2a917f58bf69e6d4d2564895c7e9f8550cc209756aa080871f56567d734f",
+        "4252a6cf60de1129ca000616dbf4a58ddc7ffef3e099fe4edafb6a99fcba3c50",
+    ),
+    ("balanced", 2, 60.0, 5): (
+        "c6cf6b88d9824be4f672f91bdfdbedcefb55516bea29963445165990898b0ec5",
+        "0fb20e59ac1ba5c199cbcbc0b9fd409b6e61ca89fc8c355892c2c6b92f5f05e5",
+    ),
+    ("demo", 1, 6.0, 2): (
+        "8eb08a37947dfcddfa2f962d71f4ccebcdb3b5b90a64a8cec239d1e6ba6d7c58",
+        "0a4cfafded4026e6a359e1632e970e6ab44b79155eba94a593205fbe1ed7f397",
+    ),
+    ("demo", 1, 60.0, 5): (
+        "682e833bcf437610972a8a2ff4d9329ba0ffc3e4ff826613244a7f3016d35b81",
+        "49eee2028dc8b7f584900a6a905fe8ce4e5af275f40ed21d979c3c62138d8c7e",
+    ),
+    ("demo", 2, 6.0, 2): (
+        "8bdef1e6dcac5b7ff2bf7229e9e3e0c444b7786580196723bb2a157e52d634a1",
+        "8cb6509d8dc98c1c12eee7792e54974db0ebbab5aa638d4d6c8493b11f4e5135",
+    ),
+    ("demo", 2, 60.0, 5): (
+        "642732c486693bdc4ff6cc13ef77289217e385a00fd7756552beb216641bed3b",
+        "82e0b9b3d7a40512efe591939c647b2969f1c23496009b9260d2fe353588115a",
+    ),
+}
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -182,3 +221,22 @@ def test_single_channel_command_bytes(household, days, train_days, channel, tmp_
     capsys.readouterr()
     written = {f.name: sha256(f.read_bytes()) for f in out.iterdir()}
     assert written == CHANNEL_PINS[household, days, train_days, channel]
+
+
+def generate_digests(result):
+    arrays = hashlib.sha256()
+    for name in sorted(result.appliances):
+        arrays.update(name.encode() + b"\0" + result.appliances[name].values.tobytes())
+    arrays.update(result.aggregate.values.tobytes())
+    rows = "".join(
+        f"{t.index}\t{t.appliance}\t{t.from_mode}\t{t.to_mode}\t{t.magnitude!r}\n"
+        for t in result.truth
+    )
+    return arrays.hexdigest(), sha256(rows.encode())
+
+
+@pytest.mark.parametrize("household, seed, period, days", sorted(GENERATE_PINS))
+def test_generated_household_bytes(household, seed, period, days):
+    specs = demo_household() if household == "demo" else balanced_household()
+    result = generate(specs, days=days, period=period, seed=seed)
+    assert generate_digests(result) == GENERATE_PINS[household, seed, period, days]

@@ -99,6 +99,8 @@ class TestTrainModels:
 
 
 class TestEventReport:
+    MODELS = [two_mode_model("fridge", 90.0, 110.0)]
+
     def _labeled(self):
         rise, fall = two_mode_model("fridge", 90.0, 110.0).transitions
         return LabelTable(
@@ -113,7 +115,7 @@ class TestEventReport:
         text = format_event_report(self._labeled(), signal)
         p = tmp_path / "report.tsv"
         p.write_text(text, encoding="utf-8")
-        points = parse_event_report(p)
+        points = parse_event_report(p, self.MODELS, 40)
         assert list(points) == [
             LabelPoint(4, "fridge", OFF_MODE, "on1"),
             LabelPoint(19, "fridge", "on1", OFF_MODE),
@@ -147,7 +149,7 @@ class TestEventReport:
         p = tmp_path / "r.tsv"
         empty = LabelTable(table([]), (), [], [])
         p.write_text(format_event_report(empty, signal), encoding="utf-8")
-        assert list(parse_event_report(p)) == []
+        assert list(parse_event_report(p, self.MODELS, 4)) == []
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_text_equals_per_event_reference(self, seed):
@@ -166,18 +168,32 @@ class TestEventReport:
         p = tmp_path / "r.tsv"
         p.write_text("# event report 1\n1\t2\t3\n", encoding="utf-8")
         with pytest.raises(ParseError, match="7 tab-separated"):
-            parse_event_report(p)
+            parse_event_report(p, self.MODELS, 40)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError, match="not found"):
-            parse_event_report(tmp_path / "r.tsv")
+            parse_event_report(tmp_path / "r.tsv", self.MODELS, 40)
 
     @pytest.mark.parametrize("index", ["x", "1.5", str(2**63), str(-(2**63) - 1)])
     def test_index_must_be_a_64_bit_integer(self, tmp_path, index):
         p = tmp_path / "r.tsv"
         p.write_text(f"# event report 1\n0\t{index}\t5\tfridge\toff\ton1\tcontainment\n")
         with pytest.raises(ParseError, match=":2: index must be an integer"):
-            parse_event_report(p)
+            parse_event_report(p, self.MODELS, 40)
+
+
+    def test_labels_and_indices_checked_against_models_and_signal(self, tmp_path):
+        p = tmp_path / "r.tsv"
+        rows = ["0\t4\t100\tfridge\toff\ton1\tcontainment", "0\t19\t-100\tfridge\ton1\toff\tx"]
+        p.write_text("\n".join(["# event report 1", *rows]) + "\n", encoding="utf-8")
+        assert len(parse_event_report(p, self.MODELS, 20)) == 2
+        with pytest.raises(ParseError, match=":3: index 19 is outside the test signal's 19"):
+            parse_event_report(p, self.MODELS, 19)
+        for label in ["oven\toff\ton1", "fridge\ton1\ton2"]:
+            shown = label.replace("\t", " ")
+            p.write_text(f"{rows[0]}\n0\t19\t5\t{label}\tx\n", encoding="utf-8")
+            with pytest.raises(ParseError, match=f":2: no model has the label {shown}"):
+                parse_event_report(p, self.MODELS, 20)
 
 
 class TestBuildGroundTruth:

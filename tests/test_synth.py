@@ -9,6 +9,9 @@ recovery on noise-free channels.
 import numpy as np
 import pytest
 
+from eventnilm import synth
+from eventnilm.cli import main
+from eventnilm.dataset import slice_days, write_dataset
 from eventnilm.errors import SpecValidationError
 from eventnilm.evaluation import LabelPoint, PointTable, match_events
 from eventnilm.filtering import filter_and_detect
@@ -23,6 +26,8 @@ from eventnilm.synth import (
     generate,
     mode_name,
 )
+
+from helpers import reference_generate, reference_write_dataset
 
 
 def clean_spec(app="unit", levels=(500.0, 900.0), **overrides):
@@ -103,6 +108,18 @@ class TestGenerateValidation:
     def test_period_must_divide_a_day(self):
         with pytest.raises(SpecValidationError):
             generate([clean_spec()], days=1, period=7.0)
+
+    @pytest.mark.parametrize("period, samples", [(3600.0, 24), (4320.0, 20), (86400.0, 1)])
+    def test_period_must_leave_room_between_the_day_margins(self, period, samples):
+        for household in (demo_household, balanced_household):
+            with pytest.raises(SpecValidationError, match=f"gives {samples} samples per day"):
+                generate(household(), days=2, period=period, seed=0)
+
+    def test_shortest_day_the_margins_allow(self):
+        # 25 samples a day: one sample between the margins for each spike
+        for household in (demo_household, balanced_household):
+            result = generate(household(), days=3, period=3456.0, seed=0)
+            assert len(result.aggregate) == 3 * 25
 
 
 class TestConservation:
@@ -293,3 +310,130 @@ class TestStockHouseholds:
         specs = balanced_household()
         ids = [s.appliance_id for s in specs]
         assert len(ids) == len(set(ids)) == 7
+
+
+def random_spec(rng, name):
+    """A seeded spec over the generator's options: several or full-program
+    sequences, an OFF level, spikes and overshoots."""
+    levels = np.cumsum(rng.uniform(60.0, 900.0, rng.integers(1, 5))).round(1)
+    modes = list(range(1, len(levels) + 1))
+    all_or_none = len(modes) > 1 and rng.random() < 0.3
+    sequences = []
+    for _ in range(rng.integers(1, 4)):
+        if all_or_none:
+            seq = [int(m) for m in rng.permutation(modes)]
+        else:
+            seq = [int(rng.choice(modes))]
+            for _ in range(rng.integers(0, 4)):
+                seq.append(int(rng.choice([m for m in modes if m != seq[-1]] or modes)))
+            seq = [m for i, m in enumerate(seq) if i == 0 or m != seq[i - 1]]
+        sequences.append(tuple(seq))
+    dwell = float(rng.uniform(10.0, 900.0))
+    runs = int(rng.integers(0, 4))
+    return ApplianceSpec(
+        appliance_id=name,
+        levels=tuple(float(l) for l in levels),
+        run_sequences=tuple(sequences),
+        dwell_s=(dwell, dwell + float(rng.uniform(0.0, 1200.0))),
+        runs_per_day=(runs, runs + int(rng.integers(0, 12))),
+        off_level=float(rng.choice([0.0, rng.uniform(0.0, 5.0)])),
+        spike_rate_per_day=float(rng.choice([0.0, rng.uniform(0.5, 6.0)])),
+        overshoot_w=(0.0, 0.0) if rng.random() < 0.4 else (200.0, float(rng.uniform(200.0, 700.0))),
+        overshoot_decay=float(rng.uniform(0.05, 0.9)),
+        noise_fraction=float(rng.uniform(0.0, 0.05)),
+        all_or_none=all_or_none,
+    )
+
+
+class TestReferenceEquivalence:
+    """``generate`` makes the draws of the one-draw-per-call generator, in its
+    order, so its signals and truth are the same bytes."""
+
+    @staticmethod
+    def assert_same(result, reference):
+        values, total, truth = reference
+        assert sorted(result.appliances) == sorted(values)
+        for name, v in values.items():
+            assert result.appliances[name].values.tobytes() == v.tobytes()
+        assert result.aggregate.values.tobytes() == total.tobytes()
+        assert result.truth == truth
+
+    def test_random_specs(self, tmp_path):
+        rng = np.random.default_rng(2024)
+        seen = set()
+        for trial in range(100):
+            specs = [random_spec(rng, f"app{i}") for i in range(rng.integers(1, 5))]
+            period = float(rng.choice([6.0, 20.0, 60.0]))
+            days, seed = int(rng.integers(1, 6)), int(rng.integers(0, 2**31))
+            jitter = float(rng.choice([0.0, 0.015]))
+            result = generate(specs, days, period, seed, jitter)
+            self.assert_same(result, reference_generate(specs, days, period, seed, jitter))
+            if trial < 10:  # fractional magnitudes, too, as the per-event writer wrote them
+                write_dataset(tmp_path / "bulk", result, (0, 0), (0, 0))
+                reference_write_dataset(tmp_path / "rows", result, (0, 0), (0, 0))
+                truth = [(tmp_path / d / "ground_truth.tsv").read_bytes() for d in ("bulk", "rows")]
+                assert truth[0] == truth[1]
+            for spec in specs:
+                seen |= {
+                    ("sequences", len(spec.run_sequences) > 1),
+                    ("all_or_none", spec.all_or_none),
+                    ("off_level", spec.off_level > 0),
+                    ("spikes", spec.spike_rate_per_day > 0),
+                    ("overshoots", spec.overshoot_w[1] > 0),
+                }
+            seen |= {("period", period), ("days", days)}
+        options = ("sequences", "all_or_none", "off_level", "spikes", "overshoots")
+        assert {(o, flag) for o in options for flag in (False, True)} <= seen
+        assert {("period", p) for p in (6.0, 20.0, 60.0)} <= seen
+        assert {("days", d) for d in range(1, 6)} <= seen
+
+    @pytest.mark.parametrize("household", [demo_household, balanced_household])
+    def test_stock_households(self, household):
+        for seed, period, days in [(0, 20.0, 4), (7, 6.0, 1), (3, 60.0, 6)]:
+            result = generate(household(), days, period, seed)
+            self.assert_same(result, reference_generate(household(), days, period, seed))
+
+    def test_crowded_days_and_a_level_equal_to_off(self):
+        """Runs that crowd each day to its margins, so some end near midnight
+        and the next day's start near it; and a mode as low as OFF, whose
+        switch from OFF is no rise and gets no overshoot."""
+        crowded = ApplianceSpec(
+            appliance_id="pump",
+            levels=(300.0, 700.0),
+            run_sequences=((1,), (1, 2), (2, 1)),
+            dwell_s=(10.0, 200.0),
+            runs_per_day=(20, 40),
+            spike_rate_per_day=8.0,
+            overshoot_w=(100.0, 300.0),
+        )
+        flat = ApplianceSpec(
+            appliance_id="lamp",
+            levels=(4.0, 60.0),
+            run_sequences=((1, 2), (2, 1)),
+            off_level=4.0,
+            runs_per_day=(5, 15),
+            overshoot_w=(20.0, 40.0),
+        )
+        for seed in range(4):
+            result = generate([crowded, flat], 6, 60.0, seed)
+            self.assert_same(result, reference_generate([crowded, flat], 6, 60.0, seed))
+
+    def test_truth_rows_are_built_on_first_read_only(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a GroundTruthEvent was built")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(synth.GroundTruthEvent, "__init__", refuse)
+            result = generate(demo_household(), days=4, seed=5)
+            base = result.aggregate.start_time
+            for signal in [result.aggregate, *result.appliances.values()]:
+                slice_days(signal, (0, 2), base), slice_days(signal, (3, 3), base)
+            write_dataset(tmp_path / "lib", result, (0, 2), (3, 3))
+            args = ["synth", "--output", str(tmp_path / "cli"), "--days", "2", "--train-days", "1"]
+            assert main(args) == 0
+            assert "truth" not in vars(result)
+        _, _, truth = reference_generate(demo_household(), days=4, seed=5)
+        assert result.truth == truth and result.truth is result.truth
+        assert len(result.truth_index) == len(truth)
+        for column in (result.truth_index, result.truth_code):
+            assert column.dtype == np.int64 and not column.flags.writeable
