@@ -43,6 +43,7 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import ModelCoverageError
+from .evaluation import PointTable
 from .features import ApplianceModel, BehaviorSet, Transition, day_columns, overshoot_heights
 from .filtering import filter_and_detect
 from .modes import OFF_MODE
@@ -202,7 +203,9 @@ def initial_labels(events: EventTable, rows: list[LabelRow]) -> CandidateLabelMa
     first = np.r_[hit_rows, -1][bounds[:-1]]  # -1 pads an unmatched last column
     first[unmatched] = _nearest_rows(events.magnitude[unmatched], rows)
     size[unmatched] = 1
-    columns = list(zip(first.tolist()))
+    # single columns share one tuple per row: no Python object per event
+    singles = [(r,) for r in range(len(rows))]
+    columns = list(map(singles.__getitem__, first.tolist()))
     for c in np.flatnonzero(size > 1).tolist():
         columns[c] = tuple(hit_rows[bounds[c] : bounds[c + 1]].tolist())
     matrix = CandidateLabelMatrix(rows, events, columns, size, first)
@@ -594,7 +597,8 @@ class LabelTable:
 
     ``row[i]`` indexes ``rows`` and ``stage[i]`` indexes :data:`STAGES` for
     event ``events[i]``. ``len``, ``table[i]`` and iteration give the labels
-    as :class:`LabeledEvent`s; ``==`` compares content.
+    as :class:`LabeledEvent`s; ``points()`` gives them as a scoring
+    :class:`PointTable`; ``==`` compares content.
     """
 
     events: EventTable
@@ -623,6 +627,12 @@ class LabelTable:
     def _labeled(self, event: EventRecord, r: int, code: int) -> LabeledEvent:
         row = self.rows[r]
         return LabeledEvent(event, row.appliance, row.transition, STAGES[code])
+
+    def points(self) -> PointTable:
+        """The labels as scoring columns, one key per row, built without a
+        per-event object."""
+        keys = [(row.appliance, *row.transition.key) for row in self.rows]
+        return PointTable(self.events.index, self.row, keys)
 
     def __eq__(self, other):
         if not isinstance(other, LabelTable):

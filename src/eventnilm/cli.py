@@ -327,6 +327,9 @@ def main(argv: list[str] | None = None) -> int:
     except NilmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except MemoryError as exc:
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
+        return EXIT_DATA
     except Exception as exc:  # noqa: BLE001 - last-resort guard for exit code 3
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

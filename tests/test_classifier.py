@@ -7,6 +7,7 @@ set refinement. Instances stay small enough that enumeration is exact.
 """
 
 import dataclasses
+import gc
 import itertools
 import logging
 
@@ -37,6 +38,7 @@ from eventnilm.classifier import (
 from eventnilm.config import RunConfig
 from eventnilm.dataset import slice_days
 from eventnilm.errors import ModelCoverageError
+from eventnilm.evaluation import LabelPoint, PointTable
 from eventnilm.features import ApplianceModel, BehaviorSet, Transition
 from eventnilm.filtering import detect_events, filter_and_detect
 from eventnilm.modes import OFF_MODE, State, StateSet
@@ -1335,3 +1337,73 @@ class TestLabelTable:
         # overshoot rule on some rising event
         assert set(classifier.STAGES[:4]) <= {le.stage for le in labeled}
         assert any(len(post_index) for _, post_index, _ in overshoots)
+
+    @pytest.mark.parametrize("household", ["demo", "balanced"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_points_are_the_per_event_label_points(self, monkeypatch, household, seed):
+        result = generate(
+            demo_household() if household == "demo" else balanced_household(), days=5, seed=seed
+        )
+        base = result.aggregate.start_time
+        train = {n: slice_days(s, (0, 1), base) for n, s in result.appliances.items()}
+        models = train_models(train, slice_days(result.aggregate, (0, 1), base), RunConfig()).models
+        labeled, _ = classify(slice_days(result.aggregate, (2, 4), base), models)
+        want = PointTable.of(
+            LabelPoint(le.event.index, le.appliance, *le.transition.key) for le in labeled
+        )
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-event object built by points()")
+
+        monkeypatch.setattr(LabelPoint, "__init__", refuse)
+        monkeypatch.setattr(LabeledEvent, "__init__", refuse)
+        points = labeled.points()
+        monkeypatch.undo()
+        assert len(want) == len(labeled) > 0
+        assert points == want
+        assert np.array_equal(points.index, labeled.events.index)
+        assert np.array_equal(points.code, labeled.row)
+        assert points.keys == tuple((r.appliance, *r.transition.key) for r in labeled.rows)
+
+
+class TestNoCollection:
+    """Labeling allocates no Python object per event, so however many events
+    a household has, ``classify`` never triggers the cyclic collector."""
+
+    @pytest.fixture(scope="class")
+    def household(self):
+        # 7 training days and 33 test days: about 3,400 events
+        result = generate(balanced_household(), days=40, seed=0)
+        base = result.aggregate.start_time
+        train = {n: slice_days(s, (0, 6), base) for n, s in result.appliances.items()}
+        models = train_models(train, slice_days(result.aggregate, (0, 6), base), RunConfig()).models
+        return slice_days(result.aggregate, (7, 39), base), models
+
+    def test_classify_runs_no_collection(self, household):
+        aggregate, models = household
+        generations = []
+
+        def count(phase, info):
+            if phase == "start":
+                generations.append(info["generation"])
+
+        thresholds = gc.get_threshold()
+        gc.collect()
+        gc.set_threshold(700, 10, 10)
+        gc.callbacks.append(count)
+        try:
+            labeled, _ = classify(aggregate, models)
+        finally:
+            gc.callbacks.remove(count)
+            gc.set_threshold(*thresholds)
+        assert len(labeled) >= 3000
+        assert generations == []
+
+    def test_single_columns_share_one_tuple_per_row(self, household):
+        aggregate, models = household
+        _, events = filter_and_detect(aggregate)
+        rows = build_rows(models)
+        matrix = initial_labels(events, rows)
+        singles = [col for col in matrix.columns if len(col) == 1]
+        assert len(singles) >= 3000
+        assert len({id(col) for col in singles}) <= len(rows)

@@ -101,6 +101,20 @@ class TestExitCodes:
         assert f"gives {samples} samples per day" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_request_too_large_for_memory_is_data_error(self, tmp_path, capsys, monkeypatch):
+        # the real request would try a multi-TiB allocation; raise as numpy would
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 3.14 TiB for an array with shape (431999999999,)")
+
+        monkeypatch.setattr("eventnilm.cli.generate", too_large)
+        out = tmp_path / "out"
+        args = ["synth", "--output", str(out), "--days", "100000000", "--train-days", "1"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: not enough memory: Unable to allocate 3.14 TiB")
+        assert err.count("\n") == 1 and "internal error" not in err
+        assert not out.exists()
+
     def test_bad_manifest_number_is_data_error(self, dataset, tmp_path, capsys):
         manifest = copy_dataset(dataset, tmp_path)
         manifest.write_text(manifest.read_text().replace("period = 30", "period = nan"))
