@@ -38,7 +38,7 @@ _EXPORTS = {
     "signals": (
         "EventRecord", "EventTable", "GapRecord", "PowerSignal", "aggregate", "resample_step_hold"
     ),
-    "synth": ("ApplianceSpec", "GroundTruthEvent", "SynthResult", "generate"),
+    "synth": ("ApplianceSpec", "SynthResult", "generate"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

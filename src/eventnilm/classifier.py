@@ -47,7 +47,7 @@ from .evaluation import PointTable
 from .features import ApplianceModel, BehaviorSet, Transition, day_columns, overshoot_heights
 from .filtering import filter_and_detect
 from .modes import OFF_MODE
-from .signals import EVENT_COLUMNS, EventRecord, EventTable, PowerSignal
+from .signals import EVENT_COLUMNS, EventRecord, EventTable, PowerSignal, freeze_columns
 
 log = logging.getLogger(__name__)
 
@@ -136,18 +136,15 @@ class Cycle:
 
 @dataclass(frozen=True, eq=False)
 class CycleTable:
-    """Cycles as columns: cycle k spans events ``starts[k]`` to ``ends[k]``
-    inclusive. ``len``, ``table[k]`` and iteration give :class:`Cycle`s."""
+    """Cycles as read-only int64 columns: cycle k spans events ``starts[k]``
+    to ``ends[k]`` inclusive. ``len``, ``table[k]`` and iteration give
+    :class:`Cycle`s, for outside code."""
 
     starts: np.ndarray
     ends: np.ndarray
 
-    @classmethod
-    def of(cls, cycles) -> "CycleTable":
-        if isinstance(cycles, CycleTable):
-            return cycles
-        bounds = np.array([(c.start_event, c.end_event) for c in cycles], np.int64)
-        return cls(*bounds.reshape(-1, 2).T)
+    def __post_init__(self):
+        freeze_columns(self, starts=np.int64, ends=np.int64)
 
     def __len__(self):
         return self.starts.size
@@ -260,7 +257,7 @@ def segment_cycles(
     pre-event sample) sits below the all-OFF threshold.
     """
     if not events:
-        return CycleTable.of([])
+        return CycleTable([], [])
     off = filtered.values < threshold
     # a cycle ends at event i iff [events[i].post_index, events[i + 1].index]
     # holds an OFF sample: its first sample, or one that starts a run of OFF
@@ -360,7 +357,7 @@ def _walk(space, options, budget, chosen=None):
 
 def refine_by_compatibility(
     matrix: CandidateLabelMatrix,
-    cycles: CycleTable | list[Cycle],
+    cycles: CycleTable,
     models: list[ApplianceModel],
     budget: int = RunConfig.search_budget,
 ) -> CandidateLabelMatrix:
@@ -376,7 +373,6 @@ def refine_by_compatibility(
     matrix.stage = STAGES.index("compatibility")
     unrefined = matrix.diagnostics.unrefined_cycles
     space = _WalkSpace(models, matrix.rows)
-    cycles = CycleTable.of(cycles)
     closes, spent = space.replay(matrix.first, cycles)
     # prefix counts of columns with several candidates; a cycle without any
     # has one walk at most, which the replay judged
@@ -387,7 +383,7 @@ def refine_by_compatibility(
             reason = "search budget exhausted" if spent[ci] > budget else "no compatible assignment"
             unrefined.append((ci, reason))
             continue
-        cols = list(cycles[ci].columns)
+        cols = range(cycles.starts[ci], cycles.ends[ci] + 1)
         options = [matrix.candidates(c) for c in cols]
         forward = _walk(space, options, budget)
         if forward is None:
@@ -539,7 +535,7 @@ def resolve_by_participation(
 
 def enforce_cycle_closure(
     matrix: CandidateLabelMatrix,
-    cycles: CycleTable | list[Cycle],
+    cycles: CycleTable,
     models: list[ApplianceModel],
     pre_step4: list[tuple[int, ...]],
     budget: int = RunConfig.search_budget,
@@ -558,10 +554,9 @@ def enforce_cycle_closure(
     matrix.stage = STAGES.index("closure")
     unrefined = {ci for ci, _ in matrix.diagnostics.unrefined_cycles}
     space = _WalkSpace(models, matrix.rows)
-    cycles = CycleTable.of(cycles)
     closes, _ = space.replay(matrix.first, cycles)
     for ci in sorted(set(np.flatnonzero(~closes).tolist()) - unrefined):
-        cols = list(cycles[ci].columns)
+        cols = range(cycles.starts[ci], cycles.ends[ci] + 1)
         chosen = matrix.first[cols].tolist()
         layers = _walk(space, [pre_step4[c] for c in cols], budget, chosen)
         if layers is None or space.all_off not in layers[-1]:
@@ -608,12 +603,10 @@ class LabelTable:
 
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(self.rows))
-        for name in ("row", "stage"):
-            col = np.array(getattr(self, name), np.int64)
-            if col.shape != (len(self.events),):
-                raise ValueError(f"{name} must hold one entry per event")
-            col.flags.writeable = False
-            object.__setattr__(self, name, col)
+        # one column at a time, so each length is judged against the events
+        lengths = {freeze_columns(self, row=np.int64), freeze_columns(self, stage=np.int64)}
+        if lengths != {len(self.events)}:
+            raise ValueError("row and stage must hold one entry per event")
 
     def __len__(self):
         return len(self.events)

@@ -202,7 +202,7 @@ def cmd_evaluate(args) -> int:
     models = load_models(args.model)
     predicted = pipeline.parse_event_report(args.report, models, len(test_agg))
     truth = pipeline.build_ground_truth(test_apps, models)
-    counts, avg = pipeline.evaluate_points(predicted, truth, config.match_tolerance)
+    counts = pipeline.match_events(predicted, truth, config.match_tolerance)
     text = pipeline.format_metrics(counts)
     if args.output:
         atomic_write(args.output, text)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig
+from .signals import freeze_columns
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,7 @@ class PointTable:
     """Labeled events as read-only columns: event ``i`` sits at sample
     ``index[i]`` and has the (appliance, from mode, to mode) label
     ``keys[code[i]]``. ``len``, ``table[i]`` and iteration give the rows as
-    :class:`LabelPoint`s; ``==`` compares content.
+    :class:`LabelPoint`s, for outside code; ``==`` compares content.
     """
 
     index: np.ndarray
@@ -57,16 +58,14 @@ class PointTable:
 
     def __post_init__(self):
         object.__setattr__(self, "keys", tuple(map(tuple, self.keys)))
-        for name in ("index", "code"):
-            object.__setattr__(self, name, np.array(getattr(self, name), np.int64))
-            getattr(self, name).flags.writeable = False
-        coded = not self.code.size or 0 <= self.code.min() <= self.code.max() < len(self.keys)
-        if self.index.ndim != 1 or self.code.shape != self.index.shape or not coded:
-            raise ValueError("point columns must be 1-D, of one length, with codes indexing keys")
+        freeze_columns(self, index=np.int64, code=np.int64)
+        if self.code.size and not 0 <= self.code.min() <= self.code.max() < len(self.keys):
+            raise ValueError("point codes must index keys")
 
     @classmethod
     def of(cls, points) -> "PointTable":
-        """A table as it is; else the rows (LabelPoints or alike) as columns."""
+        """A table as it is; else outside code's rows (LabelPoints or alike)
+        as columns."""
         if isinstance(points, PointTable):
             return points
         slot, index, code = {}, [], []  # slot: label -> code
@@ -86,7 +85,12 @@ class PointTable:
         return map(LabelPoint, self.index.tolist(), *zip(*labels))
 
     def __eq__(self, other):
-        return list(self) == list(other) if isinstance(other, PointTable) else NotImplemented
+        """Same indices and, event by event, the same decoded label."""
+        if not isinstance(other, PointTable):
+            return NotImplemented
+        slot = {k: g for g, k in enumerate({*self.keys, *other.keys})}
+        labels = [np.array([slot[k] for k in t.keys], np.int64)[t.code] for t in (self, other)]
+        return np.array_equal(self.index, other.index) and np.array_equal(*labels)
 
 
 def match_events(

@@ -12,12 +12,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifier import STAGES, Cycle, CycleTable, Diagnostics, LabelTable, classify
+from .classifier import STAGES, CycleTable, Diagnostics, LabelTable, classify
 from .config import RunConfig
 from .errors import DataConsistencyError, ParseError
 from .evaluation import (
     ConfusionCounts,
-    LabelPoint,
     PointTable,
     f_measure,
     macro_average_f,
@@ -26,9 +25,17 @@ from .evaluation import (
 )
 from .features import ApplianceModel, day_columns, mode_changes, train_appliance
 from .filtering import filter_and_detect
-from .model_io import atomic_write, format_number, format_numbers, join_cells, make_dirs, read_text
+from .model_io import atomic_write, format_numbers, join_cells, make_dirs, read_text
 from .modes import OFF_MODE, State, StateSet, extract_states
 from .signals import EventTable, PowerSignal
+
+# the steps of the CLI flow; ``match_events`` is one, so ``evaluate`` scores
+# through this module like every other command
+__all__ = [
+    "TrainResult", "build_ground_truth", "disaggregate", "format_event_report",
+    "format_events_table", "format_metrics", "match_events", "parse_event_report",
+    "train_models", "write_plot_data",
+]
 
 
 @dataclass
@@ -186,15 +193,6 @@ def build_ground_truth(
     return PointTable(index[order], code[order], keys)
 
 
-def evaluate_points(
-    predicted: PointTable | list[LabelPoint],
-    truth: PointTable | list[LabelPoint],
-    tolerance: int,
-) -> tuple[dict[str, ConfusionCounts], float]:
-    counts = match_events(predicted, truth, tolerance)
-    return counts, macro_average_f(counts)
-
-
 def format_metrics(counts: dict[str, ConfusionCounts]) -> str:
     lines = ["appliance\ttp\tfp\tfn\ttn\tprecision\trecall\tf_measure"]
     for name in sorted(counts):
@@ -224,7 +222,7 @@ def write_plot_data(
     raw: PowerSignal,
     filtered: PowerSignal,
     events: EventTable,
-    cycles: CycleTable | list[Cycle] | None = None,
+    cycles: CycleTable | None = None,
 ) -> list[Path]:
     """Columnar series for external plotting: signal, events, cycles."""
     outdir = make_dirs(outdir)
@@ -241,15 +239,11 @@ def write_plot_data(
     written.append(p)
 
     if cycles is not None:
-        lines = ["start_event\tend_event\tstart_time\tend_time"]
-        for c in cycles:
-            t0 = raw.time_at(int(events.index[c.start_event]))
-            t1 = raw.time_at(int(events.post_index[c.end_event]))
-            lines.append(
-                f"{c.start_event}\t{c.end_event}"
-                f"\t{format_number(t0)}\t{format_number(t1)}"
-            )
+        t0 = raw.start_time + events.index[cycles.starts] * raw.sample_period
+        t1 = raw.start_time + events.post_index[cycles.ends] * raw.sample_period
+        numbers = (cycles.starts, cycles.ends, t0)
+        cells = [format_numbers(c, "\t") for c in numbers] + [format_numbers(t1, "\n")]
         p = outdir / "cycles.tsv"
-        atomic_write(p, "\n".join(lines) + "\n")
+        atomic_write(p, "start_event\tend_event\tstart_time\tend_time\n" + join_cells(*cells))
         written.append(p)
     return written

@@ -82,6 +82,19 @@ class PowerSignal:
         )
 
 
+def freeze_columns(table, **dtypes) -> int:
+    """Set each named column of a frozen ``table`` to a read-only copy cast
+    to its dtype. The columns must be 1-D and of one length, which is returned."""
+    cols = {name: np.array(getattr(table, name), dtype) for name, dtype in dtypes.items()}
+    shapes = {col.shape for col in cols.values()}
+    if len(shapes) != 1 or len(shapes.pop()) != 1:
+        raise ValueError(f"{type(table).__name__} columns must be 1-D and of one length")
+    for name, col in cols.items():
+        col.flags.writeable = False
+        object.__setattr__(table, name, col)
+    return col.size
+
+
 @dataclass(frozen=True)
 class EventRecord:
     """A detected signal change.
@@ -127,12 +140,7 @@ class EventTable:
     post_index: np.ndarray
 
     def __post_init__(self):
-        for name in EVENT_COLUMNS:
-            col = np.array(getattr(self, name), np.int64 if "index" in name else np.float64)
-            if col.ndim != 1 or col.shape != np.shape(self.index):
-                raise ValueError("event columns must be 1-D and of one length")
-            col.flags.writeable = False
-            object.__setattr__(self, name, col)
+        freeze_columns(self, **{n: np.int64 if "index" in n else np.float64 for n in EVENT_COLUMNS})
         if np.any(self.index < 0):
             raise ValueError("event index must be non-negative")
         if np.any(self.magnitude == 0):

@@ -17,7 +17,6 @@ false-positive rate attainable on long signals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -114,17 +113,6 @@ class ApplianceSpec:
         return self.off_level if mode_index == 0 else self.levels[mode_index - 1]
 
 
-@dataclass(frozen=True)
-class GroundTruthEvent:
-    """One mode switch: index is the last sample at the old level."""
-
-    index: int
-    appliance: str
-    from_mode: str
-    to_mode: str
-    magnitude: float
-
-
 @dataclass(frozen=True, eq=False)
 class SynthResult:
     """A generated household: per-appliance signals, their exact aggregate,
@@ -133,8 +121,7 @@ class SynthResult:
 
     Truth event ``i`` is the switch after sample ``truth_index[i]``, with the
     (appliance, from mode, to mode, magnitude) ``truth_keys[truth_code[i]]``,
-    in (index, appliance) order. ``truth`` builds the events as
-    :class:`GroundTruthEvent`s on its first read.
+    in (index, appliance) order.
     """
 
     appliances: dict[str, PowerSignal]
@@ -145,11 +132,6 @@ class SynthResult:
     period: float
     days: int
     seed: int
-
-    @cached_property
-    def truth(self) -> tuple[GroundTruthEvent, ...]:
-        keys = map(self.truth_keys.__getitem__, self.truth_code.tolist())
-        return tuple(map(GroundTruthEvent, self.truth_index.tolist(), *zip(*keys)))
 
 
 _EVENT_SPAN = b"\1" * (2 * EVENT_GAP_SAMPLES - 1)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from eventnilm.signals import PowerSignal
@@ -735,7 +737,7 @@ def reference_write_dataset(root, result, train_days, test_days, start_timestamp
                 fh.write(f"{format_number(t)} {format_number(v)}\n")
     with open(root / "ground_truth.tsv", "w", encoding="utf-8") as fh:
         fh.write("index\tappliance\tfrom_mode\tto_mode\tmagnitude\n")
-        for t in result.truth:
+        for t in truth_events(result):
             fh.write(f"{t.index}\t{t.appliance}\t{t.from_mode}\t{t.to_mode}")
             fh.write(f"\t{format_number(t.magnitude)}\n")
     (root / "manifest.cfg").write_text(
@@ -755,6 +757,42 @@ def table(records):
     records = list(records)
     names = ("index", "magnitude", "pre_level", "post_level", "post_index")
     return EventTable(*([getattr(r, name) for r in records] for name in names))
+
+
+def cycle_table(cycles):
+    """A ``CycleTable`` as it is; else one whose rows are the given ``Cycle``s."""
+    from eventnilm.classifier import CycleTable
+
+    if isinstance(cycles, CycleTable):
+        return cycles
+    bounds = np.array([(c.start_event, c.end_event) for c in cycles], np.int64)
+    return CycleTable(*bounds.reshape(-1, 2).T)
+
+
+@dataclass(frozen=True)
+class GroundTruthEvent:
+    """One mode switch of a generated household: index is the last sample at
+    the old level."""
+
+    index: int
+    appliance: str
+    from_mode: str
+    to_mode: str
+    magnitude: float
+
+
+def truth_events(result):
+    """A ``SynthResult``'s truth columns as ``GroundTruthEvent`` rows."""
+    keys = map(result.truth_keys.__getitem__, result.truth_code.tolist())
+    return tuple(map(GroundTruthEvent, result.truth_index.tolist(), *zip(*keys)))
+
+
+def evaluate_points(predicted, truth, tolerance):
+    """Per-appliance confusion counts and their macro F-measure."""
+    from eventnilm.evaluation import macro_average_f, match_events
+
+    counts = match_events(predicted, truth, tolerance)
+    return counts, macro_average_f(counts)
 
 
 def assert_events_equal(events, want):
@@ -1033,7 +1071,6 @@ def reference_generate(specs, days, period=20.0, seed=0, jitter_fraction=0.015):
         OVERSHOOT_MAX_LEN,
         PLACE_ATTEMPTS,
         SPIKE_GAP_SAMPLES,
-        GroundTruthEvent,
         mode_name,
     )
 

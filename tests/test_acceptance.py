@@ -40,7 +40,15 @@ from eventnilm.pipeline import (
 from eventnilm.signals import PowerSignal
 from eventnilm.synth import balanced_household, demo_household, generate
 
-from helpers import enumerate_surviving, random_instance, split_train_test, state, table
+from helpers import (
+    cycle_table,
+    enumerate_surviving,
+    random_instance,
+    split_train_test,
+    state,
+    table,
+    truth_events,
+)
 
 
 def report(number, ok, detail):
@@ -81,7 +89,7 @@ def test_criterion_1_event_detection_is_perfect():
         result = generate(balanced_household(), days=5, seed=seed)
         _, events = filter_and_detect(result.aggregate)
         pred = [LabelPoint(e.index, "x", "", "") for e in events]
-        truth = [LabelPoint(t.index, "x", "", "") for t in result.truth]
+        truth = [LabelPoint(t.index, "x", "", "") for t in truth_events(result)]
         c = match_events(pred, truth, tolerance=1)["x"]
         if c.fp or c.fn:
             missed.append((seed, c.fp, c.fn))
@@ -241,7 +249,7 @@ def test_criterion_6_compatibility_search_equivalence():
         if all(not s for s in expected):
             # no valid walk at all: the search must leave the matrix as-is
             expected = [set(matrix.candidates(c)) for c in cycle.columns]
-        refined = refine_by_compatibility(matrix, [cycle], models)
+        refined = refine_by_compatibility(matrix, cycle_table([cycle]), models)
         for col, want in zip(cycle.columns, expected):
             if set(refined.candidates(col)) != want:
                 mismatches += 1

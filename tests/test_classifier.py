@@ -48,6 +48,7 @@ from eventnilm.synth import balanced_household, demo_household, generate
 
 from helpers import (
     ReferenceWalkSpace,
+    cycle_table,
     enumerate_surviving,
     ev,
     random_instance,
@@ -221,7 +222,7 @@ class TestRefineByCompatibility:
             expected = enumerate_surviving(matrix, cycle, models)
             if all(not s for s in expected):
                 expected = [set(matrix.candidates(c)) for c in cycle.columns]
-            refined = refine_by_compatibility(matrix, [cycle], models)
+            refined = refine_by_compatibility(matrix, cycle_table([cycle]), models)
             for c, want in zip(cycle.columns, expected):
                 assert set(refined.candidates(c)) == want
 
@@ -235,7 +236,7 @@ class TestRefineByCompatibility:
         events = [ev(0, 0, 300), ev(10, 300, 1000), ev(20, 1000, 0)]
         matrix = initial_labels(table(events), rows)
         assert {rows[r].appliance for r in matrix.candidates(2)} == {"app1", "app2"}
-        refined = refine_by_compatibility(matrix, [Cycle(0, 2)], models)
+        refined = refine_by_compatibility(matrix, cycle_table([Cycle(0, 2)]), models)
         assert [rows[r].appliance for r in refined.candidates(2)] == ["app1"]
 
     def test_minimal_valid_cycle_unchanged(self):
@@ -243,7 +244,7 @@ class TestRefineByCompatibility:
         rows = build_rows(models)
         events = [ev(0, 0, 500), ev(10, 500, 0)]
         matrix = initial_labels(table(events), rows)
-        refined = refine_by_compatibility(matrix, [Cycle(0, 1)], models)
+        refined = refine_by_compatibility(matrix, cycle_table([Cycle(0, 1)]), models)
         assert len(refined.candidates(0)) == 1
         assert len(refined.candidates(1)) == 1
 
@@ -254,7 +255,7 @@ class TestRefineByCompatibility:
         events = [ev(0, 0, 500), ev(10, 500, 1000)]
         matrix = initial_labels(table(events), rows)
         before = matrix.cells.copy()
-        refined = refine_by_compatibility(matrix, [Cycle(0, 1)], models)
+        refined = refine_by_compatibility(matrix, cycle_table([Cycle(0, 1)]), models)
         assert (refined.cells == before).all()
         assert refined.diagnostics.unrefined_cycles == [(0, "no compatible assignment")]
 
@@ -264,7 +265,7 @@ class TestRefineByCompatibility:
         events = [ev(0, 0, 500), ev(10, 500, 0)]
         matrix = initial_labels(table(events), rows)
         before = matrix.cells.copy()
-        refined = refine_by_compatibility(matrix, [Cycle(0, 1)], models, budget=1)
+        refined = refine_by_compatibility(matrix, cycle_table([Cycle(0, 1)]), models, budget=1)
         assert (refined.cells == before).all()
         assert refined.diagnostics.unrefined_cycles == [(0, "search budget exhausted")]
 
@@ -518,12 +519,12 @@ class TestEnforceCycleClosure:
         events = [ev(0, 0, 500), ev(10, 500, 0)]
         matrix = initial_labels(table(events), rows)
         cycle = Cycle(0, 1)
-        matrix = refine_by_compatibility(matrix, [cycle], models)
+        matrix = refine_by_compatibility(matrix, cycle_table([cycle]), models)
         pre = [matrix.candidates(c) for c in range(2)]
         matrix = resolve_by_participation(matrix, models, sig(np.zeros(50)))
         picked = [rows[matrix.candidates(c)[0]].appliance for c in range(2)]
         assert picked == ["a", "b"]  # participation split the run across appliances
-        repaired = enforce_cycle_closure(matrix, [cycle], models, pre)
+        repaired = enforce_cycle_closure(matrix, cycle_table([cycle]), models, pre)
         labels = [rows[repaired.candidates(c)[0]] for c in range(2)]
         assert [l.appliance for l in labels] == ["a", "a"]
         assert labels[0].transition.key == (OFF_MODE, "on1")
@@ -539,7 +540,7 @@ class TestEnforceCycleClosure:
         pre = [matrix.candidates(c) for c in range(2)]
         matrix = resolve_by_participation(matrix, models, sig(np.zeros(50)))
         before = matrix.cells.copy()
-        repaired = enforce_cycle_closure(matrix, [cycle], models, pre)
+        repaired = enforce_cycle_closure(matrix, cycle_table([cycle]), models, pre)
         assert (repaired.cells == before).all()
 
     def test_unrefined_cycles_skipped(self):
@@ -547,11 +548,12 @@ class TestEnforceCycleClosure:
         rows = build_rows([a])
         events = [ev(0, 0, 500), ev(10, 500, 1000)]  # cannot close
         matrix = initial_labels(table(events), rows)
-        matrix = refine_by_compatibility(matrix, [Cycle(0, 1)], [a])  # lists cycle 0 unrefined
+        # lists cycle 0 unrefined
+        matrix = refine_by_compatibility(matrix, cycle_table([Cycle(0, 1)]), [a])
         matrix = resolve_by_participation(matrix, [a], sig(np.zeros(50)))
         before = matrix.cells.copy()
         repaired = enforce_cycle_closure(
-            matrix, [Cycle(0, 1)], [a], [list(range(len(rows)))] * 2
+            matrix, cycle_table([Cycle(0, 1)]), [a], [list(range(len(rows)))] * 2
         )
         assert (repaired.cells == before).all()
 
@@ -564,7 +566,7 @@ class TestEnforceCycleClosure:
         matrix.assign(0, row_index(rows, "a", (OFF_MODE, "on1")))
         matrix.assign(1, row_index(rows, "b", ("on1", OFF_MODE)))
         before = matrix.cells.copy()
-        repaired = enforce_cycle_closure(matrix, [Cycle(0, 1)], models, pre, budget=1)
+        repaired = enforce_cycle_closure(matrix, cycle_table([Cycle(0, 1)]), models, pre, budget=1)
         assert repaired.diagnostics.unrepaired_cycles == [0]
         assert (repaired.cells == before).all()
 
@@ -583,7 +585,8 @@ class TestEnforceCycleClosure:
                 if replay_closes([rows[r] for r in walk], models)
             ]
             before = matrix.cells.copy()
-            repaired = enforce_cycle_closure(matrix, [Cycle(0, len(events) - 1)], models, pre)
+            cycles = cycle_table([Cycle(0, len(events) - 1)])
+            repaired = enforce_cycle_closure(matrix, cycles, models, pre)
             diag = repaired.diagnostics
             picked = [repaired.candidates(c)[0] for c in range(len(events))]
             if not closing:
@@ -751,17 +754,17 @@ class TestCandidateLabelMatrix:
 class TestCycleTable:
     def test_sequence_of_cycles(self):
         cycles = [Cycle(0, 2), Cycle(3, 3), Cycle(4, 9)]
-        got = CycleTable.of(cycles)
+        got = cycle_table(cycles)
         assert len(got) == 3
         assert got.starts.tolist() == [0, 3, 4] and got.ends.tolist() == [2, 3, 9]
         assert got.starts.dtype == got.ends.dtype == np.int64
         assert [got[k] for k in range(3)] == list(got) == cycles
         assert all(type(c) is Cycle for c in got)
         assert list(got[2].columns) == [4, 5, 6, 7, 8, 9]
-        assert CycleTable.of(got) is got
+        assert cycle_table(got) is got
 
     def test_empty(self):
-        for empty in (CycleTable.of([]), segment_cycles(sig([0.0] * 10), table([]), 10.0)):
+        for empty in (cycle_table([]), segment_cycles(sig([0.0] * 10), table([]), 10.0)):
             assert len(empty) == 0 and list(empty) == []
             assert empty.starts.shape == empty.ends.shape == (0,)
 
@@ -771,6 +774,28 @@ class TestCycleTable:
         cycles = segment_cycles(s, detect_events(s), threshold=10.0)
         assert isinstance(cycles, CycleTable)
         assert cycles.starts.tolist() == [0, 2] and cycles.ends.tolist() == [1, 3]
+
+    def test_list_columns_have_a_length(self):
+        assert len(CycleTable([0, 3], [2, 5])) == 2
+
+    def test_columns_of_different_lengths_raise(self):
+        with pytest.raises(ValueError, match="CycleTable columns must be 1-D and of one length"):
+            CycleTable([0, 3, 6], [2, 5])
+        with pytest.raises(ValueError, match="1-D"):
+            CycleTable([[0, 3]], [[2, 5]])
+
+    def test_float_columns_give_integer_cycles(self):
+        got = list(CycleTable(np.array([0.0, 3.0]), np.array([2.0, 5.0])))
+        assert got == [Cycle(0, 2), Cycle(3, 5)]
+        assert all(type(c.start_event) is type(c.end_event) is int for c in got)
+
+    def test_columns_are_read_only_copies(self):
+        starts, ends = np.array([0, 3]), np.array([2, 5])
+        cycles = CycleTable(starts, ends)
+        starts[0], ends[0] = 1, 1
+        assert cycles.starts.tolist() == [0, 3] and cycles.ends.tolist() == [2, 5]
+        with pytest.raises(ValueError):
+            cycles.starts[0] = 1
 
 
 class TestInitialLabelsParity:
@@ -954,7 +979,7 @@ class TestReplayParity:
                 cyc = self.random_cycle(rng, apps, rows)
                 cycles.append(Cycle(len(picks), len(picks) + len(cyc) - 1))
                 picks += cyc
-            closes, spent = space.replay(np.array(picks), CycleTable.of(cycles))
+            closes, spent = space.replay(np.array(picks), cycle_table(cycles))
             for k, cycle in enumerate(cycles):
                 options = [[picks[c]] for c in cycle.columns]
                 n = len(options)
@@ -1186,7 +1211,7 @@ class TestStagesParity:
             d_new, d_ref = new.diagnostics, Diagnostics()
 
             before = list(new.columns)
-            refine_by_compatibility(new, cycles, models, budget)
+            refine_by_compatibility(new, cycle_table(cycles), models, budget)
             reference_refine_by_compatibility(ref, cycles, models, budget, d_ref)
             assert new.columns == ref.columns
             assert d_new.unrefined_cycles == d_ref.unrefined_cycles
@@ -1212,7 +1237,7 @@ class TestStagesParity:
                 seen.add("participation picks")
 
             before = list(new.columns)
-            enforce_cycle_closure(new, cycles, models, pre, budget)
+            enforce_cycle_closure(new, cycle_table(cycles), models, pre, budget)
             reference_enforce_cycle_closure(ref, cycles, models, pre, refined, budget, d_ref)
             assert new.columns == ref.columns
             assert d_new.unrepaired_cycles == d_ref.unrepaired_cycles

@@ -23,7 +23,13 @@ from eventnilm.dataset import (
 from eventnilm.errors import AlignmentError, ManifestError, ParseError
 from eventnilm.synth import balanced_household, demo_household, generate
 
-from helpers import reference_channel_text, reference_read_channel, reference_write_dataset, sig
+from helpers import (
+    reference_channel_text,
+    reference_read_channel,
+    reference_write_dataset,
+    sig,
+    truth_events,
+)
 
 
 def write(path, text):
@@ -582,7 +588,7 @@ class TestWriteAndLoad:
         lines = (tmp_path / "ground_truth.tsv").read_text(encoding="utf-8").splitlines()
         assert lines[0] == "index\tappliance\tfrom_mode\tto_mode\tmagnitude"
         assert [tuple(line.split("\t")[:4]) for line in lines[1:]] == [
-            (str(t.index), t.appliance, t.from_mode, t.to_mode) for t in result.truth
+            (str(t.index), t.appliance, t.from_mode, t.to_mode) for t in truth_events(result)
         ]
 
 

@@ -1,18 +1,22 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and every
+library name the benchmark imports or wraps resolves.
 
 The package's ``__init__.py`` is exempt: its imports are the re-exported API.
 Names count as used when they appear as a name anywhere in the module's
-syntax tree, string annotations included.
+syntax tree, string annotations and ``__all__`` entries included.
 """
 
 import ast
 import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
 import eventnilm
 
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 MODULES = sorted(
     p for p in Path(eventnilm.__file__).parent.glob("*.py") if p.name != "__init__.py"
 )
@@ -90,3 +94,33 @@ def test_submodules_import_from_the_package():
 
     assert pipeline is importlib.import_module("eventnilm.pipeline")
     assert evaluation.match_events is eventnilm.match_events
+
+
+def test_synth_truth_is_columns_only():
+    assert "GroundTruthEvent" not in eventnilm.__all__
+    assert not hasattr(eventnilm.SynthResult, "truth")
+
+
+def test_bench_trace_sites_resolve(monkeypatch):
+    """The traced benchmark wraps each ``(module, attribute)`` of
+    ``bench/spans.SITES``; one that no longer resolves fails the bench's own
+    tests, which this suite does not run."""
+    spec = importlib.util.spec_from_file_location("bench_spans", BENCH / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)
+    spec.loader.exec_module(spans)
+    assert len(spans.SITES) > 20
+    missing = [(m, a) for m, a, *_ in spans.SITES if not hasattr(importlib.import_module(m), a)]
+    assert missing == []
+
+
+def test_bench_workload_imports_resolve():
+    """Every ``from eventnilm... import ...`` of ``bench/workloads.py`` runs."""
+    tree = ast.parse((BENCH / "workloads.py").read_text(encoding="utf-8"))
+    imports = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("eventnilm")
+    ]
+    assert len(imports) > 3
+    for node in imports:
+        exec(ast.unparse(node), {})  # ImportError if a name is gone

@@ -6,6 +6,7 @@ import pytest
 from eventnilm.classifier import (
     STAGES,
     Cycle,
+    LabeledEvent,
     LabelRow,
     LabelTable,
     all_off_threshold,
@@ -17,7 +18,6 @@ from eventnilm.evaluation import ConfusionCounts, LabelPoint, PointTable, match_
 from eventnilm.filtering import filter_and_detect
 from eventnilm.pipeline import (
     build_ground_truth,
-    evaluate_points,
     format_event_report,
     format_metrics,
     parse_event_report,
@@ -31,7 +31,9 @@ from eventnilm.dataset import slice_days
 from eventnilm.synth import balanced_household, demo_household, generate
 
 from helpers import (
+    cycle_table,
     ev,
+    evaluate_points,
     reference_build_ground_truth,
     reference_event_report,
     reference_events_table,
@@ -309,7 +311,7 @@ class TestWritePlotData:
         raw = self._signal()
         filtered, events = filter_and_detect(raw)
         assert len(events) == 2
-        cycles = [Cycle(0, 1)]
+        cycles = cycle_table([Cycle(0, 1)])
         written = write_plot_data(tmp_path / "p", raw, filtered, events, cycles)
         assert written[2].name == "cycles.tsv"
         lines = written[2].read_text().splitlines()
@@ -372,3 +374,34 @@ def test_scoring_builds_no_label_points(monkeypatch):
     monkeypatch.undo()
     assert len(truth) > 10 and truth == predicted
     assert all(c.fp == c.fn == 0 for c in counts.values()) and len(counts) > 1
+
+
+def test_library_paths_build_no_row_views(tmp_path, monkeypatch):
+    """Labeling, plot data with cycles, scoring and table equality read
+    columns only: no EventRecord, Cycle, LabeledEvent or LabelPoint."""
+    result = generate(demo_household(), days=4, seed=0)
+    base = result.aggregate.start_time
+    train = {n: slice_days(s, (0, 1), base) for n, s in result.appliances.items()}
+    models = train_models(train, slice_days(result.aggregate, (0, 1), base), RunConfig()).models
+    test = {n: slice_days(s, (2, 3), base) for n, s in result.appliances.items()}
+    test_agg = slice_days(result.aggregate, (2, 3), base)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("row view built on a library path")
+
+    for view in (EventRecord, Cycle, LabeledEvent, LabelPoint):
+        monkeypatch.setattr(view, "__init__", refuse)
+    labeled, _ = classify(test_agg, models)
+    filtered, events = filter_and_detect(test_agg)
+    cycles = segment_cycles(filtered, events, all_off_threshold(models))
+    written = write_plot_data(tmp_path, test_agg, filtered, events, cycles)
+    truth = build_ground_truth(test, models)
+    counts = match_events(labeled.points(), truth)
+    keys = [("a", "off", "on1"), ("b", "on1", "off")]
+    same = PointTable([3, 7], [1, 0], keys[::-1]) == PointTable([3, 7], [0, 1], keys)
+    differ = PointTable([3, 7], [0, 0], keys) == PointTable([3, 7], [0, 1], keys)
+    monkeypatch.undo()
+    assert len(labeled) == len(events) > 10 and len(cycles) > 1
+    assert written[2].read_text().count("\n") == len(cycles) + 1
+    assert len(truth) > 10 and len(counts) > 1
+    assert same and not differ
