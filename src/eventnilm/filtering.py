@@ -5,9 +5,19 @@ An event is treated as an *uncommon* change rather than a *large* one: the
 exceeding the standard deviation of the whole ratio series are outliers.
 Outlier samples are flattened against the following inlier run, which removes
 spikes and transition overshoots while leaving genuine steps intact; a second
-outlier pass over the flattened signal then yields the events. Flattening
-changes only the marked samples, so the second pass rewrites only the ratios
-of pairs that hold a replaced sample and keeps the rest of the first series.
+outlier pass over the flattened signal then yields the events.
+
+A pair of equal samples has ratio 0 and can never be an outlier, and on an
+idle submeter nearly every pair is one. A pass therefore finds the changing
+pairs with one comparison and computes ratios for them alone. The threshold,
+the sample (n-1) sd, counts the N - K equal pairs as zeros: mean = sum / N,
+squared deviations plus (N - K) * mean**2. A ratio within ``SD_BAND`` of it is
+decided by ``np.std(ddof=1)`` over the full series, so every decision is the
+one ``np.std`` would make. Flattening changes only the marked samples, so the
+second pass rewrites only the ratios of pairs that hold a replaced sample,
+adding those whose raw samples were equal. A pass costs one comparison plus
+work in proportion to the pairs that change; where at least half of them
+change, the ratios cover every pair in place.
 """
 
 from __future__ import annotations
@@ -21,6 +31,10 @@ from .signals import EventTable, PowerSignal
 
 # Replacement means never average more than this many following inliers.
 REPLACEMENT_RUN_CAP = 10
+
+# A ratio nearer the summed sd than this share of the ratios' scale (mean + sd)
+# is decided by np.std: the two sums differ by a few ulps of that scale.
+SD_BAND = 1e-9
 
 
 @dataclass(frozen=True)
@@ -69,21 +83,56 @@ def detect_outliers(signal: PowerSignal) -> OutlierReport:
     series; an instance is an outlier iff its ratio strictly exceeds it, so a
     constant signal (sd = 0, all ratios 0) yields no outliers.
     """
-    if len(signal) < 2:
-        raise InsufficientDataError(
-            f"outlier detection needs at least 2 samples, got {len(signal)}"
-        )
-    return _outliers(change_ratios(signal.values))
-
-
-def _outliers(m: np.ndarray) -> OutlierReport:
+    m = change_ratios(_values(signal))
     sd = float(np.std(m, ddof=1)) if m.size > 1 else 0.0
     instances = np.nonzero(m > sd)[0]
-    return OutlierReport(
-        instances=instances,
-        sample_marks=instances + 1,
-        ratios=RatioSeries(m=m, threshold_sd=sd),
-    )
+    return OutlierReport(instances, instances + 1, RatioSeries(m=m, threshold_sd=sd))
+
+
+def _values(signal: PowerSignal) -> np.ndarray:
+    if len(signal) > 1:
+        return signal.values
+    raise InsufficientDataError(f"outlier detection needs at least 2 samples, got {len(signal)}")
+
+
+def _changing_ratios(signal: PowerSignal) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """Ratios of the pairs that change, their pair indices and the change mask.
+
+    Below half the pairs changing only those get a ratio; from half up an
+    index costs more than it saves, so the ratios cover every pair and the
+    index is None.
+    """
+    v = _values(signal)
+    changing = v[1:] != v[:-1]
+    if 2 * np.count_nonzero(changing) >= changing.size:
+        return change_ratios(v), None, changing
+    at = np.flatnonzero(changing)
+    return _pair_ratios(v[at], v[at + 1]), at, changing
+
+
+def _ratio_sd(r: np.ndarray, n: int) -> tuple[float, float]:
+    """Sample (n-1) sd and mean of ``r`` and ``n - r.size`` zeros, summing no zero."""
+    mean = float(r.sum()) / n
+    d = r - mean
+    d *= d
+    return ((float(d.sum()) + (n - r.size) * mean * mean) / (n - 1)) ** 0.5, mean
+
+
+def _above_sd(r: np.ndarray, n: int, at: np.ndarray | None) -> np.ndarray:
+    """Where in ``r`` a ratio exceeds the sample sd of all ``n`` pair ratios.
+
+    ``r`` holds the ratios of the pairs ``at`` (of every pair when None); the
+    other pairs' ratios are 0. A ratio within ``SD_BAND`` of the summed sd is
+    decided by ``np.std(ddof=1)`` of the full series, so every decision is
+    the one ``np.std`` would make.
+    """
+    sd, mean = _ratio_sd(r, n) if n > 1 else (0.0, 0.0)
+    band = SD_BAND * (sd + mean)
+    hit = np.flatnonzero(r > sd - band)
+    if (r[hit] <= sd + band).any():
+        full = r if at is None else np.bincount(at, r, n)
+        hit = hit[r[hit] > float(np.std(full, ddof=1))]
+    return hit
 
 
 def _runs(indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -104,8 +153,11 @@ def build_filtered_signal(signal: PowerSignal, report: OutlierReport) -> PowerSi
     Runs are averaged in one (runs, L) block per inlier-run length L, whose
     ``mean(axis=1)`` keeps ``np.mean``'s order of summation over each run.
     """
+    return _flatten(signal, report.sample_marks)
+
+
+def _flatten(signal: PowerSignal, marks: np.ndarray) -> PowerSignal:
     values = signal.values + 0.0  # a fresh copy, with -0.0 made +0.0
-    marks = report.sample_marks
     if marks.size:
         firsts, lasts = _runs(marks)
         # a run's inliers start right after it and stop at the next run, the
@@ -135,12 +187,14 @@ def detect_events(filtered: PowerSignal) -> EventTable:
     one sample after (the run's own samples may straddle the edge). Runs whose
     levels end up equal are dropped, since an event must change the value.
     """
-    return _events(filtered, detect_outliers(filtered))
+    r, at, changing = _changing_ratios(filtered)
+    hit = _above_sd(r, changing.size, at)
+    return _events(filtered, hit if at is None else at[hit])
 
 
-def _events(filtered: PowerSignal, report: OutlierReport) -> EventTable:
+def _events(filtered: PowerSignal, instances: np.ndarray) -> EventTable:
     values = filtered.values
-    firsts, lasts = _runs(report.instances)
+    firsts, lasts = _runs(instances)
     post_idx = np.minimum(lasts + 2, values.size - 1)
     # instance t flags pair (t, t+1): sample t is pre-event
     pre, post = values[firsts], values[post_idx]
@@ -154,10 +208,25 @@ def filter_and_detect(signal: PowerSignal) -> tuple[PowerSignal, EventTable]:
     The event pass recomputes only the ratios of pairs holding a replaced
     sample, which gives :func:`detect_events`'s result on the filtered signal.
     """
-    report = detect_outliers(signal)
-    filtered = build_filtered_signal(signal, report)
-    marks = report.sample_marks
-    pairs = np.concatenate((marks - 1, marks[marks < len(signal) - 1]))  # repeats write alike
-    m = report.ratios.m  # the report is not handed out: patch its series in place
-    m[pairs] = _pair_ratios(filtered.values[pairs], filtered.values[pairs + 1])
-    return filtered, _events(filtered, _outliers(m))
+    r, at, changing = _changing_ratios(signal)
+    n = changing.size
+    hit = _above_sd(r, n, at)
+    instances = hit if at is None else at[hit]
+    filtered = _flatten(signal, instances + 1)
+    # replaced sample t + 1 sits in pair t, an instance, and in pair t + 1:
+    # the next instance, or the pair after a run of them
+    end = np.diff(instances, append=n) > 1
+    after = instances[end] + 1
+    f = filtered.values
+    r[hit] = _pair_ratios(f[instances], f[instances + 1])
+    r_after = _pair_ratios(f[after], f[after + 1])
+    if at is None:
+        r[after] = r_after
+    else:
+        # a changing raw pair after a run has the slot after the run's last
+        # ratio; a pair of equal raw samples is added
+        held = changing[after]
+        r[hit[end][held] + 1] = r_after[held]
+        at, r = np.concatenate((at, after[~held])), np.concatenate((r, r_after[~held]))
+    hit = _above_sd(r, n, at)
+    return filtered, _events(filtered, hit if at is None else np.sort(at[hit]))

@@ -8,6 +8,7 @@ spikes vanish and genuine steps survive with their magnitudes intact.
 import numpy as np
 import pytest
 
+from eventnilm import filtering
 from eventnilm.errors import InsufficientDataError
 from eventnilm.filtering import (
     REPLACEMENT_RUN_CAP,
@@ -28,6 +29,7 @@ from helpers import (
     reference_build_filtered_signal,
     reference_detect_events,
     reference_filter_and_detect,
+    reference_outliers,
     reference_ratios,
     sig,
 )
@@ -392,3 +394,189 @@ class TestFilterAndDetectInvariants:
                 assert e.magnitude == e.post_level - e.pre_level
                 assert e.pre_level == filtered.values[e.index]
                 assert e.post_level == filtered.values[e.post_index]
+
+
+def changing_share_signal(rng, n_pairs, k):
+    """A signal of ``n_pairs`` pairs of which exactly ``k`` change: a new
+    level (zero or a random wattage, never the level before) after each of
+    ``k`` random pairs, the same sample elsewhere."""
+    steps = np.zeros(n_pairs, dtype=np.int64)
+    steps[rng.choice(n_pairs, size=k, replace=False)] = 1
+    levels = rng.uniform(10.0, 3000.0, size=k + 1)
+    zero = rng.uniform(size=k + 1) < 0.3
+    zero[1:] &= ~zero[:-1]  # no two zero levels in a row
+    levels[zero] = 0.0
+    return levels[np.r_[0, np.cumsum(steps)]]
+
+
+def bursts_on_zeros(rng):
+    """Long zero stretches with a few flat or noisy bursts, some with a
+    turn-on overshoot, and rare isolated spikes; a burst may end the signal."""
+    n = int(rng.integers(400, 3000))
+    vals = np.zeros(n)
+    for _ in range(int(rng.integers(1, 6))):
+        a = int(rng.integers(0, n))
+        b = min(n, a + int(rng.integers(1, 30)))
+        vals[a:b] = rng.uniform(40.0, 2500.0)
+        if rng.uniform() < 0.5:
+            vals[a:b] *= 1.0 + rng.normal(0, 0.01, size=b - a)
+        if rng.uniform() < 0.5:
+            vals[a] *= rng.uniform(1.5, 4.0)  # turn-on overshoot
+    spikes = np.flatnonzero(rng.uniform(size=n) < 0.003)
+    vals[spikes] = rng.lognormal(6.0, 1.5, size=spikes.size)
+    return vals
+
+
+class TestIdleHeavyParity:
+    """Signals where most pairs are equal, against two full reference passes.
+
+    Only the pairs that change get a ratio, and the event pass adds the pairs
+    whose equal raw samples the flattening pulled apart; below half the pairs
+    changing the ratios are indexed, from half up they cover every pair.
+    """
+
+    check = TestFilterAndDetectParity.check
+
+    def test_bursts_on_zero_stretches(self):
+        rng = np.random.default_rng(2311)
+        added = 0
+        for _ in range(300):
+            vals = bursts_on_zeros(rng)
+            assert filtering._changing_ratios(sig(vals))[1] is not None
+            filtered = self.check(sig(vals)).values
+            # a pair of equal raw samples that the flattening pulled apart
+            added += bool(((vals[1:] == vals[:-1]) & (filtered[1:] != filtered[:-1])).any())
+        assert added > 30
+
+    def test_replaced_sample_next_to_raw_equal_sample(self):
+        # the spike at 50 marks samples 50 and 51; their run is replaced by
+        # the mean of samples 52..61 (101 W), so pair 51, (100, 100) in the
+        # raw signal, becomes (101, 100) and must enter the event pass
+        vals = np.full(120, 100.0)
+        vals[50] = 1000.0
+        vals[55] = 110.0
+        vals[80:100] = 700.0
+        assert list(detect_outliers(sig(vals)).sample_marks) == [50, 51, 80, 100]
+        filtered = self.check(sig(vals))
+        assert filtered.values[51] == 101.0 and filtered.values[52] == 100.0
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("n_pairs", [40, 400, 4000])
+    def test_change_share_around_the_half_switch(self, n_pairs, offset):
+        rng = np.random.default_rng(n_pairs + offset)
+        k = n_pairs // 2 + offset
+        for _ in range(20):
+            vals = changing_share_signal(rng, n_pairs, k)
+            assert np.count_nonzero(vals[1:] != vals[:-1]) == k
+            r, at, _ = filtering._changing_ratios(sig(vals))
+            assert (at is None) == (offset >= 0)
+            assert r.size == (n_pairs if at is None else k)
+            self.check(sig(vals))
+
+    @pytest.mark.parametrize("pair", [(100.0, 500.0), (500.0, 100.0), (0.0, 7.0), (7.0, 0.0)])
+    def test_two_samples_one_ratio_is_an_outlier(self, pair):
+        # one ratio: sd 0, and a ratio above 0 exceeds it
+        s = sig(pair)
+        assert list(detect_outliers(s).instances) == [0]
+        r, at, changing = filtering._changing_ratios(s)
+        assert list(filtering._above_sd(r, changing.size, at)) == [0]
+        self.check(s)
+
+    @pytest.mark.parametrize("n", [2, 3, 50, 5000])
+    @pytest.mark.parametrize("level", [0.0, -0.0, 7.0, 1500.0])
+    def test_all_equal_signals(self, n, level):
+        assert len(filter_and_detect(sig(np.full(n, level)))[1]) == 0
+        assert self.check(sig(np.full(n, level))).values.tobytes() == np.full(n, abs(level)).tobytes()
+
+    @pytest.mark.parametrize("household", ["demo", "balanced"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_stock_household_channels(self, household, seed):
+        """Every channel as generated (indexed ratios) and on a noisy 50 W
+        base, where every pair changes (ratios over all pairs)."""
+        result = generate(
+            demo_household() if household == "demo" else balanced_household(), days=3, seed=seed
+        )
+        rng = np.random.default_rng(seed)
+        for s in [result.aggregate, *result.appliances.values()]:
+            assert filtering._changing_ratios(s)[1] is not None
+            self.check(s)
+            noisy = sig(s.values + 50.0 + rng.normal(0, 1.0, size=len(s)))
+            assert filtering._changing_ratios(noisy)[1] is None
+            self.check(noisy)
+
+
+class TestSdFallback:
+    """A ratio at ``np.std``'s own value: the fast sd, nudged to the ratio's
+    other side, leaves the decision to ``np.std``, whose marks stand."""
+
+    @staticmethod
+    def signal(low, high):
+        vals = np.zeros(60)
+        vals[10:14] = 900.0
+        vals[30:34] = 1500.0
+        vals[45:50] = high
+        vals[50:55] = low  # pair 49: the step high -> low
+        return vals
+
+    @classmethod
+    def tied(cls):
+        """A signal whose step ratio equals ``np.std`` of its ratio series,
+        found by a fixed-point iteration and a walk over neighbouring floats."""
+        for low in np.arange(700.0, 716.0):
+            high = low / 0.7
+            for _ in range(40):
+                high = low / (1.0 - float(np.std(reference_ratios(cls.signal(low, high)), ddof=1)))
+            for step in range(-20, 21):
+                h = high
+                for _ in range(abs(step)):
+                    h = np.nextafter(h, np.inf if step > 0 else -np.inf)
+                m = reference_ratios(cls.signal(low, h))
+                if m[49] == np.std(m, ddof=1):
+                    return cls.signal(low, h)
+        raise AssertionError("no exact tie found")
+
+    @pytest.fixture
+    def std_calls(self, monkeypatch):
+        calls = []
+        std = np.std
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].size)
+            return std(*args, **kwargs)
+
+        monkeypatch.setattr(np, "std", spy)
+        return calls
+
+    @pytest.mark.parametrize("dense", [False, True])
+    @pytest.mark.parametrize("above", [False, True])
+    def test_nudged_estimate_falls_back_to_np_std(self, monkeypatch, std_calls, dense, above):
+        vals = self.tied()
+        if above:  # the next float ratio, now just above np.std's value
+            vals[45:50] = np.nextafter(vals[45], np.inf)
+        m = reference_ratios(vals)
+        sd = np.std(m, ddof=1)
+        assert (m[49] > sd) == above and abs(m[49] - sd) <= 2.3e-16
+        # the fast sd a few ulps on the far side of the ratio: alone, it would flip the decision
+        fast = m[49]
+        for _ in range(4):
+            fast = np.nextafter(fast, np.inf if above else -np.inf)
+        assert (m[49] > fast) != (m[49] > sd)
+        real = filtering._ratio_sd
+        monkeypatch.setattr(filtering, "_ratio_sd", lambda r, n: (float(fast), real(r, n)[1]))
+        std_calls.clear()
+        if dense:
+            hit = filtering._above_sd(change_ratios(vals), m.size, None)
+        else:
+            r, at, _ = filtering._changing_ratios(sig(vals))
+            hit = at[filtering._above_sd(r, m.size, at)]
+        assert std_calls == [m.size]  # np.std ran once, over the full series
+        assert hit.tobytes() == reference_outliers(vals).tobytes()
+        assert (49 in hit) == above
+
+    def test_tie_without_nudge(self, std_calls):
+        # the fast sd lands within the band of the tied ratio by itself
+        vals = self.tied()
+        std_calls.clear()
+        filter_and_detect(sig(vals))
+        assert std_calls == [vals.size - 1]
+        TestFilterAndDetectParity().check(sig(vals))
