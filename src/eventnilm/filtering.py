@@ -7,17 +7,19 @@ Outlier samples are flattened against the following inlier run, which removes
 spikes and transition overshoots while leaving genuine steps intact; a second
 outlier pass over the flattened signal then yields the events.
 
-A pair of equal samples has ratio 0 and can never be an outlier, and on an
-idle submeter nearly every pair is one. A pass therefore finds the changing
-pairs with one comparison and computes ratios for them alone. The threshold,
-the sample (n-1) sd, counts the N - K equal pairs as zeros: mean = sum / N,
-squared deviations plus (N - K) * mean**2. A ratio within ``SD_BAND`` of it is
+A pair of equal samples has ratio 0 and can never be an outlier, and on a
+submeter whose idle draw is exactly 0, as in the synthetic households, nearly
+every pair is one. A pass therefore finds the changing pairs with one
+comparison and computes ratios for them alone. The threshold, the sample
+(n-1) sd, counts the N - K equal pairs as zeros: mean = sum / N, squared
+deviations plus (N - K) * mean**2. A ratio within ``SD_BAND`` of it is
 decided by ``np.std(ddof=1)`` over the full series, so every decision is the
 one ``np.std`` would make. Flattening changes only the marked samples, so the
 second pass rewrites only the ratios of pairs that hold a replaced sample,
 adding those whose raw samples were equal. A pass costs one comparison plus
-work in proportion to the pairs that change; where at least half of them
-change, the ratios cover every pair in place.
+work in proportion to the pairs that change; where nearly all of them change,
+as on a noisy standby draw, gathering them makes it dearer than one pass over
+every pair.
 """
 
 from __future__ import annotations
@@ -95,21 +97,6 @@ def _values(signal: PowerSignal) -> np.ndarray:
     raise InsufficientDataError(f"outlier detection needs at least 2 samples, got {len(signal)}")
 
 
-def _changing_ratios(signal: PowerSignal) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """Ratios of the pairs that change, their pair indices and the change mask.
-
-    Below half the pairs changing only those get a ratio; from half up an
-    index costs more than it saves, so the ratios cover every pair and the
-    index is None.
-    """
-    v = _values(signal)
-    changing = v[1:] != v[:-1]
-    if 2 * np.count_nonzero(changing) >= changing.size:
-        return change_ratios(v), None, changing
-    at = np.flatnonzero(changing)
-    return _pair_ratios(v[at], v[at + 1]), at, changing
-
-
 def _ratio_sd(r: np.ndarray, n: int) -> tuple[float, float]:
     """Sample (n-1) sd and mean of ``r`` and ``n - r.size`` zeros, summing no zero."""
     mean = float(r.sum()) / n
@@ -118,20 +105,19 @@ def _ratio_sd(r: np.ndarray, n: int) -> tuple[float, float]:
     return ((float(d.sum()) + (n - r.size) * mean * mean) / (n - 1)) ** 0.5, mean
 
 
-def _above_sd(r: np.ndarray, n: int, at: np.ndarray | None) -> np.ndarray:
+def _above_sd(r: np.ndarray, n: int, at: np.ndarray) -> np.ndarray:
     """Where in ``r`` a ratio exceeds the sample sd of all ``n`` pair ratios.
 
-    ``r`` holds the ratios of the pairs ``at`` (of every pair when None); the
-    other pairs' ratios are 0. A ratio within ``SD_BAND`` of the summed sd is
-    decided by ``np.std(ddof=1)`` of the full series, so every decision is
-    the one ``np.std`` would make.
+    ``r`` holds the ratios of the pairs ``at``; the other pairs' ratios are 0.
+    A ratio within ``SD_BAND`` of the summed sd is decided by
+    ``np.std(ddof=1)`` of the full series, so every decision is the one
+    ``np.std`` would make.
     """
     sd, mean = _ratio_sd(r, n) if n > 1 else (0.0, 0.0)
     band = SD_BAND * (sd + mean)
     hit = np.flatnonzero(r > sd - band)
     if (r[hit] <= sd + band).any():
-        full = r if at is None else np.bincount(at, r, n)
-        hit = hit[r[hit] > float(np.std(full, ddof=1))]
+        hit = hit[r[hit] > float(np.std(np.bincount(at, r, n), ddof=1))]
     return hit
 
 
@@ -187,9 +173,7 @@ def detect_events(filtered: PowerSignal) -> EventTable:
     one sample after (the run's own samples may straddle the edge). Runs whose
     levels end up equal are dropped, since an event must change the value.
     """
-    r, at, changing = _changing_ratios(filtered)
-    hit = _above_sd(r, changing.size, at)
-    return _events(filtered, hit if at is None else at[hit])
+    return _events(filtered, detect_outliers(filtered).instances)
 
 
 def _events(filtered: PowerSignal, instances: np.ndarray) -> EventTable:
@@ -208,10 +192,13 @@ def filter_and_detect(signal: PowerSignal) -> tuple[PowerSignal, EventTable]:
     The event pass recomputes only the ratios of pairs holding a replaced
     sample, which gives :func:`detect_events`'s result on the filtered signal.
     """
-    r, at, changing = _changing_ratios(signal)
+    v = _values(signal)
+    changing = v[1:] != v[:-1]
+    at = np.flatnonzero(changing)
+    r = _pair_ratios(v[at], v[at + 1])
     n = changing.size
     hit = _above_sd(r, n, at)
-    instances = hit if at is None else at[hit]
+    instances = at[hit]
     filtered = _flatten(signal, instances + 1)
     # replaced sample t + 1 sits in pair t, an instance, and in pair t + 1:
     # the next instance, or the pair after a run of them
@@ -220,13 +207,10 @@ def filter_and_detect(signal: PowerSignal) -> tuple[PowerSignal, EventTable]:
     f = filtered.values
     r[hit] = _pair_ratios(f[instances], f[instances + 1])
     r_after = _pair_ratios(f[after], f[after + 1])
-    if at is None:
-        r[after] = r_after
-    else:
-        # a changing raw pair after a run has the slot after the run's last
-        # ratio; a pair of equal raw samples is added
-        held = changing[after]
-        r[hit[end][held] + 1] = r_after[held]
-        at, r = np.concatenate((at, after[~held])), np.concatenate((r, r_after[~held]))
+    # a changing raw pair after a run has the slot after the run's last
+    # ratio; a pair of equal raw samples is added
+    held = changing[after]
+    r[hit[end][held] + 1] = r_after[held]
+    at, r = np.concatenate((at, after[~held])), np.concatenate((r, r_after[~held]))
     hit = _above_sd(r, n, at)
-    return filtered, _events(filtered, hit if at is None else np.sort(at[hit]))
+    return filtered, _events(filtered, np.sort(at[hit]))

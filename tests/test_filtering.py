@@ -428,11 +428,11 @@ def bursts_on_zeros(rng):
 
 
 class TestIdleHeavyParity:
-    """Signals where most pairs are equal, against two full reference passes.
+    """Idle-heavy signals and every share of changing pairs, against two full
+    reference passes.
 
     Only the pairs that change get a ratio, and the event pass adds the pairs
-    whose equal raw samples the flattening pulled apart; below half the pairs
-    changing the ratios are indexed, from half up they cover every pair.
+    whose equal raw samples the flattening pulled apart.
     """
 
     check = TestFilterAndDetectParity.check
@@ -442,7 +442,6 @@ class TestIdleHeavyParity:
         added = 0
         for _ in range(300):
             vals = bursts_on_zeros(rng)
-            assert filtering._changing_ratios(sig(vals))[1] is not None
             filtered = self.check(sig(vals)).values
             # a pair of equal raw samples that the flattening pulled apart
             added += bool(((vals[1:] == vals[:-1]) & (filtered[1:] != filtered[:-1])).any())
@@ -460,17 +459,14 @@ class TestIdleHeavyParity:
         filtered = self.check(sig(vals))
         assert filtered.values[51] == 101.0 and filtered.values[52] == 100.0
 
-    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("share", [0.01, 0.49, 0.5, 0.51, 0.99, 1.0])
     @pytest.mark.parametrize("n_pairs", [40, 400, 4000])
-    def test_change_share_around_the_half_switch(self, n_pairs, offset):
-        rng = np.random.default_rng(n_pairs + offset)
-        k = n_pairs // 2 + offset
+    def test_change_shares(self, n_pairs, share):
+        rng = np.random.default_rng(n_pairs + int(share * 100))
+        k = max(1, round(n_pairs * share))
         for _ in range(20):
             vals = changing_share_signal(rng, n_pairs, k)
             assert np.count_nonzero(vals[1:] != vals[:-1]) == k
-            r, at, _ = filtering._changing_ratios(sig(vals))
-            assert (at is None) == (offset >= 0)
-            assert r.size == (n_pairs if at is None else k)
             self.check(sig(vals))
 
     @pytest.mark.parametrize("pair", [(100.0, 500.0), (500.0, 100.0), (0.0, 7.0), (7.0, 0.0)])
@@ -478,8 +474,8 @@ class TestIdleHeavyParity:
         # one ratio: sd 0, and a ratio above 0 exceeds it
         s = sig(pair)
         assert list(detect_outliers(s).instances) == [0]
-        r, at, changing = filtering._changing_ratios(s)
-        assert list(filtering._above_sd(r, changing.size, at)) == [0]
+        r = change_ratios(np.array(pair))
+        assert list(filtering._above_sd(r, 1, np.array([0]))) == [0]
         self.check(s)
 
     @pytest.mark.parametrize("n", [2, 3, 50, 5000])
@@ -491,18 +487,15 @@ class TestIdleHeavyParity:
     @pytest.mark.parametrize("household", ["demo", "balanced"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_stock_household_channels(self, household, seed):
-        """Every channel as generated (indexed ratios) and on a noisy 50 W
-        base, where every pair changes (ratios over all pairs)."""
+        """Every channel as generated and on a noisy 50 W base, where every
+        pair changes."""
         result = generate(
             demo_household() if household == "demo" else balanced_household(), days=3, seed=seed
         )
         rng = np.random.default_rng(seed)
         for s in [result.aggregate, *result.appliances.values()]:
-            assert filtering._changing_ratios(s)[1] is not None
             self.check(s)
-            noisy = sig(s.values + 50.0 + rng.normal(0, 1.0, size=len(s)))
-            assert filtering._changing_ratios(noisy)[1] is None
-            self.check(noisy)
+            self.check(sig(s.values + 50.0 + rng.normal(0, 1.0, size=len(s))))
 
 
 class TestSdFallback:
@@ -547,9 +540,8 @@ class TestSdFallback:
         monkeypatch.setattr(np, "std", spy)
         return calls
 
-    @pytest.mark.parametrize("dense", [False, True])
     @pytest.mark.parametrize("above", [False, True])
-    def test_nudged_estimate_falls_back_to_np_std(self, monkeypatch, std_calls, dense, above):
+    def test_nudged_estimate_falls_back_to_np_std(self, monkeypatch, std_calls, above):
         vals = self.tied()
         if above:  # the next float ratio, now just above np.std's value
             vals[45:50] = np.nextafter(vals[45], np.inf)
@@ -563,12 +555,9 @@ class TestSdFallback:
         assert (m[49] > fast) != (m[49] > sd)
         real = filtering._ratio_sd
         monkeypatch.setattr(filtering, "_ratio_sd", lambda r, n: (float(fast), real(r, n)[1]))
+        at = np.flatnonzero(m)
         std_calls.clear()
-        if dense:
-            hit = filtering._above_sd(change_ratios(vals), m.size, None)
-        else:
-            r, at, _ = filtering._changing_ratios(sig(vals))
-            hit = at[filtering._above_sd(r, m.size, at)]
+        hit = at[filtering._above_sd(m[at], m.size, at)]
         assert std_calls == [m.size]  # np.std ran once, over the full series
         assert hit.tobytes() == reference_outliers(vals).tobytes()
         assert (49 in hit) == above
