@@ -26,7 +26,7 @@ from pathlib import Path
 from . import dataset as ds
 from .config import FIELD_TYPES, RunConfig, read_config
 from .errors import NilmError
-from .filtering import filter_and_detect
+from .filtering import filter_and_detect, filtered_events
 from .model_io import atomic_write, format_number, format_numbers, join_cells
 from .model_io import load_models, save_models
 from .modes import extract_states
@@ -135,7 +135,7 @@ def cmd_detect_events(args) -> int:
     from . import pipeline
 
     signal = _read_signal(args.input, args.period)
-    _, events = filter_and_detect(signal)
+    events = filtered_events(signal)
     atomic_write(args.output, pipeline.format_events_table(signal, events))
     print(f"wrote {len(events)} events to {args.output}")
     return EXIT_OK

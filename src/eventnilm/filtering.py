@@ -20,11 +20,23 @@ adding those whose raw samples were equal. A pass costs one comparison plus
 work in proportion to the pairs that change; where nearly all of them change,
 as on a noisy standby draw, gathering them makes it dearer than one pass over
 every pair.
+
+The two passes produce the marked samples, their replacement values and the
+event pass's instances; the event pass reads a replaced sample from the
+replacements, never from a filtered copy. :func:`filter_and_detect` then
+builds the dense filtered ``PowerSignal`` for callers that read its samples
+(training's appliance channels, ``classify`` and the CLI's ``filter``,
+``extract-modes`` and ``plot-data``). :func:`filtered_events` returns only
+the events, whose levels are raw samples or a marked sample's replacement:
+ground truth, training's aggregate and the CLI's ``detect-events`` need
+nothing more.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -139,30 +151,49 @@ def build_filtered_signal(signal: PowerSignal, report: OutlierReport) -> PowerSi
     Runs are averaged in one (runs, L) block per inlier-run length L, whose
     ``mean(axis=1)`` keeps ``np.mean``'s order of summation over each run.
     """
-    return _flatten(signal, report.sample_marks)
+    marks = report.sample_marks
+    return _dense(signal, marks, _replacements(signal.values, marks))
 
 
-def _flatten(signal: PowerSignal, marks: np.ndarray) -> PowerSignal:
-    values = signal.values + 0.0  # a fresh copy, with -0.0 made +0.0
-    if marks.size:
-        firsts, lasts = _runs(marks)
-        # a run's inliers start right after it and stop at the next run, the
-        # cap or the end of the signal; only a run ending the signal has none
-        after = lasts + 1
-        length = np.minimum(np.r_[firsts[1:], values.size], after + REPLACEMENT_RUN_CAP) - after
-        means = np.empty(firsts.size)
-        for size in set(length.tolist()) - {0}:
-            pick = length == size
-            windows = np.lib.stride_tricks.sliding_window_view(signal.values, size)
-            means[pick] = windows[after[pick]].mean(axis=1)
-        if length[-1] == 0:
-            # run ends the signal: average the inliers just before it
-            first = int(firsts[-1])
-            start = max(first - REPLACEMENT_RUN_CAP, int(lasts[-2]) + 1 if lasts.size > 1 else 0)
-            means[-1] = signal.values[start:first].mean()
-        values[marks] = np.repeat(np.maximum(means, 0.0, out=means), lasts - firsts + 1)
+def _replacements(v: np.ndarray, marks: np.ndarray) -> np.ndarray:
+    """The filtered value of each marked sample, in the order of ``marks``."""
+    if not marks.size:
+        return np.empty(0)
+    firsts, lasts = _runs(marks)
+    # a run's inliers start right after it and stop at the next run, the
+    # cap or the end of the signal; only a run ending the signal has none
+    after = lasts + 1
+    length = np.minimum(np.r_[firsts[1:], v.size], after + REPLACEMENT_RUN_CAP) - after
+    means = np.empty(firsts.size)
+    for size in set(length.tolist()) - {0}:
+        pick = length == size
+        windows = np.lib.stride_tricks.sliding_window_view(v, size)
+        means[pick] = windows[after[pick]].mean(axis=1)
+    if length[-1] == 0:
+        # run ends the signal: average the inliers just before it
+        first = int(firsts[-1])
+        start = max(first - REPLACEMENT_RUN_CAP, int(lasts[-2]) + 1 if lasts.size > 1 else 0)
+        means[-1] = v[start:first].mean()
+    return np.repeat(np.maximum(means, 0.0, out=means), lasts - firsts + 1)
+
+
+def _dense(signal: PowerSignal, marks: np.ndarray, replaced: np.ndarray) -> PowerSignal:
+    """The filtered signal: a copy of ``signal`` with the marked samples replaced."""
+    values = signal.values + 0.0  # -0.0 made +0.0
+    values[marks] = replaced
     values.flags.writeable = False
     return signal.replace_values(values)
+
+
+def _filtered_at(
+    v: np.ndarray, marks: np.ndarray, replaced: np.ndarray, idx: np.ndarray
+) -> np.ndarray:
+    """Filtered samples at ``idx``, read from the raw ones and the replaced marks."""
+    out = v[idx] + 0.0
+    j = np.searchsorted(marks, idx)
+    hit = np.append(marks, -1)[j] == idx
+    out[hit] = replaced[j[hit]]
+    return out
 
 
 def detect_events(filtered: PowerSignal) -> EventTable:
@@ -173,24 +204,24 @@ def detect_events(filtered: PowerSignal) -> EventTable:
     one sample after (the run's own samples may straddle the edge). Runs whose
     levels end up equal are dropped, since an event must change the value.
     """
-    return _events(filtered, detect_outliers(filtered).instances)
+    return _events(detect_outliers(filtered).instances, len(filtered), filtered.values.take)
 
 
-def _events(filtered: PowerSignal, instances: np.ndarray) -> EventTable:
-    values = filtered.values
+def _events(instances: np.ndarray, size: int, level: Callable) -> EventTable:
+    """Events from event-pass ``instances``; ``level`` reads filtered samples by index."""
     firsts, lasts = _runs(instances)
-    post_idx = np.minimum(lasts + 2, values.size - 1)
+    post_idx = np.minimum(lasts + 2, size - 1)
     # instance t flags pair (t, t+1): sample t is pre-event
-    pre, post = values[firsts], values[post_idx]
+    pre, post = level(firsts), level(post_idx)
     keep = post != pre
     return EventTable(firsts[keep], post[keep] - pre[keep], pre[keep], post[keep], post_idx[keep])
 
 
-def filter_and_detect(signal: PowerSignal) -> tuple[PowerSignal, EventTable]:
-    """Outlier detection, filtered-signal construction, event detection, in order.
-
-    The event pass recomputes only the ratios of pairs holding a replaced
-    sample, which gives :func:`detect_events`'s result on the filtered signal.
+def _passes(signal: PowerSignal) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Both outlier passes: the raw samples, the marked samples, their
+    replacement values and the event pass's instances. The event pass
+    recomputes only the ratios of pairs holding a replaced sample, which
+    gives :func:`detect_events`'s result on the filtered signal.
     """
     v = _values(signal)
     changing = v[1:] != v[:-1]
@@ -199,18 +230,36 @@ def filter_and_detect(signal: PowerSignal) -> tuple[PowerSignal, EventTable]:
     n = changing.size
     hit = _above_sd(r, n, at)
     instances = at[hit]
-    filtered = _flatten(signal, instances + 1)
+    marks = instances + 1
+    replaced = _replacements(v, marks)
     # replaced sample t + 1 sits in pair t, an instance, and in pair t + 1:
     # the next instance, or the pair after a run of them
     end = np.diff(instances, append=n) > 1
-    after = instances[end] + 1
-    f = filtered.values
-    r[hit] = _pair_ratios(f[instances], f[instances + 1])
-    r_after = _pair_ratios(f[after], f[after + 1])
+    after = marks[end]
+    # instance t is itself replaced when t - 1 is an instance
+    joined = np.diff(instances, prepend=-2) == 1
+    r[hit] = _pair_ratios(np.where(joined, np.r_[0.0, replaced[:-1]], v[instances] + 0.0), replaced)
+    r_after = _pair_ratios(replaced[end], v[after + 1] + 0.0)
     # a changing raw pair after a run has the slot after the run's last
     # ratio; a pair of equal raw samples is added
     held = changing[after]
     r[hit[end][held] + 1] = r_after[held]
     at, r = np.concatenate((at, after[~held])), np.concatenate((r, r_after[~held]))
     hit = _above_sd(r, n, at)
-    return filtered, _events(filtered, np.sort(at[hit]))
+    return v, marks, replaced, np.sort(at[hit])
+
+
+def filter_and_detect(signal: PowerSignal) -> tuple[PowerSignal, EventTable]:
+    """Outlier detection, filtered-signal construction, event detection, in order."""
+    v, marks, replaced, instances = _passes(signal)
+    filtered = _dense(signal, marks, replaced)
+    return filtered, _events(instances, v.size, filtered.values.take)
+
+
+def filtered_events(signal: PowerSignal) -> EventTable:
+    """:func:`filter_and_detect`'s events, without building the filtered signal.
+
+    Levels are raw samples, or the replacement of a marked one.
+    """
+    v, marks, replaced, instances = _passes(signal)
+    return _events(instances, v.size, partial(_filtered_at, v, marks, replaced))

@@ -24,7 +24,7 @@ from .evaluation import (
     precision_recall,
 )
 from .features import ApplianceModel, day_columns, mode_changes, train_appliance
-from .filtering import filter_and_detect
+from .filtering import filter_and_detect, filtered_events
 from .model_io import atomic_write, format_numbers, join_cells, make_dirs, read_text
 from .modes import OFF_MODE, State, StateSet, extract_states
 from .signals import EventTable, PowerSignal
@@ -68,7 +68,7 @@ def train_models(
     config: RunConfig,
 ) -> TrainResult:
     """Learn one model per appliance from its submetered training signal."""
-    _, agg_events = filter_and_detect(aggregate)
+    agg_events = filtered_events(aggregate)
     totals = {d: len(cols) for d, cols in day_columns(agg_events.index, aggregate).items()}
 
     result = TrainResult(models=[])
@@ -181,7 +181,7 @@ def build_ground_truth(
     names = sorted(n for n in appliances if n in by_id and by_id[n].transitions)
     index, code, keys = [np.empty(0, np.int64)], [np.empty(0, np.int64)], []
     for name in names:
-        _, events = filter_and_detect(appliances[name])
+        events = filtered_events(appliances[name])
         modes = by_id[name].states.mode_ids()
         keep, src, dst = mode_changes(events, by_id[name].states)
         index.append(events.index[keep])

@@ -20,6 +20,7 @@ from eventnilm.filtering import (
     detect_events,
     detect_outliers,
     filter_and_detect,
+    filtered_events,
 )
 
 from eventnilm.synth import balanced_household, demo_household, generate
@@ -338,6 +339,7 @@ class TestFilterAndDetectParity:
         want_filtered, want = reference_filter_and_detect(s)
         assert filtered.values.tobytes() == want_filtered.values.tobytes()
         assert_events_equal(events, want)
+        assert_events_equal(filtered_events(s), want)
         return filtered
 
     def test_random_signals(self):

@@ -26,7 +26,7 @@ from eventnilm.pipeline import (
 )
 from eventnilm.config import RunConfig
 from eventnilm.modes import OFF_MODE
-from eventnilm.signals import EventRecord
+from eventnilm.signals import EventRecord, PowerSignal
 from eventnilm.dataset import slice_days
 from eventnilm.synth import balanced_household, demo_household, generate
 
@@ -354,6 +354,29 @@ def test_training_and_plot_data_build_no_event_records(tmp_path, monkeypatch):
     first, last = cycles[-1].start_event, cycles[-1].end_event
     t0, t1 = raw.time_at(events[first].index), raw.time_at(events[last].post_index)
     assert lines[-1] == f"{first}\t{last}\t{t0:.0f}\t{t1:.0f}"
+
+
+def test_only_value_readers_build_filtered_signals(monkeypatch):
+    """Ground truth and the training aggregate read only the filter's events.
+    Training builds the dense filtered copy once per appliance channel, whose
+    samples it clusters, or whose range an OFF-only model takes when the
+    channel has no events; never for the aggregate or a truth channel."""
+    result = generate(demo_household(), days=3, seed=0)
+    built = []
+    replace_values = PowerSignal.replace_values
+
+    def spy(self, *args, **kwargs):
+        built.append(self.source_id)
+        return replace_values(self, *args, **kwargs)
+
+    monkeypatch.setattr(PowerSignal, "replace_values", spy)
+    trained = train_models(result.appliances, result.aggregate, RunConfig())
+    assert built == [result.appliances[n].source_id for n in sorted(result.appliances)]
+    assert "aggregate" not in built
+    assert trained.notes == ["dishwasher: no training events; OFF-only model"]
+    built.clear()
+    truth = build_ground_truth(result.appliances, trained.models)
+    assert built == [] and len(truth) > 10
 
 
 def test_scoring_builds_no_label_points(monkeypatch):
