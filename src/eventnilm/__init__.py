@@ -33,7 +33,7 @@ _EXPORTS = {
     ),
     "evaluation": ("ConfusionCounts", "LabelPoint", "PointTable", "f_measure", "match_events"),
     "features": ("ApplianceModel", "BehaviorSet", "Transition", "transition_interval"),
-    "filtering": ("detect_events", "detect_outliers", "filter_and_detect", "filtered_events"),
+    "filtering": ("detect_events", "filter_and_detect", "filtered_events"),
     "modes": ("Cluster", "State", "StateSet", "extract_states", "lw_cluster", "ward_merge_cost"),
     "signals": (
         "EventRecord", "EventTable", "GapRecord", "PowerSignal", "aggregate", "resample_step_hold"

@@ -142,8 +142,10 @@ def read_channel(path: str | Path) -> tuple[np.ndarray, np.ndarray, int]:
     table = _cached_table(entry)
     if table is None:
         table = _parse_channel(path, data)
-        if path.read_bytes() == data:  # not rewritten while it was parsed
-            _store_table(entry, path.name, table)
+        view, size = memoryview(data), 1 << 20
+        with open(path, "rb") as fh:  # stored unless rewritten while it was parsed
+            if all(fh.read(size) == view[i : i + size] for i in range(0, len(data) + 1, size)):
+                _store_table(entry, path.name, table)
     times, watts = table[:, 0], table[:, 1]
     clipped = int(np.count_nonzero(watts < 0))
     np.maximum(watts, 0.0, out=watts)
@@ -247,25 +249,27 @@ def load_dataset(manifest: DatasetManifest) -> DatasetBundle:
         if name not in by_name:
             raise ManifestError(f"appliance {name!r} not in labels file")
 
-    raw = [(name, *read_channel(manifest.root / f"channel_{by_name[name]}.dat")) for name in names]
-    lo = max(float(np.min(t)) for _, t, _, _ in raw)
-    hi = min(float(np.max(t)) for _, t, _, _ in raw)
+    tables = [read_channel(manifest.root / f"channel_{by_name[name]}.dat") for name in names]
+    clipped = {name: table[2] for name, table in zip(names, tables)}
+    disorder = {name: timestamp_faults(table[0]) for name, table in zip(names, tables)}
+    lo = max(float(np.min(t)) for t, _, _ in tables)
+    hi = min(float(np.max(t)) for t, _, _ in tables)
     if hi < lo:
         raise AlignmentError("channels share no common time span")
     appliances: dict[str, PowerSignal] = {}
     gaps: dict[str, list[GapRecord]] = {}
-    for name, times, watts, _ in raw:
+    for name in names:  # each table is released once its channel is resampled
         appliances[name], gaps[name] = resample_step_hold(
-            times, watts, manifest.period, start=lo, end=hi,
+            *tables.pop(0)[:2], manifest.period, start=lo, end=hi,
             max_gap=manifest.max_gap_s, source_id=name,
         )
     return DatasetBundle(
         appliances=appliances,
         aggregate=aggregate([appliances[name] for name in names]),
         gaps=gaps,
-        clipped={name: clipped for name, _, _, clipped in raw},
+        clipped=clipped,
         manifest=manifest,
-        disorder={name: timestamp_faults(times) for name, times, _, _ in raw},
+        disorder=disorder,
     )
 
 

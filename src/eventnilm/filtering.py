@@ -21,21 +21,16 @@ work in proportion to the pairs that change; where nearly all of them change,
 as on a noisy standby draw, gathering them makes it dearer than one pass over
 every pair.
 
-The two passes produce the marked samples, their replacement values and the
-event pass's instances; the event pass reads a replaced sample from the
-replacements, never from a filtered copy. :func:`filter_and_detect` then
-builds the dense filtered ``PowerSignal`` for callers that read its samples
-(training's appliance channels, ``classify`` and the CLI's ``filter``,
-``extract-modes`` and ``plot-data``). :func:`filtered_events` returns only
-the events, whose levels are raw samples or a marked sample's replacement:
-ground truth, training's aggregate and the CLI's ``detect-events`` need
-nothing more.
+The two passes yield the marked samples, their replacement values and the
+event pass's instances. :func:`filter_and_detect` builds the dense filtered
+``PowerSignal`` from them; :func:`filtered_events` reads only the events'
+levels from the raw samples and the replacements. :func:`detect_events` is
+one outlier pass over a signal that is already filtered.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -51,36 +46,6 @@ REPLACEMENT_RUN_CAP = 10
 SD_BAND = 1e-9
 
 
-@dataclass(frozen=True)
-class RatioSeries:
-    """Consecutive-pair change ratios and their dispersion threshold.
-
-    ``m[t] = 1 - min(P[t], P[t+1]) / max(P[t], P[t+1])`` for t = 0..T-2, with
-    m[t] = 0 when both samples are zero. Every entry lies in [0, 1].
-    """
-
-    m: np.ndarray
-    threshold_sd: float
-
-
-@dataclass(frozen=True)
-class OutlierReport:
-    """Outlier instances (ratio indices) and the sample indices they mark.
-
-    Instance ``t`` flags the pair (t, t+1); the changed sample is t+1, so
-    ``sample_marks = {t + 1 for t in instances}``.
-    """
-
-    instances: np.ndarray
-    sample_marks: np.ndarray
-    ratios: RatioSeries
-
-
-def change_ratios(values: np.ndarray) -> np.ndarray:
-    """1 - min/max for each consecutive pair, with 0/0 counted as no change."""
-    return _pair_ratios(values[:-1], values[1:])
-
-
 def _pair_ratios(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """1 - min/max of ``a[i]`` and ``b[i]``, element by element; 0 where both are 0."""
     m = np.minimum(a, b)
@@ -88,25 +53,6 @@ def _pair_ratios(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         np.divide(m, np.maximum(a, b), out=m)
     np.subtract(1.0, m, out=m)
     return np.fmax(m, 0.0, out=m)  # 0/0 is the only NaN: both samples are zero
-
-
-def detect_outliers(signal: PowerSignal) -> OutlierReport:
-    """Flag the uncommonly large consecutive-pair change ratios.
-
-    The threshold is the sample (n-1) standard deviation of the full ratio
-    series; an instance is an outlier iff its ratio strictly exceeds it, so a
-    constant signal (sd = 0, all ratios 0) yields no outliers.
-    """
-    m = change_ratios(_values(signal))
-    sd = float(np.std(m, ddof=1)) if m.size > 1 else 0.0
-    instances = np.nonzero(m > sd)[0]
-    return OutlierReport(instances, instances + 1, RatioSeries(m=m, threshold_sd=sd))
-
-
-def _values(signal: PowerSignal) -> np.ndarray:
-    if len(signal) > 1:
-        return signal.values
-    raise InsufficientDataError(f"outlier detection needs at least 2 samples, got {len(signal)}")
 
 
 def _ratio_sd(r: np.ndarray, n: int) -> tuple[float, float]:
@@ -141,22 +87,12 @@ def _runs(indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return indices[np.r_[0, breaks + 1]], indices[np.r_[breaks, indices.size - 1]]
 
 
-def build_filtered_signal(signal: PowerSignal, report: OutlierReport) -> PowerSignal:
-    """Flatten spikes and overshoots; keep genuine steps.
-
-    Each maximal run of marked samples is replaced by the mean of the inlier
-    run that follows it (capped at ``REPLACEMENT_RUN_CAP`` samples). A marked
-    run ending the signal falls back to the preceding inlier run. Steps
-    survive because the following inliers already sit at the new level.
-    Runs are averaged in one (runs, L) block per inlier-run length L, whose
-    ``mean(axis=1)`` keeps ``np.mean``'s order of summation over each run.
-    """
-    marks = report.sample_marks
-    return _dense(signal, marks, _replacements(signal.values, marks))
-
-
 def _replacements(v: np.ndarray, marks: np.ndarray) -> np.ndarray:
-    """The filtered value of each marked sample, in the order of ``marks``."""
+    """The filtered value of each marked sample, in the order of ``marks``: the
+    mean of the inliers after its run (at most ``REPLACEMENT_RUN_CAP``), clamped
+    at 0. Runs are averaged in one (runs, L) block per inlier-run length L, whose
+    ``mean(axis=1)`` keeps ``np.mean``'s order over each run.
+    """
     if not marks.size:
         return np.empty(0)
     firsts, lasts = _runs(marks)
@@ -196,15 +132,28 @@ def _filtered_at(
     return out
 
 
+def _outlier_pass(signal: PowerSignal) -> tuple[np.ndarray, ...]:
+    """One outlier pass: the samples, which pairs change, the changing pairs,
+    their ratios, and the positions among them of the outliers."""
+    v = signal.values
+    if v.size < 2:
+        raise InsufficientDataError(f"outlier detection needs at least 2 samples, got {v.size}")
+    changing = v[1:] != v[:-1]
+    at = np.flatnonzero(changing)
+    r = _pair_ratios(v[at], v[at + 1])
+    return v, changing, at, r, _above_sd(r, changing.size, at)
+
+
 def detect_events(filtered: PowerSignal) -> EventTable:
-    """One outlier pass over a filtered signal; outlier runs become events.
+    """One outlier pass over an already filtered signal; outlier runs become events.
 
     A maximal run of consecutive outlier instances is one mode transition:
     its pre level is read one sample before the marked run and its post level
     one sample after (the run's own samples may straddle the edge). Runs whose
     levels end up equal are dropped, since an event must change the value.
     """
-    return _events(detect_outliers(filtered).instances, len(filtered), filtered.values.take)
+    v, _, at, _, hit = _outlier_pass(filtered)
+    return _events(at[hit], v.size, v.take)
 
 
 def _events(instances: np.ndarray, size: int, level: Callable) -> EventTable:
@@ -223,12 +172,8 @@ def _passes(signal: PowerSignal) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     recomputes only the ratios of pairs holding a replaced sample, which
     gives :func:`detect_events`'s result on the filtered signal.
     """
-    v = _values(signal)
-    changing = v[1:] != v[:-1]
-    at = np.flatnonzero(changing)
-    r = _pair_ratios(v[at], v[at + 1])
+    v, changing, at, r, hit = _outlier_pass(signal)
     n = changing.size
-    hit = _above_sd(r, n, at)
     instances = at[hit]
     marks = instances + 1
     replaced = _replacements(v, marks)

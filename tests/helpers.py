@@ -80,6 +80,43 @@ def reference_read_channel(path):
     return np.asarray(times), np.maximum(np.asarray(watts), 0.0)
 
 
+def reference_load_dataset(manifest):
+    """Every channel read first, then each resampled, with all raw tables held
+    to the end: the loader ``load_dataset`` must match bundle for bundle."""
+    from eventnilm import dataset
+    from eventnilm.errors import AlignmentError, ManifestError
+    from eventnilm.signals import aggregate, resample_step_hold
+
+    labels = dataset.parse_labels(manifest.root / manifest.labels_file)
+    by_name = {name: ch for ch, name in labels.items()}
+    names = list(manifest.appliances) if manifest.appliances else sorted(by_name)
+    for name in names:
+        if name not in by_name:
+            raise ManifestError(f"appliance {name!r} not in labels file")
+    raw = [
+        (name, *dataset.read_channel(manifest.root / f"channel_{by_name[name]}.dat"))
+        for name in names
+    ]
+    lo = max(float(np.min(t)) for _, t, _, _ in raw)
+    hi = min(float(np.max(t)) for _, t, _, _ in raw)
+    if hi < lo:
+        raise AlignmentError("channels share no common time span")
+    appliances, gaps = {}, {}
+    for name, times, watts, _ in raw:
+        appliances[name], gaps[name] = resample_step_hold(
+            times, watts, manifest.period, start=lo, end=hi,
+            max_gap=manifest.max_gap_s, source_id=name,
+        )
+    return dataset.DatasetBundle(
+        appliances=appliances,
+        aggregate=aggregate([appliances[name] for name in names]),
+        gaps=gaps,
+        clipped={name: clipped for name, _, _, clipped in raw},
+        manifest=manifest,
+        disorder={name: dataset.timestamp_faults(times) for name, times, _, _ in raw},
+    )
+
+
 def reference_ratios(values):
     """1 - min/max of each consecutive pair, set to 0 where both samples are 0."""
     a, b = values[:-1], values[1:]
@@ -102,7 +139,7 @@ def reference_build_filtered_signal(signal, marks):
 
     Walks each maximal run of marked samples in order and averages the
     inliers after it (or, for a run ending the signal, before it) with a
-    scalar scan, as ``build_filtered_signal`` is specified to, then clamps
+    scalar scan, as the filter is specified to, then clamps
     the whole array at 0.
     """
     from eventnilm.filtering import REPLACEMENT_RUN_CAP

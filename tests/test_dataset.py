@@ -4,12 +4,13 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from eventnilm import dataset
+from eventnilm import cli, dataset
 from eventnilm.dataset import (
     DatasetManifest,
     load_dataset,
@@ -25,6 +26,7 @@ from eventnilm.synth import balanced_household, demo_household, generate
 
 from helpers import (
     reference_channel_text,
+    reference_load_dataset,
     reference_read_channel,
     reference_write_dataset,
     sig,
@@ -590,6 +592,121 @@ class TestWriteAndLoad:
         assert [tuple(line.split("\t")[:4]) for line in lines[1:]] == [
             (str(t.index), t.appliance, t.from_mode, t.to_mode) for t in truth_events(result)
         ]
+
+
+def messy_channel(rng, period):
+    """Readings of one meter: on or off the grid, with its own span, gaps,
+    negative readings, duplicate and out-of-order timestamps."""
+    n = int(rng.integers(20, 300))
+    start = 1.6e9 + period * rng.uniform(0, 40)
+    if rng.uniform() < 0.5:
+        times = start + period * np.arange(n)
+    else:
+        times = start + np.cumsum(period * rng.uniform(0.3, 1.7, size=n))
+    if rng.uniform() < 0.5:  # an outage
+        a = int(rng.integers(0, n))
+        times[a:] += period * rng.uniform(3, 30)
+    watts = rng.choice([0.0, 40.0, 800.0, 2000.0], size=n) + rng.normal(0, 3, size=n)
+    order = np.arange(n)
+    for i in rng.integers(0, n - 1, size=int(rng.integers(0, 4))):
+        order[[i, i + 1]] = order[[i + 1, i]]
+    repeats = rng.integers(0, n, size=int(rng.integers(0, 3)))  # timestamps read again
+    times, watts = np.r_[times[order], times[repeats]], np.r_[watts[order], watts[repeats] + 1]
+    return "".join(f"{t!r} {w!r}\n" for t, w in zip(times.tolist(), watts.tolist()))
+
+
+def messy_dataset(rng, root):
+    """A random multi-channel dataset under ``root``: its manifest's path and
+    the number of channels it loads."""
+    root.mkdir()
+    period = float(rng.choice([1.0, 6.0, 20.0]))
+    names = [f"app{i}" for i in range(int(rng.integers(1, 6)))]
+    write(root / "labels.dat", "".join(f"{i + 1} {name}\n" for i, name in enumerate(names)))
+    for i in range(len(names)):
+        write(root / f"channel_{i + 1}.dat", messy_channel(rng, period))
+    settings = f"labels = labels.dat\nperiod = {period!r}\ntrain_days = 0\ntest_days = 1\n"
+    if rng.uniform() < 0.5:  # a subset, in its own order; else every labeled channel
+        names = [str(name) for name in rng.permutation(names)[: int(rng.integers(1, len(names) + 1))]]
+        settings += f"appliances = {','.join(names)}\n"
+    if rng.uniform() < 0.5:
+        settings += f"max_gap = {float(rng.choice([0.0, 2.5 * period]))!r}\n"
+    return write(root / "manifest.cfg", settings), len(names)
+
+
+def bundle_fields(bundle):
+    """Every field of a bundle, samples as bytes, in the bundle's own order."""
+    def signal(s):
+        return s.values.tobytes(), s.start_time, s.sample_period, s.source_id
+
+    return (
+        [(name, signal(s)) for name, s in bundle.appliances.items()],
+        signal(bundle.aggregate),
+        list(bundle.gaps.items()),
+        list(bundle.clipped.items()),
+        list(bundle.disorder.items()),
+    )
+
+
+class TestLoadDatasetParity:
+    """The loader that releases each raw table once its channel is resampled
+    against the one that holds them all, on random multi-channel sets."""
+
+    def load(self, loader, manifest_path, monkeypatch, capsys):
+        """The bundle, or the error, and the CLI's notes, with ``loader`` as
+        ``load_dataset`` and each call of ``read_channel`` counted."""
+        reads, read = [], dataset.read_channel
+        monkeypatch.setattr(dataset, "read_channel", lambda path: reads.append(path) or read(path))
+        monkeypatch.setattr(dataset, "load_dataset", loader)
+        try:
+            out = bundle_fields(cli._load_dataset(str(manifest_path)))
+        except AlignmentError as exc:
+            out = str(exc)
+        finally:
+            monkeypatch.undo()
+        return out, capsys.readouterr().err, reads
+
+    def test_random_channel_sets(self, tmp_path, monkeypatch, capsys):
+        rng = np.random.default_rng(26)
+        seen = set()
+        for case in range(60):
+            path, channels = messy_dataset(rng, tmp_path / str(case))
+            # each loader meets a cold cache in half the cases
+            loaders = (load_dataset, reference_load_dataset)[:: 1 if case % 2 else -1]
+            out = {loader: self.load(loader, path, monkeypatch, capsys) for loader in loaders}
+            got, want = out[load_dataset], out[reference_load_dataset]
+            assert got[:2] == want[:2]
+            assert got[2] == want[2] and len(got[2]) == channels
+            if isinstance(got[0], str):
+                seen.add("no common span")
+                continue
+            apps, _, gaps, clipped, disorder = got[0]
+            seen |= {
+                ("several" if len(apps) > 1 else None),
+                ("gap" if any(g for _, g in gaps) else None),
+                ("clipped" if any(c for _, c in clipped) else None),
+                ("duplicate" if any(d for _, (d, _) in disorder) else None),
+                ("out of order" if any(u for _, (_, u) in disorder) else None),
+            }
+        assert seen - {None} == {
+            "several", "gap", "clipped", "duplicate", "out of order", "no common span",
+        }
+
+    def test_each_raw_table_is_released_once_resampled(self, tmp_path):
+        """With a warm cache, the peak holds the raw tables and at most four
+        channels' worth of grid arrays, not every resampled channel as well."""
+        result = generate(demo_household(), days=7, seed=0)
+        manifest = read_manifest(write_dataset(tmp_path, result, (0, 5), (6, 6)))
+        load_dataset(manifest)
+        tracemalloc.start()
+        try:
+            bundle = load_dataset(manifest)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tables = sum(16 * len(s) for s in result.appliances.values())  # on the grid: one row a sample
+        channel = bundle.aggregate.values.nbytes
+        assert len(bundle.appliances) > 4
+        assert tables < peak < tables + 4 * channel
 
 
 class TestSliceDays:

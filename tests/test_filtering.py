@@ -12,13 +12,11 @@ from eventnilm import filtering
 from eventnilm.errors import InsufficientDataError
 from eventnilm.filtering import (
     REPLACEMENT_RUN_CAP,
-    OutlierReport,
-    RatioSeries,
+    _dense,
+    _passes,
+    _replacements,
     _runs,
-    build_filtered_signal,
-    change_ratios,
     detect_events,
-    detect_outliers,
     filter_and_detect,
     filtered_events,
 )
@@ -36,6 +34,17 @@ from helpers import (
 )
 
 
+def pair_ratios(values):
+    """The library's ratio of each consecutive pair of ``values``."""
+    return filtering._pair_ratios(values[:-1], values[1:])
+
+
+def outliers(signal):
+    """The library's first outlier pass: its outlier instances."""
+    _, _, at, _, hit = filtering._outlier_pass(signal)
+    return at[hit]
+
+
 def ratio_oracle(values):
     """Direct 1 - min/max per consecutive pair, zero when both are zero."""
     out = []
@@ -51,17 +60,17 @@ class TestChangeRatios:
         for _ in range(50):
             vals = rng.uniform(0, 500, size=rng.integers(2, 40))
             vals[rng.uniform(size=vals.size) < 0.3] = 0.0
-            assert np.allclose(change_ratios(vals), ratio_oracle(vals), atol=1e-12)
+            assert np.allclose(pair_ratios(vals), ratio_oracle(vals), atol=1e-12)
 
     def test_zero_pair_counts_as_no_change(self):
-        m = change_ratios(np.array([0.0, 0.0, 5.0]))
+        m = pair_ratios(np.array([0.0, 0.0, 5.0]))
         assert m[0] == 0.0
         assert m[1] == 1.0
 
     def test_all_ratios_in_unit_interval(self):
         rng = np.random.default_rng(8)
         vals = rng.uniform(0, 3000, size=500)
-        m = change_ratios(vals)
+        m = pair_ratios(vals)
         assert np.all(m >= 0.0) and np.all(m <= 1.0)
 
 
@@ -69,47 +78,45 @@ class TestDetectOutliers:
     def test_hand_worked_spike(self):
         # pairs: (100,100)=0 (100,500)=.8 (500,100)=.8 (100,100)=0
         s = sig([100, 100, 500, 100, 100])
-        report = detect_outliers(s)
-        m = report.ratios.m
+        m = pair_ratios(s.values)
         assert np.allclose(m, [0.0, 0.8, 0.8, 0.0])
         sd = float(np.std(m, ddof=1))
-        assert report.ratios.threshold_sd == pytest.approx(sd)
-        assert list(report.instances) == [1, 2]
-        assert list(report.sample_marks) == [2, 3]
+        assert filtering._ratio_sd(m[[1, 2]], m.size)[0] == pytest.approx(sd)
+        assert list(outliers(s)) == [1, 2]
+        assert list(_passes(s)[1]) == [2, 3]
 
     def test_hand_worked_step(self):
         s = sig([100, 100, 500, 500, 500, 500, 500, 500, 500, 500])
-        report = detect_outliers(s)
-        assert list(report.instances) == [1]
-        assert list(report.sample_marks) == [2]
+        assert list(outliers(s)) == [1]
+        assert list(_passes(s)[1]) == [2]
 
     def test_constant_signal_has_no_outliers(self):
-        report = detect_outliers(sig([42.0] * 30))
-        assert report.instances.size == 0
+        assert outliers(sig([42.0] * 30)).size == 0
 
     def test_threshold_is_strict(self):
         # two equal nonzero ratios and nothing else: sd > 0, both ratios
         # sit above it, a flat tail sits below
         s = sig([10, 10, 20, 20, 10, 10, 10, 10])
-        report = detect_outliers(s)
-        m = report.ratios.m
-        sd = report.ratios.threshold_sd
-        assert set(report.instances) == {i for i, v in enumerate(m) if v > sd}
+        m = pair_ratios(s.values)
+        at = np.flatnonzero(m)
+        sd = filtering._ratio_sd(m[at], m.size)[0]
+        assert set(outliers(s)) == {i for i, v in enumerate(m) if v > sd}
 
     def test_too_short_rejected(self):
-        with pytest.raises(InsufficientDataError):
-            detect_outliers(sig([1.0]))
+        for entry in (detect_events, filter_and_detect, filtered_events):
+            with pytest.raises(InsufficientDataError):
+                entry(sig([1.0]))
 
 
 class TestBuildFilteredSignal:
     def test_spike_replaced_by_following_inliers(self):
         s = sig([100, 100, 500, 100, 100])
-        filtered = build_filtered_signal(s, detect_outliers(s))
+        filtered = filter_and_detect(s)[0]
         assert list(filtered.values) == [100, 100, 100, 100, 100]
 
     def test_step_survives(self):
         s = sig([100, 100, 500, 500, 500, 500, 500, 500, 500, 500])
-        filtered = build_filtered_signal(s, detect_outliers(s))
+        filtered = filter_and_detect(s)[0]
         assert list(filtered.values) == list(s.values)
 
     def test_replacement_run_is_capped(self):
@@ -117,25 +124,23 @@ class TestBuildFilteredSignal:
         # only the first REPLACEMENT_RUN_CAP of them may enter the mean
         values = [100.0] * 10 + [500.0] + [501.0 + i for i in range(40)]
         s = sig(values)
-        report = detect_outliers(s)
-        assert list(report.sample_marks) == [10]
-        filtered = build_filtered_signal(s, report)
+        assert list(_passes(s)[1]) == [10]
+        filtered = filter_and_detect(s)[0]
         run = values[11 : 11 + REPLACEMENT_RUN_CAP]
         assert filtered.values[10] == pytest.approx(np.mean(run))
 
     def test_trailing_run_uses_preceding_inliers(self):
         values = [100.0] * 10 + [900.0]
         s = sig(values)
-        report = detect_outliers(s)
-        assert list(report.sample_marks) == [10]
-        filtered = build_filtered_signal(s, report)
+        assert list(_passes(s)[1]) == [10]
+        filtered = filter_and_detect(s)[0]
         assert filtered.values[10] == pytest.approx(100.0)
 
     def test_never_negative(self):
         rng = np.random.default_rng(5)
         vals = np.abs(rng.normal(50, 40, size=300))
         s = sig(vals)
-        filtered = build_filtered_signal(s, detect_outliers(s))
+        filtered = filter_and_detect(s)[0]
         assert np.all(filtered.values >= 0.0)
 
 
@@ -167,9 +172,9 @@ class TestFilteredSignalParity:
             kinds.add("at end")
         return kinds
 
-    def check(self, signal, report):
-        got = build_filtered_signal(signal, report).values
-        want = reference_build_filtered_signal(signal, report.sample_marks).values
+    def check(self, signal, marks):
+        got = _dense(signal, marks, _replacements(signal.values, marks)).values
+        want = reference_build_filtered_signal(signal, marks).values
         assert got.tobytes() == want.tobytes()
 
     def test_random_mark_sets(self):
@@ -182,8 +187,7 @@ class TestFilteredSignalParity:
                 marks = marks[marks >= 1]  # sample t + 1 of pair t: never 0
                 if rng.uniform() < 0.3:
                     marks = np.union1d(marks, [1, n - 1])
-                report = OutlierReport(marks - 1, marks, RatioSeries(np.zeros(0), 0.0))
-                self.check(sig(self.values(rng, n)), report)
+                self.check(sig(self.values(rng, n)), marks)
                 seen |= self.run_kinds(marks, n)
         assert seen == {"capped", "short", "at 1", "at end"}
 
@@ -198,9 +202,9 @@ class TestFilteredSignalParity:
         vals[rng.uniform(size=n) < 0.02] = 0.0
         vals[-1] = 10.0 * vals[-2] + 1000.0  # a spike that ends the signal
         s = sig(vals)
-        report = detect_outliers(s)
-        assert report.sample_marks[-1] == n - 1
-        self.check(s, report)
+        marks = _passes(s)[1]
+        assert marks[-1] == n - 1
+        self.check(s, marks)
 
 
 class TestDetectEvents:
@@ -293,9 +297,13 @@ class TestDetectEventsParity:
             s = sig(vals)
             want = reference_detect_events(s)
             assert_events_equal(detect_events(s), want)
-            dropped += len(_runs(detect_outliers(s).instances)[0]) > len(want)
+            dropped += len(_runs(reference_outliers(vals))[0]) > len(want)
             clamped += any(e.post_index == n - 1 for e in want)
         assert dropped > 0 and clamped > 0
+
+    def test_ratio_tied_with_np_std(self):
+        s = sig(TestSdFallback.tied())
+        assert_events_equal(detect_events(s), reference_detect_events(s))
 
     @pytest.mark.parametrize("household", ["demo", "balanced"])
     def test_generated_channels(self, household):
@@ -334,7 +342,7 @@ class TestFilterAndDetectParity:
     samples, against two full passes: filtered values and every event field."""
 
     def check(self, s):
-        assert change_ratios(s.values).tobytes() == reference_ratios(s.values).tobytes()
+        assert pair_ratios(s.values).tobytes() == reference_ratios(s.values).tobytes()
         filtered, events = filter_and_detect(s)
         want_filtered, want = reference_filter_and_detect(s)
         assert filtered.values.tobytes() == want_filtered.values.tobytes()
@@ -348,7 +356,7 @@ class TestFilterAndDetectParity:
         for _ in range(600):
             vals = random_signal(rng)
             n = vals.size
-            marks = detect_outliers(sig(vals)).sample_marks
+            marks = reference_outliers(vals) + 1
             self.check(sig(vals))
             firsts, lasts = _runs(marks)
             seen |= {
@@ -457,7 +465,7 @@ class TestIdleHeavyParity:
         vals[50] = 1000.0
         vals[55] = 110.0
         vals[80:100] = 700.0
-        assert list(detect_outliers(sig(vals)).sample_marks) == [50, 51, 80, 100]
+        assert list(_passes(sig(vals))[1]) == [50, 51, 80, 100]
         filtered = self.check(sig(vals))
         assert filtered.values[51] == 101.0 and filtered.values[52] == 100.0
 
@@ -475,8 +483,8 @@ class TestIdleHeavyParity:
     def test_two_samples_one_ratio_is_an_outlier(self, pair):
         # one ratio: sd 0, and a ratio above 0 exceeds it
         s = sig(pair)
-        assert list(detect_outliers(s).instances) == [0]
-        r = change_ratios(np.array(pair))
+        assert list(reference_outliers(s.values)) == [0]
+        r = pair_ratios(np.array(pair))
         assert list(filtering._above_sd(r, 1, np.array([0]))) == [0]
         self.check(s)
 

@@ -124,3 +124,51 @@ def test_bench_workload_imports_resolve():
     assert len(imports) > 3
     for node in imports:
         exec(ast.unparse(node), {})  # ImportError if a name is gone
+
+
+def dead_definitions(sources, exported, bench_names):
+    """Public top-level ``def``s and ``class``es, as ``module.name``, that no
+    other top-level statement of ``sources`` names, ``exported`` leaves out
+    and the benchmark does not name."""
+    used, defined = set(), []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            own = None
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                own = node.name
+                defined.append((module, own))
+            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            used |= names - {own}
+    return [f"{m}.{name}" for m, name in defined if name not in used | exported | bench_names]
+
+
+def bench_names():
+    """Every name, attribute and identifier string in the benchmark's files,
+    which wrap library functions by ``(module, attribute)`` strings."""
+    names = set()
+    for path in BENCH.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.alias):
+                names.add(node.name)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+    return names
+
+
+def test_every_public_definition_is_used():
+    """A public definition of the library that nothing in it calls, that the
+    package does not export and that the benchmark does not use is a second
+    path or dead code."""
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    assert dead_definitions(sources, set(eventnilm.__all__), bench_names()) == []
+
+
+def test_dead_definition_checker_finds_an_unused_definition():
+    sources = {
+        "a": "def f():\n    return g()\ndef g():\n    return 1\ndef h():\n    return h()\n",
+        "b": "class C:\n    pass\nclass D:\n    pass\nTABLE = {'d': D}\ndef _private():\n    pass\n",
+    }
+    assert dead_definitions(sources, {"f"}, {"C"}) == ["a.h"]
