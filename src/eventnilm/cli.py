@@ -23,6 +23,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import dataset as ds
 from .config import FIELD_TYPES, RunConfig, read_config
 from .errors import NilmError
@@ -98,8 +100,6 @@ def _read_signal(path: str, period: float | None):
     times, watts, clipped = ds.read_channel(path)
     disorder = ds.timestamp_faults(times)
     if period is None:
-        import numpy as np
-
         diffs = np.diff(np.sort(times))
         diffs = diffs[diffs > 0]
         period = float(np.median(diffs)) if diffs.size else 1.0
@@ -257,24 +257,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("filter", help="replace spikes and overshoots in a channel")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
-    p.add_argument("--period", type=_period, default=None)
-    p.set_defaults(func=cmd_filter)
+    def channel_command(name: str, help: str, func) -> argparse.ArgumentParser:
+        """A subcommand that reads one raw channel file."""
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--input", required=True)
+        p.add_argument("--output", required=True)
+        p.add_argument("--period", type=_period, default=None)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("detect-events", help="detect mode-change events in a channel")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
-    p.add_argument("--period", type=_period, default=None)
-    p.set_defaults(func=cmd_detect_events)
-
-    p = sub.add_parser("extract-modes", help="learn operating states from a channel")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
-    p.add_argument("--period", type=_period, default=None)
+    channel_command("filter", "replace spikes and overshoots in a channel", cmd_filter)
+    channel_command("detect-events", "detect mode-change events in a channel", cmd_detect_events)
+    p = channel_command("extract-modes", "learn operating states from a channel", cmd_extract_modes)
     _add_config_flags(p, *_MODE_FIELDS)
-    p.set_defaults(func=cmd_extract_modes)
 
     p = sub.add_parser("train", help="train appliance models from a dataset")
     p.add_argument("--manifest", required=True)
@@ -306,12 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p, "seed")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("plot-data", help="emit plot-ready series for a channel")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
-    p.add_argument("--period", type=_period, default=None)
+    p = channel_command("plot-data", "emit plot-ready series for a channel", cmd_plot_data)
     p.add_argument("--model", default=None, help="model file, enables cycle export")
-    p.set_defaults(func=cmd_plot_data)
 
     return parser
 

@@ -51,6 +51,9 @@ class DatasetManifest:
                 raise ManifestError(f"{name} must be a non-empty ascending day range")
         if self.train_days[0] <= self.test_days[1] and self.test_days[0] <= self.train_days[1]:
             raise ManifestError("train and test day ranges overlap")
+        for i, name in enumerate(self.appliances):
+            if name in self.appliances[:i]:  # its channel would count twice in the aggregate
+                raise ManifestError(f"appliance {name!r} is listed twice")
 
 
 # the keys a manifest may hold; the first four it must

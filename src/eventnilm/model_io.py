@@ -12,6 +12,7 @@ import math
 import os
 import tempfile
 from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -141,16 +142,7 @@ def _model_to_dict(model: ApplianceModel) -> dict:
     beh = model.behaviors
     return {
         "id": model.appliance_id,
-        "states": [
-            {
-                "mode": s.mode,
-                "low": s.low,
-                "high": s.high,
-                "centroid": s.centroid,
-                "size": s.size,
-            }
-            for s in model.states.states
-        ],
+        "states": [asdict(s) for s in model.states.states],  # field names are the keys
         "transitions": [_transition_to_dict(t) for t in model.transitions],
         "participation": {
             _key_str(k): v for k, v in sorted(model.participation.items())
@@ -158,9 +150,8 @@ def _model_to_dict(model: ApplianceModel) -> dict:
         "behaviors": None
         if beh is None
         else {
+            **asdict(beh),
             "signature": None if beh.signature is None else _transition_to_dict(beh.signature),
-            "overshoot_min": beh.overshoot_min,
-            "min_off_gap_s": beh.min_off_gap_s,
         },
     }
 

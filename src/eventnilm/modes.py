@@ -222,8 +222,10 @@ def distance_merge(
     return finished
 
 
-def _mode_names(count: int) -> list[str]:
-    return [f"on{i}" for i in range(1, count + 1)]
+def mode_name(level_index: int) -> str:
+    """The mode of an appliance's ``level_index``-th power level counted up
+    from OFF (0): "off", then "on1", "on2", ..."""
+    return OFF_MODE if level_index == 0 else f"on{level_index}"
 
 
 def states_from_clusters(
@@ -245,8 +247,8 @@ def states_from_clusters(
     else:
         rest = ordered
         states.append(State(OFF_MODE, low=0.0, high=0.0, centroid=0.0, size=0))
-    for name, c in zip(_mode_names(len(rest)), rest):
-        states.append(State(name, low=c.min, high=c.max, centroid=c.centroid, size=c.size))
+    for i, c in enumerate(rest, 1):
+        states.append(State(mode_name(i), low=c.min, high=c.max, centroid=c.centroid, size=c.size))
     return StateSet(states=tuple(states))
 
 

@@ -7,6 +7,7 @@ sorted appliance order, stable float formatting, atomic writes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from .evaluation import (
 from .features import ApplianceModel, day_columns, mode_changes, train_appliance
 from .filtering import filter_and_detect, filtered_events
 from .model_io import atomic_write, format_numbers, join_cells, make_dirs, read_text
-from .modes import OFF_MODE, State, StateSet, extract_states
+from .modes import Cluster, extract_states, states_from_clusters
 from .signals import EventTable, PowerSignal
 
 # the steps of the CLI flow; ``match_events`` is one, so ``evaluate`` scores
@@ -44,24 +45,6 @@ class TrainResult:
     notes: list[str] = field(default_factory=list)
 
 
-def _off_only_model(name: str, filtered: PowerSignal) -> ApplianceModel:
-    vals = filtered.values
-    states = StateSet(
-        states=(
-            State(
-                OFF_MODE,
-                low=float(vals.min()),
-                high=float(vals.max()),
-                centroid=float(vals.mean()),
-                size=len(filtered),
-            ),
-        )
-    )
-    return ApplianceModel(
-        appliance_id=name, states=states, transitions=(), participation={}, behaviors=None
-    )
-
-
 def train_models(
     appliances: dict[str, PowerSignal],
     aggregate: PowerSignal,
@@ -75,17 +58,15 @@ def train_models(
     for name in sorted(appliances):
         raw = appliances[name]
         filtered, events = filter_and_detect(raw)
-        if not events:
-            result.models.append(_off_only_model(name, filtered))
-            result.notes.append(f"{name}: no training events; OFF-only model")
-            continue
-        states = extract_states(
-            filtered,
-            k=config.k_clusters,
-            merge_ratio=config.merge_ratio,
-            off_threshold=config.off_threshold,
-        )
         try:
+            if not events:  # checked first: an idle channel is never clustered
+                raise DataConsistencyError("no training events")
+            states = extract_states(
+                filtered,
+                k=config.k_clusters,
+                merge_ratio=config.merge_ratio,
+                off_threshold=config.off_threshold,
+            )
             model = train_appliance(
                 name,
                 raw,
@@ -98,9 +79,10 @@ def train_models(
                 count_all_days=config.n_days_variant,
             )
         except DataConsistencyError as exc:
-            result.models.append(_off_only_model(name, filtered))
+            # all samples in one cluster, OFF under any threshold: one OFF state
+            off = states_from_clusters([Cluster.of(filtered.values)], off_threshold=math.inf)
+            model = ApplianceModel(name, off, transitions=())
             result.notes.append(f"{name}: {exc}; OFF-only model")
-            continue
         result.models.append(model)
     return result
 

@@ -201,6 +201,12 @@ def resample_step_hold(
             f"grid for {source_id!r} at period {period:g} s needs {steps + 1:.3g} samples,"
             " more than an array can index"
         )
+    # holes in the source that overlap the grid span, found before the grid
+    # is built so that the spacings are freed before the grid arrays exist
+    i = np.flatnonzero(np.diff(times) > (gap_threshold(period) if max_gap is None else max_gap))
+    i = i[(times[i] <= hi) & (times[i + 1] >= lo)]
+    gaps = [GapRecord(start_time=a, end_time=b) for a, b in zip(times[i], times[i + 1])]
+
     n = int(steps) + 1
     key = lo + np.arange(n) * period + _GRID_EPS
     # the most recent source sample at or before each grid instant: sample j
@@ -216,14 +222,7 @@ def resample_step_hold(
     else:
         values = values[np.searchsorted(times, key, side="right") - 1]
     values.flags.writeable = False
-    signal = PowerSignal(values, start_time=lo, sample_period=period, source_id=source_id)
-
-    gaps = []
-    spacing = np.diff(times)
-    for i in np.nonzero(spacing > (gap_threshold(period) if max_gap is None else max_gap))[0]:
-        if times[i] <= hi and times[i + 1] >= lo:
-            gaps.append(GapRecord(start_time=times[i], end_time=times[i + 1]))
-    return signal, gaps
+    return PowerSignal(values, start_time=lo, sample_period=period, source_id=source_id), gaps
 
 
 def aggregate(signals: list[PowerSignal]) -> PowerSignal:

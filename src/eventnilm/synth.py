@@ -24,6 +24,7 @@ import numpy as np
 from .config import RunConfig
 from .errors import SpecValidationError
 from .features import DAY_SECONDS
+from .modes import mode_name
 from .signals import PowerSignal
 
 MIN_DWELL_SAMPLES = 8  # keeps every settled level long enough to survive filtering
@@ -33,10 +34,6 @@ DAY_MARGIN_SAMPLES = 12
 SPIKE_GAP_SAMPLES = 5
 PLACE_ATTEMPTS = 200
 OVERSHOOT_MAX_LEN = 5
-
-
-def mode_name(level_index: int) -> str:
-    return "off" if level_index == 0 else f"on{level_index}"
 
 
 @dataclass(frozen=True)

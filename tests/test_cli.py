@@ -152,6 +152,18 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_appliance_is_data_error(self, dataset, tmp_path, capsys):
+        manifest = copy_dataset(dataset, tmp_path)
+        lines = manifest.read_text().splitlines()
+        row = next(i for i, line in enumerate(lines) if line.startswith("appliances"))
+        first = lines[row].partition("=")[2].split(",")[0].strip()
+        lines[row] += f",{first}"
+        manifest.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "m.json"
+        assert main(["train", "--manifest", str(manifest), "--output", str(out)]) == 2
+        assert f"appliance '{first}' is listed twice" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_repeated_config_key_is_data_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("seed = 1\nseed = 5\n", encoding="utf-8")

@@ -150,6 +150,18 @@ class TestManifest:
         with pytest.raises(ManifestError, match=message):
             read_manifest(p)
 
+    def test_repeated_appliance(self, tmp_path):
+        # loading it would sum channel a twice into the aggregate
+        p = write(
+            tmp_path / "m.cfg",
+            "labels = labels.dat\nperiod = 10\ntrain_days = 0\ntest_days = 1\n"
+            "appliances = a,a,b\n",
+        )
+        with pytest.raises(ManifestError, match="appliance 'a' is listed twice"):
+            read_manifest(p)
+        with pytest.raises(ManifestError, match="appliance 'b' is listed twice"):
+            DatasetManifest(tmp_path, "labels.dat", 10.0, (0, 0), (1, 1), ("b", "a", "b"))
+
     def test_bad_day_range_text(self, tmp_path):
         p = write(
             tmp_path / "m.cfg",
@@ -692,7 +704,7 @@ class TestLoadDatasetParity:
         }
 
     def test_each_raw_table_is_released_once_resampled(self, tmp_path):
-        """With a warm cache, the peak holds the raw tables and at most four
+        """With a warm cache, the peak holds the raw tables and at most three
         channels' worth of grid arrays, not every resampled channel as well."""
         result = generate(demo_household(), days=7, seed=0)
         manifest = read_manifest(write_dataset(tmp_path, result, (0, 5), (6, 6)))
@@ -706,7 +718,7 @@ class TestLoadDatasetParity:
         tables = sum(16 * len(s) for s in result.appliances.values())  # on the grid: one row a sample
         channel = bundle.aggregate.values.nbytes
         assert len(bundle.appliances) > 4
-        assert tables < peak < tables + 4 * channel
+        assert tables < peak < tables + 3 * channel
 
 
 class TestSliceDays:

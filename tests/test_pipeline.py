@@ -16,6 +16,7 @@ from eventnilm.classifier import (
 from eventnilm.errors import ParseError
 from eventnilm.evaluation import ConfusionCounts, LabelPoint, PointTable, match_events
 from eventnilm.filtering import filter_and_detect
+from eventnilm.model_io import load_models, save_models
 from eventnilm.pipeline import (
     build_ground_truth,
     format_event_report,
@@ -90,6 +91,30 @@ class TestTrainModels:
         assert out.notes == [
             "heater: day has appliance transitions but zero total events; OFF-only model"
         ]
+
+    @pytest.mark.parametrize("case", ["no events", "no usable days"])
+    def test_off_only_model_spans_the_filtered_channel(self, tmp_path, case):
+        """The one state is OFF, with the filtered channel's range, mean and
+        sample count, and the model file round-trips byte for byte."""
+        heater = day_signal([(6, 12), (30, 36)], 800.0, spd=24)
+        if case == "no events":  # an idle 2.5 W standby draw
+            s, agg = sig(np.full(len(heater), 2.5), period=heater.sample_period), heater
+        else:  # the heater runs, but the flat aggregate has no events on its days
+            s, agg = heater, sig(np.zeros(len(heater)), period=heater.sample_period)
+        out = train_models({"heater": s}, agg, RunConfig())
+        filtered, events = filter_and_detect(s)
+        assert (len(events) == 0) == (case == "no events")
+        [model] = out.models
+        [state] = model.states.states
+        assert state.mode == OFF_MODE
+        assert (state.low, state.high) == (filtered.values.min(), filtered.values.max())
+        assert (state.centroid, state.size) == (filtered.values.mean(), len(filtered))
+        assert model.transitions == () and model.participation == {}
+        assert model.behaviors is None
+        save_models(tmp_path / "a.json", out.models)
+        assert load_models(tmp_path / "a.json") == out.models
+        save_models(tmp_path / "b.json", load_models(tmp_path / "a.json"))
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_participation_uses_aggregate_day_totals(self):
         # One appliance, two days, one cycle per day. The aggregate equals
