@@ -56,6 +56,11 @@ class DatasetManifest:
                 raise ManifestError(f"appliance {name!r} is listed twice")
 
 
+# The largest reading a channel file may hold: a terawatt, far above any
+# meter, and small enough that the sums, means and squares made of readings
+# downstream stay finite. A larger one is a data error.
+MAX_WATTS = 1e12
+
 # the keys a manifest may hold; the first four it must
 MANIFEST_KEYS = ("labels", "period", "train_days", "test_days", "appliances", "max_gap")
 
@@ -129,8 +134,9 @@ def read_channel(path: str | Path) -> tuple[np.ndarray, np.ndarray, int]:
     """Channel file, UTF-8: "unix_timestamp watts" per line, whitespace-separated.
 
     Blank and ``#`` lines are skipped; any other line must hold two finite
-    numbers. One ``np.loadtxt`` call parses the file. Returns views of its two
-    columns and the count of negative readings (meter offset) clipped to zero.
+    numbers, the watts at most ``MAX_WATTS``. One ``np.loadtxt`` call parses
+    the file. Returns views of its two columns and the count of negative
+    readings (meter offset) clipped to zero.
 
     The table, before clipping, is cached in ``.eventnilm-cache/`` beside the
     file, keyed by the file's length, CRC-32 and Adler-32, so an unchanged file
@@ -165,7 +171,7 @@ def _parse_channel(path: Path, data: bytes) -> np.ndarray:
         _raise_first_bad_line(path)
     if (
         table.shape[1] != 2
-        or not np.isfinite(table).all()
+        or not _in_range(table)
         # np.loadtxt drops a '#' after data on a line as a comment; the format does not
         or b"#" in data and re.search(r"^[^\S\n]*[^#\s].*#", read_text(path), re.M)
     ):
@@ -174,14 +180,19 @@ def _parse_channel(path: Path, data: bytes) -> np.ndarray:
 
 
 def _cached_table(entry: Path) -> np.ndarray | None:
-    """The finite (n, 2) float64 table stored at ``entry``, or None."""
+    """The in-range (n, 2) float64 table stored at ``entry``, or None."""
     try:
         with open(entry, "rb") as fh:
             table = np.lib.format.read_array(fh, allow_pickle=False)
     except (OSError, ValueError, EOFError):
         return None
     ok = table.dtype == np.float64 and table.ndim == 2 and table.shape[1] == 2 and len(table)
-    return table if ok and np.isfinite(table).all() else None
+    return table if ok and _in_range(table) else None
+
+
+def _in_range(table: np.ndarray) -> bool:
+    """Whether a (n, 2) table is finite, with no watts above ``MAX_WATTS``."""
+    return bool(np.isfinite(table).all() and table[:, 1].max() <= MAX_WATTS)
 
 
 def _store_table(entry: Path, name: str, table: np.ndarray) -> None:
@@ -226,6 +237,8 @@ def _raise_first_bad_line(path: Path) -> NoReturn:
             raise ParseError(f"{path}:{lineno}: non-numeric field") from None
         if not all(map(isfinite, values)):
             raise ParseError(f"{path}:{lineno}: non-finite value")
+        if values[1] > MAX_WATTS:
+            raise ParseError(f"{path}:{lineno}: watts above {MAX_WATTS:g}")
         seen = True
     raise ParseError(f"{path}: unreadable channel file" if seen else f"{path}: no samples")
 

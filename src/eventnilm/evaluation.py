@@ -135,11 +135,8 @@ def match_events(
 
 def f_measure(counts: ConfusionCounts) -> float:
     """Harmonic mean of precision and recall; 0 when nothing was hit."""
-    if counts.tp == 0:
-        return 0.0
-    precision = counts.tp / (counts.tp + counts.fp)
-    recall = counts.tp / (counts.tp + counts.fn)
-    return 2.0 * precision * recall / (precision + recall)
+    p, r = precision_recall(counts)
+    return 2.0 * p * r / (p + r) if counts.tp else 0.0
 
 
 def precision_recall(counts: ConfusionCounts) -> tuple[float, float]:

@@ -22,16 +22,15 @@ as on a noisy standby draw, gathering them makes it dearer than one pass over
 every pair.
 
 The two passes yield the marked samples, their replacement values and the
-event pass's instances. :func:`filter_and_detect` builds the dense filtered
-``PowerSignal`` from them; :func:`filtered_events` reads only the events'
-levels from the raw samples and the replacements. :func:`detect_events` is
-one outlier pass over a signal that is already filtered.
+event pass's instances. One builder, ``_events``, turns instances into events
+for every entry point, reading each level from the raw samples and the
+replacements. :func:`filtered_events` returns only those events;
+:func:`filter_and_detect` also builds the dense filtered ``PowerSignal``, the
+only entry point that does. :func:`detect_events` is one outlier pass over a
+signal that is already filtered, so it has no marks.
 """
 
 from __future__ import annotations
-
-from collections.abc import Callable
-from functools import partial
 
 import numpy as np
 
@@ -121,17 +120,6 @@ def _dense(signal: PowerSignal, marks: np.ndarray, replaced: np.ndarray) -> Powe
     return signal.replace_values(values)
 
 
-def _filtered_at(
-    v: np.ndarray, marks: np.ndarray, replaced: np.ndarray, idx: np.ndarray
-) -> np.ndarray:
-    """Filtered samples at ``idx``, read from the raw ones and the replaced marks."""
-    out = v[idx] + 0.0
-    j = np.searchsorted(marks, idx)
-    hit = np.append(marks, -1)[j] == idx
-    out[hit] = replaced[j[hit]]
-    return out
-
-
 def _outlier_pass(signal: PowerSignal) -> tuple[np.ndarray, ...]:
     """One outlier pass: the samples, which pairs change, the changing pairs,
     their ratios, and the positions among them of the outliers."""
@@ -153,15 +141,25 @@ def detect_events(filtered: PowerSignal) -> EventTable:
     levels end up equal are dropped, since an event must change the value.
     """
     v, _, at, _, hit = _outlier_pass(filtered)
-    return _events(at[hit], v.size, v.take)
+    return _events(v, at[:0], v[:0], at[hit])
 
 
-def _events(instances: np.ndarray, size: int, level: Callable) -> EventTable:
-    """Events from event-pass ``instances``; ``level`` reads filtered samples by index."""
+def _events(
+    v: np.ndarray, marks: np.ndarray, replaced: np.ndarray, instances: np.ndarray
+) -> EventTable:
+    """Events from event-pass ``instances``. A level is the filtered sample:
+    the raw one in ``v``, or the replacement of a marked one."""
     firsts, lasts = _runs(instances)
-    post_idx = np.minimum(lasts + 2, size - 1)
+    post_idx = np.minimum(lasts + 2, v.size - 1)
     # instance t flags pair (t, t+1): sample t is pre-event
-    pre, post = level(firsts), level(post_idx)
+    idx = np.concatenate((firsts, post_idx))
+    # -0.0 made +0.0 as in _dense. A filter without marks has no events, so
+    # this spares only detect_events, which reads its signal as it is.
+    level = v[idx] + 0.0 if marks.size else v[idx]
+    j = np.searchsorted(marks, idx)
+    hit = np.append(marks, -1)[j] == idx
+    level[hit] = replaced[j[hit]]
+    pre, post = np.split(level, 2)
     keep = post != pre
     return EventTable(firsts[keep], post[keep] - pre[keep], pre[keep], post[keep], post_idx[keep])
 
@@ -197,14 +195,9 @@ def _passes(signal: PowerSignal) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
 def filter_and_detect(signal: PowerSignal) -> tuple[PowerSignal, EventTable]:
     """Outlier detection, filtered-signal construction, event detection, in order."""
     v, marks, replaced, instances = _passes(signal)
-    filtered = _dense(signal, marks, replaced)
-    return filtered, _events(instances, v.size, filtered.values.take)
+    return _dense(signal, marks, replaced), _events(v, marks, replaced, instances)
 
 
 def filtered_events(signal: PowerSignal) -> EventTable:
-    """:func:`filter_and_detect`'s events, without building the filtered signal.
-
-    Levels are raw samples, or the replacement of a marked one.
-    """
-    v, marks, replaced, instances = _passes(signal)
-    return _events(instances, v.size, partial(_filtered_at, v, marks, replaced))
+    """:func:`filter_and_detect`'s events, without building the filtered signal."""
+    return _events(*_passes(signal))

@@ -65,14 +65,9 @@ class PowerSignal:
         """Time of every sample, as ``time_at`` computes it."""
         return self.start_time + np.arange(len(self)) * self.sample_period
 
-    def replace_values(self, values: np.ndarray, source_id: str | None = None) -> "PowerSignal":
+    def replace_values(self, values: np.ndarray) -> "PowerSignal":
         """New signal on the same grid with different samples."""
-        return PowerSignal(
-            values=values,
-            start_time=self.start_time,
-            sample_period=self.sample_period,
-            source_id=self.source_id if source_id is None else source_id,
-        )
+        return PowerSignal(values, self.start_time, self.sample_period, self.source_id)
 
     def same_grid(self, other: "PowerSignal") -> bool:
         return (

@@ -273,6 +273,32 @@ def test_mutated_channel_exits_0_1_or_2(flow, tmp_path, capsys):
     assert {0, 2} <= codes
 
 
+@pytest.mark.parametrize(
+    "huge",
+    [{"channel_1.dat": [101], "channel_2.dat": [101]}, {"channel_1.dat": range(101, 131)}],
+    ids=["two channels summed", "a run averaged"],
+)
+def test_huge_finite_readings_are_a_data_error(flow, tmp_path, capsys, huge):
+    """Readings of 1e308 W are finite, but two of them summed into the
+    aggregate, or a run of them averaged, are not; a one-line mutation
+    never makes either."""
+    root, _ = flow
+    manifest = copy_dataset(root, tmp_path)
+    for name, rows in huge.items():
+        lines = (tmp_path / name).read_text(encoding="utf-8").split("\n")
+        for i in rows:
+            lines[i - 1] = lines[i - 1].split()[0] + " 1e308"
+        (tmp_path / name).write_text("\n".join(lines), encoding="utf-8")
+    channel, models, states = (tmp_path / n for n in ("channel_1.dat", "models.json", "states.tsv"))
+    for args in (
+        ["train", "--manifest", str(manifest), "--output", str(models)],
+        ["extract-modes", "--input", str(channel), "--output", str(states)],
+    ):
+        assert cli.main(args) == 2
+        assert f"error: {channel}:101: watts above 1e+12" in capsys.readouterr().err
+    assert not models.exists() and not states.exists()
+
+
 def label_mutations(lines, rng):
     """Each line deleted, duplicated, swapped with the next, renumbered (to
     another line's channel or to one with no file) and renamed (to another

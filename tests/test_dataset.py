@@ -518,6 +518,22 @@ class TestChannelCache:
         assert messages == [f"{p}:2: non-numeric field"] * 2
         assert entries(p) == []
 
+    def test_reading_above_max_watts_is_refused_cold_and_warm(self, tmp_path, parses, monkeypatch):
+        assert read_channel(write(tmp_path / "top.dat", "100 1e12\n"))[1].tolist() == [1e12]
+        p = write(tmp_path / "c.dat", "# t w\n100 5\n\n120 1e308\n140 6\n")
+        message = f"{p}:4: watts above 1e+12"
+        with pytest.raises(ParseError) as cold:
+            read_channel(p)
+        assert str(cold.value) == message and entries(p) == []
+        # warm: an entry stored by a reader without the bound
+        monkeypatch.setattr(dataset, "MAX_WATTS", np.inf)
+        read_channel(p)
+        monkeypatch.setattr(dataset, "MAX_WATTS", 1e12)
+        assert len(entries(p)) == 1
+        with pytest.raises(ParseError) as warm:
+            read_channel(p)
+        assert str(warm.value) == message and len(parses) == 4
+
     def test_one_entry_per_channel_file(self, tmp_path):
         a, b = write(tmp_path / "a.dat", "100 1\n"), write(tmp_path / "b.dat", "100 2\n")
         read_channel(a)
