@@ -29,7 +29,7 @@ from . import dataset as ds
 from .config import FIELD_TYPES, RunConfig, read_config
 from .errors import NilmError
 from .filtering import filter_and_detect, filtered_events
-from .model_io import atomic_write, format_number, format_numbers, join_cells
+from .model_io import atomic_write, format_number, format_table
 from .model_io import load_models, save_models
 from .modes import extract_states
 from .signals import gap_threshold, resample_step_hold
@@ -125,8 +125,7 @@ def _load_dataset(manifest: str) -> ds.DatasetBundle:
 
 def cmd_filter(args) -> int:
     filtered, _ = filter_and_detect(_read_signal(args.input, args.period))
-    cells = format_numbers(filtered.times(), "\t"), format_numbers(filtered.values, "\n")
-    atomic_write(args.output, "time\tfiltered\n" + join_cells(*cells))
+    atomic_write(args.output, format_table("time\tfiltered", filtered.times(), filtered.values))
     print(f"wrote {len(filtered)} filtered samples to {args.output}")
     return EXIT_OK
 
@@ -150,14 +149,11 @@ def cmd_extract_modes(args) -> int:
         merge_ratio=config.merge_ratio,
         off_threshold=config.off_threshold,
     )
-    lines = ["mode\tlow\thigh\tcentroid\tsize"]
-    for s in states.states:
-        lines.append(
-            f"{s.mode}\t{format_number(s.low)}\t{format_number(s.high)}"
-            f"\t{format_number(s.centroid)}\t{s.size}"
-        )
-    atomic_write(args.output, "\n".join(lines) + "\n")
-    print(f"wrote {len(states.states)} states to {args.output}")
+    rows = states.states
+    numbers = ([getattr(s, name) for s in rows] for name in ("low", "high", "centroid", "size"))
+    modes = (states.mode_ids(), np.arange(len(rows)))  # one text per row
+    atomic_write(args.output, format_table("mode\tlow\thigh\tcentroid\tsize", modes, *numbers))
+    print(f"wrote {len(rows)} states to {args.output}")
     return EXIT_OK
 
 

@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import AlignmentError, ManifestError, OutputError, ParseError
 from .features import DAY_SECONDS
-from .model_io import atomic_write, format_number, format_numbers, join_cells, make_dirs
-from .model_io import read_settings, read_text
+from .model_io import atomic_write, format_number, format_numbers, format_table, join_cells
+from .model_io import make_dirs, read_settings, read_text
 from .signals import GapRecord, PowerSignal, aggregate, gap_threshold, resample_step_hold
 from .synth import SynthResult
 
@@ -105,7 +105,7 @@ def read_manifest(path: str | Path) -> DatasetManifest:
 
 def parse_labels(path: str | Path) -> dict[int, str]:
     """Labels file: one "channel_number name" pair per line, each channel
-    and each name on one line only."""
+    and each name on one line only, no name holding a tab."""
     path = Path(path)
     if not path.is_file():
         raise ManifestError(f"labels file not found: {path}")
@@ -122,6 +122,8 @@ def parse_labels(path: str | Path) -> dict[int, str]:
         if channel in out:
             raise ParseError(f"{path}:{lineno}: duplicate channel {channel}")
         name = parts[1].strip()
+        if "\t" in name:  # reports and ground truth are tab-separated
+            raise ParseError(f"{path}:{lineno}: appliance name {name!r} holds a tab")
         if name in line_of:
             raise ParseError(f"{path}:{lineno}: name {name!r} repeats line {line_of[name]}")
         out[channel], line_of[name] = name, lineno
@@ -347,11 +349,12 @@ def write_dataset(
         sig = result.appliances[name]
         cells = time_column(len(sig), sig.sample_period), format_numbers(sig.values, "\n")
         atomic_write(root / f"channel_{i + 1}.dat", join_cells(*cells))
-    labels = [f"{a}\t{f}\t{t}\t{format_number(m)}\n" for a, f, t, m in result.truth_keys]
-    labels = np.array(labels, dtype=object)
-    truth = join_cells(format_numbers(result.truth_index, "\t"), labels[result.truth_code])
-    header = "index\tappliance\tfrom_mode\tto_mode\tmagnitude\n"
-    atomic_write(root / "ground_truth.tsv", header + truth)
+    keys, code = result.truth_keys, result.truth_code
+    labels = (([key[j] for key in keys], code) for j in range(3))
+    magnitude = np.array([key[3] for key in keys], dtype=np.float64)[code]
+    header = "index\tappliance\tfrom_mode\tto_mode\tmagnitude"
+    truth = format_table(header, result.truth_index, *labels, magnitude)
+    atomic_write(root / "ground_truth.tsv", truth)
     manifest = root / "manifest.cfg"
     atomic_write(
         manifest,

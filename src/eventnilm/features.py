@@ -120,7 +120,7 @@ def day_columns(
     """
     if base is None:
         base = signal.start_time
-    days = days_of(signal.start_time + index * signal.sample_period, base, day_seconds)
+    days = days_of(signal.time_at(index), base, day_seconds)
     order = np.argsort(days, kind="stable")
     cuts = np.flatnonzero(np.diff(days[order])) + 1
     return {

@@ -1,8 +1,12 @@
-"""Model file persistence.
+"""Model file persistence, and the text helpers shared by every file the
+package reads or writes.
 
 Models are stored as one JSON document with a schema version, keys sorted
 and floats in shortest round-trip form, so identical models serialize to
-byte-identical files. Writes go through a temp-file-then-rename step.
+byte-identical files. The other helpers: the number format
+(``format_number``, ``format_numbers``), the one tab-separated table writer
+(``format_table``) and its cell joiner (``join_cells``), the UTF-8 and
+``key = value`` readers, and ``atomic_write``, a temp file then a rename.
 """
 
 from __future__ import annotations
@@ -55,6 +59,21 @@ def join_cells(*columns: np.ndarray) -> str:
     """The text of a table given column by column as object arrays of cells,
     each cell ending in its separator (see ``format_numbers``): one join."""
     return "".join(np.column_stack(columns).ravel().tolist())
+
+
+def format_table(header: str, *columns) -> str:
+    """``header``, then one line per row: its cells joined by tabs, ending in
+    a newline. A column is numbers, each cell its ``format_numbers`` text, or
+    a ``(texts, codes)`` pair whose cell in row i is ``texts[codes[i]]``."""
+    cells = []
+    for k, column in enumerate(columns):
+        sep = "\n" if k == len(columns) - 1 else "\t"
+        if isinstance(column, tuple):
+            texts, codes = column
+            cells.append(np.array([t + sep for t in texts], dtype=object)[codes])
+        else:
+            cells.append(format_numbers(column, sep))
+    return header + "\n" + join_cells(*cells)
 
 
 @contextmanager
@@ -233,7 +252,8 @@ def save_models(path: str | Path, models: list[ApplianceModel]) -> None:
             _model_to_dict(m) for m in sorted(models, key=lambda m: m.appliance_id)
         ],
     }
-    atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    # a non-finite number is refused here, not written as a file load_models refuses
+    atomic_write(path, json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def load_models(path: str | Path) -> list[ApplianceModel]:

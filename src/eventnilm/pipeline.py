@@ -26,7 +26,7 @@ from .evaluation import (
 )
 from .features import ApplianceModel, day_columns, mode_changes, train_appliance
 from .filtering import filter_and_detect, filtered_events
-from .model_io import atomic_write, format_numbers, join_cells, make_dirs, read_text
+from .model_io import atomic_write, format_table, make_dirs, read_text
 from .modes import Cluster, extract_states, states_from_clusters
 from .signals import EventTable, PowerSignal
 
@@ -105,20 +105,11 @@ def disaggregate(
 
 
 def format_event_report(labeled: LabelTable, signal: PowerSignal) -> str:
-    events = labeled.events
-    times = signal.start_time + events.index * signal.sample_period
-    labels = ["\t".join((r.appliance, *r.transition.key, "")) for r in labeled.rows]
-    labels = np.array(labels, dtype=object)
-    stages = np.array([f"{stage}\n" for stage in STAGES], dtype=object)
-    rows = join_cells(
-        format_numbers(times, "\t"),
-        format_numbers(events.index, "\t"),
-        format_numbers(events.magnitude, "\t"),
-        labels[labeled.row],
-        stages[labeled.stage],
-    )
-    header = "timestamp\tindex\tmagnitude\tappliance\tfrom_mode\tto_mode\tstage\n"
-    return "# event report 1\n" + header + rows
+    events, keys = labeled.events, labeled.points().keys
+    header = "# event report 1\ntimestamp\tindex\tmagnitude\tappliance\tfrom_mode\tto_mode\tstage"
+    numbers = signal.time_at(events.index), events.index, events.magnitude
+    labels = (([key[j] for key in keys], labeled.row) for j in range(3))
+    return format_table(header, *numbers, *labels, (STAGES, labeled.stage))
 
 
 def parse_event_report(path: str | Path, models: list[ApplianceModel], samples: int) -> PointTable:
@@ -193,10 +184,9 @@ def format_metrics(counts: dict[str, ConfusionCounts]) -> str:
 
 def format_events_table(signal: PowerSignal, events: EventTable) -> str:
     """One line per detected event: index, time, magnitude, levels."""
-    times = signal.start_time + events.index * signal.sample_period
-    numbers = (events.index, times, events.magnitude, events.pre_level)
-    cells = [format_numbers(c, "\t") for c in numbers] + [format_numbers(events.post_level, "\n")]
-    return "index\ttime\tmagnitude\tpre_level\tpost_level\n" + join_cells(*cells)
+    header = "index\ttime\tmagnitude\tpre_level\tpost_level"
+    levels = events.magnitude, events.pre_level, events.post_level
+    return format_table(header, events.index, signal.time_at(events.index), *levels)
 
 
 def write_plot_data(
@@ -208,24 +198,14 @@ def write_plot_data(
 ) -> list[Path]:
     """Columnar series for external plotting: signal, events, cycles."""
     outdir = make_dirs(outdir)
-    written = []
-
-    numbers = (raw.times(), raw.values)
-    cells = [format_numbers(c, "\t") for c in numbers] + [format_numbers(filtered.values, "\n")]
-    p = outdir / "signal.tsv"
-    atomic_write(p, "time\traw\tfiltered\n" + join_cells(*cells))
-    written.append(p)
-
-    p = outdir / "events.tsv"
-    atomic_write(p, format_events_table(raw, events))
-    written.append(p)
-
+    written = [outdir / "signal.tsv", outdir / "events.tsv"]
+    text = format_table("time\traw\tfiltered", raw.times(), raw.values, filtered.values)
+    atomic_write(written[0], text)
+    atomic_write(written[1], format_events_table(raw, events))
     if cycles is not None:
-        t0 = raw.start_time + events.index[cycles.starts] * raw.sample_period
-        t1 = raw.start_time + events.post_index[cycles.ends] * raw.sample_period
-        numbers = (cycles.starts, cycles.ends, t0)
-        cells = [format_numbers(c, "\t") for c in numbers] + [format_numbers(t1, "\n")]
-        p = outdir / "cycles.tsv"
-        atomic_write(p, "start_event\tend_event\tstart_time\tend_time\n" + join_cells(*cells))
-        written.append(p)
+        written.append(outdir / "cycles.tsv")
+        t0 = raw.time_at(events.index[cycles.starts])
+        t1 = raw.time_at(events.post_index[cycles.ends])
+        header = "start_event\tend_event\tstart_time\tend_time"
+        atomic_write(written[2], format_table(header, cycles.starts, cycles.ends, t0, t1))
     return written

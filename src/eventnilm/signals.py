@@ -58,7 +58,7 @@ class PowerSignal:
     def __len__(self):
         return self.values.size
 
-    def time_at(self, index: int) -> float:
+    def time_at(self, index: int | np.ndarray) -> float | np.ndarray:
         return self.start_time + index * self.sample_period
 
     def times(self) -> np.ndarray:

@@ -772,11 +772,7 @@ def reference_write_dataset(root, result, train_days, test_days, start_timestamp
             for j, v in enumerate(sig.values):
                 t = start_timestamp + j * sig.sample_period
                 fh.write(f"{format_number(t)} {format_number(v)}\n")
-    with open(root / "ground_truth.tsv", "w", encoding="utf-8") as fh:
-        fh.write("index\tappliance\tfrom_mode\tto_mode\tmagnitude\n")
-        for t in truth_events(result):
-            fh.write(f"{t.index}\t{t.appliance}\t{t.from_mode}\t{t.to_mode}")
-            fh.write(f"\t{format_number(t.magnitude)}\n")
+    (root / "ground_truth.tsv").write_text(reference_ground_truth_tsv(result), encoding="utf-8")
     (root / "manifest.cfg").write_text(
         "labels = labels.dat\n"
         f"period = {format_number(result.period)}\n"
@@ -785,6 +781,17 @@ def reference_write_dataset(root, result, train_days, test_days, start_timestamp
         f"appliances = {','.join(names)}\n",
         encoding="utf-8",
     )
+
+
+def reference_ground_truth_tsv(result):
+    """``ground_truth.tsv`` of ``write_dataset``, formatted one truth event at a time."""
+    from eventnilm.model_io import format_number
+
+    lines = ["index\tappliance\tfrom_mode\tto_mode\tmagnitude\n"]
+    for t in truth_events(result):
+        lines.append(f"{t.index}\t{t.appliance}\t{t.from_mode}\t{t.to_mode}")
+        lines.append(f"\t{format_number(t.magnitude)}\n")
+    return "".join(lines)
 
 
 def table(records):
@@ -943,6 +950,39 @@ def reference_events_table(signal, events):
             f"\t{format_number(e.pre_level)}\t{format_number(e.post_level)}"
         )
     return "\n".join(lines) + "\n"
+
+
+def reference_cycles_tsv(raw, events, cycles):
+    """``cycles.tsv`` of ``write_plot_data``, formatted one cycle at a time."""
+    from eventnilm.model_io import format_number
+
+    lines = ["start_event\tend_event\tstart_time\tend_time"]
+    for c in cycles:
+        t0 = raw.time_at(int(events.index[c.start_event]))
+        t1 = raw.time_at(int(events.post_index[c.end_event]))
+        lines.append(f"{c.start_event}\t{c.end_event}\t{format_number(t0)}\t{format_number(t1)}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_modes_tsv(states):
+    """``eventnilm extract-modes``' output text, formatted one state at a time."""
+    from eventnilm.model_io import format_number
+
+    lines = ["mode\tlow\thigh\tcentroid\tsize"]
+    for s in states.states:
+        lines.append(
+            f"{s.mode}\t{format_number(s.low)}\t{format_number(s.high)}"
+            f"\t{format_number(s.centroid)}\t{s.size}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def table_numbers(rng, n):
+    """``n`` numbers for a table cell parity test: signed zeros, whole numbers
+    above 2**53, other whole numbers and non-whole ones, in random order."""
+    pool = [-0.0, 0.0, 2.0**60, -(2.0**55), 2.0**53 + 2.0, 0.1, -2.5, 1e-7, 1e300]
+    pool += rng.integers(-5000, 5000, 8).tolist() + rng.normal(0.0, 1e3, 8).tolist()
+    return rng.choice(np.array(pool, dtype=np.float64), n)
 
 
 def reference_event_report(labeled, signal):

@@ -13,15 +13,16 @@ import pytest
 
 import eventnilm
 from eventnilm import dataset as dataset_module
-from eventnilm import signals
+from eventnilm import cli, signals
 from eventnilm.cli import _read_signal, build_parser, main
 from eventnilm.config import RunConfig
 from eventnilm.evaluation import LabelPoint
 from eventnilm.filtering import filter_and_detect
 from eventnilm.model_io import save_models
+from eventnilm.modes import State, StateSet
 from eventnilm.synth import balanced_household, demo_household, generate
 
-from helpers import reference_filter_table, two_mode_model
+from helpers import reference_filter_table, reference_modes_tsv, table_numbers, two_mode_model
 
 
 def copy_dataset(src, dst):
@@ -280,6 +281,24 @@ class TestChannelCommands:
         assert modes == ["off", "on1"]
         capsys.readouterr()
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_extract_modes_text_equals_per_state_reference(self, seed, tmp_path, monkeypatch):
+        """Random bands and centroids (signed zeros, whole numbers above
+        2**53, non-whole numbers) and sizes, 0 among them, in place of the
+        learned states."""
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 12))
+        low, high, centroid = table_numbers(rng, k), table_numbers(rng, k), table_numbers(rng, k)
+        size = rng.integers(0, 3, k) * rng.integers(0, 10**9, k)
+        modes = [f"on{i}" for i in range(k)]
+        modes[int(np.argmin(centroid))] = "off"
+        states = StateSet(tuple(map(State, modes, low, high, centroid, size.tolist())))
+        monkeypatch.setattr(cli, "extract_states", lambda *args, **kwargs: states)
+        channel = write_channel(tmp_path / "ch.dat", step_values())
+        out = tmp_path / "states.tsv"
+        assert main(["extract-modes", "--input", str(channel), "--output", str(out)]) == 0
+        assert out.read_text() == reference_modes_tsv(states)
+
     def test_plot_data_files(self, tmp_path, capsys):
         channel = write_channel(tmp_path / "ch.dat", step_values())
         outdir = tmp_path / "plots"
@@ -377,6 +396,18 @@ class TestMeterFaults:
         out = tmp_path / "events.tsv"
         assert main(["detect-events", "--input", str(channel), "--output", str(out)]) == 2
         assert "ch.dat:6: not UTF-8 text" in capsys.readouterr().err
+
+    def test_tab_in_an_appliance_name_fails_train(self, tmp_path, capsys):
+        """A report or ground-truth row with the name would split at its tab."""
+        argv = ["synth", "--output", str(tmp_path), "--days", "3", "--train-days", "2"]
+        assert main(argv) == 0
+        manifest = tmp_path / "manifest.cfg"
+        for f in (tmp_path / "labels.dat", manifest):
+            f.write_text(f.read_text().replace("kettle", "my\tkettle"))
+        out = tmp_path / "m.json"
+        assert main(["train", "--manifest", str(manifest), "--output", str(out)]) == 2
+        assert "labels.dat:3: appliance name 'my\\tkettle' holds a tab" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_not_utf8_channel_fails_train(self, dataset, tmp_path, capsys):
         manifest = copy_dataset(dataset, tmp_path)

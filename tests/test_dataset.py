@@ -22,14 +22,16 @@ from eventnilm.dataset import (
     write_dataset,
 )
 from eventnilm.errors import AlignmentError, ManifestError, ParseError
-from eventnilm.synth import balanced_household, demo_household, generate
+from eventnilm.synth import SynthResult, balanced_household, demo_household, generate
 
 from helpers import (
     reference_channel_text,
+    reference_ground_truth_tsv,
     reference_load_dataset,
     reference_read_channel,
     reference_write_dataset,
     sig,
+    table_numbers,
     truth_events,
 )
 
@@ -200,6 +202,11 @@ class TestLabels:
         p = tmp_path / "l.dat"
         p.write_bytes(b"1 fridge\n2 \xe9tuve\n")
         with pytest.raises(ParseError, match=r"l\.dat:2: not UTF-8"):
+            parse_labels(p)
+
+    def test_tab_in_a_name(self, tmp_path):
+        p = write(tmp_path / "l.dat", "1 fridge\n3 my\tkettle\n")
+        with pytest.raises(ParseError, match=r"l\.dat:2: appliance name 'my\\tkettle' holds a tab"):
             parse_labels(p)
 
     def test_empty(self, tmp_path):
@@ -567,6 +574,30 @@ class TestWriteAndLoad:
         for channel, name in labels.items():
             text = (tmp_path / f"channel_{channel}.dat").read_text(encoding="utf-8")
             assert text == reference_channel_text(result.appliances[name], start)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ground_truth_equals_per_event_reference(self, tmp_path, seed):
+        """Random truth rows whose magnitudes hold signed zeros, whole numbers
+        above 2**53 and non-whole numbers; at seed 3, no truth rows."""
+        rng = np.random.default_rng(seed)
+        names, modes = ["fridge", "washer dryer", "kettle"], ["off", "on1", "on2"]
+        keys = [(a, f, t) for a in names for f in modes for t in modes]
+        keys = tuple(k + (m,) for k, m in zip(keys, table_numbers(rng, len(keys)).tolist()))
+        n = 0 if seed == 3 else int(rng.integers(1, 300))
+        signal = sig(np.zeros(4), start=1600000000.0, period=20.0)
+        result = SynthResult(
+            appliances={name: signal for name in names},
+            aggregate=signal,
+            truth_index=np.sort(rng.integers(0, 2**40, n)),
+            truth_code=rng.integers(0, len(keys), n),
+            truth_keys=keys,
+            period=20.0,
+            days=1,
+            seed=seed,
+        )
+        write_dataset(tmp_path, result, (0, 0), (1, 1))
+        text = (tmp_path / "ground_truth.tsv").read_text(encoding="utf-8")
+        assert text == reference_ground_truth_tsv(result)
 
     def test_generated_household_round_trips(self, tmp_path):
         result = generate(balanced_household(), days=2, seed=1)

@@ -14,6 +14,7 @@ from eventnilm.model_io import (
     atomic_write,
     format_number,
     format_numbers,
+    format_table,
     join_cells,
     load_models,
     save_models,
@@ -22,7 +23,7 @@ from eventnilm.modes import State, StateSet
 from eventnilm.pipeline import train_models
 from eventnilm.synth import balanced_household, demo_household, generate
 
-from helpers import reference_format_numbers, state, two_mode_model
+from helpers import reference_format_numbers, sig, state, two_mode_model
 
 
 def rich_model():
@@ -115,6 +116,21 @@ class TestFormatNumber:
         assert join_cells(format_numbers([], "\t"), format_numbers([], "\n")) == ""
 
 
+class TestFormatTable:
+    def test_zero_rows_give_the_header_alone(self):
+        assert format_table("a\tb", np.array([]), ([], np.array([], np.int64))) == "a\tb\n"
+        assert format_table("# kind\na", []) == "# kind\na\n"
+
+    def test_label_column_reads_texts_at_codes(self):
+        text = format_table("n\tname", [1.0, 2.5, -0.0], (("kettle", "oven"), [1, 0, 1]))
+        assert text == "n\tname\n1\toven\n2.5\tkettle\n0\toven\n"
+
+    def test_last_cell_ends_the_line(self):
+        text = format_table("name\tn", (["a", "b"], [1, 0]), [7.0, 2.0**60])
+        assert text == "name\tn\nb\t7\na\t1152921504606846976\n"
+        assert format_table("x", [0.5, 3.0]) == "x\n0.5\n3\n"
+
+
 class TestAtomicWrite:
     def test_creates_and_replaces(self, tmp_path):
         p = tmp_path / "out.txt"
@@ -187,6 +203,32 @@ class TestRoundTrip:
         save_models(p1, [rich_model()])
         save_models(p2, load_models(p1))
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestNonFiniteModel:
+    """A model holding a non-finite number is refused before a file is made."""
+
+    @staticmethod
+    def overflowing_model():
+        flat = sig(np.full(48, 1e308))
+        with np.errstate(over="ignore"):  # its mode's centroid overflows to inf
+            models = train_models({"x": flat}, flat, RunConfig()).models
+        assert not np.isfinite([s.centroid for s in models[0].states.states]).all()
+        return models
+
+    def test_no_new_file(self, tmp_path):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            save_models(tmp_path / "m.json", self.overflowing_model())
+        assert list(tmp_path.iterdir()) == []
+
+    def test_existing_file_untouched(self, tmp_path):
+        path = tmp_path / "m.json"
+        save_models(path, [rich_model()])
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            save_models(path, self.overflowing_model())
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestTrainedRoundTrip:

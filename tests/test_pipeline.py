@@ -6,6 +6,7 @@ import pytest
 from eventnilm.classifier import (
     STAGES,
     Cycle,
+    CycleTable,
     LabeledEvent,
     LabelRow,
     LabelTable,
@@ -27,7 +28,7 @@ from eventnilm.pipeline import (
 )
 from eventnilm.config import RunConfig
 from eventnilm.modes import OFF_MODE
-from eventnilm.signals import EventRecord, PowerSignal
+from eventnilm.signals import EventRecord, EventTable, PowerSignal
 from eventnilm.dataset import slice_days
 from eventnilm.synth import balanced_household, demo_household, generate
 
@@ -36,11 +37,13 @@ from helpers import (
     ev,
     evaluate_points,
     reference_build_ground_truth,
+    reference_cycles_tsv,
     reference_event_report,
     reference_events_table,
     reference_signal_tsv,
     sig,
     table,
+    table_numbers,
     two_mode_model,
 )
 
@@ -344,6 +347,24 @@ class TestWritePlotData:
         t0 = raw.time_at(events[0].index)
         t1 = raw.time_at(events[1].post_index)
         assert lines[1] == f"0\t1\t{t0:.0f}\t{t1:.0f}"
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cycle_file_equals_per_cycle_reference(self, seed, tmp_path):
+        """Random events and cycles on a grid whose times are whole above
+        2**53, whole below it from a start of -0.0, or not whole; at seed 3,
+        no events and no cycles."""
+        rng = np.random.default_rng(seed)
+        start, period = [(2.0**60, 1024.0), (-0.0, 6.0), (1.6e9 + 0.25, 0.1), (0.0, 1.0)][seed]
+        raw = sig(np.zeros(50), start=start, period=period)
+        n = 0 if seed == 3 else int(rng.integers(1, 40))
+        index = np.sort(rng.integers(0, 2**40, n))
+        index[:1] = 0
+        pre, magnitude = rng.integers(0, 900, n) * 1.0, rng.choice([-1.0, 1.0], n)
+        events = EventTable(index, magnitude, pre, pre + magnitude, index + 1)
+        starts = np.sort(rng.integers(0, max(n, 1), n // 2))
+        cycles = CycleTable(starts, np.minimum(starts + rng.integers(0, 3, n // 2), n - 1))
+        written = write_plot_data(tmp_path / "p", raw, raw, events, cycles)
+        assert written[2].read_text() == reference_cycles_tsv(raw, events, cycles)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_text_equals_per_sample_reference(self, seed, tmp_path):
