@@ -47,7 +47,7 @@ from .evaluation import PointTable
 from .features import ApplianceModel, BehaviorSet, Transition, day_columns, overshoot_heights
 from .filtering import filter_and_detect
 from .modes import OFF_MODE
-from .signals import EVENT_COLUMNS, EventRecord, EventTable, PowerSignal, freeze_columns
+from .signals import ColumnTable, EventRecord, EventTable, PowerSignal, freeze_columns
 
 log = logging.getLogger(__name__)
 
@@ -135,25 +135,17 @@ class Cycle:
 
 
 @dataclass(frozen=True, eq=False)
-class CycleTable:
+class CycleTable(ColumnTable):
     """Cycles as read-only int64 columns: cycle k spans events ``starts[k]``
-    to ``ends[k]`` inclusive. ``len``, ``table[k]`` and iteration give
-    :class:`Cycle`s, for outside code."""
+    to ``ends[k]`` inclusive. The rows are :class:`Cycle`s, for outside code."""
 
     starts: np.ndarray
     ends: np.ndarray
 
+    _row = Cycle
+
     def __post_init__(self):
         freeze_columns(self, starts=np.int64, ends=np.int64)
-
-    def __len__(self):
-        return self.starts.size
-
-    def __getitem__(self, k: int) -> Cycle:
-        return Cycle(int(self.starts[k]), int(self.ends[k]))
-
-    def __iter__(self):
-        return map(Cycle, self.starts.tolist(), self.ends.tolist())
 
 
 @dataclass
@@ -587,13 +579,12 @@ class LabeledEvent:
 
 
 @dataclass(frozen=True, eq=False)
-class LabelTable:
+class LabelTable(ColumnTable):
     """One label per detected event, as columns.
 
     ``row[i]`` indexes ``rows`` and ``stage[i]`` indexes :data:`STAGES` for
-    event ``events[i]``. ``len``, ``table[i]`` and iteration give the labels
-    as :class:`LabeledEvent`s; ``points()`` gives them as a scoring
-    :class:`PointTable`; ``==`` compares content.
+    event ``events[i]``. The rows are :class:`LabeledEvent`s; ``points()``
+    gives the labels as a scoring :class:`PointTable`; ``==`` compares content.
     """
 
     events: EventTable
@@ -608,18 +599,12 @@ class LabelTable:
         if lengths != {len(self.events)}:
             raise ValueError("row and stage must hold one entry per event")
 
-    def __len__(self):
-        return len(self.events)
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return (self.row, self.stage, *self.events._columns())
 
-    def __getitem__(self, i: int) -> LabeledEvent:
-        return self._labeled(self.events[i], self.row[i], self.stage[i])
-
-    def __iter__(self):
-        return map(self._labeled, self.events, self.row.tolist(), self.stage.tolist())
-
-    def _labeled(self, event: EventRecord, r: int, code: int) -> LabeledEvent:
+    def _row(self, r: int, code: int, *event) -> LabeledEvent:
         row = self.rows[r]
-        return LabeledEvent(event, row.appliance, row.transition, STAGES[code])
+        return LabeledEvent(EventRecord(*event), row.appliance, row.transition, STAGES[code])
 
     def points(self) -> PointTable:
         """The labels as scoring columns, one key per row, built without a
@@ -630,8 +615,7 @@ class LabelTable:
     def __eq__(self, other):
         if not isinstance(other, LabelTable):
             return NotImplemented
-        mine = (self.row, self.stage, *(getattr(self.events, n) for n in EVENT_COLUMNS))
-        theirs = (other.row, other.stage, *(getattr(other.events, n) for n in EVENT_COLUMNS))
+        mine, theirs = self._columns(), other._columns()
         return self.rows == other.rows and all(map(np.array_equal, mine, theirs))
 
 

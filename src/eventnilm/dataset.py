@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import AlignmentError, ManifestError, OutputError, ParseError
 from .features import DAY_SECONDS
-from .model_io import atomic_write, format_number, format_numbers, format_table, join_cells
-from .model_io import make_dirs, read_settings, read_text
+from .model_io import atomic_write, fits_one_cell, format_number, format_numbers, format_table
+from .model_io import join_cells, make_dirs, read_settings, read_text
 from .signals import GapRecord, PowerSignal, aggregate, gap_threshold, resample_step_hold
 from .synth import SynthResult
 
@@ -122,7 +122,7 @@ def parse_labels(path: str | Path) -> dict[int, str]:
         if channel in out:
             raise ParseError(f"{path}:{lineno}: duplicate channel {channel}")
         name = parts[1].strip()
-        if "\t" in name:  # reports and ground truth are tab-separated
+        if not fits_one_cell(name):  # reports and ground truth are tab-separated
             raise ParseError(f"{path}:{lineno}: appliance name {name!r} holds a tab")
         if name in line_of:
             raise ParseError(f"{path}:{lineno}: name {name!r} repeats line {line_of[name]}")

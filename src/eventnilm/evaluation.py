@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig
-from .signals import freeze_columns
+from .signals import ColumnTable, freeze_columns
 
 
 @dataclass(frozen=True)
@@ -45,11 +45,11 @@ class ConfusionCounts:
 
 
 @dataclass(frozen=True, eq=False)
-class PointTable:
+class PointTable(ColumnTable):
     """Labeled events as read-only columns: event ``i`` sits at sample
     ``index[i]`` and has the (appliance, from mode, to mode) label
-    ``keys[code[i]]``. ``len``, ``table[i]`` and iteration give the rows as
-    :class:`LabelPoint`s, for outside code; ``==`` compares content.
+    ``keys[code[i]]``. The rows are :class:`LabelPoint`s, for outside code;
+    ``==`` compares content.
     """
 
     index: np.ndarray
@@ -74,15 +74,11 @@ class PointTable:
             code.append(slot.setdefault((p.appliance, p.from_mode, p.to_mode), len(slot)))
         return cls(index, code, tuple(slot))
 
-    def __len__(self):
-        return self.index.size
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return self.index, self.code
 
-    def __getitem__(self, i: int) -> LabelPoint:
-        return LabelPoint(self.index[i].item(), *self.keys[self.code[i]])
-
-    def __iter__(self):
-        labels = map(self.keys.__getitem__, self.code.tolist())
-        return map(LabelPoint, self.index.tolist(), *zip(*labels))
+    def _row(self, index: int, code: int) -> LabelPoint:
+        return LabelPoint(index, *self.keys[code])
 
     def __eq__(self, other):
         """Same indices and, event by event, the same decoded label."""

@@ -5,8 +5,9 @@ Models are stored as one JSON document with a schema version, keys sorted
 and floats in shortest round-trip form, so identical models serialize to
 byte-identical files. The other helpers: the number format
 (``format_number``, ``format_numbers``), the one tab-separated table writer
-(``format_table``) and its cell joiner (``join_cells``), the UTF-8 and
-``key = value`` readers, and ``atomic_write``, a temp file then a rename.
+(``format_table``), its cell joiner (``join_cells``) and its rule on names
+(``fits_one_cell``), the UTF-8 and ``key = value`` readers, and
+``atomic_write``, a temp file then a rename.
 """
 
 from __future__ import annotations
@@ -53,6 +54,11 @@ def format_numbers(values, sep: str = "") -> np.ndarray:
     texts[whole] = [str(i) + sep for i in distinct[whole].astype(np.int64).tolist()]
     texts[~whole] = [format_number(x) + sep for x in distinct[~whole].tolist()]
     return np.repeat(texts[position], np.diff(np.r_[starts, v.size]))
+
+
+def fits_one_cell(text: str) -> bool:
+    """Whether ``text`` holds no tab and no line break: one tab-separated cell."""
+    return "\t" not in text and "".join(text.splitlines()) == text
 
 
 def join_cells(*columns: np.ndarray) -> str:
@@ -188,7 +194,10 @@ def _take(entry, key: str, kind: type | tuple[type, ...], what: str):
 
 
 def _text(entry, key: str) -> str:
-    return _take(entry, key, str, "a string")
+    text = _take(entry, key, str, "a string")
+    if not fits_one_cell(text):  # every text is a name that a report line must hold
+        raise ValueError(f"{key!r} {text!r} holds a tab or line break")
+    return text
 
 
 def _number(entry, key: str) -> float:

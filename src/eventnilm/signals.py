@@ -7,7 +7,7 @@ construction and safe to share between workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -116,17 +116,30 @@ class EventRecord:
             object.__setattr__(self, "post_index", self.index + 1)
 
 
-# the EventTable columns, in EventRecord's field order
-EVENT_COLUMNS = ("index", "magnitude", "pre_level", "post_level", "post_index")
+class ColumnTable:
+    """Base of the read-only column tables. ``len``, ``table[i]`` (``i`` may
+    count from the end) and iteration give rows, each built by passing entry
+    i of every column in ``_columns()`` to the table's ``_row``. The columns
+    are the table's fields unless it names others."""
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return tuple(getattr(self, f.name) for f in fields(self))
+
+    def __len__(self):
+        return self._columns()[0].size
+
+    def __getitem__(self, i: int):
+        return self._row(*(col[i].item() for col in self._columns()))
+
+    def __iter__(self):
+        return map(self._row, *(col.tolist() for col in self._columns()))
 
 
 @dataclass(frozen=True, eq=False)
-class EventTable:
-    """Detected events as read-only columns, one row per event.
-
-    ``len``, ``table[i]`` and iteration give the rows as :class:`EventRecord`s,
-    whose rules are checked once, on the whole columns.
-    """
+class EventTable(ColumnTable):
+    """Detected events as read-only columns in :class:`EventRecord`'s field
+    order, one row per event, checked as whole columns for its rules. The
+    rows are ``EventRecord``s, which check the rules again on their scalars."""
 
     index: np.ndarray
     magnitude: np.ndarray
@@ -134,23 +147,17 @@ class EventTable:
     post_level: np.ndarray
     post_index: np.ndarray
 
+    _row = EventRecord
+
     def __post_init__(self):
-        freeze_columns(self, **{n: np.int64 if "index" in n else np.float64 for n in EVENT_COLUMNS})
+        freeze_columns(self, index=np.int64, magnitude=np.float64, pre_level=np.float64,
+                       post_level=np.float64, post_index=np.int64)
         if np.any(self.index < 0):
             raise ValueError("event index must be non-negative")
         if np.any(self.magnitude == 0):
             raise ValueError("an event must change the signal value")
         if np.any(np.abs((self.post_level - self.pre_level) - self.magnitude) > 1e-6):
             raise ValueError("magnitude must equal post_level - pre_level")
-
-    def __len__(self):
-        return self.index.size
-
-    def __getitem__(self, i: int) -> EventRecord:
-        return EventRecord(*(getattr(self, name)[i].item() for name in EVENT_COLUMNS))
-
-    def __iter__(self):
-        return map(EventRecord, *(getattr(self, name).tolist() for name in EVENT_COLUMNS))
 
 
 @dataclass(frozen=True)

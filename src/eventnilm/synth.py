@@ -24,6 +24,7 @@ import numpy as np
 from .config import RunConfig
 from .errors import SpecValidationError
 from .features import DAY_SECONDS
+from .model_io import fits_one_cell
 from .modes import mode_name
 from .signals import PowerSignal
 
@@ -71,6 +72,8 @@ class ApplianceSpec:
     def __post_init__(self):
         if not self.appliance_id:
             raise SpecValidationError("appliance needs an id")
+        if not fits_one_cell(self.appliance_id):
+            raise SpecValidationError(f"{self.appliance_id!r}: id holds a tab or line break")
         if not self.levels:
             raise SpecValidationError(f"{self.appliance_id}: no power levels")
         if any(l <= 0 for l in self.levels) or list(self.levels) != sorted(self.levels):

@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import json
 import os
 import re
 import subprocess
@@ -408,6 +409,20 @@ class TestMeterFaults:
         assert main(["train", "--manifest", str(manifest), "--output", str(out)]) == 2
         assert "labels.dat:3: appliance name 'my\\tkettle' holds a tab" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("bad", ["\t", "\n", "\u2028"])
+    def test_line_break_in_a_model_id_fails_disaggregate(self, dataset, tmp_path, capsys, bad):
+        """A report row with the id would split; evaluate could not read it."""
+        models, report = tmp_path / "models.json", tmp_path / "report.tsv"
+        manifest = str(dataset / "manifest.cfg")
+        assert main(["train", "--manifest", manifest, "--output", str(models)]) == 0
+        doc = json.loads(models.read_text())
+        doc["appliances"][0]["id"] += f"{bad}x"
+        models.write_text(json.dumps(doc))
+        argv = ["disaggregate", "--manifest", manifest, "--model", str(models)]
+        assert main([*argv, "--output", str(report)]) == 2
+        assert "models.json: malformed model entry: 'id'" in capsys.readouterr().err
+        assert not report.exists()
 
     def test_not_utf8_channel_fails_train(self, dataset, tmp_path, capsys):
         manifest = copy_dataset(dataset, tmp_path)

@@ -12,6 +12,7 @@ from eventnilm.features import ApplianceModel, BehaviorSet, Transition
 from eventnilm.model_io import (
     SCHEMA_VERSION,
     atomic_write,
+    fits_one_cell,
     format_number,
     format_numbers,
     format_table,
@@ -129,6 +130,21 @@ class TestFormatTable:
         text = format_table("name\tn", (["a", "b"], [1, 0]), [7.0, 2.0**60])
         assert text == "name\tn\nb\t7\na\t1152921504606846976\n"
         assert format_table("x", [0.5, 3.0]) == "x\n0.5\n3\n"
+
+
+# every line break str.splitlines splits on
+BREAKS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+class TestFitsOneCell:
+    @pytest.mark.parametrize("bad", [*BREAKS, "\t"])
+    def test_tab_or_line_break_anywhere_is_refused(self, bad):
+        for name in (f"my{bad}kettle", f"kettle{bad}", f"{bad}kettle", bad):
+            assert not fits_one_cell(name)
+
+    @pytest.mark.parametrize("name", ["kettle", "my kettle", "on1", "Küche", ""])
+    def test_other_text_fits(self, name):
+        assert fits_one_cell(name)
 
 
 class TestAtomicWrite:
@@ -284,4 +300,15 @@ class TestLoadErrors:
             encoding="utf-8",
         )
         with pytest.raises(ParseError, match="malformed"):
+            load_models(p)
+
+    @pytest.mark.parametrize("bad", ["\t", "\n", "\u2028", "\x85"])
+    @pytest.mark.parametrize("key, name", [("id", "washer"), ("mode", "on1")])
+    def test_name_a_report_cannot_hold(self, tmp_path, key, name, bad):
+        """Such an id or mode would split its report line in two."""
+        p = tmp_path / "m.json"
+        save_models(p, [rich_model()])
+        p.write_text(p.read_text().replace(f'"{name}"', json.dumps(f"x{bad}y")), encoding="utf-8")
+        want = rf"m\.json: malformed model entry: '{key}' .* holds a tab or line break"
+        with pytest.raises(ParseError, match=want):
             load_models(p)

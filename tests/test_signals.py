@@ -5,7 +5,10 @@ import re
 import numpy as np
 import pytest
 
+from eventnilm.classifier import STAGES, Cycle, CycleTable, LabeledEvent, LabelRow, LabelTable
 from eventnilm.errors import AlignmentError
+from eventnilm.evaluation import LabelPoint, PointTable
+from eventnilm.features import Transition
 from eventnilm.signals import (
     EventRecord,
     EventTable,
@@ -172,6 +175,56 @@ class TestEventTable:
     def test_rejects_ragged_columns(self):
         with pytest.raises(ValueError):
             EventTable([1, 2], [1.0], [0.0], [1.0], [2])
+
+
+def random_tables(rng, n):
+    """Each column table built from seeded random columns of n rows, with
+    its rows built one at a time from the same columns."""
+    index = rng.integers(0, 1000, n)
+    pre = rng.uniform(0.0, 500.0, n).round(1)
+    magnitude = rng.choice([-1.0, 1.0], n) * rng.uniform(1.0, 300.0, n).round(1)
+    post, post_index = pre + magnitude, index + rng.integers(1, 4, n)
+    events = EventTable(index, magnitude, pre, post, post_index)
+    records = [
+        EventRecord(int(index[i]), float(magnitude[i]), float(pre[i]), float(post[i]),
+                    int(post_index[i]))
+        for i in range(n)
+    ]
+    starts = rng.integers(0, 50, n)
+    ends = starts + rng.integers(0, 5, n)
+    keys = [("a", "off", "on1"), ("a", "on1", "off"), ("b", "off", "on1")]
+    code = rng.integers(0, len(keys), n)
+    rows = [LabelRow(k[0], Transition(k[1], k[2], 1.0, 2.0)) for k in keys]
+    stage = rng.integers(0, len(STAGES), n)
+    cycles = [Cycle(int(starts[i]), int(ends[i])) for i in range(n)]
+    points = [LabelPoint(int(index[i]), *keys[code[i]]) for i in range(n)]
+    labels = [
+        LabeledEvent(records[i], rows[code[i]].appliance, rows[code[i]].transition,
+                     STAGES[stage[i]])
+        for i in range(n)
+    ]
+    return [
+        (events, records),
+        (CycleTable(starts, ends), cycles),
+        (PointTable(index, code, keys), points),
+        (LabelTable(events, rows, code, stage), labels),
+    ]
+
+
+class TestRowViews:
+    """One row mechanism serves the four column tables."""
+
+    @pytest.mark.parametrize("n", [0, 1, 9])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rows_match_rows_built_one_at_a_time(self, seed, n):
+        for t, want in random_tables(np.random.default_rng(seed), n):
+            assert len(t) == n and bool(t) == (n > 0)
+            got = [t[i] for i in range(-n, n)]
+            assert got == want + want and repr(got) == repr(want + want)  # plain scalars
+            assert list(t) == want and repr(list(t)) == repr(want)
+            for i in (-n - 1, n):
+                with pytest.raises(IndexError):
+                    t[i]
 
 
 class TestResampleStepHold:

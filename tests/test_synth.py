@@ -52,6 +52,12 @@ class TestSpecValidation:
         with pytest.raises(SpecValidationError):
             clean_spec(levels=())
 
+    @pytest.mark.parametrize("bad", ["\t", "\n", "\u2028"])
+    def test_id_must_fit_one_report_cell(self, bad):
+        """labels.dat, the manifest and ground_truth.tsv could not hold it."""
+        with pytest.raises(SpecValidationError, match="holds a tab or line break"):
+            clean_spec(app=f"lamp{bad}x")
+
     def test_off_level_bounded(self):
         with pytest.raises(SpecValidationError):
             clean_spec(off_level=6.0)
