@@ -177,10 +177,14 @@ def initial_labels(events: EventTable, rows: list[LabelRow]) -> CandidateLabelMa
     Intervals are signed (falling transitions carry negative bands), so
     containment is direction-aware for free. A column matching nothing gets
     the nearest band on absolute magnitude, a same-direction band if any,
-    and is listed in the diagnostics.
+    and is listed in the diagnostics. Ties go to the smaller row, so the
+    rows must come in :func:`build_rows` order.
     """
     if not rows:
         raise ModelCoverageError("no appliance transitions to label against")
+    keys = [(row.appliance, row.transition.key) for row in rows]
+    if keys != sorted(keys):
+        raise ValueError("rows must be ordered by appliance id, then transition key")
     low = np.array([row.transition.low for row in rows], dtype=np.float64)
     high = np.array([row.transition.high for row in rows], dtype=np.float64)
     mags = events.magnitude[:, None]
@@ -204,25 +208,14 @@ def initial_labels(events: EventTable, rows: list[LabelRow]) -> CandidateLabelMa
 
 def _nearest_rows(magnitudes: np.ndarray, rows: list[LabelRow]) -> list[int]:
     """Per magnitude, the row minimising (direction mismatch, distance from
-    the band on absolute magnitude, appliance, transition key, row)."""
+    the band on absolute magnitude, row)."""
     trs = [row.transition for row in rows]
     lo, hi = np.sort(np.abs([[t.low, t.high] for t in trs]), axis=1).T
     m = np.abs(magnitudes)[:, None]
-    keys = (
-        _ranks([t.key for t in trs]),
-        _ranks([row.appliance for row in rows]),
-        np.maximum(np.maximum(lo - m, m - hi), 0.0),
-        np.array([t.rising for t in trs]) != (magnitudes > 0)[:, None],
-    )
-    shape = (magnitudes.size, len(rows))
+    distance = np.maximum(np.maximum(lo - m, m - hi), 0.0)
+    mismatch = np.array([t.rising for t in trs]) != (magnitudes > 0)[:, None]
     # lexsort orders by the last key first and is stable: ties go to the smaller row
-    return np.lexsort([np.broadcast_to(k, shape) for k in keys], axis=1)[:, 0].tolist()
-
-
-def _ranks(keys: list) -> np.ndarray:
-    """Each key's position among the distinct keys, in sorted order."""
-    rank = {k: i for i, k in enumerate(sorted(set(keys)))}
-    return np.array([rank[k] for k in keys])
+    return np.lexsort((distance, mismatch), axis=1)[:, 0].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +490,7 @@ def resolve_by_participation(
     share of the day's events that may take it, as if every ambiguous event
     went to it; each ambiguous column then keeps the candidate minimizing
     |observed - trained|. Ties prefer the larger trained index, then the
-    lexicographically smaller appliance id, transition and row. Events
+    smaller row, which orders by appliance id and transition. Events
     competing for disjoint candidate rows need no grouping: each row's count
     only ever gathers the events that may take it.
     """
@@ -506,15 +499,13 @@ def resolve_by_participation(
     if not multi.any():
         return matrix
     trained = {(m.appliance_id, key): p for m in models for key, p in m.participation.items()}
-    # per row: its (appliance, transition key), which breaks ties, and its trained share
-    keys = [(row.appliance, row.transition.key) for row in matrix.rows]
-    share = [trained.get(key, 0.0) for key in keys]
+    share = [trained.get((row.appliance, row.transition.key), 0.0) for row in matrix.rows]
     columns = matrix.columns
     for cols in day_columns(matrix.events.index, filtered).values():
         if not multi[cols].any():
             continue  # nothing to resolve on this day
         count = Counter(r for c in cols for r in columns[c])
-        rank = {r: (abs(k / len(cols) - share[r]), -share[r], keys[r], r) for r, k in count.items()}
+        rank = {r: (abs(k / len(cols) - share[r]), -share[r], r) for r, k in count.items()}
         for c in cols:
             if len(columns[c]) > 1:
                 matrix.keep_only(c, {min(columns[c], key=rank.__getitem__)})

@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import AlignmentError, ManifestError, OutputError, ParseError
 from .features import DAY_SECONDS
-from .model_io import atomic_write, fits_one_cell, format_number, format_numbers, format_table
-from .model_io import join_cells, make_dirs, read_settings, read_text
+from .model_io import atomic_write, decode_text, fits_one_cell, format_number, format_numbers
+from .model_io import format_table, join_cells, make_dirs, read_settings, read_text
 from .signals import GapRecord, PowerSignal, aggregate, gap_threshold, resample_step_hold
 from .synth import SynthResult
 
@@ -136,9 +136,9 @@ def read_channel(path: str | Path) -> tuple[np.ndarray, np.ndarray, int]:
     """Channel file, UTF-8: "unix_timestamp watts" per line, whitespace-separated.
 
     Blank and ``#`` lines are skipped; any other line must hold two finite
-    numbers, the watts at most ``MAX_WATTS``. One ``np.loadtxt`` call parses
-    the file. Returns views of its two columns and the count of negative
-    readings (meter offset) clipped to zero.
+    numbers, the watts at most ``MAX_WATTS``. The file is read once, and one
+    ``np.loadtxt`` call parses its text. Returns views of its two columns and
+    the count of negative readings (meter offset) clipped to zero.
 
     The table, before clipping, is cached in ``.eventnilm-cache/`` beside the
     file, keyed by the file's length, CRC-32 and Adler-32, so an unchanged file
@@ -152,32 +152,31 @@ def read_channel(path: str | Path) -> tuple[np.ndarray, np.ndarray, int]:
     entry = path.parent / ".eventnilm-cache" / f"{path.name}.{key}.npy"
     table = _cached_table(entry)
     if table is None:
-        table = _parse_channel(path, data)
-        view, size = memoryview(data), 1 << 20
-        with open(path, "rb") as fh:  # stored unless rewritten while it was parsed
-            if all(fh.read(size) == view[i : i + size] for i in range(0, len(data) + 1, size)):
-                _store_table(entry, path.name, table)
+        table = _parse_channel(path, decode_text(data, path))
+        _store_table(entry, path.name, table)
     times, watts = table[:, 0], table[:, 1]
     clipped = int(np.count_nonzero(watts < 0))
     np.maximum(watts, 0.0, out=watts)
     return times, watts, clipped
 
 
-def _parse_channel(path: Path, data: bytes) -> np.ndarray:
-    """The (n, 2) float64 table of a channel file whose bytes are ``data``."""
+def _parse_channel(path: Path, text: str) -> np.ndarray:
+    """The (n, 2) float64 table of the channel file at ``path`` whose text is ``text``."""
+    # read as lines of bytes: a StringIO would widen the text to 4 bytes a character
+    lines = io.BytesIO(text.encode("utf-8"))
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # an empty file is reported below
-            table = np.loadtxt(path, comments="#", ndmin=2, encoding="utf-8")
-    except ValueError:  # UnicodeDecodeError included
-        _raise_first_bad_line(path)
+            table = np.loadtxt(lines, comments="#", ndmin=2, encoding="utf-8")
+    except ValueError:
+        _raise_first_bad_line(path, text)
     if (
         table.shape[1] != 2
         or not _in_range(table)
         # np.loadtxt drops a '#' after data on a line as a comment; the format does not
-        or b"#" in data and re.search(r"^[^\S\n]*[^#\s].*#", read_text(path), re.M)
+        or "#" in text and re.search(r"^[^\S\n]*[^#\s].*#", text, re.M)
     ):
-        _raise_first_bad_line(path)
+        _raise_first_bad_line(path, text)
     return table
 
 
@@ -224,10 +223,10 @@ def timestamp_faults(times: np.ndarray) -> tuple[int, int]:
     return int(np.count_nonzero(ordered[1:] == ordered[:-1])), unordered
 
 
-def _raise_first_bad_line(path: Path) -> NoReturn:
-    """The ParseError for the first line of a file ``read_channel`` rejected."""
+def _raise_first_bad_line(path: Path, text: str) -> NoReturn:
+    """The ParseError for the first line of the text of a file ``read_channel`` rejected."""
     seen = False
-    for lineno, line in enumerate(read_text(path).split("\n"), 1):
+    for lineno, line in enumerate(text.split("\n"), 1):
         fields = line.split()
         if not fields or fields[0].startswith("#"):
             continue

@@ -102,25 +102,10 @@ def mode_changes(events: EventTable, states: StateSet) -> tuple[np.ndarray, ...]
 DAY_SECONDS = 86400.0
 
 
-def days_of(times: np.ndarray, base: float, day_seconds: float = DAY_SECONDS) -> np.ndarray:
-    """Day index of each time, day 0 starting at ``base``."""
-    return np.floor_divide(times - base, day_seconds).astype(np.int64)
-
-
-def day_columns(
-    index: np.ndarray,
-    signal: PowerSignal,
-    base: float | None = None,
-    day_seconds: float = DAY_SECONDS,
-) -> dict[int, list[int]]:
-    """Positions in an event ``index`` column grouped by their sample's day, days ascending.
-
-    ``base`` anchors day 0; it defaults to the signal's own start but must be
-    shared when aligning day indices across several signals.
-    """
-    if base is None:
-        base = signal.start_time
-    days = days_of(signal.time_at(index), base, day_seconds)
+def day_columns(index: np.ndarray, signal: PowerSignal) -> dict[int, list[int]]:
+    """Positions in an event ``index`` column grouped by their sample's day,
+    days ascending; day 0 starts at the signal's first sample."""
+    days = np.floor_divide(signal.time_at(index) - signal.start_time, DAY_SECONDS).astype(np.int64)
     order = np.argsort(days, kind="stable")
     cuts = np.flatnonzero(np.diff(days[order])) + 1
     return {
@@ -308,8 +293,7 @@ def train_appliance(
     filtered: PowerSignal,
     events: EventTable,
     states: StateSet,
-    daily_totals: dict[int, int] | None = None,
-    day_base: float | None = None,
+    daily_totals: dict[int, int],
     overshoot_floor_w: float = RunConfig.overshoot_floor,
     count_all_days: bool = RunConfig.n_days_variant,
 ) -> ApplianceModel:
@@ -317,10 +301,8 @@ def train_appliance(
 
     ``daily_totals`` maps day index to the aggregated household signal's
     event count that day; participation shares are fractions of those totals.
-    Without it the appliance's own per-day counts stand in, which is only
-    right when the appliance is alone on the meter. ``day_base`` anchors day
-    0 for those totals and for the signature's days; it defaults to the
-    filtered signal's start.
+    Days count from the filtered signal's first sample, for those totals and
+    for the signature's days alike.
     """
     positions, transitions, which = label_training_events(events, states)
     if not transitions:
@@ -328,10 +310,8 @@ def train_appliance(
     index = events.index[positions]
     counts = {
         day: np.bincount(which[cols], minlength=len(transitions)).tolist()
-        for day, cols in day_columns(index, filtered, day_base).items()
+        for day, cols in day_columns(index, filtered).items()
     }
-    if daily_totals is None:
-        daily_totals = {day: sum(per) for day, per in counts.items()}
     days = sorted(set(daily_totals) | set(counts))
     participation = participation_index(
         [{t.key: c for t, c in zip(transitions, counts.get(d, ())) if c} for d in days],

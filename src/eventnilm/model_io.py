@@ -119,12 +119,18 @@ def make_dirs(path: str | Path) -> Path:
 
 def read_text(path: Path) -> str:
     """A UTF-8 text file with universal newlines; other bytes are a ParseError."""
+    return decode_text(path.read_bytes(), path)
+
+
+def decode_text(data: bytes, path: Path) -> str:
+    """``read_text`` of the file at ``path`` whose bytes are ``data``."""
     try:
-        return path.read_text(encoding="utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        head = exc.object[: exc.start]
+        head = data[: exc.start]
         line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise ParseError(f"{path}:{line}: not UTF-8 text") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def read_settings(path: Path, keys, error: type[Exception]) -> dict[str, str]:

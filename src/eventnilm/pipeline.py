@@ -15,7 +15,7 @@ import numpy as np
 
 from .classifier import STAGES, CycleTable, Diagnostics, LabelTable, classify
 from .config import RunConfig
-from .errors import DataConsistencyError, ParseError
+from .errors import AlignmentError, DataConsistencyError, ParseError
 from .evaluation import (
     ConfusionCounts,
     PointTable,
@@ -50,13 +50,16 @@ def train_models(
     aggregate: PowerSignal,
     config: RunConfig,
 ) -> TrainResult:
-    """Learn one model per appliance from its submetered training signal."""
+    """Learn one model per appliance from its submetered training signal,
+    which must lie on the aggregate's grid so that both count the same days."""
     agg_events = filtered_events(aggregate)
     totals = {d: len(cols) for d, cols in day_columns(agg_events.index, aggregate).items()}
 
     result = TrainResult(models=[])
     for name in sorted(appliances):
         raw = appliances[name]
+        if not raw.same_grid(aggregate):
+            raise AlignmentError(f"appliance {name!r} is not on the aggregate's grid")
         filtered, events = filter_and_detect(raw)
         try:
             if not events:  # checked first: an idle channel is never clustered
@@ -74,7 +77,6 @@ def train_models(
                 events,
                 states,
                 daily_totals=totals,
-                day_base=aggregate.start_time,
                 overshoot_floor_w=config.overshoot_floor,
                 count_all_days=config.n_days_variant,
             )

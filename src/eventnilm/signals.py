@@ -174,13 +174,14 @@ def resample_step_hold(
     period: float,
     start: float | None = None,
     end: float | None = None,
-    max_gap: float | None = None,
+    *,
+    max_gap: float,
     source_id: str = "",
 ) -> tuple[PowerSignal, list[GapRecord]]:
     """Put an irregular (time, value) series onto a uniform grid.
 
     Each grid sample takes the most recent source sample at or before the
-    grid instant. Source gaps longer than ``max_gap`` seconds (by default
+    grid instant. Source gaps longer than ``max_gap`` seconds (such as
     ``gap_threshold(period)``) are still filled with the last value but
     reported, so outages are visible instead of fabricating flat power.
     """
@@ -205,7 +206,7 @@ def resample_step_hold(
         )
     # holes in the source that overlap the grid span, found before the grid
     # is built so that the spacings are freed before the grid arrays exist
-    i = np.flatnonzero(np.diff(times) > (gap_threshold(period) if max_gap is None else max_gap))
+    i = np.flatnonzero(np.diff(times) > max_gap)
     i = i[(times[i] <= hi) & (times[i + 1] >= lo)]
     gaps = [GapRecord(start_time=a, end_time=b) for a, b in zip(times[i], times[i + 1])]
 

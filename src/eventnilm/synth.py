@@ -74,6 +74,9 @@ class ApplianceSpec:
             raise SpecValidationError("appliance needs an id")
         if not fits_one_cell(self.appliance_id):
             raise SpecValidationError(f"{self.appliance_id!r}: id holds a tab or line break")
+        if "," in self.appliance_id or self.appliance_id != self.appliance_id.strip():
+            # the manifest lists appliances comma-separated, each stripped
+            raise SpecValidationError(f"{self.appliance_id!r}: id holds a comma or edge space")
         if not self.levels:
             raise SpecValidationError(f"{self.appliance_id}: no power levels")
         if any(l <= 0 for l in self.levels) or list(self.levels) != sorted(self.levels):

@@ -139,6 +139,16 @@ class TestInitialLabels:
         with pytest.raises(ModelCoverageError):
             initial_labels(table([ev(0, 0, 100)]), [])
 
+    def test_rows_out_of_build_rows_order_rejected(self):
+        rows = build_rows([two_mode_model("a", 890, 1000), two_mode_model("b", 1300, 1400)])
+        events = table([ev(0, 0, 1200)])
+        initial_labels(events, rows)
+        for i, j in ((0, 1), (1, 2)):  # two transitions of a, then a and b
+            swapped = list(rows)
+            swapped[i], swapped[j] = rows[j], rows[i]
+            with pytest.raises(ValueError, match="ordered by appliance id, then transition key"):
+                initial_labels(events, swapped)
+
     def test_columns_never_empty(self):
         rng = np.random.default_rng(53)
         models = [two_mode_model("a", 400, 500), two_mode_model("b", 1200, 1250)]
@@ -842,9 +852,10 @@ class TestInitialLabelsParity:
 
     DECIDERS = ("direction", "distance", "appliance", "key", "row")
 
-    def test_nearest_band_fallback_on_any_rows(self):
-        """Unmatched columns against the per-column min, on rows in any
-        order, with repeated (appliance, key) pairs and tied distances."""
+    def test_nearest_band_fallback_on_random_rows(self):
+        """Unmatched columns against the per-column min, on random rows in
+        ``build_rows`` order, with repeated (appliance, key) pairs and tied
+        distances."""
         rng = np.random.default_rng(29)
         modes = (OFF_MODE, "on1", "on2")
         seen = set()
@@ -856,6 +867,7 @@ class TestInitialLabelsParity:
                 band = (lo, hi) if sign > 0 else (-hi, -lo)
                 x, y = rng.choice(modes, size=2, replace=False)
                 rows.append(LabelRow(str(rng.choice(["a", "b", "c"])), Transition(x, y, *band)))
+            rows.sort(key=lambda row: (row.appliance, row.transition.key))
             mags = [float(m) for m in 50 * rng.integers(-26, 27, size=12) if m != 0]
             events = [ev(10 * i, max(0.0, -m), max(0.0, m)) for i, m in enumerate(mags)]
             matrix = initial_labels(table(events), rows)

@@ -16,7 +16,6 @@ from eventnilm.errors import DataConsistencyError
 from eventnilm.features import (
     OVERSHOOT_WINDOW,
     day_columns,
-    days_of,
     find_signature,
     label_training_events,
     min_off_gap,
@@ -146,23 +145,22 @@ class TestLabelTrainingEvents:
 
 
 class TestDaySplitting:
-    def test_days_of_floors_relative_time(self):
-        days = days_of(np.array([0.0, 86399.9, 86400.0]), 0.0)
-        assert days.dtype == np.int64
-        assert days.tolist() == [0, 0, 1]
-        assert days_of(np.array([50.0]), 0.0, day_seconds=25.0).tolist() == [2]
+    def test_days_floor_relative_time(self):
+        s = sig(np.ones(86401), start=1.6e9 + 0.5, period=1.0)
+        days = day_columns(np.array([86400, 0, 86399]), s)
+        assert days == {0: [1, 2], 1: [0]}
 
     def test_day_columns_groups_by_sample_time(self):
-        s = sig(np.zeros(300) + 1.0, period=1.0)
-        index = np.array([10, 150, 250, 160])
-        days = day_columns(index, s, day_seconds=100.0)
+        s = sig(np.ones(72), period=3600.0)
+        index = np.array([2, 30, 50, 31])
+        days = day_columns(index, s)
         assert sorted(days) == [0, 1, 2]
-        assert [index[c] for c in days[1]] == [150, 160]
+        assert [index[c] for c in days[1]] == [30, 31]
 
-    def test_shared_base_shifts_day_index(self):
-        s = sig(np.ones(10), start=200.0, period=1.0)
-        days = day_columns(np.array([0]), s, base=0.0, day_seconds=100.0)
-        assert list(days) == [2]
+    def test_day_zero_is_the_first_sample(self):
+        s = sig(np.ones(48), start=43200.0, period=3600.0)  # noon of epoch day 0
+        assert list(day_columns(np.array([0, 23, 24]), s)) == [0, 1]
+        assert day_columns(np.array([11, 12]), s) == {0: [0, 1]}
 
 
 class TestDayColumnsParity:
@@ -170,30 +168,25 @@ class TestDayColumnsParity:
 
     def test_random_grids(self):
         rng = np.random.default_rng(55)
-        on_boundary = 0
+        on_boundary = rounded_off = most_days = 0
         for _ in range(200):
             start = float(rng.choice([0.0, 1.6e9, rng.uniform(-1e5, 1e5)]))
-            period = float(rng.choice([1.0, 3.0, 60.0, 0.1, 7.3]))
-            day = float(rng.choice([86400.0, 100.0, 25.0, 0.7]))
+            period = float(rng.choice([900.0, 3600.0, 7300.0, 86400.0, 1e5 / 3]))
             n = int(rng.integers(1, 400))
             s = sig(np.ones(n), start=start, period=period)
             index = rng.integers(0, n, size=int(rng.integers(0, 30)))
             if rng.uniform() < 0.5:
                 index = np.sort(index)
             events = [ev(int(i), 0.0, 1.0) for i in index]
-            base = [None, start, start - 3 * day, start + 5 * day]
-            if events:
-                t = s.time_at(events[0].index)
-                base += [t, float(np.nextafter(t, np.inf)), float(np.nextafter(t, -np.inf))]
-            for b in base:
-                want = reference_day_columns(events, s, b, day)
-                assert day_columns(table(events).index, s, b, day) == want
-                times = [s.time_at(e.index) for e in events]
-                ref = s.start_time if b is None else b
-                got = days_of(np.array(times, dtype=np.float64), ref, day).tolist()
-                assert got == [int((t - ref) // day) for t in times]
-                on_boundary += sum((t - ref) % day == 0.0 for t in times)
-        assert on_boundary > 0
+            want = reference_day_columns(events, s)
+            assert day_columns(table(events).index, s) == want
+            for i in index.tolist():
+                t = s.time_at(i) - start
+                on_boundary += t > 0 and t % 86400.0 == 0.0
+                # whole days in, but the time's rounding moves it off the boundary
+                rounded_off += i > 0 and i * period % 86400.0 == 0.0 and t % 86400.0 != 0.0
+            most_days = max(most_days, len(want))
+        assert on_boundary > 0 and rounded_off > 0 and most_days > 5
 
 
 class TestLabelTrainingEventsParity:
@@ -391,7 +384,7 @@ class TestOvershootFloor:
         states = StateSet(states=(State(OFF_MODE, 0.0, 0.0, 0.0), state("on1", 500, 500)))
         # the fall's window peaks 0 W above its settled level, under the floor
         events = table([ev(10, 0, 500, post_index=12), ev(29, 500, 0, post_index=31)])
-        model = train_appliance("a", sig(raw), sig(filtered), events, states)
+        model = train_appliance("a", sig(raw), sig(filtered), events, states, {0: 2})
         assert model.behaviors.overshoot_min == pytest.approx(120.0)
         assert overshoot_floor(sig(raw), *self.rises((31, 0))) == 0.0
 
@@ -490,13 +483,13 @@ class TestTrainAppliance:
         states = StateSet(
             states=(State(OFF_MODE, 0.0, 0.0, 0.0), state("on1", 500, 500))
         )
-        model = train_appliance("heater", s, s, events, states)
+        model = train_appliance("heater", s, s, events, states, daily_totals={0: 2, 1: 2})
         assert model.appliance_id == "heater"
         assert {t.key for t in model.transitions} == {
             (OFF_MODE, "on1"),
             ("on1", OFF_MODE),
         }
-        # each day one rise and one fall out of two own events
+        # each day one rise and one fall out of two household events
         assert model.participation[(OFF_MODE, "on1")] == pytest.approx(0.5)
         assert model.participation[("on1", OFF_MODE)] == pytest.approx(0.5)
         assert model.behaviors is not None
@@ -516,12 +509,12 @@ class TestTrainAppliance:
         s = sig(np.zeros(48), period=3600.0)
         states = StateSet(states=(State(OFF_MODE, 0.0, 0.0, 0.0),))
         with pytest.raises(DataConsistencyError):
-            train_appliance("idle", s, s, table([]), states)
+            train_appliance("idle", s, s, table([]), states, daily_totals={0: 0, 1: 0})
 
 
 class TestTrainApplianceParity:
     """Columnar training against the per-event references, on seeded random
-    state sets, event tables, day bases and household totals."""
+    state sets, event tables, grid starts and household totals."""
 
     def test_random_trainings(self):
         rng = np.random.default_rng(91)
@@ -544,22 +537,16 @@ class TestTrainApplianceParity:
                 if pre != post:
                     post_index = min(i + int(rng.integers(1, 4)), n - 1)
                     events.append(ev(i, pre, post, post_index=post_index))
-            day_base = [None, start, start - 86400.0, start + rng.uniform(-86400, 86400)][
-                int(rng.integers(4))
-            ]
-            daily_totals = None
-            if rng.uniform() < 0.6:
-                days = reference_day_columns(events, filtered, day_base)
-                lo, hi = min(days, default=0) - 1, max(days, default=0) + 1
-                daily_totals = {
-                    d: len(days.get(d, ())) + int(rng.integers(0, 5)) for d in range(lo, hi + 1)
-                }
-                if days and rng.uniform() < 0.1:  # a day with changes but no total
-                    del daily_totals[int(rng.choice(list(days)))]
+            days = reference_day_columns(events, filtered)
+            lo, hi = min(days, default=0) - 1, max(days, default=0) + 1
+            daily_totals = {
+                d: len(days.get(d, ())) + int(rng.integers(0, 5)) for d in range(lo, hi + 1)
+            }
+            if days and rng.uniform() < 0.1:  # a day with changes but no total
+                del daily_totals[int(rng.choice(list(days)))]
             args = ("a", raw, filtered, table(events), states)
             kwargs = dict(
                 daily_totals=daily_totals,
-                day_base=day_base,
                 overshoot_floor_w=float(rng.choice([0.0, 50.0, 1000.0])),
                 count_all_days=bool(rng.uniform() < 0.3),
             )
@@ -581,11 +568,10 @@ class TestTrainApplianceParity:
             seen["settles at the end"] += any(
                 e.magnitude > 0 and e.post_index >= len(raw) for e, _ in labeled
             )
-            changed = set(reference_day_columns([e for e, _ in labeled], filtered, day_base))
-            seen["day without change"] += bool(set(daily_totals or ()) - changed)
-            seen["totals given" if daily_totals else "totals None"] += 1
-            seen["base off the start"] += day_base not in (None, start)
+            changed = set(reference_day_columns([e for e, _ in labeled], filtered))
+            seen["day without change"] += bool(set(daily_totals) - changed)
+            seen["several days"] += len(changed) > 1
             seen["signature"] += want.behaviors.signature is not None
             seen["overshoot"] += want.behaviors.overshoot_min > 0
             seen["off gap"] += want.behaviors.min_off_gap_s > 0
-        assert len(seen) == 11 and min(seen.values()) > 0, seen
+        assert len(seen) == 9 and min(seen.values()) > 0, seen

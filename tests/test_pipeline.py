@@ -14,7 +14,7 @@ from eventnilm.classifier import (
     classify,
     segment_cycles,
 )
-from eventnilm.errors import ParseError
+from eventnilm.errors import AlignmentError, ParseError
 from eventnilm.evaluation import ConfusionCounts, LabelPoint, PointTable, match_events
 from eventnilm.filtering import filter_and_detect
 from eventnilm.model_io import load_models, save_models
@@ -118,6 +118,15 @@ class TestTrainModels:
         assert load_models(tmp_path / "a.json") == out.models
         save_models(tmp_path / "b.json", load_models(tmp_path / "a.json"))
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_appliance_off_the_aggregate_grid_rejected(self):
+        """Days count from each signal's first sample, so an appliance must
+        share the aggregate's grid for its days to be the aggregate's."""
+        s = day_signal([(6, 12), (30, 36)], 800.0, spd=24)
+        shifted = sig(s.values, start=s.start_time + s.sample_period, period=s.sample_period)
+        for off in (shifted, sig(s.values[:-1], period=s.sample_period)):
+            with pytest.raises(AlignmentError, match="'heater' is not on the aggregate's grid"):
+                train_models({"fan": s, "heater": off}, s, RunConfig())
 
     def test_participation_uses_aggregate_day_totals(self):
         # One appliance, two days, one cycle per day. The aggregate equals

@@ -14,6 +14,7 @@ from eventnilm.signals import (
     EventTable,
     PowerSignal,
     aggregate,
+    gap_threshold,
     resample_step_hold,
 )
 
@@ -231,7 +232,7 @@ class TestResampleStepHold:
     def test_holds_last_value(self):
         times = np.array([0.0, 10.0, 25.0])
         values = np.array([1.0, 2.0, 3.0])
-        out, gaps = resample_step_hold(times, values, period=5.0)
+        out, gaps = resample_step_hold(times, values, period=5.0, max_gap=60.0)
         # grid 0,5,10,15,20,25: most recent source at or before each instant
         assert list(out.values) == [1.0, 1.0, 2.0, 2.0, 2.0, 3.0]
         assert out.start_time == 0.0
@@ -248,7 +249,7 @@ class TestResampleStepHold:
 
     def test_default_gap_rule_follows_the_period(self):
         times = np.arange(1440) * 120.0
-        _, gaps = resample_step_hold(times, np.ones(1440), 120.0)
+        _, gaps = resample_step_hold(times, np.ones(1440), 120.0, max_gap=gap_threshold(120.0))
         assert gaps == []  # regular 120 s spacing is no gap
         _, gaps = resample_step_hold(times, np.ones(1440), 120.0, max_gap=60.0)
         assert len(gaps) == 1439
@@ -256,36 +257,38 @@ class TestResampleStepHold:
     def test_explicit_span(self):
         times = np.array([0.0, 10.0, 20.0, 30.0])
         values = np.array([1.0, 2.0, 3.0, 4.0])
-        out, _ = resample_step_hold(times, values, period=10.0, start=10.0, end=20.0)
+        out, _ = resample_step_hold(times, values, period=10.0, start=10.0, end=20.0, max_gap=60.0)
         assert list(out.values) == [2.0, 3.0]
         assert out.start_time == 10.0
 
     def test_unsorted_input_is_sorted_first(self):
         times = np.array([10.0, 0.0])
         values = np.array([2.0, 1.0])
-        out, _ = resample_step_hold(times, values, period=10.0)
+        out, _ = resample_step_hold(times, values, period=10.0, max_gap=60.0)
         assert list(out.values) == [1.0, 2.0]
 
     def test_duplicate_times_keep_the_last_reading(self):
         # in order or not, the stable order of equal timestamps decides
         for times, values in (([0.0, 10.0, 10.0], [1.0, 2.0, 3.0]), ([10.0, 0.0, 10.0], [2.0, 1.0, 3.0])):
-            out, _ = resample_step_hold(np.array(times), np.array(values), period=5.0)
+            out, _ = resample_step_hold(
+                np.array(times), np.array(values), period=5.0, max_gap=60.0
+            )
             assert list(out.values) == [1.0, 1.0, 3.0]
 
     def test_column_views_accepted(self):
         table = np.array([[0.0, 1.0], [10.0, 2.0], [25.0, 3.0]])
-        out, _ = resample_step_hold(table[:, 0], table[:, 1], period=5.0)
+        out, _ = resample_step_hold(table[:, 0], table[:, 1], period=5.0, max_gap=60.0)
         assert list(out.values) == [1.0, 1.0, 2.0, 2.0, 2.0, 3.0]
 
     def test_start_before_first_sample_rejected(self):
         with pytest.raises(AlignmentError):
             resample_step_hold(
-                np.array([10.0]), np.array([1.0]), period=1.0, start=0.0, end=10.0
+                np.array([10.0]), np.array([1.0]), period=1.0, start=0.0, end=10.0, max_gap=60.0
             )
 
     def test_empty_source_rejected(self):
         with pytest.raises(AlignmentError):
-            resample_step_hold(np.array([]), np.array([]), period=1.0)
+            resample_step_hold(np.array([]), np.array([]), period=1.0, max_gap=60.0)
 
     @pytest.mark.parametrize("period, length", [(1e-300, "8.64e+304"), (5e-324, "inf")])
     def test_grid_too_long_to_index_rejected(self, period, length):
@@ -294,7 +297,7 @@ class TestResampleStepHold:
         times = np.array([0.0, 86_400.0])
         message = re.escape(f"'meter' at period {period:g} s needs {length} samples")
         with pytest.raises(AlignmentError, match=message):
-            resample_step_hold(times, np.ones(2), period, source_id="meter")
+            resample_step_hold(times, np.ones(2), period, max_gap=60.0, source_id="meter")
 
 
 class TestResampleStepHoldReference:
@@ -345,7 +348,7 @@ class TestResampleStepHoldReference:
         rng = np.random.default_rng(seed)
         times, values, period, start, end = self.series(kind, rng)
         max_gap = float(rng.choice([0.5 * period, 60.0]))
-        out, gaps = resample_step_hold(times, values, period, start, end, max_gap)
+        out, gaps = resample_step_hold(times, values, period, start, end, max_gap=max_gap)
         want, want_gaps = reference_resample_step_hold(times, values, period, start, end, max_gap)
         assert np.array_equal(out.values, want)
         assert [(g.start_time, g.end_time) for g in gaps] == want_gaps
@@ -358,7 +361,7 @@ class TestResampleStepHoldReference:
             raise AssertionError("searched an on-grid channel")
 
         monkeypatch.setattr(np, "searchsorted", refuse)
-        out, _ = resample_step_hold(times, values, 3.0, end=130.0)
+        out, _ = resample_step_hold(times, values, 3.0, end=130.0, max_gap=60.0)
         assert out.values.tolist() == values[:11].tolist()
 
 

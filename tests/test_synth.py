@@ -58,6 +58,17 @@ class TestSpecValidation:
         with pytest.raises(SpecValidationError, match="holds a tab or line break"):
             clean_spec(app=f"lamp{bad}x")
 
+    def test_id_with_a_comma_rejected(self):
+        """The manifest lists appliances comma-separated: load_dataset would refuse it."""
+        with pytest.raises(SpecValidationError, match="holds a comma or edge space"):
+            clean_spec(app="lamp,x")
+
+    @pytest.mark.parametrize("app", [" lamp", "lamp ", "\u00a0lamp"])
+    def test_id_with_edge_whitespace_rejected(self, app):
+        """The manifest's names are stripped: it would load back as 'lamp'."""
+        with pytest.raises(SpecValidationError, match="holds a comma or edge space"):
+            clean_spec(app=app)
+
     def test_off_level_bounded(self):
         with pytest.raises(SpecValidationError):
             clean_spec(off_level=6.0)
