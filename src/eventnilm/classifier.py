@@ -19,11 +19,11 @@ A cycle whose columns hold one candidate each has one walk at most. Stage 2
 settles all such cycles, and the closure check judges the chosen labels of
 every cycle, with one batched numpy replay (``_WalkSpace.replay``). The other
 cycles of stage 2, and the repair of refined cycles that do not close, search
-on one layered engine, ``_walk``. Its budget counts forward (mode vector,
-candidate) expansions, per search and per cycle; the replay returns the count
-``_walk`` would spend, so both paths give the same budget verdicts. The
-backward pass of stage 2 only revisits edges the forward pass already
-expanded, so it is not counted.
+on one engine, ``_walk``. It returns both results: per column, the rows some
+closing walk takes, which stage 2 keeps, and the cheapest closing walk under a
+per-option cost, which the repair assigns. Its budget still counts only
+forward (mode vector, candidate) expansions, per search and per cycle; the
+replay returns the count ``_walk`` would spend, so both paths agree.
 
 Candidates are kept as one sorted tuple of row indices per event column
 (``CandidateLabelMatrix.columns``), with their sizes and first rows kept as
@@ -38,6 +38,7 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -312,32 +313,48 @@ class _WalkSpace:
         return closes, spent
 
 
-def _walk(space, options, budget, chosen=None):
-    """Forward layers of the walks from all-OFF through one cycle's columns.
+def _walk(space, options, budget, cost=None):
+    """Search the walks from all-OFF back to all-OFF through one cycle's columns.
 
-    ``options[i]`` lists the row indices column i may take. Layer i maps each
-    mode vector reachable after i events to (cost, parent vector, row): cost
-    counts the steps that disagree with ``chosen`` (0 without it), and ties
-    keep the smaller row. Every (vector, row) expansion spends one unit of
-    ``budget``; the result is None once it runs out.
+    ``options[i]`` lists the rows column i may take and ``cost[i]`` their
+    costs (zero without it), summed along a walk. None once the forward
+    (vector, row) expansions exceed ``budget``; else, per column, the rows
+    some closing walk takes, and the cheapest closing walk's rows, ties going
+    to the smaller row from the last column back. Both are empty if none closes.
     """
-    layers = [{space.all_off: (0, None, None)}]
-    for i, candidates in enumerate(options):
-        nxt: dict = {}
-        for theta, (cost, _, _) in layers[-1].items():
-            for r in candidates:
-                budget -= 1
-                if budget < 0:
-                    return None
+    # per vector reached: (cost, parent vector, row) of its cheapest walk so
+    # far; per column: every applicable (vector, row, next vector) step
+    layers, steps = [{space.all_off: (0, None, None)}], []
+    for candidates, weight in zip(options, cost or repeat(repeat(0))):
+        budget -= len(layers[-1]) * len(candidates)
+        if budget < 0:
+            return None
+        nxt, out = {}, []
+        for theta, (c, _, _) in layers[-1].items():
+            for r, w in zip(candidates, weight):
                 th2 = space.step(theta, r)
-                if th2 is None:
-                    continue
-                c2 = cost + (chosen is not None and r != chosen[i])
-                prev = nxt.get(th2)
-                if prev is None or (c2, r) < (prev[0], prev[2]):
-                    nxt[th2] = (c2, theta, r)
+                if th2 is not None:
+                    out.append((theta, r, th2))
+                    prev = nxt.get(th2)
+                    if prev is None or (c + w, r) < (prev[0], prev[2]):
+                        nxt[th2] = (c + w, theta, r)
         layers.append(nxt)
-    return layers
+        steps.append(out)
+    if space.all_off not in layers[-1]:
+        return [set() for _ in options], []
+    # backward: ``alive`` holds the vectors that can still close, ``theta`` the cheapest walk's
+    alive, theta, kept, best = {space.all_off}, space.all_off, [], []
+    for layer, out in zip(reversed(layers), reversed(steps)):
+        keep, back = set(), set()
+        for v, r, th2 in out:
+            if th2 in alive:
+                keep.add(r)
+                back.add(v)
+        kept.append(keep)
+        alive = back
+        _, theta, r = layer[theta]
+        best.append(r)
+    return kept[::-1], best[::-1]
 
 
 def refine_by_compatibility(
@@ -350,10 +367,9 @@ def refine_by_compatibility(
 
     A full assignment picks one candidate per event such that the transition
     sequence is a walk from the all-OFF mode vector back to all-OFF, each
-    step applicable in its predecessor state. Kept sets are computed exactly
-    from the forward layers and one backward pass over them; a cycle whose
-    forward search exceeds the budget, or that admits no walk at all, is
-    left as-is and reported in the diagnostics.
+    step applicable in its predecessor state. Kept sets are exact
+    (:func:`_walk`); a cycle whose search exceeds the budget, or that admits
+    no walk at all, is left as-is and reported in the diagnostics.
     """
     matrix.stage = STAGES.index("compatibility")
     unrefined = matrix.diagnostics.unrefined_cycles
@@ -369,27 +385,13 @@ def refine_by_compatibility(
             unrefined.append((ci, reason))
             continue
         cols = range(cycles.starts[ci], cycles.ends[ci] + 1)
-        options = [matrix.candidates(c) for c in cols]
-        forward = _walk(space, options, budget)
-        if forward is None:
-            unrefined.append((ci, "search budget exhausted"))
+        walk = _walk(space, [matrix.candidates(c) for c in cols], budget)
+        if walk is None or not walk[1]:
+            reason = "no compatible assignment" if walk else "search budget exhausted"
+            unrefined.append((ci, reason))
             continue
-        if space.all_off not in forward[-1]:
-            unrefined.append((ci, "no compatible assignment"))
-            continue
-        # backward from all-OFF: ``alive`` holds the vectors of layer i + 1
-        # that can still finish the cycle; a row is kept iff it steps from a
-        # reachable vector into one of them
-        alive = {space.all_off}
-        for i in range(len(cols) - 1, -1, -1):
-            keep, back = set(), set()
-            for theta in forward[i]:
-                for r in options[i]:
-                    if space.step(theta, r) in alive:
-                        keep.add(r)
-                        back.add(theta)
-            matrix.keep_only(cols[i], keep)
-            alive = back
+        for c, keep in zip(cols, walk[0]):
+            matrix.keep_only(c, keep)
     return matrix
 
 
@@ -540,15 +542,13 @@ def enforce_cycle_closure(
     closes, _ = space.replay(matrix.first, cycles)
     for ci in sorted(set(np.flatnonzero(~closes).tolist()) - unrefined):
         cols = range(cycles.starts[ci], cycles.ends[ci] + 1)
-        chosen = matrix.first[cols].tolist()
-        layers = _walk(space, [pre_step4[c] for c in cols], budget, chosen)
-        if layers is None or space.all_off not in layers[-1]:
+        options, chosen = [pre_step4[c] for c in cols], matrix.first[cols].tolist()
+        walk = _walk(space, options, budget, [[r != k for r in o] for o, k in zip(options, chosen)])
+        if walk is None or not walk[1]:
             matrix.diagnostics.unrepaired_cycles.append(ci)
             continue
-        theta = space.all_off
-        for i in range(len(cols), 0, -1):
-            _, theta, r = layers[i][theta]
-            matrix.assign(cols[i - 1], r)
+        for c, r in zip(cols, walk[1]):
+            matrix.assign(c, r)
     return matrix
 
 

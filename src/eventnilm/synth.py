@@ -26,7 +26,7 @@ from .errors import SpecValidationError
 from .features import DAY_SECONDS
 from .model_io import fits_one_cell
 from .modes import mode_name
-from .signals import PowerSignal
+from .signals import PowerSignal, aggregate
 
 MIN_DWELL_SAMPLES = 8  # keeps every settled level long enough to survive filtering
 EVENT_GAP_SAMPLES = 6  # level switches closer than this would merge into one event
@@ -83,8 +83,8 @@ class ApplianceSpec:
             raise SpecValidationError(
                 f"{self.appliance_id}: levels must be positive and ascending"
             )
-        if not 0.0 <= self.off_level <= 5.0:
-            raise SpecValidationError(f"{self.appliance_id}: OFF level above 5 W")
+        if not 0.0 <= self.off_level < RunConfig.off_threshold:  # else training calls it on
+            raise SpecValidationError(f"{self.appliance_id}: OFF level not under the OFF threshold")
         if self.dwell_s[0] <= 0 or self.dwell_s[0] > self.dwell_s[1]:
             raise SpecValidationError(f"{self.appliance_id}: bad dwell bounds")
         if self.runs_per_day[0] < 0 or self.runs_per_day[0] > self.runs_per_day[1]:
@@ -212,7 +212,6 @@ def generate(
 
     signals: dict[str, PowerSignal] = {}
     near_switch, near_spike = bytearray(n), bytearray(n)
-    total = np.zeros(n, dtype=np.float64)
     slot: dict[tuple, int] = {}  # truth key -> code
     to_level, rising, switch_at, switch_code = [], [], [], []
 
@@ -269,7 +268,6 @@ def generate(
 
         values *= jitter
         np.maximum(values, 0.0, out=values)
-        total += values
         values.flags.writeable = False
         signals[spec.appliance_id] = PowerSignal(
             values=values, sample_period=period, source_id=spec.appliance_id
@@ -282,10 +280,10 @@ def generate(
     # index and the index order is the (index, appliance) order
     order = np.argsort(index)
     index, code = index[order], np.concatenate(switch_code)[order]
-    for column in (index, code, total):
+    for column in (index, code):
         column.flags.writeable = False
-    aggregate = PowerSignal(values=total, sample_period=period, source_id="aggregate")
-    return SynthResult(signals, aggregate, index, code, tuple(slot), period, days, seed)
+    total = aggregate(list(signals.values()))
+    return SynthResult(signals, total, index, code, tuple(slot), period, days, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -809,7 +809,8 @@ class TestCycleTable:
 
 
 class TestInitialLabelsParity:
-    """One broadcast comparison against ``Transition.contains`` row by row."""
+    """One broadcast comparison against the band test of
+    ``reference_initial_columns``, row by row."""
 
     def test_random_instances(self):
         rng = np.random.default_rng(91)
@@ -952,6 +953,17 @@ class TestClassifyInvariants:
             assert replay_closes([labeled[c] for c in cycle.columns], models)
 
 
+def walk_rows(apps):
+    """Every transition between OFF, on1 and on2 of each appliance, with
+    one two-mode model per appliance to key the mode vectors."""
+    modes = (OFF_MODE, "on1", "on2")
+    rows = [
+        LabelRow(a, Transition(x, y, 0.0, 0.0))
+        for a in apps for x in modes for y in modes if x != y
+    ]
+    return rows, [two_mode_model(a, 1.0, 2.0) for a in apps]
+
+
 class TestReplayParity:
     """The batched replay against the string-mode reference walk on one-row
     columns, cycle by cycle."""
@@ -976,15 +988,10 @@ class TestReplayParity:
 
     def test_random_cycles(self):
         rng = np.random.default_rng(83)
-        modes = (OFF_MODE, "on1", "on2")
         seen = set()
         for _ in range(150):
             apps = [f"app{i}" for i in range(int(rng.integers(1, 4)))]
-            rows = [
-                LabelRow(a, Transition(x, y, 0.0, 0.0))
-                for a in apps for x in modes for y in modes if x != y
-            ]
-            models = [two_mode_model(a, 1.0, 2.0) for a in apps]
+            rows, models = walk_rows(apps)
             space, ref = _WalkSpace(models, rows), ReferenceWalkSpace(models, rows)
             cycles, picks = [], []
             for _ in range(int(rng.integers(1, 10))):
@@ -1026,46 +1033,123 @@ class TestReplayParity:
 
 class TestWalkParity:
     """``_walk`` on integer mode codes against the string-mode reference walk:
-    the same layers, in the same order, once codes are read as mode names."""
+    the same budget verdict, and the kept sets and cheapest walk read off the
+    reference layers by a backward pass and a parent backtrack."""
+
+    @staticmethod
+    def from_layers(ref, options, layers):
+        alive, kept = {ref.all_off}, []
+        for i in range(len(options) - 1, -1, -1):
+            keep, back = set(), set()
+            for theta in layers[i]:
+                for r in options[i]:
+                    if ref.applicable(theta, r) and ref.apply(theta, r) in alive:
+                        keep.add(r)
+                        back.add(theta)
+            kept.insert(0, keep)
+            alive = back
+        best, theta = [], ref.all_off
+        if theta in layers[-1]:
+            for layer in layers[:0:-1]:
+                _, theta, r = layer[theta]
+                best.insert(0, r)
+        return kept, best
 
     def test_random_options(self):
         rng = np.random.default_rng(89)
-        modes = (OFF_MODE, "on1", "on2")
         seen = set()
         for _ in range(200):
             apps = [f"app{i}" for i in range(int(rng.integers(1, 4)))]
-            rows = [
-                LabelRow(a, Transition(x, y, 0.0, 0.0))
-                for a in apps for x in modes for y in modes if x != y
-            ]
-            models = [two_mode_model(a, 1.0, 2.0) for a in apps]
+            rows, models = walk_rows(apps)
             space, ref = _WalkSpace(models, rows), ReferenceWalkSpace(models, rows)
-            names = {}
-            for (_, src, dst), row in zip(space.steps, rows):
-                names[src], names[dst] = row.transition.key
-
-            def named(theta):
-                return None if theta is None else tuple(names[m] for m in theta)
-
             options = [
                 sorted(rng.choice(len(rows), size=int(rng.integers(1, 4)), replace=False).tolist())
                 for _ in range(int(rng.integers(1, 7)))
             ]
             chosen = [int(rng.choice(o)) for o in options] if rng.uniform() < 0.5 else None
+            cost = chosen and [[r != k for r in o] for o, k in zip(options, chosen)]
             budget = int(rng.integers(0, 150))
-            got = _walk(space, options, budget, chosen)
+            got = _walk(space, options, budget, cost)
             want = reference_walk(ref, options, budget, chosen)
             if want is None:
                 assert got is None
                 seen.add("over budget")
                 continue
-            assert [
-                [(named(v), (cost, named(parent), r)) for v, (cost, parent, r) in layer.items()]
-                for layer in got
-            ] == [list(layer.items()) for layer in want]
-            seen.add("closes" if ref.all_off in want[-1] else "open")
+            kept, best = self.from_layers(ref, options, want)
+            assert got == (kept, best)
+            # the expansions the reference spends: exactly the budget that fits
+            spent = sum(len(layer) * len(o) for layer, o in zip(want, options))
+            assert _walk(space, options, spent, cost) == got
+            assert _walk(space, options, spent - 1, cost) is None
+            seen.add("closes" if best else "open")
             seen.add("costed" if chosen else "uncosted")
         assert seen == {"over budget", "closes", "open", "costed", "uncosted"}
+
+
+class TestWalkOracle:
+    """``_walk`` against every assignment enumerated, on small cycles drawn to
+    close, with random integer costs: per column, the kept set is the rows
+    some closing walk takes, and the best walk minimises (total cost, last
+    row, ..., first row)."""
+
+    @staticmethod
+    def closed_walk(rng, apps):
+        """(appliance, transition key) steps from all-OFF back to all-OFF."""
+        mode = {a: OFF_MODE for a in apps}
+        steps = []
+        for _ in range(int(rng.integers(1, 6))):
+            a = apps[int(rng.integers(len(apps)))]
+            dst = ["on1", "on2", OFF_MODE][int(rng.integers(3))]
+            if dst != mode[a]:
+                steps.append((a, (mode[a], dst)))
+                mode[a] = dst
+        steps += [(a, (m, OFF_MODE)) for a, m in mode.items() if m != OFF_MODE]
+        return steps or [(apps[0], (OFF_MODE, "on1")), (apps[0], ("on1", OFF_MODE))]
+
+    def test_random_costs(self):
+        rng = np.random.default_rng(97)
+        swap = {OFF_MODE: OFF_MODE, "on1": "on2", "on2": "on1"}
+        seen, closed = set(), 0
+        for _ in range(300):
+            apps = [f"app{i}" for i in range(int(rng.integers(1, 4)))]
+            rows, models = walk_rows(apps)
+            by_key = {(row.appliance, row.transition.key): r for r, row in enumerate(rows)}
+            steps = self.closed_walk(rng, apps)
+            if rng.uniform() < 0.15:
+                steps = steps[:-1] or steps  # most often leaves an appliance on
+            # on1 and on2 swapped: a twin walk on a larger row in some columns
+            # and a smaller one in others, so ties can cross
+            twins = steps
+            if rng.uniform() < 0.8:
+                twins = [(a, (swap[x], swap[y])) for a, (x, y) in steps]
+            extra = [rng.choice(len(rows), int(rng.integers(0, 2))).tolist() for _ in steps]
+            options = [
+                sorted({by_key[s], by_key[t], *more}) for s, t, more in zip(steps, twins, extra)
+            ]
+            top = int(rng.integers(1, 4))  # 1: every cost 0, so every closing walk ties
+            cost = [rng.integers(0, top, len(o)).tolist() for o in options]
+            closing = [
+                walk for walk in itertools.product(*options)
+                if replay_closes([rows[r] for r in walk], models)
+            ]
+            kept, best = _walk(_WalkSpace(models, rows), options, 10**6, cost)
+            assert kept == [{walk[i] for walk in closing} for i in range(len(options))]
+            if not closing:
+                assert best == []
+                continue
+            closed += 1
+
+            def total(walk):
+                return sum(cost[i][options[i].index(r)] for i, r in enumerate(walk))
+
+            want = min(closing, key=lambda walk: (total(walk), walk[::-1]))
+            assert best == list(want)
+            if min(closing, key=lambda walk: (total(walk), walk)) != want:
+                seen.add("last row decides a tie the first row would not")
+            if len({total(walk) for walk in closing}) > 1:
+                seen.add("costs differ")
+        assert closed > 200
+        assert seen == {"last row decides a tie the first row would not", "costs differ"}
 
 
 class TestSegmentCyclesParity:

@@ -9,10 +9,12 @@ recovery on noise-free channels.
 import numpy as np
 import pytest
 
+from eventnilm.config import RunConfig
 from eventnilm.dataset import write_dataset
 from eventnilm.errors import SpecValidationError
 from eventnilm.evaluation import LabelPoint, PointTable, match_events
 from eventnilm.filtering import filter_and_detect
+from eventnilm.pipeline import train_models
 from eventnilm.synth import (
     DAY_MARGIN_SAMPLES,
     EVENT_GAP_SAMPLES,
@@ -72,7 +74,19 @@ class TestSpecValidation:
     def test_off_level_bounded(self):
         with pytest.raises(SpecValidationError):
             clean_spec(off_level=6.0)
-        clean_spec(off_level=5.0)  # boundary allowed
+        with pytest.raises(SpecValidationError, match="OFF level not under the OFF threshold"):
+            clean_spec(off_level=RunConfig.off_threshold)  # training would call it on1
+        with pytest.raises(SpecValidationError):
+            clean_spec(off_level=-1.0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_standby_just_under_the_bound_trains_as_off(self, seed):
+        spec = clean_spec(
+            app="lamp", levels=(60.0,), run_sequences=((1,),), off_level=4.99, runs_per_day=(3, 5)
+        )
+        result = generate([spec], days=4, seed=seed, jitter_fraction=0.0)
+        (model,) = train_models(result.appliances, result.aggregate, RunConfig()).models
+        assert sorted(t.key for t in model.transitions) == [("off", "on1"), ("on1", "off")]
 
     def test_dwell_and_runs_bounds(self):
         with pytest.raises(SpecValidationError):
