@@ -34,8 +34,9 @@ class RunConfig:
     search_budget: forward (mode vector, candidate) expansions allowed in
       each walk search of a cycle, compatibility or closure repair.
     match_tolerance: +/- samples allowed when matching events in evaluation.
-    n_days_variant: average participation shares over all active days
-      instead of only the days the transition occurred in.
+    n_days_variant: average participation shares over all active days, the
+      days with aggregate events, instead of only those the transition
+      occurred in.
     seed: non-negative seed for anything randomized (the synthetic generator).
     """
 

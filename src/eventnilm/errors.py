@@ -14,7 +14,7 @@ class InsufficientDataError(NilmError):
 
 
 class DataConsistencyError(NilmError):
-    """Per-day bookkeeping contradicts itself (e.g. transitions on an event-free day)."""
+    """Training data cannot give a model (e.g. no event changes the appliance's mode)."""
 
 
 class ModelCoverageError(NilmError):

@@ -6,14 +6,12 @@ Three feature families are extracted on top of the state set:
   produce, derived purely from the endpoint states' power envelopes;
 * the participation index: how large a share of a day's events a transition
   accounts for, averaged over the days it occurs in;
-* behavioral fingerprints: habits of the appliance (signature transitions,
-  transitions never observed, overshoot floor, minimum off gap) used later to
-  veto implausible labels.
+* behavioral fingerprints: habits of the appliance (signature transition,
+  overshoot floor, minimum off gap) used later to veto implausible labels.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,39 +118,33 @@ def day_columns(index: np.ndarray, signal: PowerSignal) -> dict[int, list[int]]:
 
 
 def participation_index(
-    daily_counts: list[dict[tuple[str, str], int]],
-    daily_totals: list[int],
+    transitions: tuple[Transition, ...],
+    counts: np.ndarray,
+    totals: np.ndarray,
     count_all_days: bool = RunConfig.n_days_variant,
 ) -> dict[tuple[str, str], float]:
     """Average share of a day's events that each transition accounts for.
 
-    ``daily_counts`` holds one mapping per day from transition key to the
-    number of times it fired; ``daily_totals`` holds the matching day's total
-    event count on the household's aggregated signal. For each transition the
-    per-day share is count over total, averaged over the days the transition
-    occurred in; days without it are skipped (unless ``count_all_days``,
-    which averages over every day with any events instead).
+    ``counts[d, t]`` is how often ``transitions[t]`` fired on day d and
+    ``totals[d]`` the household aggregate's event count that day. A day
+    without aggregate events has no share and is skipped. For each
+    transition the per-day share is count over total, averaged over the
+    days the transition occurred in (unless ``count_all_days``, which
+    averages over every day with aggregate events instead).
     """
-    if len(daily_counts) != len(daily_totals):
-        raise ValueError("daily_counts and daily_totals must align day by day")
-    shares: dict[tuple[str, str], list[float]] = defaultdict(list)
-    active_days = 0
-    for day, total in zip(daily_counts, daily_totals):
-        if total == 0:
-            if any(c > 0 for c in day.values()):
-                raise DataConsistencyError(
-                    "day has appliance transitions but zero total events"
-                )
-            continue
-        active_days += 1
-        for key, cnt in day.items():
-            if cnt > 0:
-                shares[key].append(cnt / total)
-    if count_all_days:
-        return {
-            key: sum(vals) / active_days for key, vals in sorted(shares.items())
-        }
-    return {key: sum(vals) / len(vals) for key, vals in sorted(shares.items())}
+    if counts.shape != (len(totals), len(transitions)):
+        raise ValueError("counts must hold one row per total and one column per transition")
+    active = totals > 0
+    shares = np.zeros(len(transitions))
+    for row, total in zip(counts[active], totals[active]):
+        shares += row / total  # a day at a time: a pairwise column sum rounds otherwise
+    seen = np.count_nonzero(counts[active], axis=0).tolist()
+    every = np.count_nonzero(active)
+    return {
+        t.key: share / (every if count_all_days else n)
+        for t, share, n in zip(transitions, shares.tolist(), seen)
+        if n
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -179,34 +171,27 @@ class BehaviorSet:
 
 
 def find_signature(
-    daily_transitions: list[list[Transition]],
+    transitions: tuple[Transition, ...],
+    counts: np.ndarray,
     states: StateSet,
 ) -> Transition | None:
     """All-or-none usage marker: a transition whose presence implies a run-day.
 
-    The habit holds only when every active training day exercises every
-    non-OFF mode (a dishwasher always runs its full program). When it holds,
-    the marker is a transition observed on every active day; among those the
-    rising one with the highest magnitude band wins, which tends to be the
-    most distinctive against other appliances.
+    ``counts[d, t]`` is how often ``transitions[t]`` fired on day d; the
+    active days are those with any count. The habit holds only when every
+    active training day exercises every non-OFF mode (a dishwasher always
+    runs its full program). When it holds, the marker is a transition
+    observed on every active day; among those the rising one with the
+    highest magnitude band wins, which tends to be the most distinctive
+    against other appliances.
     """
-    active = [day for day in daily_transitions if day]
-    if not active:
+    fired = counts[counts.any(axis=1)] > 0  # a row per active day
+    touches = np.array([[s.mode in t.key for t in transitions] for s in states.non_off], bool)
+    # every active day must touch every non-OFF mode
+    if not fired.size or not (fired @ touches.reshape(-1, len(transitions)).T).all():
         return None
-    all_on_modes = {s.mode for s in states.non_off}
-    for day in active:
-        touched = {t.from_mode for t in day} | {t.to_mode for t in day}
-        if not all_on_modes <= touched:
-            return None
-    common = set.intersection(*({t.key for t in day} for day in active))
-    if not common:
-        return None
-    by_key = {t.key: t for day in active for t in day}
-    candidates = sorted(
-        (by_key[k] for k in common),
-        key=lambda t: (t.rising, t.low, t.high, t.key),
-    )
-    return candidates[-1]
+    common = [t for t, every in zip(transitions, fired.all(axis=0)) if every]
+    return max(common, key=lambda t: (t.rising, t.low, t.high, t.key), default=None)
 
 
 OVERSHOOT_WINDOW = 10  # samples after an event searched for its raw peak
@@ -300,31 +285,26 @@ def train_appliance(
     """Assemble the appliance model from its filtered signal and events.
 
     ``daily_totals`` maps day index to the aggregated household signal's
-    event count that day; participation shares are fractions of those totals.
-    Days count from the filtered signal's first sample, for those totals and
-    for the signature's days alike.
+    event count that day. One table counts each transition per day, a row
+    for each day with a total or a mode change; participation shares are
+    fractions of the totals. Days count from the filtered signal's first
+    sample, for those totals and for the signature's days alike.
     """
     positions, transitions, which = label_training_events(events, states)
     if not transitions:
         raise DataConsistencyError("no usable mode transitions in training data")
     index = events.index[positions]
-    counts = {
-        day: np.bincount(which[cols], minlength=len(transitions)).tolist()
-        for day, cols in day_columns(index, filtered).items()
-    }
-    days = sorted(set(daily_totals) | set(counts))
-    participation = participation_index(
-        [{t.key: c for t, c in zip(transitions, counts.get(d, ())) if c} for d in days],
-        [daily_totals.get(d, 0) for d in days],
-        count_all_days=count_all_days,
-    )
+    own = day_columns(index, filtered)
+    days = sorted(set(daily_totals) | set(own))
+    width = len(transitions)
+    counts = np.stack([np.bincount(which[own.get(d, [])], minlength=width) for d in days])
+    totals = np.array([daily_totals.get(d, 0) for d in days])
+    participation = participation_index(transitions, counts, totals, count_all_days)
     rises = positions[events.magnitude[positions] > 0]
     into_off = np.array([t.to_mode == OFF_MODE for t in transitions])[which]
     out_of_off = np.array([t.from_mode == OFF_MODE for t in transitions])[which]
     behaviors = BehaviorSet(
-        signature=find_signature(
-            [[t for t, c in zip(transitions, per) if c] for per in counts.values()], states
-        ),
+        signature=find_signature(transitions, counts, states),
         overshoot_min=overshoot_floor(
             raw, events.post_index[rises], events.post_level[rises], floor=overshoot_floor_w
         ),

@@ -26,7 +26,7 @@ from .errors import SpecValidationError
 from .features import DAY_SECONDS
 from .model_io import fits_one_cell
 from .modes import mode_name
-from .signals import PowerSignal, aggregate
+from .signals import _MAX_SAMPLES, PowerSignal, aggregate
 
 MIN_DWELL_SAMPLES = 8  # keeps every settled level long enough to survive filtering
 EVENT_GAP_SAMPLES = 6  # level switches closer than this would merge into one event
@@ -197,6 +197,8 @@ def generate(
     if len(set(ids)) != len(ids):
         raise SpecValidationError("appliance ids must be unique")
     spd = DAY_SECONDS / period
+    if not days < _MAX_SAMPLES / spd:  # before any draw, and before rounding an infinite spd
+        raise SpecValidationError(f"{days} days of {spd:g} samples each: too many for an array")
     if abs(spd - round(spd)) > 1e-9:
         raise SpecValidationError("sample period must divide a day evenly")
     spd = int(round(spd))

@@ -454,6 +454,58 @@ def reference_min_off_gap(labeled, signal):
     return min(gaps) if gaps else 0.0
 
 
+def count_table(daily_counts):
+    """``(transitions, counts)`` for per-day mappings from transition key to
+    count: zero-band transitions in key order, and one row per day."""
+    from eventnilm.features import Transition
+
+    keys = sorted({k for day in daily_counts for k in day})
+    counts = np.array([[day.get(k, 0) for k in keys] for day in daily_counts], dtype=np.int64)
+    return (
+        tuple(Transition(*k, 0.0, 0.0) for k in keys),
+        counts.reshape(len(daily_counts), len(keys)),
+    )
+
+
+def reference_participation_index(daily_counts, daily_totals, count_all_days=False):
+    """``participation_index`` from one key-to-count mapping and one total per
+    day: a list of shares per key, added left to right (Python 3.12's ``sum``
+    would compensate). A day without a total is skipped, whatever it counts."""
+    from functools import reduce
+    from operator import add
+
+    shares = {}
+    active_days = 0
+    for day, total in zip(daily_counts, daily_totals):
+        if total == 0:
+            continue
+        active_days += 1
+        for key, cnt in day.items():
+            if cnt > 0:
+                shares.setdefault(key, []).append(cnt / total)
+    return {
+        key: reduce(add, vals) / (active_days if count_all_days else len(vals))
+        for key, vals in sorted(shares.items())
+    }
+
+
+def reference_find_signature(daily_transitions, states):
+    """``find_signature`` from one transition list per day, with sets."""
+    active = [day for day in daily_transitions if day]
+    if not active:
+        return None
+    all_on_modes = {s.mode for s in states.non_off}
+    for day in active:
+        if not all_on_modes <= {t.from_mode for t in day} | {t.to_mode for t in day}:
+            return None
+    common = set.intersection(*({t.key for t in day} for day in active))
+    by_key = {t.key: t for day in active for t in day}
+    candidates = sorted(
+        (by_key[k] for k in common), key=lambda t: (t.rising, t.low, t.high, t.key)
+    )
+    return candidates[-1] if candidates else None
+
+
 def reference_train_appliance(
     appliance_id, raw, filtered, events, states, daily_totals=None, day_base=None,
     overshoot_floor_w=50.0, count_all_days=False,
@@ -465,12 +517,7 @@ def reference_train_appliance(
     from collections import Counter
 
     from eventnilm.errors import DataConsistencyError
-    from eventnilm.features import (
-        ApplianceModel,
-        BehaviorSet,
-        find_signature,
-        participation_index,
-    )
+    from eventnilm.features import ApplianceModel, BehaviorSet
 
     labeled = reference_label_training_events(events, states)
     if not labeled:
@@ -484,13 +531,13 @@ def reference_train_appliance(
     if daily_totals is None:
         daily_totals = {day: len(trs) for day, trs in by_day.items()}
     days = sorted(set(daily_totals) | set(by_day))
-    participation = participation_index(
+    participation = reference_participation_index(
         [dict(Counter(t.key for t in by_day.get(d, []))) for d in days],
         [daily_totals.get(d, 0) for d in days],
         count_all_days=count_all_days,
     )
     behaviors = BehaviorSet(
-        signature=find_signature(list(by_day.values()), states),
+        signature=reference_find_signature(list(by_day.values()), states),
         overshoot_min=reference_overshoot_floor(raw, labeled, floor=overshoot_floor_w),
         min_off_gap_s=reference_min_off_gap(labeled, filtered),
     )

@@ -41,6 +41,7 @@ from eventnilm.signals import PowerSignal
 from eventnilm.synth import balanced_household, demo_household, generate
 
 from helpers import (
+    count_table,
     cycle_table,
     enumerate_surviving,
     random_instance,
@@ -202,7 +203,7 @@ def test_criterion_5_participation_arithmetic():
             own = sum(day.values())
             totals.append(own + int(rng.integers(0, 25)) if own else 0)
             counts.append(day)
-        out = participation_index(counts, totals)
+        out = participation_index(*count_table(counts), np.array(totals))
         expect = {}
         for key in sorted({k for day in counts for k in day}):
             shares = [
@@ -214,11 +215,13 @@ def test_criterion_5_participation_arithmetic():
         if out != expect:
             mismatches += 1
     table = participation_index(
-        [
-            {("off", "on1"): 11, ("on1", "on2"): 20, ("on2", "off"): 17},
-            {("off", "on2"): 73},
-        ],
-        [100, 100],
+        *count_table(
+            [
+                {("off", "on1"): 11, ("on1", "on2"): 20, ("on2", "off"): 17},
+                {("off", "on2"): 73},
+            ]
+        ),
+        np.array([100, 100]),
     )
     table_ok = (
         round(table[("off", "on1")], 2) == 0.11

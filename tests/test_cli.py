@@ -103,6 +103,21 @@ class TestExitCodes:
         assert f"gives {samples} samples per day" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "days, period, per_day", [("2", "1e-300", "8.64e+304"), ("1" + "0" * 20, "20", "4320")]
+    )
+    def test_synth_household_too_long_for_an_array_is_data_error(
+        self, tmp_path, capsys, days, period, per_day
+    ):
+        """Refused before any array is built, so neither request allocates."""
+        out = tmp_path / "out"
+        args = ["synth", "--output", str(out), "--days", days, "--period", period]
+        assert main([*args, "--train-days", "1"]) == 2
+        err = capsys.readouterr().err
+        assert f"{days} days of {per_day} samples each: too many for an array" in err
+        assert "internal error" not in err
+        assert not out.exists()
+
     def test_request_too_large_for_memory_is_data_error(self, tmp_path, capsys, monkeypatch):
         # the real request would try a multi-TiB allocation; raise as numpy would
         def too_large(*args, **kwargs):

@@ -33,6 +33,10 @@ PINS = {
     ),
 }
 
+# sha256 of the demo 28/21 model file trained with ``n_days_variant``, which
+# averages participation shares over every day with aggregate events
+ALL_DAYS_PIN = "85f1d0e68c524cc94ff58a29f15e392ffb6aa620737429dd6b87eabc5bd61d4a"
+
 # (household, days, training days): sha256 of the ground-truth rows, of the
 # ``format_metrics`` text scoring the event report against them
 SCORING_PINS = {
@@ -142,13 +146,12 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_flow(household, days, train_days):
+def run_flow(household, days, train_days, config=RunConfig()):
     """Train on the first days, label the rest: (generated, config, models, labeled)."""
     result = generate(
         demo_household() if household == "demo" else balanced_household(), days=days, seed=0
     )
     base = result.aggregate.start_time
-    config = RunConfig()
     models = pipeline.train_models(
         {n: slice_days(s, (0, train_days - 1), base) for n, s in result.appliances.items()},
         slice_days(result.aggregate, (0, train_days - 1), base),
@@ -173,6 +176,12 @@ def test_model_and_report_bytes(household, days, train_days, tmp_path):
     resaved = tmp_path / "resaved.json"
     model_io.save_models(resaved, model_io.load_models(model_path))
     assert resaved.read_bytes() == model_path.read_bytes()
+
+
+def test_all_days_model_bytes(tmp_path):
+    _, _, models, _ = run_flow("demo", 28, 21, RunConfig(n_days_variant=True))
+    model_io.save_models(tmp_path / "models.json", models)
+    assert sha256((tmp_path / "models.json").read_bytes()) == ALL_DAYS_PIN
 
 
 @pytest.mark.parametrize("household, days, train_days", sorted(SCORING_PINS))

@@ -16,7 +16,8 @@ from eventnilm.classifier import (
 )
 from eventnilm.errors import AlignmentError, ParseError
 from eventnilm.evaluation import ConfusionCounts, LabelPoint, PointTable, match_events
-from eventnilm.filtering import filter_and_detect
+from eventnilm.features import day_columns
+from eventnilm.filtering import filter_and_detect, filtered_events
 from eventnilm.model_io import load_models, save_models
 from eventnilm.pipeline import (
     build_ground_truth,
@@ -28,7 +29,7 @@ from eventnilm.pipeline import (
 )
 from eventnilm.config import RunConfig
 from eventnilm.modes import OFF_MODE
-from eventnilm.signals import EventRecord, EventTable, PowerSignal
+from eventnilm.signals import EventRecord, EventTable, PowerSignal, aggregate
 from eventnilm.dataset import slice_days
 from eventnilm.synth import balanced_household, demo_household, generate
 
@@ -85,26 +86,49 @@ class TestTrainModels:
         assert out.notes == ["idle: no training events; OFF-only model"]
 
     def test_off_only_note_gives_the_reason(self):
-        # the appliance runs on both days, but the aggregate it is trained
-        # against is flat, so its days hold transitions and zero total events
-        s = day_signal([(6, 12), (30, 36)], 800.0, spd=24)
-        flat = sig(np.zeros(len(s)), period=s.sample_period)
-        out = train_models({"heater": s}, flat, RunConfig())
+        # the heater steps between 800 W and 850 W, which cluster into one
+        # state, so its events change no mode
+        s = day_signal([(6, 12), (30, 36)], 50.0, spd=24)
+        s = sig(s.values + 800.0, period=s.sample_period)
+        out = train_models({"heater": s}, s, RunConfig())
+        assert len(filter_and_detect(s)[1]) == 4
         assert out.models[0].transitions == ()
         assert out.notes == [
-            "heater: day has appliance transitions but zero total events; OFF-only model"
+            "heater: no usable mode transitions in training data; OFF-only model"
         ]
 
-    @pytest.mark.parametrize("case", ["no events", "no usable days"])
+    def test_quiet_aggregate_day_is_skipped(self):
+        """On day 1, b's 20 W steps ride on a's 2000 W run, under the
+        aggregate's event threshold: the day has b's mode changes but no
+        aggregate event, so b's shares come from days 0 and 2 alone."""
+        a, b = np.zeros(3 * 1440), np.zeros(3 * 1440)
+        for lo, hi in [(1000, 1100), (1300, 3080), (3480, 3580)]:
+            a[lo:hi] = 2000.0
+        for lo in [100, 400, 1540, 1840, 2240, 3780, 4080]:
+            b[lo : lo + 60] = 20.0
+        apps = {"a": sig(a, period=60.0), "b": sig(b, period=60.0)}
+        agg = aggregate(list(apps.values()))
+        assert set(day_columns(filtered_events(agg).index, agg)) == {0, 2}
+        out = train_models(apps, agg, RunConfig())
+        assert out.notes == []
+        b_model = out.models[1]
+        assert [t.key for t in b_model.transitions] == [(OFF_MODE, "on1"), ("on1", OFF_MODE)]
+        # two of each day's seven aggregate events, on days 0 and 2
+        assert b_model.participation == {
+            (OFF_MODE, "on1"): pytest.approx(2 / 7),
+            ("on1", OFF_MODE): pytest.approx(2 / 7),
+        }
+
+    @pytest.mark.parametrize("case", ["no events", "no mode changes"])
     def test_off_only_model_spans_the_filtered_channel(self, tmp_path, case):
         """The one state is OFF, with the filtered channel's range, mean and
         sample count, and the model file round-trips byte for byte."""
-        heater = day_signal([(6, 12), (30, 36)], 800.0, spd=24)
+        heater = day_signal([(6, 12), (30, 36)], 50.0, spd=24)
         if case == "no events":  # an idle 2.5 W standby draw
-            s, agg = sig(np.full(len(heater), 2.5), period=heater.sample_period), heater
-        else:  # the heater runs, but the flat aggregate has no events on its days
-            s, agg = heater, sig(np.zeros(len(heater)), period=heater.sample_period)
-        out = train_models({"heater": s}, agg, RunConfig())
+            s = sig(np.full(len(heater), 2.5), period=heater.sample_period)
+        else:  # steps between 800 W and 850 W, one state
+            s = sig(heater.values + 800.0, period=heater.sample_period)
+        out = train_models({"heater": s}, heater, RunConfig())
         filtered, events = filter_and_detect(s)
         assert (len(events) == 0) == (case == "no events")
         [model] = out.models
